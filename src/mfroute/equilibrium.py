@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .flow import PsiResult, apply_psi
-from .network import Network, PathSet
+from .network import Network, PathSet, edge_totals
 from .scenario import Scenario
 from .value import MassField
 
@@ -60,9 +60,7 @@ def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet,
                         slack: float = 1e-9) -> XMembership:
     """Check the mass bound and the difference-quotient bound of a trajectory."""
     values = mass.values
-    n_edges = int(ps.pair_edge_idx.max()) + 1
-    totals = np.zeros((n_edges, values.shape[1]))
-    np.add.at(totals, ps.pair_edge_idx, values)
+    totals = edge_totals(ps, values)
     max_total = float(totals.max()) if totals.size else 0.0
     if values.shape[1] > 1:
         quotient = float(np.max(np.abs(np.diff(values, axis=1))) / scen.grid.dt)
@@ -92,10 +90,7 @@ def solve(net: Network, ps: PathSet, scen: Scenario, *,
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in ]0, 1]")
 
-    n_nodes = scen.grid.steps + 1
-    current = MassField(values=np.tile(scen.rho0[:, None], (1, n_nodes)))
-    if scen.rho0_rule == "zero":
-        current = MassField(values=np.zeros((ps.pair_count, n_nodes)))
+    current = MassField(values=np.tile(scen.rho0[:, None], (1, scen.grid.steps + 1)))
 
     residuals: list[float] = []
     increases: list[int] = []

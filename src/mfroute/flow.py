@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSimplex, MassBoundExceeded, ShapeMismatch
-from .network import Network, PathSet
+from .network import Network, PathSet, edge_totals
 from .scenario import Scenario
 from .value import (EdgeCongestion, MassField, Policy, ValueTable,
                     congestion_total, value_backward)
@@ -63,7 +63,6 @@ class PsiResult:
     policy: Policy
     costs: PathCostTable
     preference: PreferenceTrajectory
-    local: np.ndarray = field(repr=False)
     flows: FlowField = None
     integration: IntegrationResult = None
     k_idx_edges: np.ndarray = field(repr=False, default=None)
@@ -217,10 +216,7 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: FlowField, z: np.ndarray,
 
 
 def _check_mass_bound(ps: PathSet, scen: Scenario, mass: np.ndarray) -> None:
-    n_edges = int(ps.pair_edge_idx.max()) + 1
-    totals = np.zeros((n_edges, mass.shape[1]))
-    np.add.at(totals, ps.pair_edge_idx, mass)
-    worst = float(totals.max())
+    worst = float(edge_totals(ps, mass).max())
     if worst > scen.rho_max:
         raise MassBoundExceeded(
             f"total edge mass {worst:g} exceeds rho_max {scen.rho_max:g}")
@@ -242,9 +238,8 @@ def apply_psi(net: Network, ps: PathSet, scen: Scenario, mass: MassField) -> Psi
         table, policy = value_backward(net, ps, scen, mass, congestion=cong)
         k_idx_edges = np.full(len(net.edges), scen.k_idx, dtype=np.int64)
     costs, pref = build_preferences(net, ps, scen, cong, policy)
-    g = local_decision(ps, pref.z)
     flows = compute_flows(net, ps, policy, pref.z, scen.lam, k_idx_edges)
     integ = integrate_mass(ps, scen, flows, pref.z, scen.lam, scen.rho0)
     return PsiResult(mass=integ.mass, congestion=cong, value=table, policy=policy,
-                     costs=costs, preference=pref, local=g, flows=flows,
+                     costs=costs, preference=pref, flows=flows,
                      integration=integ, k_idx_edges=k_idx_edges, arrival=arrival)

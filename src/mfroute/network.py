@@ -92,6 +92,13 @@ class PathSet:
         ]
 
 
+def edge_totals(ps: PathSet, pair_values: np.ndarray) -> np.ndarray:
+    """Sum per-pair rows into one row per edge, adding pairs in row order."""
+    totals = np.zeros((int(ps.pair_edge_idx.max()) + 1, pair_values.shape[1]))
+    np.add.at(totals, ps.pair_edge_idx, pair_values)
+    return totals
+
+
 def _as_edge(item) -> Edge:
     if isinstance(item, Edge):
         return item

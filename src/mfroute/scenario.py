@@ -24,9 +24,8 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError, ShapeMismatch, ValidationError
-from .network import Network, PathSet, build_network, enumerate_paths
-
-DEFAULT_PATH_LIMIT = 10_000
+from .network import (DEFAULT_PATH_LIMIT, Network, PathSet, build_network,
+                      enumerate_paths)
 
 
 @dataclass(frozen=True)

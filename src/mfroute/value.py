@@ -2,18 +2,24 @@
 
 Given a mass field, each (edge, path) pair gets a value table over the grid
 and a policy: the optimal head-arrival node tau (or "stay put") and the
-constant traversal speed length / (tau - t).  Edges of a path are processed
-in reverse, so a pair's table only depends on its successor's table.
+constant traversal speed length / (tau - t).  A pair's table depends only on
+the path suffix that starts at its edge, so each distinct suffix is computed
+once, after the suffix that follows it, and its rows are copied to every
+pair that shares it.
 
 Candidate arrival times are restricted to grid nodes strictly after the
 entry node; the continuous minimization is approximated to first order in
-the grid step, consistent with the Euler mass integration.
+the grid step, consistent with the Euler mass integration.  The minimization
+runs over blocks of entry nodes and, within a block, only over arrival nodes
+after the block's first entry node, so its temporaries take O(B * N) memory
+for B = BLOCK_CELLS // (N + 1) rows rather than (N + 1)^2.
 
 Float expressions here are deliberately fixed:  a moving candidate costs
 ``(l*l)/(2*(t[j]-t[i])) + (Phi[j]-Phi[i])`` plus the continuation, grouped
 exactly in that order.  The exhaustive enumeration in :mod:`mfroute.oracle`
 evaluates the same expressions, which is what makes the oracle comparison
-exact rather than tolerance-based.
+exact rather than tolerance-based; neither the suffix sharing nor the row
+blocks change a single rounding step.
 """
 
 from __future__ import annotations
@@ -23,8 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfRange, ShapeMismatch
-from .network import Network, PathSet
+from .network import Network, PathSet, edge_totals
 from .scenario import Scenario, TimeGrid, prefix_integral
+
+# Candidate cells per row block of the value kernel: a block spans
+# BLOCK_CELLS // (steps + 1) entry nodes, so its temporaries take O(B * N)
+# memory instead of (N + 1)^2 per table.
+BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -76,8 +87,7 @@ def congestion_total(net: Network, ps: PathSet, scen: Scenario,
         raise ShapeMismatch(
             f"mass field must have shape {(ps.pair_count, n_nodes)}, "
             f"got {mass.values.shape}")
-    totals = np.zeros((len(net.edges), n_nodes))
-    np.add.at(totals, ps.pair_edge_idx, mass.values)
+    totals = edge_totals(ps, mass.values)
     phi_values = np.empty_like(totals)
     for e, cost in enumerate(scen.phi):
         phi_values[e] = cost(totals[e])
@@ -111,58 +121,96 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, mass: MassField,
     eps_tie = scen.solver.eps_tie
     alpha = scen.alpha
 
-    n_pairs = ps.pair_count
-    values = np.empty((n_pairs, n + 1))
-    tau_idx = np.full((n_pairs, n + 1), -1, dtype=np.int64)
+    suffixes, pair_suffix = _suffix_map(ps)
+    values = np.empty((len(suffixes), n + 1))
+    tau_idx = np.full((len(suffixes), n + 1), -1, dtype=np.int64)
     node_ids = np.arange(n + 1)
+    rows_per_block = max(1, BLOCK_CELLS // (n + 1))
+    move_buf = np.empty(rows_per_block * n)
+    dphi_buf = np.empty_like(move_buf)
+    mask_buf = np.empty(move_buf.size, dtype=bool)
 
-    for rows in ps.path_rows:
-        for pos in range(len(rows) - 1, -1, -1):
-            r = int(rows[pos])
-            e = int(ps.pair_edge_idx[r])
-            length = float(net.lengths[e])
-            phi = cong.phi_prefix[e]
-            tail_cost = alpha * (length if pos == len(rows) - 1 else float(net.dist_tail[e]))
-            stay = tail_cost + (phi[n] - phi)
+    for s, (e, succ) in enumerate(suffixes):
+        length = float(net.lengths[e])
+        phi = cong.phi_prefix[e]
+        tail_cost = alpha * (length if succ < 0 else float(net.dist_tail[e]))
+        stay = tail_cost + (phi[n] - phi)
 
-            floor_e = arrival_floor[e] if arrival_floor is not None else None
-            if pos == len(rows) - 1:
-                # Only candidate: arrive exactly at the final node.
-                with np.errstate(divide="ignore"):
-                    move = (length * length) / (2.0 * (t[n] - t)) + (phi[n] - phi)
-                feasible = node_ids < n
-                if floor_e is not None:
-                    feasible = feasible & (floor_e <= n)
-                move = np.where(feasible, move, np.inf)
-                move_wins = move <= stay
-                values[r] = np.minimum(stay, move)
-                tau_idx[r] = np.where(move_wins, n, -1)
-                continue
+        floor_e = arrival_floor[e] if arrival_floor is not None else None
+        if succ < 0:
+            # Only candidate: arrive exactly at the final node.
+            with np.errstate(divide="ignore"):
+                move = (length * length) / (2.0 * (t[n] - t)) + (phi[n] - phi)
+            feasible = node_ids < n
+            if floor_e is not None:
+                feasible = feasible & (floor_e <= n)
+            move = np.where(feasible, move, np.inf)
+            move_wins = move <= stay
+            values[s] = np.minimum(stay, move)
+            tau_idx[s] = np.where(move_wins, n, -1)
+            continue
 
-            v_succ = values[int(rows[pos + 1])]
-            cont = v_succ.copy()
-            cont[n] = min(tail_cost, v_succ[n])
+        v_succ = values[succ]
+        cont = v_succ.copy()
+        cont[n] = min(tail_cost, v_succ[n])
+        min_arrival_idx = node_ids + 1 if floor_e is None \
+            else np.maximum(node_ids + 1, floor_e)
+        # Entry node n has no later arrival, so its best moving cost stays inf.
+        best = np.full(n + 1, np.inf)
+        latest = np.full(n + 1, n)
+        for i0 in range(0, n, rows_per_block):
+            i1 = min(i0 + rows_per_block, n)
+            # Arrivals before i0 + 1 are inadmissible for every row here.
+            shape = (i1 - i0, n - i0)
+            move = move_buf[:shape[0] * shape[1]].reshape(shape)
+            dphi = dphi_buf[:move.size].reshape(shape)
+            mask = mask_buf[:move.size].reshape(shape)
+            # In place, move = ((l*l) / (2*(t[j]-t[i])) + (phi[j]-phi[i])) + cont[j]
+            # with the same rounding steps as the oracle's expression.
+            np.subtract(t[None, i0 + 1:], t[i0:i1, None], out=move)
+            move *= 2.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                kin = (length * length) / (2.0 * (t[None, :] - t[:, None]))
-            move = (kin + (phi[None, :] - phi[:, None])) + cont[None, :]
-            min_arrival_idx = node_ids + 1 if floor_e is None \
-                else np.maximum(node_ids + 1, floor_e)
-            valid = node_ids[None, :] >= min_arrival_idx[:, None]
-            move = np.where(valid, move, np.inf)
-            best = move.min(axis=1)
-            values[r] = np.minimum(stay, best)
-            move_wins = best <= stay
-            threshold = best + eps_tie * np.maximum(1.0, np.abs(best))
-            within = move <= threshold[:, None]
-            latest = n - np.argmax(within[:, ::-1], axis=1)
-            tau_idx[r] = np.where(move_wins, latest, -1)
+                np.divide(length * length, move, out=move)
+            np.subtract(phi[None, i0 + 1:], phi[i0:i1, None], out=dphi)
+            move += dphi
+            move += cont[None, i0 + 1:]
+            np.less(node_ids[None, i0 + 1:], min_arrival_idx[i0:i1, None], out=mask)
+            np.copyto(move, np.inf, where=mask)
+            b = move.min(axis=1)
+            threshold = b + eps_tie * np.maximum(1.0, np.abs(b))
+            np.less_equal(move, threshold[:, None], out=mask)
+            best[i0:i1] = b
+            latest[i0:i1] = n - np.argmax(mask[:, ::-1], axis=1)
+        values[s] = np.minimum(stay, best)
+        move_wins = best <= stay
+        tau_idx[s] = np.where(move_wins, latest, -1)
 
+    values = values[pair_suffix]
+    tau_idx = tau_idx[pair_suffix]
     tau_time = np.where(tau_idx >= 0, t[np.maximum(tau_idx, 0)], np.inf)
     pair_lengths = net.lengths[ps.pair_edge_idx]
     speed = np.where(tau_idx >= 0,
                      pair_lengths[:, None] / (tau_time - t[None, :]), 0.0)
     return ValueTable(values=values), Policy(tau_idx=tau_idx, tau_time=tau_time,
                                              speed=speed)
+
+
+def _suffix_map(ps: PathSet) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Distinct path suffixes in dependency order, and each pair's suffix.
+
+    A suffix is its first edge plus the suffix that follows it (-1 after the
+    last edge), so it is listed after its successor.  Returns the
+    (edge index, successor suffix) list and the suffix index of every pair.
+    """
+    index: dict[tuple[int, int], int] = {}
+    pair_suffix = np.empty(ps.pair_count, dtype=np.intp)
+    for rows in ps.path_rows:
+        succ = -1
+        for r in rows[::-1]:
+            key = (int(ps.pair_edge_idx[r]), succ)
+            succ = index.setdefault(key, len(index))
+            pair_suffix[r] = succ
+    return list(index), pair_suffix
 
 
 def value_at(table: ValueTable, ps: PathSet, grid: TimeGrid, edge_id: str,

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mfroute import (MassField, OutOfRange, ShapeMismatch, congestion_total,
-                     value_at, value_backward)
+import mfroute.value as value_module
+from mfroute import (MassField, OutOfRange, ShapeMismatch, arrival_tables,
+                     build_speed_limits, congestion_total, value_at,
+                     value_backward)
 from mfroute.oracle import check_value_tables
 
 from conftest import admissible_mass, build, diamond_dict, zero_mass
@@ -209,3 +211,85 @@ def test_value_backward_bitwise_deterministic(diamond):
     assert np.array_equal(t1.values, t2.values)
     assert np.array_equal(p1.tau_idx, p2.tau_idx)
     assert np.array_equal(p1.speed, p2.speed)
+
+
+TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
+
+
+def lattice_dict(k, steps):
+    """k x k lattice of right and down edges, corner to corner, lengths 0.9-1.1."""
+    lengths = (0.9, 1.0, 1.1)
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            for eid, head in ((f"r{i}{j}", (i, j + 1)), (f"d{i}{j}", (i + 1, j))):
+                if max(head) < k:
+                    edges.append({"id": eid, "tail": f"n{i}{j}",
+                                  "head": f"n{head[0]}{head[1]}",
+                                  "length": lengths[len(edges) % 3], "capacity": 2.0})
+    doc = diamond_dict(steps=steps, edges=edges)
+    doc["network"].update(vertices=[f"n{i}{j}" for i in range(k) for j in range(k)],
+                          origin="n00", destination=f"n{k - 1}{k - 1}")
+    return doc
+
+
+def _value_inputs(doc, seed):
+    net, ps, scen, grid = build(doc)
+    mass = admissible_mass(np.random.default_rng(seed), ps, scen)
+    cong = congestion_total(net, ps, scen, mass)
+    floor = None
+    if scen.constrained.enabled:
+        floor = arrival_tables(net, scen, cong, build_speed_limits(net, scen)).floor_idx
+    return net, ps, scen, mass, cong, floor
+
+
+@pytest.mark.parametrize("doc", [diamond_dict(steps=16), lattice_dict(3, steps=16),
+                                 diamond_dict(steps=16, constrained=TIGHT)],
+                         ids=["diamond", "lattice-3x3", "diamond-constrained"])
+def test_row_blocks_match_enumeration(monkeypatch, doc):
+    # three entry nodes per block: N = 16 spans six blocks
+    monkeypatch.setattr(value_module, "BLOCK_CELLS", 3 * 17)
+    net, ps, scen, mass, cong, floor = _value_inputs(doc, seed=31)
+    if floor is not None:
+        # rows with no admissible arrival are part of what is checked
+        assert np.any(floor > scen.grid.steps)
+    table, policy = value_backward(net, ps, scen, mass, congestion=cong,
+                                   arrival_floor=floor)
+    assert check_value_tables(net, ps, scen, mass, table, policy,
+                              congestion=cong, arrival_floor=floor) == []
+
+
+@pytest.mark.parametrize("constrained", [None, TIGHT], ids=["free", "constrained"])
+def test_block_size_does_not_change_results(monkeypatch, constrained):
+    steps = 400
+    net, ps, scen, mass, cong, floor = _value_inputs(
+        diamond_dict(steps=steps, constrained=constrained), seed=37)
+    results = []
+    # default blocks, one entry node per block, one block for all entry nodes
+    for cells in (value_module.BLOCK_CELLS, 1, (steps + 1) ** 2):
+        monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
+        results.append(value_backward(net, ps, scen, mass, congestion=cong,
+                                      arrival_floor=floor))
+    (t0, p0), *others = results
+    for table, policy in others:
+        assert np.array_equal(table.values, t0.values)
+        assert np.array_equal(policy.tau_idx, p0.tau_idx)
+        assert np.array_equal(policy.speed, p0.speed)
+
+
+@pytest.mark.parametrize("doc", [diamond_dict(steps=60), lattice_dict(3, steps=60)],
+                         ids=["diamond", "lattice-3x3"])
+def test_pairs_sharing_a_suffix_get_equal_rows(doc):
+    net, ps, scen, mass, cong, _ = _value_inputs(doc, seed=41)
+    table, policy = value_backward(net, ps, scen, mass, congestion=cong)
+    first_row = {}
+    shared = 0
+    for p, rows in enumerate(ps.path_rows):
+        for pos, r in enumerate(rows):
+            r0 = first_row.setdefault(ps.paths[p][pos:], r)
+            if r0 != r:
+                shared += 1
+                assert np.array_equal(table.values[r], table.values[r0])
+                assert np.array_equal(policy.tau_idx[r], policy.tau_idx[r0])
+                assert np.array_equal(policy.speed[r], policy.speed[r0])
+    assert shared > 0
