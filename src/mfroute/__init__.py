@@ -17,7 +17,7 @@ from .errors import (BadEdge, CycleDetected, DegenerateSimplex, EdgeNotOnPath,
                      ShapeMismatch, SimplexViolation, TooManyPaths, Unreachable,
                      ValidationError)
 from .flow import (FlowField, IntegrationResult, PsiResult, apply_psi,
-                   compute_flows, integrate_mass, local_decision, mass_rhs)
+                   compute_flows, integrate_mass, local_decision)
 from .network import (Edge, Network, PathSet, build_network, enumerate_paths,
                       first_edge, last_edge, prec_edge, shortest_remaining_length,
                       succ_edge)

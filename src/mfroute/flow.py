@@ -4,7 +4,9 @@ Flows are the agents' own delayed estimates: the outflow of an edge at time
 t replays the origin injection (or the predecessor's outflow) from one
 assumed traverse time earlier, gated by whether the policy actually moves.
 Mass is integrated by explicit Euler with negative undershoot clipped at
-zero and recorded, never silently discarded.
+zero and recorded, never silently discarded.  The recurrence runs as a row
+cumulative sum that restarts from +0.0 wherever a clip falls, which performs
+the same additions as stepping node by node, so it gives the same bits.
 
 The integrator keeps the discrete balance auditable: per-step injections are
 normalized so that their running sum telescopes to dt * throughput exactly,
@@ -111,17 +113,6 @@ def compute_flows(net: Network, ps: PathSet, policy: Policy, z: np.ndarray,
     return FlowField(values=f)
 
 
-def mass_rhs(ps: PathSet, flows: FlowField, z: np.ndarray,
-             lam: np.ndarray) -> np.ndarray:
-    """Conservation right-hand side: origin inflow plus upstream outflow minus own outflow."""
-    f = flows.values
-    g = local_decision(ps, z)
-    f_prec = np.zeros_like(f)
-    nonfirst = np.flatnonzero(~ps.first_mask)
-    f_prec[nonfirst] = f[nonfirst - 1]  # predecessor pair is the previous row
-    return (lam[None, :] * g + f_prec) - f
-
-
 def injection_terms(z_cols: np.ndarray, lam_cols: np.ndarray, dt: float) -> np.ndarray:
     """Per-path injected mass for each step, summing exactly to dt * throughput.
 
@@ -169,6 +160,15 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: FlowField, z: np.ndarray,
     clipped at zero and its magnitude reported.  Raises
     :class:`MassBoundExceeded` if any total edge mass exceeds the configured
     maximum, which a validated scenario should make impossible.
+
+    The result is bitwise that of the stepwise recurrence
+    ``state = np.maximum(state + delta[:, i], 0.0)`` from ``rho0``: each row
+    is a left-to-right cumulative sum, and at each later node that holds a
+    negative value or -0.0 it stores +0.0 and sums the rest of the row again
+    from there.  The clip statistics are those the stepwise loop reports:
+    per step with clips, in ascending order, the sum of that step's clipped
+    amounts over all rows (zero where a row did not clip) adds to
+    ``clip_total``.
     """
     grid = scen.grid
     n = grid.steps
@@ -184,35 +184,54 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: FlowField, z: np.ndarray,
     plus[nonfirst] = mov[nonfirst - 1]
     delta = plus - mov
 
+    # Left-to-right cumsum performs the stepwise recurrence's additions.
+    mass = np.empty((ps.pair_count, n + 1))
+    mass[:, 0] = rho0
+    mass[:, 1:] = delta
+    np.cumsum(mass, axis=1, out=mass)
+    # A row needs a fix at its first later node that is negative or -0.0,
+    # where the stepwise np.maximum(pre, 0.0) would have stored +0.0; the
+    # rest of the row is then re-accumulated from that +0.0.
+    clips: dict[int, list[tuple[int, float]]] = {}
+    for r in np.flatnonzero(_needs_fix(mass[:, 1:]).any(axis=1)):
+        row = mass[r]
+        bad = _needs_fix(row[1:])
+        c = 0
+        while True:
+            c += 1 + int(np.argmax(bad))  # bad[k] flags node c + 1 + k
+            pre = row[c]
+            if pre < 0.0:
+                clips.setdefault(c - 1, []).append((r, 0.0 - pre))
+            row[c] = 0.0
+            if c == n:
+                break
+            row[c + 1:] = delta[r, c:]
+            np.cumsum(row[c:], out=row[c:])
+            bad = _needs_fix(row[c + 1:])
+            if not bad.any():
+                break
+    # Clip statistics accumulate per step in ascending order, each step's
+    # clipped vector summed over all rows, as the stepwise loop did.
     clip_total = 0.0
     clip_max = 0.0
     clip_count = 0
-    if not np.any(rho0):
-        # cumsum accumulates left to right, matching the stepwise loop below
-        cum = np.cumsum(delta, axis=1)
-        if np.all(cum >= 0.0):
-            mass = np.empty((ps.pair_count, n + 1))
-            mass[:, 0] = 0.0
-            mass[:, 1:] = cum
-            _check_mass_bound(ps, scen, mass)
-            return IntegrationResult(mass=MassField(values=mass), injections=inj,
-                                     moved=mov)
-    mass = np.empty((ps.pair_count, n + 1))
-    mass[:, 0] = rho0
-    state = np.array(rho0, dtype=float)
-    for i in range(n):
-        pre = state + delta[:, i]
-        state = np.maximum(pre, 0.0)
-        clipped = state - pre
-        if np.any(clipped > 0.0):
-            clip_total += float(clipped.sum())
-            clip_max = max(clip_max, float(clipped.max()))
-            clip_count += int(np.count_nonzero(clipped))
-        mass[:, i + 1] = state
+    clipped = np.zeros(ps.pair_count)
+    for i in sorted(clips):
+        clipped[:] = 0.0
+        for r, amount in clips[i]:
+            clipped[r] = amount
+        clip_total += float(clipped.sum())
+        clip_max = max(clip_max, float(clipped.max()))
+        clip_count += len(clips[i])
     _check_mass_bound(ps, scen, mass)
     return IntegrationResult(mass=MassField(values=mass), injections=inj, moved=mov,
                              clip_total=clip_total, clip_max=clip_max,
                              clip_count=clip_count)
+
+
+def _needs_fix(values: np.ndarray) -> np.ndarray:
+    """Entries that clipping at zero would change: negatives and -0.0."""
+    return np.signbit(values) & (values <= 0.0)
 
 
 def _check_mass_bound(ps: PathSet, scen: Scenario, mass: np.ndarray) -> None:

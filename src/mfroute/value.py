@@ -14,12 +14,26 @@ runs over blocks of entry nodes and, within a block, only over arrival nodes
 after the block's first entry node, so its temporaries take O(B * N) memory
 for B = BLOCK_CELLS // (N + 1) rows rather than (N + 1)^2.
 
+Last-edge suffixes have a single moving candidate and are computed first,
+over all nodes at once.  The other suffixes are computed block by block,
+from the last block of entry nodes to the first, and within a block by
+suffix depth (edges to the destination) and then edge length.  A suffix at
+entry node i reads its successor at arrival nodes after i: those in later
+blocks are finished already, and those in the same block were finished just
+before, since the successor is one edge shallower.  The kinetic block
+``(l*l)/(2*(t[j]-t[i]))``, with +inf where j <= i, depends on the block and
+the edge length only, so within a block it is rebuilt only when the length
+changes from one suffix to the next.  The temporaries stay three block-sized
+arrays: the kinetic block, the candidates and a mask (17 bytes a cell).
+
 Float expressions here are deliberately fixed:  a moving candidate costs
 ``(l*l)/(2*(t[j]-t[i])) + (Phi[j]-Phi[i])`` plus the continuation, grouped
-exactly in that order.  The exhaustive enumeration in :mod:`mfroute.oracle`
-evaluates the same expressions, which is what makes the oracle comparison
-exact rather than tolerance-based; neither the suffix sharing nor the row
-blocks change a single rounding step.
+exactly in that order (the kernel adds the kinetic block to the congestion
+difference, which IEEE addition gives the same bits).  The exhaustive
+enumeration in :mod:`mfroute.oracle` evaluates the same expressions, which
+is what makes the oracle comparison exact rather than tolerance-based;
+neither the suffix sharing, the row blocks nor the shared kinetic block
+change a single rounding step.
 """
 
 from __future__ import annotations
@@ -125,65 +139,87 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, mass: MassField,
     values = np.empty((len(suffixes), n + 1))
     tau_idx = np.full((len(suffixes), n + 1), -1, dtype=np.int64)
     node_ids = np.arange(n + 1)
-    rows_per_block = max(1, BLOCK_CELLS // (n + 1))
-    move_buf = np.empty(rows_per_block * n)
-    dphi_buf = np.empty_like(move_buf)
-    mask_buf = np.empty(move_buf.size, dtype=bool)
-
+    depth = np.zeros(len(suffixes), dtype=np.int64)
+    cont_n = np.empty(len(suffixes))
+    interior = []
     for s, (e, succ) in enumerate(suffixes):
         length = float(net.lengths[e])
         phi = cong.phi_prefix[e]
         tail_cost = alpha * (length if succ < 0 else float(net.dist_tail[e]))
         stay = tail_cost + (phi[n] - phi)
-
-        floor_e = arrival_floor[e] if arrival_floor is not None else None
-        if succ < 0:
-            # Only candidate: arrive exactly at the final node.
-            with np.errstate(divide="ignore"):
-                move = (length * length) / (2.0 * (t[n] - t)) + (phi[n] - phi)
-            feasible = node_ids < n
-            if floor_e is not None:
-                feasible = feasible & (floor_e <= n)
-            move = np.where(feasible, move, np.inf)
-            move_wins = move <= stay
-            values[s] = np.minimum(stay, move)
-            tau_idx[s] = np.where(move_wins, n, -1)
+        if succ >= 0:
+            # Rows fill in block by block below; until then they hold the
+            # stay cost, which is already final at node n.
+            values[s] = stay
+            depth[s] = depth[succ] + 1
+            cont_n[s] = min(tail_cost, values[succ, n])
+            interior.append(s)
             continue
+        # Only candidate: arrive exactly at the final node.
+        with np.errstate(divide="ignore"):
+            move = (length * length) / (2.0 * (t[n] - t)) + (phi[n] - phi)
+        feasible = node_ids < n
+        if arrival_floor is not None:
+            feasible = feasible & (arrival_floor[e] <= n)
+        move = np.where(feasible, move, np.inf)
+        move_wins = move <= stay
+        values[s] = np.minimum(stay, move)
+        tau_idx[s] = np.where(move_wins, n, -1)
+    # A successor is one edge shallower, so it comes first within a block;
+    # equal lengths come together so the kinetic block is built once for them.
+    interior.sort(key=lambda s: (depth[s], net.lengths[suffixes[s][0]]))
 
-        v_succ = values[succ]
-        cont = v_succ.copy()
-        cont[n] = min(tail_cost, v_succ[n])
-        min_arrival_idx = node_ids + 1 if floor_e is None \
-            else np.maximum(node_ids + 1, floor_e)
-        # Entry node n has no later arrival, so its best moving cost stays inf.
-        best = np.full(n + 1, np.inf)
-        latest = np.full(n + 1, n)
-        for i0 in range(0, n, rows_per_block):
-            i1 = min(i0 + rows_per_block, n)
-            # Arrivals before i0 + 1 are inadmissible for every row here.
-            shape = (i1 - i0, n - i0)
-            move = move_buf[:shape[0] * shape[1]].reshape(shape)
-            dphi = dphi_buf[:move.size].reshape(shape)
-            mask = mask_buf[:move.size].reshape(shape)
-            # In place, move = ((l*l) / (2*(t[j]-t[i])) + (phi[j]-phi[i])) + cont[j]
-            # with the same rounding steps as the oracle's expression.
-            np.subtract(t[None, i0 + 1:], t[i0:i1, None], out=move)
-            move *= 2.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(length * length, move, out=move)
-            np.subtract(phi[None, i0 + 1:], phi[i0:i1, None], out=dphi)
-            move += dphi
-            move += cont[None, i0 + 1:]
-            np.less(node_ids[None, i0 + 1:], min_arrival_idx[i0:i1, None], out=mask)
-            np.copyto(move, np.inf, where=mask)
-            b = move.min(axis=1)
-            threshold = b + eps_tie * np.maximum(1.0, np.abs(b))
+    rows_per_block = max(1, BLOCK_CELLS // (n + 1))
+    kin_buf = np.empty(rows_per_block * n)
+    move_buf = np.empty_like(kin_buf)
+    mask_buf = np.empty(kin_buf.size, dtype=bool)
+    for i0 in reversed(range(0, n, rows_per_block)):
+        i1 = min(i0 + rows_per_block, n)
+        # Arrivals before i0 + 1 are inadmissible for every row here.
+        shape = (i1 - i0, n - i0)
+        kin = kin_buf[:shape[0] * shape[1]].reshape(shape)
+        move = move_buf[:kin.size].reshape(shape)
+        mask = mask_buf[:kin.size].reshape(shape)
+        # Row r is entry node i0 + r and column c arrival node i0 + 1 + c, so
+        # arrivals not after the entry are the triangle c < r.
+        w = min(shape)
+        kin_length = None
+        for s in interior:
+            e, succ = suffixes[s]
+            length = float(net.lengths[e])
+            if length != kin_length:
+                np.subtract(t[None, i0 + 1:], t[i0:i1, None], out=kin)
+                kin *= 2.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(length * length, kin, out=kin)
+                tri = mask[:, :w]
+                np.less(node_ids[None, :w], node_ids[:shape[0], None], out=tri)
+                np.copyto(kin[:, :w], np.inf, where=tri)
+                kin_length = length
+            # In place, move = ((phi[j]-phi[i]) + kin) + cont[j]: the same
+            # rounding steps as the oracle's (kin + (phi[j]-phi[i])) + cont[j].
+            phi = cong.phi_prefix[e]
+            np.subtract(phi[None, i0 + 1:], phi[i0:i1, None], out=move)
+            move += kin
+            # The whole-row add is faster than one that skips the last
+            # column, which continues with cont_n instead of values[succ, n].
+            last = move[:, -1].copy()
+            move += values[succ, None, i0 + 1:]
+            np.add(last, cont_n[s], out=move[:, -1])
+            if arrival_floor is not None:
+                floor = arrival_floor[e, i0:i1]
+                wf = min(int(floor.max()), n + 1) - (i0 + 1)
+                if wf > 0:
+                    below = mask[:, :wf]
+                    np.less(node_ids[None, i0 + 1:i0 + 1 + wf], floor[:, None], out=below)
+                    np.copyto(move[:, :wf], np.inf, where=below)
+            best = move.min(axis=1)
+            threshold = best + eps_tie * np.maximum(1.0, np.abs(best))
             np.less_equal(move, threshold[:, None], out=mask)
-            best[i0:i1] = b
-            latest[i0:i1] = n - np.argmax(mask[:, ::-1], axis=1)
-        values[s] = np.minimum(stay, best)
-        move_wins = best <= stay
-        tau_idx[s] = np.where(move_wins, latest, -1)
+            latest = n - np.argmax(mask[:, ::-1], axis=1)
+            stay = values[s, i0:i1]
+            tau_idx[s, i0:i1] = np.where(best <= stay, latest, -1)
+            np.minimum(stay, best, out=stay)
 
     values = values[pair_suffix]
     tau_idx = tau_idx[pair_suffix]

@@ -52,6 +52,28 @@ def diamond_dict(steps: int = 500, *, model: dict | None = None,
     return doc
 
 
+def lattice_dict(k, steps, constrained=None):
+    """k x k lattice of right and down edges, corner to corner, lengths 0.9-1.1.
+
+    Lengths cycle with the edge index, so at k = 3 suffixes of every depth
+    mix two or three lengths and the value kernel's kinetic block changes
+    length within a depth as well as between depths.
+    """
+    lengths = (0.9, 1.0, 1.1)
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            for eid, head in ((f"r{i}{j}", (i, j + 1)), (f"d{i}{j}", (i + 1, j))):
+                if max(head) < k:
+                    edges.append({"id": eid, "tail": f"n{i}{j}",
+                                  "head": f"n{head[0]}{head[1]}",
+                                  "length": lengths[len(edges) % 3], "capacity": 2.0})
+    doc = diamond_dict(steps=steps, edges=edges, constrained=constrained)
+    doc["network"].update(vertices=[f"n{i}{j}" for i in range(k) for j in range(k)],
+                          origin="n00", destination=f"n{k - 1}{k - 1}")
+    return doc
+
+
 def build(doc: dict):
     return scenario_from_dict(doc)
 

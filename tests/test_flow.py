@@ -9,11 +9,11 @@ import pytest
 
 from mfroute import (DegenerateSimplex, FlowField, MassBoundExceeded, MassField,
                      Policy, apply_psi, compute_flows, integrate_mass,
-                     local_decision, mass_rhs)
+                     local_decision)
 from mfroute.flow import injection_terms
 from mfroute.oracle import audit_conservation
 
-from conftest import admissible_mass, build, diamond_dict, zero_mass
+from conftest import admissible_mass, build, diamond_dict, lattice_dict, zero_mass
 
 
 def all_moving_policy(ps, n_nodes):
@@ -123,35 +123,53 @@ def test_delay_causality(diamond):
                           f2.values[:, :cut + scen.k_idx])
 
 
-def test_mass_rhs_before_delay_is_pure_inflow(diamond):
+def increments(ps, integ):
+    """Pre-clip mass increment per pair and step from the recorded terms:
+    the row's injection or its predecessor's moved mass, minus its own."""
+    mov = integ.moved
+    plus = np.empty_like(mov)
+    first_rows = np.flatnonzero(ps.first_mask)
+    nonfirst = np.flatnonzero(~ps.first_mask)
+    plus[first_rows] = integ.injections[ps.pair_path_idx[first_rows]]
+    plus[nonfirst] = mov[nonfirst - 1]
+    return plus - mov
+
+
+def test_increments_before_delay_are_pure_inflow(diamond):
     net, ps, scen, grid = diamond
     n_nodes = grid.steps + 1
     z = np.ones((3, n_nodes))
-    f = FlowField(values=np.zeros((ps.pair_count, n_nodes)))
-    h = mass_rhs(ps, f, z, scen.lam)
+    k_idx = np.full(5, scen.k_idx, dtype=np.int64)
+    f = compute_flows(net, ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
+    integ = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
+    h = increments(ps, integ)[:, :scen.k_idx]
     first_rows = np.flatnonzero(ps.first_mask)
-    assert np.allclose(h[first_rows], 1.0 / 3.0, rtol=1e-15)
+    assert np.allclose(h[first_rows], grid.dt / 3.0, rtol=1e-15)
     assert np.all(h[np.flatnonzero(~ps.first_mask)] == 0.0)
+    # after the delay the first edges emit, so the increments are not pure inflow
+    assert np.any(integ.moved[:, scen.k_idx:] > 0.0)
 
 
-def test_mass_rhs_telescopes_to_boundary_terms(diamond):
+def test_increments_telescope_to_boundary_terms(diamond):
     net, ps, scen, grid = diamond
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-    h = mass_rhs(ps, psi.flows, psi.preference.z, scen.lam)
+    h = increments(ps, psi.integration)
     last_rows = np.flatnonzero(ps.last_mask)
-    outflow = psi.flows.values[last_rows].sum(axis=0)
-    assert np.allclose(h.sum(axis=0), scen.lam - outflow, rtol=0, atol=1e-13)
+    outflow = psi.flows.values[last_rows, :grid.steps].sum(axis=0)
+    assert np.allclose(h.sum(axis=0), grid.dt * scen.lam[:grid.steps] - grid.dt * outflow,
+                       rtol=0, atol=1e-14)
 
 
-def test_mass_rhs_routes_concentrated_preference(diamond):
+def test_increments_route_concentrated_preference(diamond):
     net, ps, scen, grid = diamond
     n_nodes = grid.steps + 1
     z = np.zeros((3, n_nodes))
     z[0] = 1.0  # everything on the long path (e1, e3, e5)
     f = FlowField(values=np.zeros((ps.pair_count, n_nodes)))
-    h = mass_rhs(ps, f, z, scen.lam)
+    integ = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
+    h = increments(ps, integ)
     r = ps.row("e1", 0)
-    assert np.allclose(h[r], scen.lam, rtol=1e-15)
+    assert np.allclose(h[r], grid.dt * scen.lam[:grid.steps], rtol=1e-15)
     assert np.all(h[ps.row("e2", 2)] == 0.0)
 
 
@@ -237,6 +255,107 @@ def test_fast_path_matches_stepwise_loop(diamond):
         plus[first_rows] = inj[ps.pair_path_idx[first_rows], i]
         state = np.maximum(state + (plus - 0.0), 0.0)
         assert np.array_equal(res.mass.values[:, i + 1], state)
+
+
+def stepwise_integration(delta, rho0):
+    """The node-by-node Euler loop with clipping that integrate_mass must
+    reproduce bit for bit, mass and clip statistics alike."""
+    n = delta.shape[1]
+    clip_total = 0.0
+    clip_max = 0.0
+    clip_count = 0
+    mass = np.empty((delta.shape[0], n + 1))
+    mass[:, 0] = rho0
+    state = np.array(rho0, dtype=float)
+    for i in range(n):
+        pre = state + delta[:, i]
+        state = np.maximum(pre, 0.0)
+        clipped = state - pre
+        if np.any(clipped > 0.0):
+            clip_total += float(clipped.sum())
+            clip_max = max(clip_max, float(clipped.max()))
+            clip_count += int(np.count_nonzero(clipped))
+        mass[:, i + 1] = state
+    return mass, clip_total, clip_max, clip_count
+
+
+def _clipping_case(name, ps, grid):
+    """Flows and start mass built so that integration has to clip."""
+    n_nodes = grid.steps + 1
+    f = np.zeros((ps.pair_count, n_nodes))
+    rho0 = np.zeros(ps.pair_count)
+    # ten nodes at rest, then five that drain more than the rest filled
+    pulses = np.where((np.arange(n_nodes) // 5) % 3 == 2, 2.0, 0.0)
+    if name == "one-row-many-clips":
+        f[0] = pulses  # drains faster than it fills, refills in between
+    elif name == "rows-clip-together":
+        f[np.flatnonzero(ps.first_mask)] = pulses
+    elif name == "rho0-negative-zero":
+        rho0 = np.linspace(0.05, 0.3, ps.pair_count)
+        f[1] = pulses
+        # -0.0 start plus a -0.0 increment: -0.0 before the first clip
+        rho0[4] = -0.0
+        f[3, 0] = -0.0
+    elif name == "exact-zero-pre":
+        f[1, 0] = 0.7
+        f[1, 30:40] = 0.5
+        rho0[1] = grid.dt * f[1, 0]  # drained to exactly +0.0, later clipped
+    elif name in ("random", "random-lattice"):
+        # on the lattice, seed 45 gives a clip_total that summing each step's
+        # clips in another order than numpy's .sum() would change
+        seed = 45 if name == "random-lattice" else 43
+        f = np.random.default_rng(seed).uniform(0.0, 0.8, size=f.shape)
+        rho0 = np.random.default_rng(47).uniform(0.0, 0.2, size=ps.pair_count)
+    return f, rho0
+
+
+@pytest.mark.parametrize("name", ["one-row-many-clips", "rows-clip-together",
+                                  "rho0-negative-zero", "exact-zero-pre", "random",
+                                  "random-lattice"])
+def test_integrate_matches_stepwise_loop_when_clipping(name):
+    # 7 pairs on the diamond; 24 on the 3x3 lattice, where numpy's .sum() of
+    # a step's clipped vector adds in eight partial sums, not left to right
+    doc = lattice_dict(3, steps=100) if name == "random-lattice" else diamond_dict(steps=100)
+    net, ps, scen, grid = build(doc)
+    z = np.random.default_rng(53).uniform(0.2, 1.5, size=(ps.n_paths, grid.steps + 1))
+    f, rho0 = _clipping_case(name, ps, grid)
+    res = integrate_mass(ps, scen, FlowField(values=f), z, scen.lam, rho0)
+    delta = increments(ps, res)
+    mass, clip_total, clip_max, clip_count = stepwise_integration(delta, rho0)
+    # tobytes: signed zeros must match too
+    assert res.mass.values.tobytes() == mass.tobytes()
+    assert (res.clip_total, res.clip_max, res.clip_count) == (clip_total, clip_max,
+                                                              clip_count)
+    # the case clips where it was built to
+    clips = (mass[:, :-1] + delta) < 0.0
+    assert clip_count == int(clips.sum()) > 0
+    if name == "one-row-many-clips":
+        assert clips[0].sum() > 1 and not clips[1:].any()
+    elif name == "rows-clip-together":
+        assert np.any(clips.sum(axis=0) > 1)
+    elif name == "random-lattice":
+        assert ps.pair_count > 8 and np.any(clips.sum(axis=0) > 2)
+    elif name == "rho0-negative-zero":
+        assert np.signbit(mass[4, 0]) and mass[4, 0] + delta[4, 0] == 0.0
+        assert np.signbit(mass[4, 0] + delta[4, 0]) and not np.signbit(mass[4, 1])
+    elif name == "exact-zero-pre":
+        assert mass[1, 0] + delta[1, 0] == 0.0 and not np.signbit(mass[1, 1])
+        assert not clips[1, 0] and clips[1, 30:].any()
+
+
+def test_integrate_detects_mass_bound_violation_after_clipping(diamond):
+    net, ps, scen, grid = diamond
+    n_nodes = grid.steps + 1
+    f = np.zeros((ps.pair_count, n_nodes))
+    f[1] = 5.0  # row (e3, path 0) clips at every step ...
+    f[2] = 5.0  # ... and its successor passes on what it receives
+    z = np.ones((3, n_nodes))
+    lam = np.full(n_nodes, 12.0)  # pours far beyond rho_max onto first edges
+    with pytest.raises(MassBoundExceeded):
+        integrate_mass(ps, scen, FlowField(values=f), z, lam, np.zeros(ps.pair_count))
+    integ = integrate_mass(ps, scen, FlowField(values=f), z, scen.lam,
+                           np.zeros(ps.pair_count))
+    assert integ.clip_count > 0
 
 
 def test_clip_magnitude_negligible_under_refinement():

@@ -11,7 +11,7 @@ from mfroute import (MassField, OutOfRange, ShapeMismatch, arrival_tables,
                      value_backward)
 from mfroute.oracle import check_value_tables
 
-from conftest import admissible_mass, build, diamond_dict, zero_mass
+from conftest import admissible_mass, build, diamond_dict, lattice_dict, zero_mass
 
 
 def unit_chain_dict(steps, horizon=1.0, alpha=1.0, coeff=0.0, n_edges=1,
@@ -216,23 +216,6 @@ def test_value_backward_bitwise_deterministic(diamond):
 TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
 
 
-def lattice_dict(k, steps):
-    """k x k lattice of right and down edges, corner to corner, lengths 0.9-1.1."""
-    lengths = (0.9, 1.0, 1.1)
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            for eid, head in ((f"r{i}{j}", (i, j + 1)), (f"d{i}{j}", (i + 1, j))):
-                if max(head) < k:
-                    edges.append({"id": eid, "tail": f"n{i}{j}",
-                                  "head": f"n{head[0]}{head[1]}",
-                                  "length": lengths[len(edges) % 3], "capacity": 2.0})
-    doc = diamond_dict(steps=steps, edges=edges)
-    doc["network"].update(vertices=[f"n{i}{j}" for i in range(k) for j in range(k)],
-                          origin="n00", destination=f"n{k - 1}{k - 1}")
-    return doc
-
-
 def _value_inputs(doc, seed):
     net, ps, scen, grid = build(doc)
     mass = admissible_mass(np.random.default_rng(seed), ps, scen)
@@ -244,8 +227,10 @@ def _value_inputs(doc, seed):
 
 
 @pytest.mark.parametrize("doc", [diamond_dict(steps=16), lattice_dict(3, steps=16),
-                                 diamond_dict(steps=16, constrained=TIGHT)],
-                         ids=["diamond", "lattice-3x3", "diamond-constrained"])
+                                 diamond_dict(steps=16, constrained=TIGHT),
+                                 lattice_dict(3, steps=16, constrained=TIGHT)],
+                         ids=["diamond", "lattice-3x3", "diamond-constrained",
+                              "lattice-3x3-constrained"])
 def test_row_blocks_match_enumeration(monkeypatch, doc):
     # three entry nodes per block: N = 16 spans six blocks
     monkeypatch.setattr(value_module, "BLOCK_CELLS", 3 * 17)
@@ -259,11 +244,13 @@ def test_row_blocks_match_enumeration(monkeypatch, doc):
                               congestion=cong, arrival_floor=floor) == []
 
 
-@pytest.mark.parametrize("constrained", [None, TIGHT], ids=["free", "constrained"])
-def test_block_size_does_not_change_results(monkeypatch, constrained):
-    steps = 400
-    net, ps, scen, mass, cong, floor = _value_inputs(
-        diamond_dict(steps=steps, constrained=constrained), seed=37)
+@pytest.mark.parametrize("doc", [diamond_dict(steps=400),
+                                 diamond_dict(steps=400, constrained=TIGHT),
+                                 lattice_dict(3, steps=400, constrained=TIGHT)],
+                         ids=["free", "constrained", "lattice-3x3-constrained"])
+def test_block_size_does_not_change_results(monkeypatch, doc):
+    steps = doc["model"]["steps"]
+    net, ps, scen, mass, cong, floor = _value_inputs(doc, seed=37)
     results = []
     # default blocks, one entry node per block, one block for all entry nodes
     for cells in (value_module.BLOCK_CELLS, 1, (steps + 1) ** 2):
