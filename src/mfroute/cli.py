@@ -24,13 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .equilibrium import EquilibriumReport, residual, solve, verify_X_membership
-from .errors import MFRouteError, ParseError, ShapeMismatch, ValidationError
+from .equilibrium import XMembership, residual, solve, verify_X_membership
+from .errors import MFRouteError, ParseError, ShapeMismatch
 from .flow import PsiResult, apply_psi
 from .network import Network, PathSet
 from .oracle import audit_conservation, check_value_tables
 from .scenario import (Scenario, TimeGrid, load_scenario, scenario_checks,
-                       scenario_to_dict, _read_json)
+                       scenario_from_dict, scenario_to_dict, _read_json)
 from .value import MassField
 
 
@@ -81,7 +81,10 @@ def read_mass_csv(path: Path, ps: PathSet, grid: TimeGrid) -> MassField:
         parts = line.split(",")
         if len(parts) != ps.pair_count + 1:
             raise ShapeMismatch(f"row {i} has {len(parts)} fields")
-        data[:, i] = [float(v) for v in parts[1:]]
+        try:
+            data[:, i] = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(f"row {i} of the mass file: {exc}") from None
     return MassField(values=data)
 
 
@@ -103,9 +106,7 @@ def _export_stages(out: Path, grid: TimeGrid, ps: PathSet, psi: PsiResult,
                list(psi.costs.costs))
 
 
-def _diagnostics(ps: PathSet, scen: Scenario, psi: PsiResult,
-                 mass: MassField) -> dict:
-    member = verify_X_membership(mass, scen, ps)
+def _diagnostics(scen: Scenario, psi: PsiResult, member: XMembership) -> dict:
     diag = {
         "membership": dataclasses.asdict(member),
         "clip": {"total": psi.integration.clip_total,
@@ -140,28 +141,68 @@ def _write_json_file(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _force_constrained(scen: Scenario, net: Network) -> Scenario:
-    if scen.constrained.enabled:
-        return scen
-    from .constrained import validate_limit_spec
+def _exit_status(exc: MFRouteError) -> int:
+    """Print a package error; its exit status is 2 for a parse error, else 1."""
+    if isinstance(exc, ParseError):
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
-    missing = [e.id for e in net.edges if e.id not in scen.constrained.limits]
-    if missing:
-        raise ValidationError(
-            f"--constrained requested but no speed limit configured for {missing}")
-    for eid, spec in scen.constrained.limits.items():
-        validate_limit_spec(eid, spec)
-    cfg = dataclasses.replace(scen.constrained, enabled=True)
-    return dataclasses.replace(scen, constrained=cfg)
+
+def _load(args) -> tuple[Network, PathSet, Scenario, TimeGrid]:
+    """Load the scenario with the command's flags applied.
+
+    Flags are written into the resolved scenario document, which is parsed
+    again, so a flag gets exactly the checks of the scenario key it sets.
+    """
+    net, ps, scen, grid = load_scenario(args.scenario)
+    solver = {key: getattr(args, key, None) for key in ("gamma", "tol", "max_iter")}
+    solver = {key: value for key, value in solver.items() if value is not None}
+    if not solver and not args.constrained:
+        return net, ps, scen, grid
+    doc = scenario_to_dict(net, scen)
+    doc["solver"].update(solver)
+    if args.constrained:
+        doc["constrained"]["enabled"] = True
+    return scenario_from_dict(doc)
+
+
+def _run(args, command: str, body) -> int:
+    """Frame shared by the commands that write an output directory.
+
+    ``body(args, out, net, ps, scen, grid)`` writes the stage files and
+    returns the exit status, the report document and a one-line summary.
+    The frame writes ``report.json`` and ``manifest.json``; on a package
+    error it writes only ``manifest.json``, with the error and no parameters.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    start = time.monotonic()
+    try:
+        net, ps, scen, grid = _load(args)
+        code, doc, summary = body(args, out, net, ps, scen, grid)
+    except MFRouteError as exc:
+        code = _exit_status(exc)
+        _write_json_file(out / "manifest.json",
+                         _manifest(command, args.scenario, None, None,
+                                   time.monotonic() - start, code, str(exc)))
+        return code
+    doc["manifest"] = _manifest(command, args.scenario, net, scen,
+                                time.monotonic() - start, code)
+    _write_json_file(out / "report.json", doc)
+    _write_json_file(out / "manifest.json",
+                     _manifest(command, args.scenario, net, scen,
+                               time.monotonic() - start, code))
+    print(summary)
+    return code
 
 
 def cmd_validate(args) -> int:
     try:
-        data = _read_json(args.scenario)
-        checks = scenario_checks(data)
-    except ParseError as exc:
-        print(f"parse error: {exc}")
-        return 2
+        checks = scenario_checks(_read_json(args.scenario))
+    except MFRouteError as exc:
+        return _exit_status(exc)
     failed = False
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -170,112 +211,56 @@ def cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
+def _solve_body(args, out: Path, net: Network, ps: PathSet, scen: Scenario,
+                grid: TimeGrid):
+    report = solve(net, ps, scen)
+    _export_stages(out, grid, ps, report.psi, mass=report.mass)
+    doc = {
+        "residuals": report.residuals,
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "tol": report.tol,
+        "gamma": report.gamma,
+        "diagnostics": {**_diagnostics(scen, report.psi, report.membership),
+                        "residual_increases": report.residual_increases},
+    }
+    if report.converged:
+        return 0, doc, (f"converged in {report.iterations} iterations; "
+                        f"final residual {report.final_residual:g}")
+    return 3, doc, (f"not converged after {report.iterations} iterations; "
+                    f"final residual {report.final_residual:g}")
+
+
 def cmd_solve(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    start = time.monotonic()
-    net = scen = None
-    try:
-        net, ps, scen, grid = load_scenario(args.scenario)
-        if args.constrained:
-            scen = _force_constrained(scen, net)
-        report = solve(net, ps, scen, gamma=args.gamma, tol=args.tol,
-                       max_iter=args.max_iter)
-        code = 0 if report.converged else 3
-        _export_stages(out, grid, ps, report.psi, mass=report.mass)
-        doc = {
-            "residuals": report.residuals,
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "tol": report.tol,
-            "gamma": report.gamma,
-            "diagnostics": {**_diagnostics(ps, scen, report.psi, report.mass),
-                            "residual_increases": report.residual_increases},
-            "manifest": _manifest("solve", args.scenario, net, scen,
-                                  time.monotonic() - start, code),
-        }
-        _write_json_file(out / "report.json", doc)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        code = 2
-        _write_json_file(out / "manifest.json",
-                         _manifest("solve", args.scenario, None, None,
-                                   time.monotonic() - start, code, str(exc)))
-        return code
-    except MFRouteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
-        _write_json_file(out / "manifest.json",
-                         _manifest("solve", args.scenario, None, None,
-                                   time.monotonic() - start, code, str(exc)))
-        return code
-    _write_json_file(out / "manifest.json",
-                     _manifest("solve", args.scenario, net, scen,
-                               time.monotonic() - start, code))
-    if code == 3:
-        print(f"not converged after {args.max_iter or scen.solver.max_iter} "
-              f"iterations; final residual {report.final_residual:g}")
+    return _run(args, "solve", _solve_body)
+
+
+def _psi_once_body(args, out: Path, net: Network, ps: PathSet,
+                   scen: Scenario, grid: TimeGrid):
+    if args.zero:
+        mass = MassField(values=np.zeros((ps.pair_count, grid.steps + 1)))
     else:
-        print(f"converged in {report.iterations} iterations; "
-              f"final residual {report.final_residual:g}")
-    return code
+        mass = read_mass_csv(Path(args.mass), ps, grid)
+    psi = apply_psi(net, ps, scen, mass)
+    r = residual(mass, psi.mass)
+    _export_stages(out, grid, ps, psi)
+    doc = {
+        "residual_vs_input": r,
+        "diagnostics": _diagnostics(scen, psi,
+                                    verify_X_membership(psi.mass, scen, ps)),
+    }
+    return 0, doc, f"psi evaluated; residual vs input {r:g}"
 
 
 def cmd_psi_once(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    start = time.monotonic()
-    net = scen = None
-    try:
-        net, ps, scen, grid = load_scenario(args.scenario)
-        if args.constrained:
-            scen = _force_constrained(scen, net)
-        if args.zero:
-            mass = MassField(values=np.zeros((ps.pair_count, grid.steps + 1)))
-        else:
-            mass = read_mass_csv(Path(args.mass), ps, grid)
-        psi = apply_psi(net, ps, scen, mass)
-        r = residual(mass, psi.mass)
-        _export_stages(out, grid, ps, psi)
-        doc = {
-            "residual_vs_input": r,
-            "diagnostics": _diagnostics(ps, scen, psi, psi.mass),
-            "manifest": _manifest("psi-once", args.scenario, net, scen,
-                                  time.monotonic() - start, 0),
-        }
-        _write_json_file(out / "report.json", doc)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        code = 2
-        _write_json_file(out / "manifest.json",
-                         _manifest("psi-once", args.scenario, None, None,
-                                   time.monotonic() - start, code, str(exc)))
-        return code
-    except MFRouteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
-        _write_json_file(out / "manifest.json",
-                         _manifest("psi-once", args.scenario, None, None,
-                                   time.monotonic() - start, code, str(exc)))
-        return code
-    _write_json_file(out / "manifest.json",
-                     _manifest("psi-once", args.scenario, net, scen,
-                               time.monotonic() - start, 0))
-    print(f"psi evaluated; residual vs input {r:g}")
-    return 0
+    return _run(args, "psi-once", _psi_once_body)
 
 
 def cmd_oracle(args) -> int:
     try:
-        net, ps, scen, grid = load_scenario(args.scenario)
-        if args.constrained:
-            scen = _force_constrained(scen, net)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        net, ps, scen, grid = _load(args)
     except MFRouteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _exit_status(exc)
     if grid.steps > args.max_n:
         print(f"refusing to enumerate: steps {grid.steps} exceeds --max-N {args.max_n}")
         return 1

@@ -16,9 +16,9 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .network import Network, PathSet
+from .network import Network
 from .scenario import Scenario, TimeGrid, prefix_integral
-from .value import EdgeCongestion, MassField, Policy, ValueTable, congestion_total, value_backward
+from .value import EdgeCongestion
 
 
 @dataclass(frozen=True)
@@ -165,17 +165,3 @@ def arrival_tables(net: Network, scen: Scenario, cong: EdgeCongestion,
     tau_bar, ktilde, k_idx = mean_traverse_and_ktilde(tau, scen)
     return ArrivalConstraint(tau=tau, floor_idx=floor_idx, tau_bar=tau_bar,
                              ktilde=ktilde, k_idx=k_idx)
-
-
-def value_backward_constrained(net: Network, ps: PathSet, scen: Scenario,
-                               mass: MassField,
-                               limits: tuple[SpeedLimit, ...] | None = None,
-                               congestion: EdgeCongestion | None = None
-                               ) -> tuple[ValueTable, Policy]:
-    """Value tables with the moving branch restricted by minimal arrival times."""
-    cong = congestion if congestion is not None else congestion_total(net, ps, scen, mass)
-    if limits is None:
-        limits = build_speed_limits(net, scen)
-    arrival = arrival_tables(net, scen, cong, limits)
-    return value_backward(net, ps, scen, mass, congestion=cong,
-                          arrival_floor=arrival.floor_idx)

@@ -73,20 +73,20 @@ def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet,
                        lipschitz_ok=quotient <= bound + slack)
 
 
-def solve(net: Network, ps: PathSet, scen: Scenario, *,
-          gamma: float | None = None, tol: float | None = None,
-          max_iter: int | None = None) -> EquilibriumReport:
+def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
     """Iterate the damped mass-to-mass map from the empty network.
 
-    Each iteration evaluates the map once; convergence is declared when the
+    Damping, tolerance and iteration cap come from ``scen.solver``.  Each
+    iteration evaluates the map once; convergence is declared when the
     sup-norm residual between a mass field and its image drops to the
     tolerance, and the reported equilibrium is that pre-image together with
     every stage of its map evaluation.  Non-convergence is an outcome, not
     an error: the report carries the full residual history either way.
     """
-    gamma = scen.solver.gamma if gamma is None else gamma
-    tol = scen.tol if tol is None else tol
-    max_iter = scen.solver.max_iter if max_iter is None else max_iter
+    gamma = scen.solver.gamma
+    tol = scen.tol
+    max_iter = scen.solver.max_iter
+    # settings built by hand bypass the scenario parser's range checks
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in ]0, 1]")
 

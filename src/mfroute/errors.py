@@ -33,10 +33,6 @@ class EdgeNotOnPath(MFRouteError):
     """A structural query named an edge that does not lie on the given path."""
 
 
-class OutOfRange(MFRouteError):
-    """A query time falls outside the scenario horizon."""
-
-
 class ShapeMismatch(MFRouteError):
     """Array arguments do not share the expected (pair, node) shape."""
 

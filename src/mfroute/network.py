@@ -1,9 +1,8 @@
 """Directed acyclic multigraph with a single origin-destination pair.
 
-Builds and validates the routing graph, enumerates all origin-destination
-paths, and answers the structural queries the rest of the pipeline needs:
-predecessor/successor edge along a path and the shortest remaining distance
-from a vertex to the destination.
+Builds and validates the routing graph, computes the shortest distance from
+every vertex to the destination, and enumerates all origin-destination
+paths as (edge, path) pairs.
 """
 
 from __future__ import annotations
@@ -56,18 +55,16 @@ class PathSet:
     """All simple origin-destination paths, in lexicographic edge-id order.
 
     Trajectory arrays elsewhere in the package have one row per (edge, path)
-    incidence pair.  Pairs are laid out path-major: the pairs of path 0 come
-    first, in edge order, then the pairs of path 1, and so on.  With this
-    layout the predecessor pair of a non-first edge is always the previous
-    row, which the flow and conservation code relies on.
+    pair, laid out path-major: the pairs of path 0 come first, in edge
+    order, then the pairs of path 1, and so on.  With this layout the
+    predecessor pair of a non-first edge is always the previous row, which
+    the flow and conservation code relies on.
     """
 
     paths: tuple[tuple[str, ...], ...]
-    incidence: np.ndarray = field(repr=False)  # |E| x |paths| 0/1
     pair_count: int = 0
     pair_edge_idx: np.ndarray = field(repr=False, default=None)  # (pairs,)
     pair_path_idx: np.ndarray = field(repr=False, default=None)
-    pair_pos: np.ndarray = field(repr=False, default=None)
     first_mask: np.ndarray = field(repr=False, default=None)
     last_mask: np.ndarray = field(repr=False, default=None)
     path_rows: tuple[np.ndarray, ...] = field(repr=False, default=None)
@@ -244,66 +241,23 @@ def enumerate_paths(net: Network, limit: int = DEFAULT_PATH_LIMIT) -> PathSet:
 
     walk(net.origin)
 
-    incidence = np.zeros((len(net.edges), len(paths)), dtype=np.int8)
-    for p, path in enumerate(paths):
-        for eid in path:
-            incidence[net.edge_index[eid], p] = 1
-
-    pair_edge, pair_path, pair_pos = [], [], []
+    pair_edge, pair_path = [], []
     pair_index: dict[tuple[str, int], int] = {}
     for p, path in enumerate(paths):
-        for pos, eid in enumerate(path):
+        for eid in path:
             pair_index[(eid, p)] = len(pair_edge)
             pair_edge.append(net.edge_index[eid])
             pair_path.append(p)
-            pair_pos.append(pos)
     pair_edge = np.array(pair_edge, dtype=np.int64)
     pair_path = np.array(pair_path, dtype=np.int64)
-    pair_pos = np.array(pair_pos, dtype=np.int64)
-    lengths_per_path = np.array([len(path) for path in paths], dtype=np.int64)
-    first_mask = pair_pos == 0
-    last_mask = pair_pos == lengths_per_path[pair_path] - 1
-    offsets = np.concatenate(([0], np.cumsum(lengths_per_path)))
+    offsets = np.cumsum([0] + [len(path) for path in paths], dtype=np.int64)
+    first_mask = np.zeros(len(pair_edge), dtype=bool)
+    first_mask[offsets[:-1]] = True
+    last_mask = np.zeros(len(pair_edge), dtype=bool)
+    last_mask[offsets[1:] - 1] = True
     path_rows = tuple(np.arange(offsets[p], offsets[p + 1]) for p in range(len(paths)))
 
-    return PathSet(paths=tuple(paths), incidence=incidence,
-                   pair_count=int(incidence.sum()), pair_edge_idx=pair_edge,
-                   pair_path_idx=pair_path, pair_pos=pair_pos,
+    return PathSet(paths=tuple(paths), pair_count=len(pair_edge),
+                   pair_edge_idx=pair_edge, pair_path_idx=pair_path,
                    first_mask=first_mask, last_mask=last_mask,
                    path_rows=path_rows, pair_index=pair_index)
-
-
-def shortest_remaining_length(net: Network, vertex: str) -> float:
-    """Minimum total length of a route from ``vertex`` to the destination."""
-    if vertex not in net.dist_to_destination:
-        raise BadEdge(f"unknown vertex {vertex!r}")
-    return float(net.dist_to_destination[vertex])
-
-
-def _position(ps: PathSet, path_idx: int, edge_id: str) -> int:
-    path = ps.paths[path_idx]
-    try:
-        return path.index(edge_id)
-    except ValueError:
-        raise EdgeNotOnPath(f"edge {edge_id!r} is not on path {path_idx}") from None
-
-
-def prec_edge(ps: PathSet, path_idx: int, edge_id: str) -> str | None:
-    """Edge preceding ``edge_id`` on the path, or None for the first edge."""
-    pos = _position(ps, path_idx, edge_id)
-    return ps.paths[path_idx][pos - 1] if pos > 0 else None
-
-
-def succ_edge(ps: PathSet, path_idx: int, edge_id: str) -> str | None:
-    """Edge following ``edge_id`` on the path, or None for the last edge."""
-    pos = _position(ps, path_idx, edge_id)
-    path = ps.paths[path_idx]
-    return path[pos + 1] if pos + 1 < len(path) else None
-
-
-def last_edge(ps: PathSet, path_idx: int) -> str:
-    return ps.paths[path_idx][-1]
-
-
-def first_edge(ps: PathSet, path_idx: int) -> str:
-    return ps.paths[path_idx][0]

@@ -42,20 +42,6 @@ class PreferenceTrajectory:
     z: np.ndarray = field(repr=False)
 
 
-def path_entry_times(ps: PathSet, policy: Policy, path_idx: int,
-                     node: int) -> list[int]:
-    """Entry node of every edge on a path for a start at ``node`` (-1: never)."""
-    rows = ps.path_rows[path_idx]
-    entries = []
-    cur = int(node)
-    for r in rows:
-        entries.append(cur)
-        if cur < 0:
-            continue
-        cur = int(policy.tau_idx[int(r), cur])
-    return entries
-
-
 def entry_table(ps: PathSet, policy: Policy, n_nodes: int) -> np.ndarray:
     """Vectorized entry nodes for every pair and every path start node."""
     entry = np.empty((ps.pair_count, n_nodes), dtype=np.int64)

@@ -185,18 +185,15 @@ def prefix_integral(samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def compute_k(net: Network, scen: Scenario) -> float:
+def _k_and_index(net: Network, grid: TimeGrid, alpha: float) -> tuple[float, int]:
     """A-priori constant traverse time used by the delayed flow estimates.
 
     On any edge, moving costs at least length^2 / (2 * (horizon - t)), so with
     less than length / (2 * alpha) of horizon left the stay option is always
     cheaper and the control is null.  The smallest such threshold over edges,
-    rounded down to a grid multiple and clamped to [dt, horizon], is the delay.
+    rounded down to a grid multiple and clamped to [dt, horizon], is the delay;
+    it is returned with its index in grid steps.
     """
-    return _k_and_index(net, scen.grid, scen.alpha)[0]
-
-
-def _k_and_index(net: Network, grid: TimeGrid, alpha: float) -> tuple[float, int]:
     raw = float(net.lengths.min() / (2.0 * alpha))
     idx = int(math.floor(raw / grid.dt + 1e-9))
     idx = max(1, min(grid.steps, idx))
@@ -216,6 +213,9 @@ def _req(mapping: dict, key: str, section: str):
 def _num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where} must be a number")
+    # NaN slips through the "<= 0" range checks, and JSON has no NaN or inf
+    if not math.isfinite(value):
+        raise ParseError(f"{where} must be a finite number")
     return float(value)
 
 

@@ -42,9 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfRange, ShapeMismatch
+from .errors import ShapeMismatch
 from .network import Network, PathSet, edge_totals
-from .scenario import Scenario, TimeGrid, prefix_integral
+from .scenario import Scenario, prefix_integral
 
 # Candidate cells per row block of the value kernel: a block spans
 # BLOCK_CELLS // (steps + 1) entry nodes, so its temporaries take O(B * N)
@@ -247,12 +247,3 @@ def _suffix_map(ps: PathSet) -> tuple[list[tuple[int, int]], np.ndarray]:
             succ = index.setdefault(key, len(index))
             pair_suffix[r] = succ
     return list(index), pair_suffix
-
-
-def value_at(table: ValueTable, ps: PathSet, grid: TimeGrid, edge_id: str,
-             path_idx: int, time: float) -> float:
-    """Linearly interpolated value at an off-grid time."""
-    if not (0.0 <= time <= grid.horizon):
-        raise OutOfRange(f"time {time} outside [0, {grid.horizon}]")
-    row = table.values[ps.row(edge_id, path_idx)]
-    return float(np.interp(time, grid.nodes, row))

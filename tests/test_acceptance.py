@@ -14,7 +14,7 @@ import pytest
 
 from mfroute import (MassField, ReciprocalSpeedLimit, apply_psi, make_grid,
                      min_arrival, residual, solve, value_backward,
-                     value_backward_constrained, verify_X_membership)
+                     verify_X_membership)
 from mfroute.cli import main as cli_main
 from mfroute.oracle import audit_conservation, check_value_tables
 from mfroute.preference import logit_response
@@ -54,9 +54,10 @@ def constrained_solve():
 def grid_study():
     """Tightly converged equilibria on three nested grids."""
     runs = {}
+    solver = {"max_iter": 3000, "tol": 1e-6 * diamond_dict()["model"]["rho_max"]}
     for steps in (500, 1000, 2000):
-        objs = build(diamond_dict(steps=steps, solver={"max_iter": 3000}))
-        runs[steps] = (objs, solve(*objs[:3], tol=1e-6 * objs[2].rho_max))
+        objs = build(diamond_dict(steps=steps, solver=solver))
+        runs[steps] = (objs, solve(*objs[:3]))
     return runs
 
 
@@ -248,7 +249,7 @@ def test_criterion_9_constrained_mode(constrained_solve):
     netu, psu, scenu, _ = build(diamond_dict(steps=200))
     rng = np.random.default_rng(99)
     for mass in (zero_mass(ps, grid), admissible_mass(rng, ps, scen)):
-        tc, _ = value_backward_constrained(net, ps, scen, mass)
+        tc = apply_psi(net, ps, scen, mass).value
         tu, _ = value_backward(netu, psu, scenu, mass)
         ok &= bool(np.all(tc.values >= tu.values))
 

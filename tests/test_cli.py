@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from mfroute import Policy, load_scenario
+from mfroute import ParseError, Policy, load_scenario
 from mfroute.cli import main, read_mass_csv
 
 from conftest import diamond_dict
@@ -81,6 +81,41 @@ def test_solve_exit_three_on_iteration_cap(write_scenario, tmp_path, capsys):
     assert len(report["residuals"]) == 1
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["exit_status"] == 3
+    # the parameter echo shows the effective settings, flag included
+    assert manifest["parameters"]["solver"]["max_iter"] == 1
+    assert report["manifest"]["parameters"] == manifest["parameters"]
+
+
+@pytest.mark.parametrize("flag, value, code", [
+    ("--gamma", "1.5", 1), ("--gamma", "0", 1), ("--tol", "-1", 1),
+    ("--tol", "nan", 2), ("--max-iter", "0", 2)])
+def test_bad_solver_flag_gets_scenario_checks(write_scenario, tmp_path, capsys,
+                                              flag, value, code):
+    scenario = write_scenario(diamond_dict(steps=50))
+    out_dir = tmp_path / "run"
+    assert main(["solve", str(scenario), "--out", str(out_dir), flag, value]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "solver." in err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["exit_status"] == code
+    assert "solver." in manifest["error"]
+    assert manifest["parameters"] is None
+
+
+@pytest.mark.parametrize("command, extra", [("solve", []), ("psi-once", ["--zero"])])
+def test_unparsable_scenario_writes_error_manifest(tmp_path, capsys, command, extra):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text("{", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    code, _ = run(capsys, command, str(scenario), "--out", str(out_dir), *extra)
+    assert code == 2
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["exit_status"] == 2
+    assert "not valid JSON" in manifest["error"]
+    assert manifest["parameters"] is None
 
 
 def test_solve_deterministic_outputs(write_scenario, tmp_path, capsys):
@@ -154,6 +189,31 @@ def test_psi_once_shape_mismatch_exit_one(write_scenario, tmp_path, capsys):
     code, _ = run(capsys, "psi-once", str(scenario), "--out", str(tmp_path / "b"),
                   "--mass", str(out_a / "masses.csv"))
     assert code == 1
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and "rows" in manifest["error"]
+
+
+def test_psi_once_non_numeric_mass_field_is_parse_error(write_scenario, tmp_path,
+                                                        capsys):
+    scenario = write_scenario(diamond_dict(steps=20))
+    out_a = tmp_path / "a"
+    run(capsys, "psi-once", str(scenario), "--out", str(out_a), "--zero")
+    lines = (out_a / "masses.csv").read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[2] = "abc"
+    lines[4] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    net, ps, scen, grid = load_scenario(scenario)
+    with pytest.raises(ParseError, match="row 3"):
+        read_mass_csv(bad, ps, grid)
+    out_b = tmp_path / "b"
+    code, _ = run(capsys, "psi-once", str(scenario), "--out", str(out_b),
+                  "--mass", str(bad))
+    assert code == 2
+    assert sorted(p.name for p in out_b.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out_b / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2 and "row 3" in manifest["error"]
 
 
 def test_policy_csv_uses_inf_token(write_scenario, tmp_path, capsys):

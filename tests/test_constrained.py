@@ -9,7 +9,7 @@ from mfroute import (MassField, ReciprocalSpeedLimit, TabulatedSpeedLimit,
                      ValidationError, apply_psi, arrival_tables,
                      build_speed_limits, congestion_total, make_grid,
                      mean_traverse_and_ktilde, min_arrival, solve,
-                     value_backward, value_backward_constrained)
+                     value_backward)
 from mfroute.constrained import validate_limit_spec
 from mfroute.oracle import check_value_tables
 
@@ -92,12 +92,10 @@ def test_slack_limits_reproduce_unconstrained_bitwise():
     netu, psu, scenu, _ = build(diamond_dict(steps=100))
     rng = np.random.default_rng(41)
     for mass in (zero_mass(ps, grid), admissible_mass(rng, ps, scen)):
-        tc, pc = value_backward_constrained(net, ps, scen, mass)
-        tu, pu = value_backward(netu, psu, scenu, mass)
-        assert np.array_equal(tc.values, tu.values)
-        assert np.array_equal(pc.tau_idx, pu.tau_idx)
         cpsi = apply_psi(net, ps, scen, mass)
         upsi = apply_psi(netu, psu, scenu, mass)
+        assert np.array_equal(cpsi.value.values, upsi.value.values)
+        assert np.array_equal(cpsi.policy.tau_idx, upsi.policy.tau_idx)
         assert np.array_equal(cpsi.mass.values, upsi.mass.values)
 
 
@@ -110,12 +108,13 @@ def test_blocked_edge_forces_stay():
                                        "values": [1.0, 1.0, 0.0, 0.5, 0.0, 0.5, 0.0]}})
     net, ps, scen, grid = build(doc)
     mass = MassField(values=np.tile(scen.rho0[:, None], (1, grid.steps + 1)))
-    table, policy = value_backward_constrained(net, ps, scen, mass)
+    psi = apply_psi(net, ps, scen, mass)
+    table, policy = psi.value, psi.policy
     r = ps.row("e3", ps.paths.index(("e1", "e3", "e5")))
     assert np.all(policy.tau_idx[r] == -1)
     assert np.all(policy.speed[r] == 0.0)
     e3 = net.edge_index["e3"]
-    cong = congestion_total(net, ps, scen, mass)
+    cong = psi.congestion
     stay = scen.alpha * net.dist_tail[e3] + (cong.phi_prefix[e3, -1]
                                              - cong.phi_prefix[e3])
     assert np.allclose(table.values[r], stay, rtol=0, atol=1e-15)
@@ -126,7 +125,7 @@ def test_tightened_limits_dominate_unconstrained():
     netu, psu, scenu, _ = build(diamond_dict(steps=100))
     rng = np.random.default_rng(43)
     for mass in (zero_mass(ps, grid), admissible_mass(rng, ps, scen)):
-        tc, _ = value_backward_constrained(net, ps, scen, mass)
+        tc = apply_psi(net, ps, scen, mass).value
         tu, _ = value_backward(netu, psu, scenu, mass)
         assert np.all(tc.values >= tu.values)
 

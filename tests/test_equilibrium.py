@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mfroute import (MassField, ShapeMismatch, apply_psi, residual, solve,
-                     verify_X_membership)
+from mfroute import (MassField, ShapeMismatch, SolverSettings, apply_psi,
+                     residual, solve, verify_X_membership)
 
 from conftest import admissible_mass, build, diamond_dict, zero_mass
 
@@ -61,9 +63,9 @@ def test_membership_sawtooth_fails_lipschitz(diamond):
     assert d.max_diff_quotient == pytest.approx(slope)
 
 
-def test_immediate_convergence_with_loose_tolerance(diamond):
-    net, ps, scen, grid = diamond
-    report = solve(net, ps, scen, tol=1e9)
+def test_immediate_convergence_with_loose_tolerance():
+    net, ps, scen, grid = build(diamond_dict(steps=100, solver={"tol": 1e9}))
+    report = solve(net, ps, scen)
     assert report.converged and report.iterations == 1
     assert np.all(report.mass.values == 0.0)
 
@@ -92,16 +94,17 @@ def test_solution_has_consistent_stages():
 
 
 def test_non_convergence_is_reported_not_raised():
-    net, ps, scen, grid = build(diamond_dict(steps=100))
-    report = solve(net, ps, scen, max_iter=1)
+    net, ps, scen, grid = build(diamond_dict(steps=100, solver={"max_iter": 1}))
+    report = solve(net, ps, scen)
     assert not report.converged
     assert report.iterations == 1
     assert len(report.residuals) == 1
 
 
 def test_solver_flags_residual_increases():
-    net, ps, scen, grid = build(diamond_dict(steps=100))
-    report = solve(net, ps, scen, gamma=1.0, max_iter=30, tol=1e-12)
+    net, ps, scen, grid = build(diamond_dict(steps=100, solver={
+        "gamma": 1.0, "max_iter": 30, "tol": 1e-12}))
+    report = solve(net, ps, scen)
     # whether or not undamped iteration oscillates, the flags index residuals
     for n in report.residual_increases:
         assert report.residuals[n] > report.residuals[n - 1]
@@ -118,9 +121,11 @@ def test_solve_deterministic():
 
 
 def test_gamma_validation(diamond):
+    # the scenario parser rejects gamma = 0; settings built by hand skip it
     net, ps, scen, grid = diamond
+    scen = dataclasses.replace(scen, solver=SolverSettings(gamma=0.0))
     with pytest.raises(ValueError):
-        solve(net, ps, scen, gamma=0.0)
+        solve(net, ps, scen)
 
 
 def test_near_flat_response_for_tiny_beta():

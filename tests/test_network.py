@@ -1,4 +1,4 @@
-"""Graph validation, path enumeration, and structural queries."""
+"""Graph validation, distances to the destination, and path enumeration."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from mfroute import (BadEdge, CycleDetected, EdgeNotOnPath, TooManyPaths,
-                     Unreachable, build_network, enumerate_paths, first_edge,
-                     last_edge, prec_edge, shortest_remaining_length, succ_edge)
+                     Unreachable, build_network, enumerate_paths)
 
 from conftest import DIAMOND_EDGES
 
@@ -74,8 +73,8 @@ def test_diamond_paths_and_incidence():
     # lexicographic order by edge-id sequence
     assert ps.paths == (("e1", "e3", "e5"), ("e1", "e4"), ("e2", "e5"))
     assert ps.pair_count == 7
-    assert ps.incidence.shape == (5, 3)
-    assert int(ps.incidence.sum()) == 7
+    # e1 and e5 lie on two paths each, the other edges on one
+    assert np.bincount(ps.pair_edge_idx).tolist() == [2, 1, 1, 1, 2]
 
 
 def test_parallel_edges_identity_incidence():
@@ -84,7 +83,8 @@ def test_parallel_edges_identity_incidence():
                         "o", "d")
     ps = enumerate_paths(net)
     assert ps.paths == (("e1",), ("e2",))
-    assert np.array_equal(ps.incidence, np.eye(2, dtype=ps.incidence.dtype))
+    assert ps.pair_edge_idx.tolist() == [0, 1]
+    assert ps.pair_path_idx.tolist() == [0, 1]
 
 
 def test_enumeration_invariant_under_edge_order(diamond):
@@ -112,12 +112,9 @@ def test_path_limit_guard():
 
 def test_shortest_remaining_lengths():
     net = diamond_net()
-    assert shortest_remaining_length(net, "d") == 0.0
-    assert shortest_remaining_length(net, "v1") == 1.0  # via e4
-    assert shortest_remaining_length(net, "v2") == 1.0
-    assert shortest_remaining_length(net, "o") == 2.0
-    with pytest.raises(BadEdge):
-        shortest_remaining_length(net, "nope")
+    assert net.dist_to_destination == {"o": 2.0, "v1": 1.0, "v2": 1.0, "d": 0.0}
+    # the stay penalty reads the distance at each edge's tail
+    assert net.dist_tail.tolist() == [2.0, 2.0, 1.0, 1.0, 1.0]
 
 
 def test_triangle_inequality_along_edges():
@@ -138,8 +135,8 @@ def test_triangle_inequality_along_edges():
                               float(rng.uniform(0.5, 3.0)), 2.0))
         net = build_network(verts, edges, "o", "d")
         for e in net.edges:
-            lhs = shortest_remaining_length(net, e.tail)
-            rhs = e.length + shortest_remaining_length(net, e.head)
+            lhs = net.dist_to_destination[e.tail]
+            rhs = e.length + net.dist_to_destination[e.head]
             assert lhs <= rhs + 1e-12
 
 
@@ -153,28 +150,30 @@ def test_paths_ascend_in_topological_order():
 
 
 def test_adjacency_queries():
-    ps = enumerate_paths(diamond_net())
-    long_path = ps.paths.index(("e1", "e3", "e5"))
-    assert prec_edge(ps, long_path, "e3") == "e1"
-    assert succ_edge(ps, long_path, "e3") == "e5"
-    assert succ_edge(ps, long_path, "e5") is None
+    # a path's rows hold its edges in order, so a pair's predecessor is the
+    # previous row and its successor the next; only the end rows are flagged
+    net = diamond_net()
+    ps = enumerate_paths(net)
+    for p, path in enumerate(ps.paths):
+        rows = ps.path_rows[p]
+        assert [net.edges[ps.pair_edge_idx[r]].id for r in rows] == list(path)
+        assert [ps.row(eid, p) for eid in path] == rows.tolist()
+        assert ps.first_mask[rows].tolist() == [True] + [False] * (len(path) - 1)
+        assert ps.last_mask[rows].tolist() == [False] * (len(path) - 1) + [True]
     two_leg = ps.paths.index(("e1", "e4"))
-    assert last_edge(ps, two_leg) == "e4"
-    assert first_edge(ps, two_leg) == "e1"
-    other = ps.paths.index(("e2", "e5"))
-    assert prec_edge(ps, other, "e2") is None
-    with pytest.raises(EdgeNotOnPath):
-        prec_edge(ps, two_leg, "e3")
     with pytest.raises(EdgeNotOnPath):
         ps.row("e3", two_leg)
 
 
 def test_pairs_are_path_major():
-    ps = enumerate_paths(diamond_net())
+    net = diamond_net()
+    ps = enumerate_paths(net)
     labels = ps.pair_labels()
     assert labels == ["e1:p1", "e3:p1", "e5:p1", "e1:p2", "e4:p2", "e2:p3", "e5:p3"]
     # non-first rows always have their predecessor in the previous row
     for r in range(ps.pair_count):
         if not ps.first_mask[r]:
             assert ps.pair_path_idx[r] == ps.pair_path_idx[r - 1]
-            assert ps.pair_pos[r] == ps.pair_pos[r - 1] + 1
+            path = ps.paths[ps.pair_path_idx[r]]
+            pos = path.index(net.edges[ps.pair_edge_idx[r]].id)
+            assert path[pos - 1] == net.edges[ps.pair_edge_idx[r - 1]].id

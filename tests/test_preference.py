@@ -8,11 +8,30 @@ import numpy as np
 import pytest
 
 from mfroute import (SimplexViolation, apply_psi, congestion_total,
-                     logit_response, path_costs, path_entry_times,
-                     preference_evolution, value_backward)
+                     logit_response, path_costs, preference_evolution,
+                     value_backward)
 from mfroute.preference import entry_table
 
 from conftest import admissible_mass, build, diamond_dict, zero_mass
+
+
+def scalar_entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
+    """Reference walk: entry node of every edge on a path for a start at
+    ``node``, following the policy edge by edge (-1: never entered)."""
+    entries = []
+    cur = int(node)
+    for r in ps.path_rows[path_idx]:
+        entries.append(cur)
+        if cur < 0:
+            continue
+        cur = int(policy.tau_idx[int(r), cur])
+    return entries
+
+
+def table_entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
+    """The same entries read from the pipeline's vectorized table."""
+    full = entry_table(ps, policy, policy.tau_idx.shape[1])
+    return [int(full[int(r), node]) for r in ps.path_rows[path_idx]]
 
 
 @pytest.fixture
@@ -27,7 +46,7 @@ def diamond_policy(diamond):
 def test_entry_times_follow_policy(diamond_policy):
     net, ps, scen, grid, cong, table, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
-    entries = path_entry_times(ps, policy, p, 0)
+    entries = table_entry_times(ps, policy, p, 0)
     assert entries[0] == 0
     assert entries[1] == policy.tau_idx[ps.row("e1", p), 0]
 
@@ -36,18 +55,16 @@ def test_entry_times_propagate_stop(diamond_policy):
     net, ps, scen, grid, cong, table, policy = diamond_policy
     p = ps.paths.index(("e1", "e3", "e5"))
     # near the horizon the whole path stays put
-    entries = path_entry_times(ps, policy, p, grid.steps)
+    entries = table_entry_times(ps, policy, p, grid.steps)
     assert entries == [grid.steps, -1, -1]
 
 
 def test_entry_table_matches_scalar_queries(diamond_policy):
     net, ps, scen, grid, cong, table, policy = diamond_policy
-    full = entry_table(ps, policy, grid.steps + 1)
     for p in range(ps.n_paths):
         for i in (0, grid.steps // 2, grid.steps):
-            expected = path_entry_times(ps, policy, p, i)
-            rows = ps.path_rows[p]
-            assert [int(full[int(r), i]) for r in rows] == expected
+            expected = scalar_entry_times(ps, policy, p, i)
+            assert table_entry_times(ps, policy, p, i) == expected
 
 
 def test_entry_times_strictly_increase_while_finite(diamond_policy):
@@ -71,7 +88,7 @@ def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
     # find a start whose arrival is exactly the final node
     hits = np.flatnonzero(policy.tau_idx[r] == grid.steps)
     if hits.size:
-        entries = path_entry_times(ps, policy, p, int(hits[0]))
+        entries = table_entry_times(ps, policy, p, int(hits[0]))
         assert entries[1] == grid.steps
 
 

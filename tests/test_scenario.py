@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfroute import (ParseError, ValidationError, compute_k, load_scenario,
+from mfroute import (ParseError, ValidationError, apply_psi, load_scenario,
                      make_grid, prefix_integral, scenario_checks,
                      scenario_from_dict, scenario_to_dict)
 
-from conftest import build, diamond_dict
+from conftest import admissible_mass, build, diamond_dict, zero_mass
 
 
 def test_default_scenario_valid():
@@ -62,6 +63,11 @@ def test_malformed_documents_raise_parse_error(write_scenario, tmp_path):
     doc["model"]["steps"] = 2.5
     with pytest.raises(ParseError):
         scenario_from_dict(doc)
+    for section, key in (("solver", "tol"), ("model", "alpha")):
+        doc = diamond_dict(steps=100)
+        doc[section][key] = float("nan")
+        with pytest.raises(ParseError, match="finite"):
+            scenario_from_dict(doc)
 
 
 def test_load_from_file(write_scenario):
@@ -136,7 +142,7 @@ def test_integral_difference_matches_subinterval():
 
 def test_compute_k_threshold_and_rounding():
     net, ps, scen, grid = build(diamond_dict(steps=1000))
-    assert compute_k(net, scen) == pytest.approx(0.5)
+    assert scen.k == pytest.approx(0.5)
     assert scen.k_idx == 50
     assert scen.k == scen.k_idx * grid.dt
 
@@ -160,9 +166,12 @@ def test_compute_k_floor_is_one_step():
 
 def test_k_independent_of_mass_state():
     net, ps, scen, grid = build(diamond_dict(steps=100))
-    assert compute_k(net, scen) == compute_k(net, scen)
     assert scen.k_idx * grid.dt == scen.k
     assert scen.k > 0.0
+    # the unconstrained map delays every edge by k, whatever the mass
+    rng = np.random.default_rng(5)
+    for mass in (zero_mass(ps, grid), admissible_mass(rng, ps, scen)):
+        assert apply_psi(net, ps, scen, mass).k_idx_edges.tolist() == [scen.k_idx] * 5
 
 
 def test_scenario_round_trips_through_serialization():
@@ -179,6 +188,25 @@ def test_scenario_round_trips_through_serialization():
     assert np.array_equal(scen2.lam, scen.lam)
     assert np.array_equal(scen2.z0, scen.z0)
     assert scen2.phi == scen.phi
+
+
+@pytest.mark.parametrize("name", ["diamond_coarse", "diamond_default",
+                                  "diamond_constrained"])
+def test_shipped_scenario_round_trips_exactly(name):
+    # CLI flags are applied by parsing the echo again, so it must rebuild
+    # the same settings, samples and map bit for bit
+    path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+    net, ps, scen, grid = load_scenario(path)
+    net2, ps2, scen2, grid2 = scenario_from_dict(scenario_to_dict(net, scen))
+    assert scenario_to_dict(net2, scen2) == scenario_to_dict(net, scen)
+    assert scen2.solver == scen.solver and scen2.constrained == scen.constrained
+    for attr in ("lam", "z0", "rho0"):
+        assert getattr(scen2, attr).tobytes() == getattr(scen, attr).tobytes()
+    mass = zero_mass(ps, grid)
+    psi = apply_psi(net, ps, scen, mass)
+    psi2 = apply_psi(net2, ps2, scen2, mass)
+    assert psi2.mass.values.tobytes() == psi.mass.values.tobytes()
+    assert psi2.value.values.tobytes() == psi.value.values.tobytes()
 
 
 def test_explicit_z0_must_match_path_count():

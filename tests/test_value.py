@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import mfroute.value as value_module
-from mfroute import (MassField, OutOfRange, ShapeMismatch, arrival_tables,
-                     build_speed_limits, congestion_total, value_at,
-                     value_backward)
+from mfroute import (MassField, ShapeMismatch, arrival_tables,
+                     build_speed_limits, congestion_total, value_backward)
 from mfroute.oracle import check_value_tables
 
 from conftest import admissible_mass, build, diamond_dict, lattice_dict, zero_mass
@@ -186,20 +185,6 @@ def test_policy_monotone_and_absorbing_on_pipeline_mass(diamond):
                 # stay-forever is absorbing past the last moving node
                 assert np.all(tau[r, finite[-1] + 1:] == -1)
         mass = psi.mass
-
-
-def test_value_at_interpolates(diamond):
-    net, ps, scen, grid = diamond
-    table, _ = value_backward(net, ps, scen, zero_mass(ps, grid))
-    p = ps.paths.index(("e1", "e4"))
-    exact = value_at(table, ps, grid, "e1", p, float(grid.nodes[7]))
-    assert exact == table.values[ps.row("e1", p), 7]
-    mid = value_at(table, ps, grid, "e1", p, float(grid.nodes[7] + grid.dt / 2))
-    lo = table.values[ps.row("e1", p), 7]
-    hi = table.values[ps.row("e1", p), 8]
-    assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-12)
-    with pytest.raises(OutOfRange):
-        value_at(table, ps, grid, "e1", p, scen.horizon + 1.0)
 
 
 def test_value_backward_bitwise_deterministic(diamond):
