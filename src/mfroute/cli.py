@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -34,17 +33,15 @@ from .scenario import (Scenario, TimeGrid, load_scenario, scenario_checks,
 from .value import MassField
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
-
-
 def _write_csv(path: Path, grid: TimeGrid, headers: list[str],
                columns: list[np.ndarray]) -> None:
+    # One node per row; "%.17g" round-trips every double and prints inf,
+    # -inf and nan as float() reads them back.  Rows become Python floats
+    # one at a time, so export needs little beyond the numpy table.
+    table = np.column_stack([grid.nodes, *columns])
+    fmt = ",".join(["%.17g"] * table.shape[1])
     lines = ["t," + ",".join(headers)]
-    for i, t in enumerate(grid.nodes):
-        lines.append(",".join([_fmt(float(t))] + [_fmt(float(c[i])) for c in columns]))
+    lines.extend(fmt % tuple(row.tolist()) for row in table)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -10,6 +10,7 @@ time when that exceeds the a-priori constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .network import Network
-from .scenario import Scenario, TimeGrid, prefix_integral
+from .scenario import Scenario, TimeGrid, _num, prefix_integral
 from .value import EdgeCongestion
 
 
@@ -49,17 +50,21 @@ def validate_limit_spec(edge_id: str, spec: dict[str, Any]) -> None:
     family = spec.get("family")
     if family == "reciprocal":
         coeff = spec.get("coeff")
-        if not isinstance(coeff, (int, float)) or isinstance(coeff, bool) or coeff <= 0:
-            raise ValidationError(f"speed limit for edge {edge_id!r}: coeff must be > 0")
+        # NaN passes "<= 0" and would cast to garbage arrival floors
+        if (not isinstance(coeff, (int, float)) or isinstance(coeff, bool)
+                or not 0.0 < coeff < math.inf):
+            raise ValidationError(f"speed limit for edge {edge_id!r}: "
+                                  "coeff must be finite and > 0")
         return
     if family == "table":
         masses = spec.get("masses")
         speeds = spec.get("speeds")
-        if not masses or not speeds or len(masses) != len(speeds) or len(masses) < 2:
+        if (not isinstance(masses, list) or not isinstance(speeds, list)
+                or len(masses) != len(speeds) or len(masses) < 2):
             raise ParseError(f"speed limit table for edge {edge_id!r} needs matching "
                              "masses/speeds lists of length >= 2")
-        m = np.asarray(masses, dtype=float)
-        s = np.asarray(speeds, dtype=float)
+        m = np.array([_num(v, f"speed limit table mass for edge {edge_id!r}") for v in masses])
+        s = np.array([_num(v, f"speed limit table speed for edge {edge_id!r}") for v in speeds])
         if np.any(np.diff(m) <= 0):
             raise ValidationError(f"speed limit table for edge {edge_id!r}: "
                                   "masses must be strictly increasing")

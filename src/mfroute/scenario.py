@@ -54,20 +54,28 @@ class LambdaSpec:
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
         t = grid.nodes
+        params = self.params
+
+        def num(key):
+            return _num(_req(params, key, "model.lambda"), f"lambda.{key}")
+
         if self.family == "constant":
-            return np.full(t.shape, float(self.params["value"]))
+            return np.full(t.shape, num("value"))
         if self.family == "sinusoidal":
-            base = float(self.params["base"])
-            amp = float(self.params["amplitude"])
-            period = float(self.params["period"])
-            phase = float(self.params.get("phase", 0.0))
+            base = num("base")
+            amp = num("amplitude")
+            period = num("period")
+            phase = _num(params.get("phase", 0.0), "lambda.phase")
             if period <= 0.0:
                 raise ParseError("lambda.period must be positive")
             return base + amp * np.sin(2.0 * np.pi * t / period + phase)
         if self.family == "piecewise_linear":
-            pts = self.params["points"]
-            ts = np.array([float(p[0]) for p in pts])
-            vs = np.array([float(p[1]) for p in pts])
+            pts = _req(params, "points", "model.lambda")
+            if not isinstance(pts, list) or not all(
+                    isinstance(p, list) and len(p) == 2 for p in pts):
+                raise ParseError("lambda.points must be a list of [time, value] pairs")
+            ts = np.array([_num(p[0], "lambda.points time") for p in pts])
+            vs = np.array([_num(p[1], "lambda.points value") for p in pts])
             if ts.size < 2 or np.any(np.diff(ts) <= 0):
                 raise ParseError("lambda.points must list two or more strictly increasing times")
             return np.interp(t, ts, vs)
@@ -204,10 +212,25 @@ def _k_and_index(net: Network, grid: TimeGrid, alpha: float) -> tuple[float, int
 # Parsing
 
 
+def _section(value, section: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{section} must be an object")
+    return value
+
+
 def _req(mapping: dict, key: str, section: str):
+    if not isinstance(mapping, dict):
+        raise ParseError(f"{section} must be an object")
     if key not in mapping:
         raise ParseError(f"missing key {key!r} in section {section!r}")
     return mapping[key]
+
+
+def _list(mapping: dict, key: str, section: str) -> list:
+    value = _req(mapping, key, section)
+    if not isinstance(value, list):
+        raise ParseError(f"{section}.{key} must be a list")
+    return value
 
 
 def _num(value, where: str) -> float:
@@ -219,15 +242,52 @@ def _num(value, where: str) -> float:
     return float(value)
 
 
-def _parse_phi(model: dict, net: Network, rho_max: float) -> tuple[CongestionCost, ...]:
-    spec = model.get("phi", {"default": {"family": "linear", "coeff": 0.0}})
+def _per_edge_specs(spec, section: str, net: Network) -> dict[str, dict]:
+    """Per-edge specs of a ``default`` / ``per_edge`` section, by edge id.
+
+    Edges with neither a ``per_edge`` entry nor a ``default`` are left out.
+    """
     if not isinstance(spec, dict):
-        raise ParseError("model.phi must be an object")
+        raise ParseError(f"{section} must be an object")
     default = spec.get("default")
     per_edge = spec.get("per_edge", {})
-    costs = []
+    if not isinstance(per_edge, dict):
+        raise ParseError(f"{section}.per_edge must be an object")
+    specs = {}
     for e in net.edges:
         raw = per_edge.get(e.id, default)
+        if raw is not None:
+            if not isinstance(raw, dict):
+                raise ParseError(f"{section} spec for edge {e.id!r} must be an object")
+            specs[e.id] = raw
+    return specs
+
+
+_EDGE_KEYS = frozenset({"id", "tail", "head", "length", "capacity"})
+
+
+def _network_fields(raw: dict) -> tuple[list, list[dict], str, str]:
+    """Vertices, edges, origin and destination of the network section."""
+    vertices = _list(raw, "vertices", "network")
+    edges = _list(raw, "edges", "network")
+    for e in edges:
+        if not isinstance(e, dict) or not _EDGE_KEYS <= e.keys():
+            raise ParseError("each network edge must be an object with keys "
+                             "id, tail, head, length and capacity")
+        _num(e["length"], "edge length")
+        _num(e["capacity"], "edge capacity")
+    ends = [_req(raw, key, "network") for key in ("origin", "destination")]
+    if not all(isinstance(v, str) for v in ends):
+        raise ParseError("network.origin and network.destination must be vertex ids")
+    return vertices, edges, *ends
+
+
+def _parse_phi(model: dict, net: Network, rho_max: float) -> tuple[CongestionCost, ...]:
+    specs = _per_edge_specs(model.get("phi", {"default": {"family": "linear", "coeff": 0.0}}),
+                            "model.phi", net)
+    costs = []
+    for e in net.edges:
+        raw = specs.get(e.id)
         if raw is None:
             raise ParseError(f"no congestion cost for edge {e.id!r} and no default")
         family = str(_req(raw, "family", "model.phi"))
@@ -241,9 +301,7 @@ def _parse_phi(model: dict, net: Network, rho_max: float) -> tuple[CongestionCos
 
 
 def _parse_solver(data: dict) -> SolverSettings:
-    raw = data.get("solver", {})
-    if not isinstance(raw, dict):
-        raise ParseError("solver must be an object")
+    raw = _section(data.get("solver", {}), "solver")
     gamma = _num(raw.get("gamma", 0.5), "solver.gamma")
     tol = raw.get("tol")
     tol = None if tol is None else _num(tol, "solver.tol")
@@ -265,25 +323,15 @@ def _parse_solver(data: dict) -> SolverSettings:
 
 
 def _parse_constrained(data: dict, net: Network) -> ConstrainedConfig:
-    raw = data.get("constrained", {})
-    if not isinstance(raw, dict):
-        raise ParseError("constrained must be an object")
+    raw = _section(data.get("constrained", {}), "constrained")
     enabled = raw.get("enabled", False)
     if not isinstance(enabled, bool):
         raise ParseError("constrained.enabled must be a boolean")
     eps_rho_rel = _num(raw.get("eps_rho_rel", 1e-6), "constrained.eps_rho_rel")
     cap_frac = _num(raw.get("cap_frac", 0.5), "constrained.cap_frac")
-    limits: dict[str, dict[str, Any]] = {}
     u = raw.get("u")
-    if u is not None:
-        if not isinstance(u, dict):
-            raise ParseError("constrained.u must be an object")
-        default = u.get("default")
-        per_edge = u.get("per_edge", {})
-        for e in net.edges:
-            spec = per_edge.get(e.id, default)
-            if spec is not None:
-                limits[e.id] = dict(spec)
+    limits = ({} if u is None else
+              {eid: dict(spec) for eid, spec in _per_edge_specs(u, "constrained.u", net).items()})
     if enabled:
         missing = [e.id for e in net.edges if e.id not in limits]
         if missing:
@@ -345,10 +393,7 @@ def _build(data: dict) -> tuple[tuple[Network, PathSet, Scenario, TimeGrid], lis
         raise ParseError("network and model sections must be objects")
 
     solver = _parse_solver(data)
-    net = build_network(_req(net_raw, "vertices", "network"),
-                        _req(net_raw, "edges", "network"),
-                        _req(net_raw, "origin", "network"),
-                        _req(net_raw, "destination", "network"))
+    net = build_network(*_network_fields(net_raw))
     ps = enumerate_paths(net, limit=solver.path_limit)
 
     horizon = _num(_req(model, "horizon", "model"), "model.horizon")
@@ -378,22 +423,22 @@ def _build(data: dict) -> tuple[tuple[Network, PathSet, Scenario, TimeGrid], lis
     constrained = _parse_constrained(data, net)
 
     z0_raw = model.get("z0", {"rule": "uniform"})
-    z0_rule = str(z0_raw.get("rule", "uniform"))
+    z0_rule = str(_section(z0_raw, "model.z0").get("rule", "uniform"))
     if z0_rule == "uniform":
         z0 = np.full(ps.n_paths, lam[0] / ps.n_paths)
     elif z0_rule == "explicit":
-        z0 = np.array([_num(v, "z0 value") for v in _req(z0_raw, "values", "model.z0")])
+        z0 = np.array([_num(v, "z0 value") for v in _list(z0_raw, "values", "model.z0")])
         if z0.shape != (ps.n_paths,):
             raise ParseError(f"z0.values must list {ps.n_paths} entries, one per path")
     else:
         raise ParseError(f"unknown z0 rule {z0_rule!r}")
 
     rho0_raw = model.get("rho0", {"rule": "zero"})
-    rho0_rule = str(rho0_raw.get("rule", "zero"))
+    rho0_rule = str(_section(rho0_raw, "model.rho0").get("rule", "zero"))
     if rho0_rule == "zero":
         rho0 = np.zeros(ps.pair_count)
     elif rho0_rule == "explicit":
-        rho0 = np.array([_num(v, "rho0 value") for v in _req(rho0_raw, "values", "model.rho0")])
+        rho0 = np.array([_num(v, "rho0 value") for v in _list(rho0_raw, "values", "model.rho0")])
         if rho0.shape != (ps.pair_count,):
             raise ParseError(f"rho0.values must list {ps.pair_count} entries, "
                              "one per (edge, path) pair in path-major order")

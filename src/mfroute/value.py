@@ -24,7 +24,24 @@ before, since the successor is one edge shallower.  The kinetic block
 ``(l*l)/(2*(t[j]-t[i]))``, with +inf where j <= i, depends on the block and
 the edge length only, so within a block it is rebuilt only when the length
 changes from one suffix to the next.  The temporaries stay three block-sized
-arrays: the kinetic block, the candidates and a mask (17 bytes a cell).
+arrays: the kinetic block, the candidates and a mask (17 bytes a cell), plus
+reversed copies of the grid, the node ids and the congestion integrals
+(O(N) per edge), freed before the tables are copied to the pairs.
+
+Block columns run from the last arrival node down: column c is node N - c.
+"Latest arrival within the tie band" is then the first column in the band,
+a forward ``argmax``; the continuation is one contiguous copy of the
+successor's row, reversed, with entry 0 (the final node) set to the cheaper
+of the stay penalty and the successor's final value; and the arrivals not
+after the entry node, and those before an arrival floor, are trailing
+columns.  Block rows are shorter than numpy's default 8192-element ufunc
+buffer, and with it the broadcasts of the block loop go through the buffered
+iterator at two to four times the cost of a contiguous operation, so the
+loop runs under a small buffer, restored on every exit.  The loop has only
+elementwise operations, ``min`` and ``argmax``, whose results do not depend
+on the buffer size.  Stages that sum (mass integration, the logit response,
+the local decision) stay outside it: the buffer size can change the order
+in which a sum adds.
 
 Float expressions here are deliberately fixed:  a moving candidate costs
 ``(l*l)/(2*(t[j]-t[i])) + (Phi[j]-Phi[i])`` plus the continuation, grouped
@@ -32,8 +49,8 @@ exactly in that order (the kernel adds the kinetic block to the congestion
 difference, which IEEE addition gives the same bits).  The exhaustive
 enumeration in :mod:`mfroute.oracle` evaluates the same expressions, which
 is what makes the oracle comparison exact rather than tolerance-based;
-neither the suffix sharing, the row blocks nor the shared kinetic block
-change a single rounding step.
+neither the suffix sharing, the row blocks, the shared kinetic block nor
+the column order change a single rounding step.
 """
 
 from __future__ import annotations
@@ -50,6 +67,9 @@ from .scenario import Scenario, prefix_integral
 # BLOCK_CELLS // (steps + 1) entry nodes, so its temporaries take O(B * N)
 # memory instead of (N + 1)^2 per table.
 BLOCK_CELLS = 1 << 15
+
+# Ufunc buffer size (elements) inside the block loop, see the module docstring.
+_BLOCK_BUFSIZE = 256
 
 
 @dataclass(frozen=True)
@@ -169,57 +189,14 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, mass: MassField,
     # equal lengths come together so the kinetic block is built once for them.
     interior.sort(key=lambda s: (depth[s], net.lengths[suffixes[s][0]]))
 
-    rows_per_block = max(1, BLOCK_CELLS // (n + 1))
-    kin_buf = np.empty(rows_per_block * n)
-    move_buf = np.empty_like(kin_buf)
-    mask_buf = np.empty(kin_buf.size, dtype=bool)
-    for i0 in reversed(range(0, n, rows_per_block)):
-        i1 = min(i0 + rows_per_block, n)
-        # Arrivals before i0 + 1 are inadmissible for every row here.
-        shape = (i1 - i0, n - i0)
-        kin = kin_buf[:shape[0] * shape[1]].reshape(shape)
-        move = move_buf[:kin.size].reshape(shape)
-        mask = mask_buf[:kin.size].reshape(shape)
-        # Row r is entry node i0 + r and column c arrival node i0 + 1 + c, so
-        # arrivals not after the entry are the triangle c < r.
-        w = min(shape)
-        kin_length = None
-        for s in interior:
-            e, succ = suffixes[s]
-            length = float(net.lengths[e])
-            if length != kin_length:
-                np.subtract(t[None, i0 + 1:], t[i0:i1, None], out=kin)
-                kin *= 2.0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(length * length, kin, out=kin)
-                tri = mask[:, :w]
-                np.less(node_ids[None, :w], node_ids[:shape[0], None], out=tri)
-                np.copyto(kin[:, :w], np.inf, where=tri)
-                kin_length = length
-            # In place, move = ((phi[j]-phi[i]) + kin) + cont[j]: the same
-            # rounding steps as the oracle's (kin + (phi[j]-phi[i])) + cont[j].
-            phi = cong.phi_prefix[e]
-            np.subtract(phi[None, i0 + 1:], phi[i0:i1, None], out=move)
-            move += kin
-            # The whole-row add is faster than one that skips the last
-            # column, which continues with cont_n instead of values[succ, n].
-            last = move[:, -1].copy()
-            move += values[succ, None, i0 + 1:]
-            np.add(last, cont_n[s], out=move[:, -1])
-            if arrival_floor is not None:
-                floor = arrival_floor[e, i0:i1]
-                wf = min(int(floor.max()), n + 1) - (i0 + 1)
-                if wf > 0:
-                    below = mask[:, :wf]
-                    np.less(node_ids[None, i0 + 1:i0 + 1 + wf], floor[:, None], out=below)
-                    np.copyto(move[:, :wf], np.inf, where=below)
-            best = move.min(axis=1)
-            threshold = best + eps_tie * np.maximum(1.0, np.abs(best))
-            np.less_equal(move, threshold[:, None], out=mask)
-            latest = n - np.argmax(mask[:, ::-1], axis=1)
-            stay = values[s, i0:i1]
-            tau_idx[s, i0:i1] = np.where(best <= stay, latest, -1)
-            np.minimum(stay, best, out=stay)
+    # Only elementwise operations, min and argmax run under the small
+    # buffer, so it changes no result; stages that sum stay outside it.
+    bufsize = np.setbufsize(_BLOCK_BUFSIZE)
+    try:
+        _minimize_interior(net, suffixes, interior, cong.phi_prefix, t, values,
+                           tau_idx, cont_n, arrival_floor, eps_tie)
+    finally:
+        np.setbufsize(bufsize)
 
     values = values[pair_suffix]
     tau_idx = tau_idx[pair_suffix]
@@ -229,6 +206,76 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, mass: MassField,
                      pair_lengths[:, None] / (tau_time - t[None, :]), 0.0)
     return ValueTable(values=values), Policy(tau_idx=tau_idx, tau_time=tau_time,
                                              speed=speed)
+
+
+def _minimize_interior(net: Network, suffixes: list[tuple[int, int]],
+                       interior: list[int], phi_prefix: np.ndarray, t: np.ndarray,
+                       values: np.ndarray, tau_idx: np.ndarray, cont_n: np.ndarray,
+                       arrival_floor: np.ndarray | None, eps_tie: float) -> None:
+    """Minimize the rows of the interior suffixes in place, block by block.
+
+    On entry their ``values`` rows hold the stay cost; ``interior`` lists
+    them in the order they run within a block.  The block buffers live only
+    here, so they are freed before the tables are copied to the pairs.
+    """
+    n = t.size - 1
+    node_ids = np.arange(n + 1)
+    rows_per_block = max(1, BLOCK_CELLS // (n + 1))
+    kin_buf = np.empty(rows_per_block * n)
+    move_buf = np.empty_like(kin_buf)
+    mask_buf = np.empty(kin_buf.size, dtype=bool)
+    # Block column c is arrival node n - c, read from reversed copies.
+    t_rev = t[::-1].copy()
+    ids_rev = node_ids[::-1].copy()
+    phi_rev = phi_prefix[:, ::-1].copy()
+    cont = np.empty(n)
+    for i0 in reversed(range(0, n, rows_per_block)):
+        i1 = min(i0 + rows_per_block, n)
+        # Arrivals before i0 + 1 are inadmissible for every row here.
+        m = n - i0
+        shape = (i1 - i0, m)
+        kin = kin_buf[:shape[0] * m].reshape(shape)
+        move = move_buf[:kin.size].reshape(shape)
+        mask = mask_buf[:kin.size].reshape(shape)
+        # Row r is entry node i0 + r and column c arrival node n - c, so
+        # arrivals not after the entry lie in the last w columns.
+        w = min(shape)
+        kin_length = None
+        for s in interior:
+            e, succ = suffixes[s]
+            length = float(net.lengths[e])
+            if length != kin_length:
+                np.subtract(t_rev[None, :m], t[i0:i1, None], out=kin)
+                kin *= 2.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(length * length, kin, out=kin)
+                tri = mask[:, m - w:]
+                np.less_equal(ids_rev[None, m - w:m], node_ids[i0:i1, None], out=tri)
+                np.copyto(kin[:, m - w:], np.inf, where=tri)
+                kin_length = length
+            # In place, move = ((phi[j]-phi[i]) + kin) + cont[j]: the same
+            # rounding steps as the oracle's (kin + (phi[j]-phi[i])) + cont[j].
+            phi = phi_prefix[e]
+            np.subtract(phi_rev[e, None, :m], phi[i0:i1, None], out=move)
+            move += kin
+            # Arriving at node n continues with cont_n, not values[succ, n].
+            np.copyto(cont[:m], values[succ, n:i0:-1])
+            cont[0] = cont_n[s]
+            move += cont[None, :m]
+            if arrival_floor is not None:
+                floor = arrival_floor[e, i0:i1]
+                wf = min(int(floor.max()), n + 1) - (i0 + 1)
+                if wf > 0:
+                    below = mask[:, m - wf:]
+                    np.less(ids_rev[None, m - wf:m], floor[:, None], out=below)
+                    np.copyto(move[:, m - wf:], np.inf, where=below)
+            best = move.min(axis=1)
+            threshold = best + eps_tie * np.maximum(1.0, np.abs(best))
+            np.less_equal(move, threshold[:, None], out=mask)
+            latest = n - np.argmax(mask, axis=1)
+            stay = values[s, i0:i1]
+            tau_idx[s, i0:i1] = np.where(best <= stay, latest, -1)
+            np.minimum(stay, best, out=stay)
 
 
 def _suffix_map(ps: PathSet) -> tuple[list[tuple[int, int]], np.ndarray]:

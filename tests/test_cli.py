@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from mfroute import ParseError, Policy, load_scenario
-from mfroute.cli import main, read_mass_csv
+from mfroute import MassField, ParseError, Policy, load_scenario
+from mfroute.cli import main, read_mass_csv, write_mass_csv
 
-from conftest import diamond_dict
+from conftest import build, diamond_dict
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -70,6 +71,34 @@ def test_solve_mass_csv_round_trips(write_scenario, tmp_path, capsys):
     assert np.array_equal(mass.values, report.mass.values)
 
 
+def per_cell_csv(grid, headers, columns) -> str:
+    """The exporter as it was, one formatted cell at a time: the reference."""
+    def fmt(x):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return f"{x:.17g}"
+
+    lines = ["t," + ",".join(headers)]
+    for i, t in enumerate(grid.nodes):
+        lines.append(",".join([fmt(float(t))] + [fmt(float(c[i])) for c in columns]))
+    return "\n".join(lines) + "\n"
+
+
+def test_mass_csv_matches_per_cell_formatting(tmp_path):
+    net, ps, scen, grid = build(diamond_dict(steps=9))
+    values = np.random.default_rng(3).uniform(-1e3, 1e3, (ps.pair_count, grid.steps + 1))
+    special = [np.inf, -np.inf, -0.0, 0.0, np.nan, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    values.flat[:7 * len(special):7] = special
+    assert np.isnan(values).sum() == 1 and np.isinf(values).sum() == 2
+    path = tmp_path / "masses.csv"
+    write_mass_csv(path, grid, ps, MassField(values=values))
+    headers = [f"rho[{label}]" for label in ps.pair_labels()]
+    assert path.read_bytes() == per_cell_csv(grid, headers, list(values)).encode()
+    back = read_mass_csv(path, ps, grid)
+    assert back.values.tobytes() == values.tobytes()
+
+
 def test_solve_exit_three_on_iteration_cap(write_scenario, tmp_path, capsys):
     scenario = write_scenario(diamond_dict(steps=100))
     out_dir = tmp_path / "run"
@@ -116,6 +145,32 @@ def test_unparsable_scenario_writes_error_manifest(tmp_path, capsys, command, ex
     assert manifest["exit_status"] == 2
     assert "not valid JSON" in manifest["error"]
     assert manifest["parameters"] is None
+
+
+MALFORMED_SPECS = {
+    "lambda-value": {"model": {"lambda": {"family": "constant", "value": "abc"}}},
+    "lambda-missing-value": {"model": {"lambda": {"family": "constant"}}},
+    "phi-default": {"model": {"phi": {"default": 5}}},
+    "u-default": {"constrained": {"enabled": True, "u": {"default": 5}}},
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
+def test_malformed_nested_spec_is_parse_error(write_scenario, tmp_path, capsys, edit):
+    doc = diamond_dict(steps=50)
+    for section, entries in edit.items():
+        doc.setdefault(section, {}).update(entries)
+    scenario = write_scenario(doc)
+    assert main(["validate", str(scenario)]) == 2
+    out_dir = tmp_path / "run"
+    assert main(["solve", str(scenario), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.count("parse error:") == 2
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    assert manifest["error"] and manifest["parameters"] is None
 
 
 def test_solve_deterministic_outputs(write_scenario, tmp_path, capsys):

@@ -21,8 +21,9 @@ TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4
 
 def test_limit_spec_validation():
     validate_limit_spec("e1", {"family": "reciprocal", "coeff": 2.0})
-    with pytest.raises(ValidationError):
-        validate_limit_spec("e1", {"family": "reciprocal", "coeff": 0.0})
+    for coeff in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            validate_limit_spec("e1", {"family": "reciprocal", "coeff": coeff})
     validate_limit_spec("e1", {"family": "table", "masses": [0.1, 1.0, 5.0],
                                "speeds": [3.0, 1.0, 0.2]})
     with pytest.raises(ValidationError):

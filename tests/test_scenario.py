@@ -70,6 +70,58 @@ def test_malformed_documents_raise_parse_error(write_scenario, tmp_path):
             scenario_from_dict(doc)
 
 
+RECIPROCAL = {"family": "reciprocal", "coeff": 1.0}
+
+
+def _with(path, value, constrained=None):
+    """Diamond document with the entry at ``path`` (a key tuple) set to ``value``."""
+    doc = diamond_dict(steps=50, constrained=constrained)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+MALFORMED_SPECS = {
+    "lambda-value-not-a-number": _with(("model", "lambda", "value"), "abc"),
+    "lambda-value-missing": _with(("model", "lambda"), {"family": "constant"}),
+    "lambda-sinusoidal-base": _with(("model", "lambda"), {
+        "family": "sinusoidal", "base": "abc", "amplitude": 0.1, "period": 5.0}),
+    "lambda-sinusoidal-period-missing": _with(("model", "lambda"), {
+        "family": "sinusoidal", "base": 1.0, "amplitude": 0.1}),
+    "lambda-points-value": _with(("model", "lambda"), {
+        "family": "piecewise_linear", "points": [[0.0, 1.0], [10.0, "x"]]}),
+    "lambda-points-not-pairs": _with(("model", "lambda"), {
+        "family": "piecewise_linear", "points": [0.0, 10.0]}),
+    "phi-default-number": _with(("model", "phi"), {"default": 5}),
+    "phi-per-edge-number": _with(("model", "phi", "per_edge"), 5),
+    "u-default-number": _with(("constrained", "u"), {"default": 5},
+                              constrained={"enabled": True}),
+    "u-default-number-disabled": _with(("constrained", "u"), {"default": 5},
+                                       constrained={"enabled": False}),
+    "u-per-edge-string": _with(("constrained", "u"), {
+        "default": RECIPROCAL, "per_edge": {"e1": "fast"}}, constrained={"enabled": True}),
+    "u-table-masses": _with(("constrained", "u"), {"default": {
+        "family": "table", "masses": ["a", "b"], "speeds": [2.0, 1.0]}},
+        constrained={"enabled": True}),
+    "z0-number": _with(("model", "z0"), 5),
+    "rho0-values-number": _with(("model", "rho0"), {"rule": "explicit", "values": 0.0}),
+    "edge-length-not-a-number": _with(("network", "edges", 0, "length"), "abc"),
+    "edge-not-an-object": _with(("network", "edges", 0), 5),
+    "origin-list": _with(("network", "origin"), []),
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
+def test_malformed_nested_specs_raise_parse_error(doc):
+    with pytest.raises(ParseError):
+        scenario_from_dict(doc)
+    # validate reports the same error rather than a list of checks
+    with pytest.raises(ParseError):
+        scenario_checks(doc)
+
+
 def test_load_from_file(write_scenario):
     path = write_scenario(diamond_dict(steps=50))
     net, ps, scen, grid = load_scenario(path)

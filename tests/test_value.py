@@ -211,12 +211,25 @@ def _value_inputs(doc, seed):
     return net, ps, scen, mass, cong, floor
 
 
-@pytest.mark.parametrize("doc", [diamond_dict(steps=16), lattice_dict(3, steps=16),
-                                 diamond_dict(steps=16, constrained=TIGHT),
-                                 lattice_dict(3, steps=16, constrained=TIGHT)],
-                         ids=["diamond", "lattice-3x3", "diamond-constrained",
-                              "lattice-3x3-constrained"])
-def test_row_blocks_match_enumeration(monkeypatch, doc):
+def detour_dict(steps):
+    """Two routes, one through an edge whose head is farther from the
+    destination than its tail: there the stay penalty alpha * dist_tail is
+    below the successor's final value, so arriving at the final node
+    continues with the stay penalty, not with the successor's table."""
+    edges = [{"id": "e1", "tail": "o", "head": "a", "length": 1.0, "capacity": 2.0},
+             {"id": "e2", "tail": "a", "head": "d", "length": 3.0, "capacity": 2.0},
+             {"id": "e3", "tail": "o", "head": "d", "length": 1.0, "capacity": 2.0}]
+    doc = diamond_dict(steps=steps, edges=edges)
+    doc["network"]["vertices"] = ["o", "a", "d"]
+    return doc
+
+
+ROW_BLOCK_DOCS = {"diamond": diamond_dict(steps=16), "lattice-3x3": lattice_dict(3, steps=16),
+                  "diamond-constrained": diamond_dict(steps=16, constrained=TIGHT),
+                  "lattice-3x3-constrained": lattice_dict(3, steps=16, constrained=TIGHT)}
+
+
+def _check_row_blocks(monkeypatch, doc):
     # three entry nodes per block: N = 16 spans six blocks
     monkeypatch.setattr(value_module, "BLOCK_CELLS", 3 * 17)
     net, ps, scen, mass, cong, floor = _value_inputs(doc, seed=31)
@@ -227,6 +240,40 @@ def test_row_blocks_match_enumeration(monkeypatch, doc):
                                    arrival_floor=floor)
     assert check_value_tables(net, ps, scen, mass, table, policy,
                               congestion=cong, arrival_floor=floor) == []
+    return policy
+
+
+@pytest.mark.parametrize("doc", ROW_BLOCK_DOCS.values(), ids=ROW_BLOCK_DOCS.keys())
+def test_row_blocks_match_enumeration(monkeypatch, doc):
+    _check_row_blocks(monkeypatch, doc)
+
+
+@pytest.mark.parametrize("doc", ROW_BLOCK_DOCS.values(), ids=ROW_BLOCK_DOCS.keys())
+def test_row_blocks_match_enumeration_with_wide_tie_band(monkeypatch, doc):
+    # At eps_tie 1e-9 most tie bands hold one arrival node; at 1e-2 they hold
+    # several, so "latest within the band" decides the policy.
+    narrow = _check_row_blocks(monkeypatch, doc)
+    wide = _check_row_blocks(monkeypatch, {**doc, "solver": {**doc["solver"], "eps_tie": 1e-2}})
+    assert not np.array_equal(wide.tau_idx, narrow.tau_idx)
+
+
+def test_final_node_continues_with_stay_penalty(monkeypatch):
+    # Without congestion, entering e1 at t = 0 costs about 0.8 by the best
+    # arrival and 1 by staying, while arriving at the final node costs
+    # 1/20 + 1 through the stay penalty but 1/20 + 3 through e2's final
+    # value.  A band of 0.3 reaches the final node only in the first case.
+    doc = detour_dict(16)
+    doc["solver"]["eps_tie"] = 0.3
+    net, ps, scen, grid = build(doc)
+    n = grid.steps
+    r = ps.row("e1", ps.paths.index(("e1", "e2")))
+    monkeypatch.setattr(value_module, "BLOCK_CELLS", 3 * (n + 1))
+    first_tau = []
+    for mass in (zero_mass(ps, grid), admissible_mass(np.random.default_rng(43), ps, scen)):
+        table, policy = value_backward(net, ps, scen, mass)
+        assert check_value_tables(net, ps, scen, mass, table, policy) == []
+        first_tau.append(policy.tau_idx[r, 0])
+    assert first_tau[0] == n
 
 
 @pytest.mark.parametrize("doc", [diamond_dict(steps=400),
@@ -265,3 +312,26 @@ def test_pairs_sharing_a_suffix_get_equal_rows(doc):
                 assert np.array_equal(policy.tau_idx[r], policy.tau_idx[r0])
                 assert np.array_equal(policy.speed[r], policy.speed[r0])
     assert shared > 0
+
+
+def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
+    net, ps, scen, grid = diamond
+    mass = admissible_mass(np.random.default_rng(47), ps, scen)
+    seen = []
+
+    def failing_argmax(*args, **kwargs):
+        seen.append(np.getbufsize())
+        raise RuntimeError("raised inside the block loop")
+
+    with np.errstate():
+        caller = np.setbufsize(4096)
+        try:
+            value_backward(net, ps, scen, mass)
+            assert np.getbufsize() == 4096
+            monkeypatch.setattr(np, "argmax", failing_argmax)
+            with pytest.raises(RuntimeError, match="block loop"):
+                value_backward(net, ps, scen, mass)
+            assert seen == [value_module._BLOCK_BUFSIZE]
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(caller)
