@@ -3,6 +3,9 @@
 Flows are the agents' own delayed estimates: the outflow of an edge at time
 t replays the origin injection (or the predecessor's outflow) from one
 assumed traverse time earlier, gated by whether the policy actually moves.
+They are evaluated by path position, the pairs of one position that share a
+delay at once, each position after the one that feeds it; every entry is
+the same product as in a pair-by-pair loop.
 Mass is integrated by explicit Euler with negative undershoot clipped at
 zero and recorded, never silently discarded.  The recurrence runs as a row
 cumulative sum that restarts from +0.0 wherever a clip falls, which performs
@@ -89,27 +92,28 @@ def local_decision(ps: PathSet, z: np.ndarray) -> np.ndarray:
 
 def compute_flows(net: Network, ps: PathSet, policy: Policy, z: np.ndarray,
                   lam: np.ndarray, k_idx_edges: np.ndarray) -> FlowField:
-    """Delayed outgoing flows, evaluated in path order.
+    """Delayed outgoing flows, evaluated by path position.
 
     A first edge replays the origin inflow from ``k`` steps earlier; any
     other edge replays its predecessor's outflow.  Both are gated by the
     sign of the control chosen at the replayed entry time, so stopped
-    traffic emits no flow.
+    traffic emits no flow.  The pairs at one path position that share a
+    delay are evaluated together, after the position before them.
     """
     n_nodes = lam.shape[0]
     g = local_decision(ps, z)
     moving = policy.tau_idx >= 0
     f = np.zeros((ps.pair_count, n_nodes))
-    for rows in ps.path_rows:
-        for pos, r in enumerate(rows):
-            r = int(r)
-            ke = int(k_idx_edges[ps.pair_edge_idx[r]])
-            m = n_nodes - ke
-            gate = moving[r, :m].astype(float)
-            if pos == 0:
-                f[r, ke:] = (lam[:m] * g[r, :m]) * gate
-            else:
-                f[r, ke:] = f[r - 1, :m] * gate
+    delays = k_idx_edges[ps.pair_edge_idx]
+    for pos, rows in enumerate(ps.rows_by_position):
+        # Gated over the full width; a pair with delay k keeps the first
+        # n_nodes - k entries, shifted k nodes right.
+        gate = moving[rows].astype(float)
+        out = (lam * g[rows]) * gate if pos == 0 else f[rows - 1] * gate
+        row_delays = delays[rows]
+        for ke in set(row_delays.tolist()):
+            sel = row_delays == ke
+            f[rows[sel], ke:] = out[sel, :n_nodes - ke]
     return FlowField(values=f)
 
 
@@ -182,7 +186,9 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: FlowField, z: np.ndarray,
     nonfirst = np.flatnonzero(~ps.first_mask)
     plus[first_rows] = inj[ps.pair_path_idx[first_rows]]
     plus[nonfirst] = mov[nonfirst - 1]
-    delta = plus - mov
+    # In place: plus is not read again, and the mass check at the end of
+    # this stage is where a solve's memory peaks.
+    delta = np.subtract(plus, mov, out=plus)
 
     # Left-to-right cumsum performs the stepwise recurrence's additions.
     mass = np.empty((ps.pair_count, n + 1))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -88,11 +89,51 @@ class PathSet:
             for pos, _ in enumerate(path)
         ]
 
+    # The two groupings below depend on the paths only.  They are derived
+    # on first use, by the first map evaluation, not by enumerate_paths, so
+    # loading a scenario does not pay for them.
+
+    @cached_property
+    def rows_by_position(self) -> tuple[np.ndarray, ...]:
+        """Rows of the k-th pair of every path with more than k edges, per k.
+
+        Paths are listed longest first, ties in path order, so the paths
+        present at position k + 1 are a prefix of those at position k.
+        """
+        rows = sorted(self.path_rows, key=len, reverse=True)
+        return tuple(np.array([r[k] for r in rows if len(r) > k], dtype=np.int64)
+                     for k in range(len(rows[0])))
+
+    @cached_property
+    def rows_by_occurrence(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(edges, rows) of the j-th pair in row order of every edge, per j.
+
+        Group j lists each edge on more than j pairs once, with the row of
+        its j-th pair.
+        """
+        groups: list[tuple[list[int], list[int]]] = []
+        seen: dict[int, int] = {}
+        for r, e in enumerate(self.pair_edge_idx.tolist()):
+            j = seen.get(e, 0)
+            seen[e] = j + 1
+            if j == len(groups):
+                groups.append(([], []))
+            groups[j][0].append(e)
+            groups[j][1].append(r)
+        return tuple((np.array(edges, dtype=np.int64), np.array(rows, dtype=np.int64))
+                     for edges, rows in groups)
+
 
 def edge_totals(ps: PathSet, pair_values: np.ndarray) -> np.ndarray:
-    """Sum per-pair rows into one row per edge, adding pairs in row order."""
+    """Sum per-pair rows into one row per edge, adding pairs in row order.
+
+    Each edge's total starts from +0.0 and adds its pairs' rows one at a
+    time in row order, one gather-add per occurrence group, so the result
+    has the bits of adding pair by pair.
+    """
     totals = np.zeros((int(ps.pair_edge_idx.max()) + 1, pair_values.shape[1]))
-    np.add.at(totals, ps.pair_edge_idx, pair_values)
+    for edges, rows in ps.rows_by_occurrence:
+        totals[edges] += pair_values[rows]
     return totals
 
 

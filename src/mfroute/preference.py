@@ -3,10 +3,17 @@
 Path costs are accumulated forward along each path by following the policy:
 the entry time of the next edge is the optimal arrival time of the current
 one, and an agent that stops pays the remaining congestion integral plus the
-distance penalty.  The noisy response splits the throughput across paths by
-a softmax of the negated costs, and the preference trajectory solves the
-proportional-correction dynamics in closed form, so no derivative of the
-response is ever taken.
+distance penalty.  The pairs are evaluated by path position, the k-th pair
+of every path with more than k edges at once, with flat gathers from the
+policy and the congestion integrals; each path still adds its edges' costs
+left to right from +0.0, and a path drops out once its edges run out, so
+the costs have the bits of walking the paths one pair at a time.  The entry
+nodes of position k + 1 are the arrival nodes found at position k.
+
+The noisy response splits the throughput across paths by a softmax of the
+negated costs, and the preference trajectory solves the proportional-
+correction dynamics in closed form, so no derivative of the response is
+ever taken.
 """
 
 from __future__ import annotations
@@ -42,19 +49,6 @@ class PreferenceTrajectory:
     z: np.ndarray = field(repr=False)
 
 
-def entry_table(ps: PathSet, policy: Policy, n_nodes: int) -> np.ndarray:
-    """Vectorized entry nodes for every pair and every path start node."""
-    entry = np.empty((ps.pair_count, n_nodes), dtype=np.int64)
-    start = np.arange(n_nodes)
-    for rows in ps.path_rows:
-        cur = start
-        for r in rows:
-            entry[int(r)] = cur
-            nxt = policy.tau_idx[int(r), np.maximum(cur, 0)]
-            cur = np.where(cur >= 0, nxt, -1)
-    return entry
-
-
 def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
                policy: Policy) -> PathCostTable:
     """Accumulate edge costs along the policy for every path and start node.
@@ -64,31 +58,40 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
     the horizon plus alpha times the shortest remaining distance from its
     tail; edges never reached cost nothing.
     """
-    grid = scen.grid
-    n = grid.steps
-    t = grid.nodes
-    entry = entry_table(ps, policy, n + 1)
-    costs = np.zeros((ps.n_paths, n + 1))
-    for p, rows in enumerate(ps.path_rows):
-        total = np.zeros(n + 1)
-        for r in rows:
-            r = int(r)
-            e = int(ps.pair_edge_idx[r])
-            length = float(net.lengths[e])
-            phi = cong.phi_prefix[e]
-            s = entry[r]
-            s_safe = np.maximum(s, 0)
-            tau = np.where(s >= 0, policy.tau_idx[r, s_safe], -1)
-            tau_safe = np.maximum(tau, 0)
-            moved = (s >= 0) & (tau >= 0)
-            stopped = (s >= 0) & (tau < 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                move_cost = (length * length) / (2.0 * (t[tau_safe] - t[s_safe])) \
-                    + (phi[tau_safe] - phi[s_safe])
-            stop_cost = (scen.alpha * float(net.dist_tail[e])) + (phi[n] - phi[s_safe])
-            contrib = np.where(moved, move_cost, np.where(stopped, stop_cost, 0.0))
-            total = total + contrib
-        costs[p] = total
+    n = scen.grid.steps
+    t = scen.grid.nodes
+    tau_flat = policy.tau_idx.ravel()
+    phi_flat = cong.phi_prefix.ravel()
+    entry = np.empty((ps.pair_count, n + 1), dtype=np.int64)
+    # Accumulators in the longest-first path order of ps.rows_by_position:
+    # the paths still present at a position are a leading block of rows.
+    acc = np.zeros((ps.n_paths, n + 1))
+    s = np.arange(n + 1)[None, :]
+    for rows in ps.rows_by_position:
+        e = ps.pair_edge_idx[rows]
+        row_off = (rows * (n + 1))[:, None]
+        edge_off = (e * (n + 1))[:, None]
+        length = net.lengths[e][:, None]
+        phi_n = cong.phi_prefix[e, n][:, None]
+        s = s[:rows.size]
+        entry[rows] = s
+        entered = s >= 0
+        s_safe = np.maximum(s, 0)
+        tau = np.where(entered, tau_flat[row_off + s_safe], -1)
+        tau_safe = np.maximum(tau, 0)
+        moved = entered & (tau >= 0)
+        stopped = entered & (tau < 0)
+        phi_s = phi_flat[edge_off + s_safe]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            move_cost = (length * length) / (2.0 * (t[tau_safe] - t[s_safe])) \
+                + (phi_flat[edge_off + tau_safe] - phi_s)
+        stop_cost = (scen.alpha * net.dist_tail[e][:, None]) + (phi_n - phi_s)
+        contrib = np.where(moved, move_cost, np.where(stopped, stop_cost, 0.0))
+        acc[:rows.size] += contrib
+        # the next edge is entered at this edge's arrival node
+        s = tau
+    costs = np.empty_like(acc)
+    costs[ps.pair_path_idx[ps.rows_by_position[0]]] = acc
     return PathCostTable(costs=costs, entry_idx=entry)
 
 

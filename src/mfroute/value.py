@@ -14,8 +14,9 @@ runs over blocks of entry nodes and, within a block, only over arrival nodes
 after the block's first entry node, so its temporaries take O(B * N) memory
 for B = BLOCK_CELLS // (N + 1) rows rather than (N + 1)^2.
 
-Last-edge suffixes have a single moving candidate and are computed first,
-over all nodes at once.  The other suffixes are computed block by block,
+Every suffix's row starts as its stay cost, and last-edge suffixes, which
+have a single moving candidate, are finished first, all of them over all
+nodes at once.  The other suffixes are computed block by block,
 from the last block of entry nodes to the first, and within a block by
 suffix depth (edges to the destination) and then edge length.  A suffix at
 entry node i reads its successor at arrival nodes after i: those in later
@@ -156,35 +157,16 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, mass: MassField,
     alpha = scen.alpha
 
     suffixes, pair_suffix = _suffix_map(ps)
-    values = np.empty((len(suffixes), n + 1))
-    tau_idx = np.full((len(suffixes), n + 1), -1, dtype=np.int64)
-    node_ids = np.arange(n + 1)
+    values, tau_idx, tail_cost = _initial_rows(net, suffixes, cong.phi_prefix, t,
+                                               alpha, arrival_floor)
     depth = np.zeros(len(suffixes), dtype=np.int64)
     cont_n = np.empty(len(suffixes))
     interior = []
-    for s, (e, succ) in enumerate(suffixes):
-        length = float(net.lengths[e])
-        phi = cong.phi_prefix[e]
-        tail_cost = alpha * (length if succ < 0 else float(net.dist_tail[e]))
-        stay = tail_cost + (phi[n] - phi)
+    for s, (_, succ) in enumerate(suffixes):
         if succ >= 0:
-            # Rows fill in block by block below; until then they hold the
-            # stay cost, which is already final at node n.
-            values[s] = stay
             depth[s] = depth[succ] + 1
-            cont_n[s] = min(tail_cost, values[succ, n])
+            cont_n[s] = min(float(tail_cost[s]), values[succ, n])
             interior.append(s)
-            continue
-        # Only candidate: arrive exactly at the final node.
-        with np.errstate(divide="ignore"):
-            move = (length * length) / (2.0 * (t[n] - t)) + (phi[n] - phi)
-        feasible = node_ids < n
-        if arrival_floor is not None:
-            feasible = feasible & (arrival_floor[e] <= n)
-        move = np.where(feasible, move, np.inf)
-        move_wins = move <= stay
-        values[s] = np.minimum(stay, move)
-        tau_idx[s] = np.where(move_wins, n, -1)
     # A successor is one edge shallower, so it comes first within a block;
     # equal lengths come together so the kinetic block is built once for them.
     interior.sort(key=lambda s: (depth[s], net.lengths[suffixes[s][0]]))
@@ -206,6 +188,40 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, mass: MassField,
                      pair_lengths[:, None] / (tau_time - t[None, :]), 0.0)
     return ValueTable(values=values), Policy(tau_idx=tau_idx, tau_time=tau_time,
                                              speed=speed)
+
+
+def _initial_rows(net: Network, suffixes: list[tuple[int, int]],
+                  phi_prefix: np.ndarray, t: np.ndarray, alpha: float,
+                  arrival_floor: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value and policy rows before the interior minimization.
+
+    Every row starts as the stay cost, which is already final at node n;
+    last-edge suffixes are final, with their single moving candidate,
+    arriving at the final node.  Returns the values, ``tau_idx`` and each
+    suffix's tail cost (alpha times its length on a last edge, alpha times
+    the distance from its tail otherwise).
+    """
+    n = t.size - 1
+    edges = np.array([e for e, _ in suffixes], dtype=np.int64)
+    is_last = np.array([succ < 0 for _, succ in suffixes])
+    tail_cost = alpha * np.where(is_last, net.lengths[edges], net.dist_tail[edges])
+    phi = phi_prefix[edges]
+    values = tail_cost[:, None] + (phi[:, n:] - phi)
+    tau_idx = np.full(values.shape, -1, dtype=np.int64)
+    last = np.flatnonzero(is_last)
+    phi = phi[last]
+    length = net.lengths[edges[last]][:, None]
+    with np.errstate(divide="ignore"):
+        move = (length * length) / (2.0 * (t[n] - t)) + (phi[:, n:] - phi)
+    feasible = np.arange(n + 1) < n
+    if arrival_floor is not None:
+        feasible = feasible & (arrival_floor[edges[last]] <= n)
+    move = np.where(feasible, move, np.inf)
+    stay = values[last]
+    tau_idx[last] = np.where(move <= stay, n, -1)
+    values[last] = np.minimum(stay, move)
+    return values, tau_idx, tail_cost
 
 
 def _minimize_interior(net: Network, suffixes: list[tuple[int, int]],

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfroute import MassField, scenario_from_dict
+from mfroute import MassField, apply_psi, scenario_from_dict
+from mfroute.flow import FlowField, local_decision
 
 DIAMOND_EDGES = [
     {"id": "e1", "tail": "o", "head": "v1", "length": 1.0, "capacity": 2.0},
@@ -74,8 +75,114 @@ def lattice_dict(k, steps, constrained=None):
     return doc
 
 
+def detour_parallel_dict(steps, constrained=None):
+    """Parallel edges on both routes, and a detour whose head is farther from
+    the destination than its tail.  The paths are (e0), (e1, e2), (e1b, e2)
+    and (e3): the one-edge routes come before and after the longer ones and
+    drop out after the first path position."""
+    edges = [{"id": "e0", "tail": "o", "head": "d", "length": 1.0, "capacity": 2.0},
+             {"id": "e1", "tail": "o", "head": "a", "length": 1.0, "capacity": 2.0},
+             {"id": "e1b", "tail": "o", "head": "a", "length": 0.8, "capacity": 2.0},
+             {"id": "e2", "tail": "a", "head": "d", "length": 3.0, "capacity": 2.0},
+             {"id": "e3", "tail": "o", "head": "d", "length": 1.2, "capacity": 2.0}]
+    doc = diamond_dict(steps=steps, edges=edges, constrained=constrained)
+    doc["network"]["vertices"] = ["o", "a", "d"]
+    return doc
+
+
+# Speed limits whose per-edge flow delays differ on the documents below.
+VARIED_LIMITS = {"enabled": True,
+                 "u": {"default": {"family": "reciprocal", "coeff": 0.4},
+                       "per_edge": {"e1": {"family": "reciprocal", "coeff": 0.15},
+                                    "r00": {"family": "reciprocal", "coeff": 0.15}}}}
+
+# Documents on which the stages evaluated by path position or by edge
+# occurrence are compared with the per-pair reference loops below: paths of
+# unequal length (diamond: 3, 2 and 2 edges; detour: 1, 2, 2 and 1), parallel
+# edges, an edge on three paths (lattice), and per-edge delays.
+STAGE_DOCS = {
+    "diamond": diamond_dict(steps=24),
+    "detour-parallel": detour_parallel_dict(24),
+    "lattice-3x3": lattice_dict(3, steps=24),
+    "diamond-constrained": diamond_dict(steps=24, constrained=VARIED_LIMITS),
+    "lattice-3x3-constrained": lattice_dict(3, steps=24, constrained=VARIED_LIMITS),
+}
+
+
 def build(doc: dict):
     return scenario_from_dict(doc)
+
+
+def stage_inputs(doc: dict, seed: int = 5):
+    """Scenario objects and one map evaluation from a random admissible mass."""
+    net, ps, scen, grid = build(doc)
+    mass = admissible_mass(np.random.default_rng(seed), ps, scen)
+    return net, ps, scen, mass, apply_psi(net, ps, scen, mass)
+
+
+def reference_path_costs(net, ps, scen, cong, policy):
+    """Path costs and entry nodes by the per-pair loops, path after path.
+
+    Returns ``(costs, entry_idx)``; :func:`mfroute.path_costs` must give the
+    same bits.
+    """
+    n = scen.grid.steps
+    t = scen.grid.nodes
+    entry = np.empty((ps.pair_count, n + 1), dtype=np.int64)
+    for rows in ps.path_rows:
+        cur = np.arange(n + 1)
+        for r in rows:
+            entry[int(r)] = cur
+            nxt = policy.tau_idx[int(r), np.maximum(cur, 0)]
+            cur = np.where(cur >= 0, nxt, -1)
+    costs = np.zeros((ps.n_paths, n + 1))
+    for p, rows in enumerate(ps.path_rows):
+        total = np.zeros(n + 1)
+        for r in rows:
+            r = int(r)
+            e = int(ps.pair_edge_idx[r])
+            length = float(net.lengths[e])
+            phi = cong.phi_prefix[e]
+            s = entry[r]
+            s_safe = np.maximum(s, 0)
+            tau = np.where(s >= 0, policy.tau_idx[r, s_safe], -1)
+            tau_safe = np.maximum(tau, 0)
+            moved = (s >= 0) & (tau >= 0)
+            stopped = (s >= 0) & (tau < 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                move_cost = (length * length) / (2.0 * (t[tau_safe] - t[s_safe])) \
+                    + (phi[tau_safe] - phi[s_safe])
+            stop_cost = (scen.alpha * float(net.dist_tail[e])) + (phi[n] - phi[s_safe])
+            contrib = np.where(moved, move_cost, np.where(stopped, stop_cost, 0.0))
+            total = total + contrib
+        costs[p] = total
+    return costs, entry
+
+
+def reference_flows(ps, policy, z, lam, k_idx_edges) -> FlowField:
+    """Delayed flows by the per-pair loop, path after path."""
+    n_nodes = lam.shape[0]
+    g = local_decision(ps, z)
+    moving = policy.tau_idx >= 0
+    f = np.zeros((ps.pair_count, n_nodes))
+    for rows in ps.path_rows:
+        for pos, r in enumerate(rows):
+            r = int(r)
+            ke = int(k_idx_edges[ps.pair_edge_idx[r]])
+            m = n_nodes - ke
+            gate = moving[r, :m].astype(float)
+            if pos == 0:
+                f[r, ke:] = (lam[:m] * g[r, :m]) * gate
+            else:
+                f[r, ke:] = f[r - 1, :m] * gate
+    return FlowField(values=f)
+
+
+def reference_edge_totals(ps, pair_values):
+    """Per-edge sums by unbuffered in-place addition of every pair in row order."""
+    totals = np.zeros((int(ps.pair_edge_idx.max()) + 1, pair_values.shape[1]))
+    np.add.at(totals, ps.pair_edge_idx, pair_values)
+    return totals
 
 
 def zero_mass(ps, grid) -> MassField:

@@ -13,7 +13,8 @@ from mfroute import (DegenerateSimplex, FlowField, MassBoundExceeded, MassField,
 from mfroute.flow import injection_terms
 from mfroute.oracle import audit_conservation
 
-from conftest import admissible_mass, build, diamond_dict, lattice_dict, zero_mass
+from conftest import (STAGE_DOCS, admissible_mass, build, diamond_dict, lattice_dict,
+                      reference_flows, stage_inputs, zero_mass)
 
 
 def all_moving_policy(ps, n_nodes):
@@ -57,6 +58,19 @@ def test_local_decision_degenerate(diamond):
     net, ps, scen, grid = diamond
     with pytest.raises(DegenerateSimplex):
         local_decision(ps, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
+def test_flows_match_per_pair_reference(doc):
+    net, ps, scen, mass, psi = stage_inputs(doc)
+    flows = compute_flows(net, ps, psi.policy, psi.preference.z, scen.lam,
+                          psi.k_idx_edges)
+    ref = reference_flows(ps, psi.policy, psi.preference.z, scen.lam, psi.k_idx_edges)
+    assert flows.values.tobytes() == ref.values.tobytes()
+    if scen.constrained.enabled:
+        # pairs at one path position with different delays
+        delays = psi.k_idx_edges[ps.pair_edge_idx]
+        assert any(np.unique(delays[rows]).size > 1 for rows in ps.rows_by_position)
 
 
 def test_flows_zero_before_delay(diamond):

@@ -7,8 +7,10 @@ import pytest
 
 from mfroute import (BadEdge, CycleDetected, EdgeNotOnPath, TooManyPaths,
                      Unreachable, build_network, enumerate_paths)
+from mfroute.network import edge_totals
 
-from conftest import DIAMOND_EDGES
+from conftest import (DIAMOND_EDGES, STAGE_DOCS, build, lattice_dict,
+                      reference_edge_totals, stage_inputs)
 
 VERTS = ["o", "v1", "v2", "d"]
 
@@ -177,3 +179,41 @@ def test_pairs_are_path_major():
             path = ps.paths[ps.pair_path_idx[r]]
             pos = path.index(net.edges[ps.pair_edge_idx[r]].id)
             assert path[pos - 1] == net.edges[ps.pair_edge_idx[r - 1]].id
+
+
+def test_path_groupings_are_derived_on_first_use():
+    ps = enumerate_paths(diamond_net())
+    assert "rows_by_position" not in vars(ps)
+    assert "rows_by_occurrence" not in vars(ps)
+    # longest path first; the two-edge paths keep their order
+    assert [rows.tolist() for rows in ps.rows_by_position] == [[0, 3, 5], [1, 4, 6], [2]]
+    # e1 and e5 (indices 0 and 4) occur twice, in rows 0, 3 and 2, 6
+    assert [(edges.tolist(), rows.tolist()) for edges, rows in ps.rows_by_occurrence] == [
+        ([0, 2, 4, 3, 1], [0, 1, 2, 4, 5]), ([0, 4], [3, 6])]
+
+
+@pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
+def test_edge_totals_match_per_pair_reference(doc):
+    net, ps, scen, mass, psi = stage_inputs(doc)
+    for values in (mass.values, psi.mass.values):
+        assert edge_totals(ps, values).tobytes() == reference_edge_totals(ps, values).tobytes()
+
+
+def test_edge_totals_add_pairs_in_row_order():
+    net, ps, scen, grid = build(lattice_dict(3, steps=2))
+    e = net.edge_index["r00"]
+    rows = np.flatnonzero(ps.pair_edge_idx == e)
+    assert rows.size == 3
+    values = np.zeros((ps.pair_count, 3))
+    # in row order each column sums to +0.0; adding its first and last
+    # entries first, or starting from its first entry, does not
+    values[rows, 0] = [1e16, 1.0, -1e16]
+    values[rows, 1] = [1.0, 1e16, -1e16]
+    values[rows, 2] = -0.0
+    totals = edge_totals(ps, values)
+    assert totals.tobytes() == reference_edge_totals(ps, values).tobytes()
+    assert totals[e].tolist() == [0.0, 0.0, 0.0]
+    assert not np.signbit(totals[e]).any()
+    # what adding in another order, or from the first entry, would give
+    assert (1e16 + -1e16) + 1.0 == 1.0
+    assert np.signbit(-0.0 + -0.0)

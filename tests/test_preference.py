@@ -10,9 +10,9 @@ import pytest
 from mfroute import (SimplexViolation, apply_psi, congestion_total,
                      logit_response, path_costs, preference_evolution,
                      value_backward)
-from mfroute.preference import entry_table
 
-from conftest import admissible_mass, build, diamond_dict, zero_mass
+from conftest import (STAGE_DOCS, build, diamond_dict, reference_path_costs,
+                      stage_inputs, zero_mass)
 
 
 def scalar_entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
@@ -28,9 +28,14 @@ def scalar_entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
     return entries
 
 
-def table_entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
+def entry_table(net, ps, scen, cong, policy):
+    """Entry nodes of every pair and start node, as the pipeline computes them."""
+    return path_costs(net, ps, scen, cong, policy).entry_idx
+
+
+def table_entry_times(net, ps, scen, cong, policy, path_idx: int, node: int) -> list[int]:
     """The same entries read from the pipeline's vectorized table."""
-    full = entry_table(ps, policy, policy.tau_idx.shape[1])
+    full = entry_table(net, ps, scen, cong, policy)
     return [int(full[int(r), node]) for r in ps.path_rows[path_idx]]
 
 
@@ -46,7 +51,7 @@ def diamond_policy(diamond):
 def test_entry_times_follow_policy(diamond_policy):
     net, ps, scen, grid, cong, table, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
-    entries = table_entry_times(ps, policy, p, 0)
+    entries = table_entry_times(net, ps, scen, cong, policy, p, 0)
     assert entries[0] == 0
     assert entries[1] == policy.tau_idx[ps.row("e1", p), 0]
 
@@ -55,7 +60,7 @@ def test_entry_times_propagate_stop(diamond_policy):
     net, ps, scen, grid, cong, table, policy = diamond_policy
     p = ps.paths.index(("e1", "e3", "e5"))
     # near the horizon the whole path stays put
-    entries = table_entry_times(ps, policy, p, grid.steps)
+    entries = table_entry_times(net, ps, scen, cong, policy, p, grid.steps)
     assert entries == [grid.steps, -1, -1]
 
 
@@ -64,12 +69,12 @@ def test_entry_table_matches_scalar_queries(diamond_policy):
     for p in range(ps.n_paths):
         for i in (0, grid.steps // 2, grid.steps):
             expected = scalar_entry_times(ps, policy, p, i)
-            assert table_entry_times(ps, policy, p, i) == expected
+            assert table_entry_times(net, ps, scen, cong, policy, p, i) == expected
 
 
 def test_entry_times_strictly_increase_while_finite(diamond_policy):
     net, ps, scen, grid, cong, table, policy = diamond_policy
-    full = entry_table(ps, policy, grid.steps + 1)
+    full = entry_table(net, ps, scen, cong, policy)
     for p, rows in enumerate(ps.path_rows):
         for i in range(grid.steps + 1):
             seq = [int(full[int(r), i]) for r in rows]
@@ -88,8 +93,19 @@ def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
     # find a start whose arrival is exactly the final node
     hits = np.flatnonzero(policy.tau_idx[r] == grid.steps)
     if hits.size:
-        entries = table_entry_times(ps, policy, p, int(hits[0]))
+        entries = table_entry_times(net, ps, scen, cong, policy, p, int(hits[0]))
         assert entries[1] == grid.steps
+
+
+@pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
+def test_path_costs_match_per_pair_reference(doc):
+    net, ps, scen, mass, psi = stage_inputs(doc)
+    table = path_costs(net, ps, scen, psi.congestion, psi.policy)
+    costs, entry = reference_path_costs(net, ps, scen, psi.congestion, psi.policy)
+    assert table.costs.tobytes() == costs.tobytes()
+    assert table.entry_idx.tobytes() == entry.tobytes()
+    # agents stop on some edges, so later edges are never entered
+    assert np.any(entry < 0)
 
 
 def test_single_edge_path_cost_is_kinetic_term():
