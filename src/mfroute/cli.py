@@ -94,8 +94,9 @@ def _export_stages(out: Path, grid: TimeGrid, ps: PathSet, psi: PsiResult,
                list(psi.flows.values))
     _write_csv(out / "values.csv", grid, _pair_columns(ps, "V"),
                list(psi.value.values))
-    _write_csv(out / "policy.csv", grid, _pair_columns(ps, "tau"),
-               list(psi.policy.tau_time))
+    tau_idx = psi.policy.tau_idx  # exported as arrival times, inf for staying
+    tau_time = np.where(tau_idx >= 0, grid.nodes[np.maximum(tau_idx, 0)], np.inf)
+    _write_csv(out / "policy.csv", grid, _pair_columns(ps, "tau"), list(tau_time))
     _write_csv(out / "preferences.csv", grid,
                _path_columns(ps, "z") + _path_columns(ps, "F_beta"),
                list(psi.preference.z) + list(psi.preference.response))
@@ -170,8 +171,9 @@ def _run(args, command: str, body) -> int:
 
     ``body(args, out, net, ps, scen, grid)`` writes the stage files and
     returns the exit status, the report document and a one-line summary.
-    The frame writes ``report.json`` and ``manifest.json``; on a package
-    error it writes only ``manifest.json``, with the error and no parameters.
+    The frame writes ``manifest.json`` and ``report.json``, which echoes the
+    same manifest; on a package error it writes only ``manifest.json``, with
+    the error and no parameters.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,9 +190,7 @@ def _run(args, command: str, body) -> int:
     doc["manifest"] = _manifest(command, args.scenario, net, scen,
                                 time.monotonic() - start, code)
     _write_json_file(out / "report.json", doc)
-    _write_json_file(out / "manifest.json",
-                     _manifest(command, args.scenario, net, scen,
-                               time.monotonic() - start, code))
+    _write_json_file(out / "manifest.json", doc["manifest"])
     print(summary)
     return code
 
@@ -267,9 +267,8 @@ def cmd_oracle(args) -> int:
     for label in ("empty mass field", "one pipeline iterate"):
         psi = apply_psi(net, ps, scen, mass)
         floor = psi.arrival.floor_idx if psi.arrival is not None else None
-        mismatches = check_value_tables(net, ps, scen, mass, psi.value, psi.policy,
-                                        congestion=psi.congestion,
-                                        arrival_floor=floor)
+        mismatches = check_value_tables(net, ps, scen, psi.congestion, psi.value,
+                                        psi.policy, floor)
         if mismatches:
             ok = False
             for m in mismatches:

@@ -94,15 +94,14 @@ def build_speed_limits(net: Network, scen: Scenario) -> tuple[SpeedLimit, ...]:
 class ArrivalConstraint:
     """Minimal arrival times per edge under the current mass field.
 
-    ``tau[e, i]`` is the earliest head-arrival time for an entry at node i
-    (values beyond the horizon mean the edge cannot be finished in time and
-    the moving branch is infeasible); ``floor_idx`` is the same information
-    as the earliest admissible arrival node.  ``tau_bar`` is the mean
-    constrained traverse time and ``k_idx`` the per-edge flow delay in grid
-    steps after combining it with the a-priori constant.
+    ``floor_idx[e, i]`` is the earliest admissible arrival node for an entry
+    at node i, the first node not before the earliest head-arrival time
+    (values past the last node mean the edge cannot be finished in time and
+    the moving branch is infeasible).  ``tau_bar`` is the mean constrained
+    traverse time and ``k_idx`` the per-edge flow delay in grid steps after
+    combining it with the a-priori constant.
     """
 
-    tau: np.ndarray = field(repr=False)        # (n_edges, nodes)
     floor_idx: np.ndarray = field(repr=False)  # (n_edges, nodes), int
     tau_bar: np.ndarray = field(repr=False)    # (n_edges,)
     ktilde: np.ndarray = field(repr=False)     # (n_edges,)
@@ -168,5 +167,5 @@ def arrival_tables(net: Network, scen: Scenario, cong: EdgeCongestion,
     # value landing on a node up to rounding does not get pushed one step out.
     floor_idx = np.ceil(tau / grid.dt - 1e-9).astype(np.int64)
     tau_bar, ktilde, k_idx = mean_traverse_and_ktilde(tau, scen)
-    return ArrivalConstraint(tau=tau, floor_idx=floor_idx, tau_bar=tau_bar,
-                             ktilde=ktilde, k_idx=k_idx)
+    return ArrivalConstraint(floor_idx=floor_idx, tau_bar=tau_bar, ktilde=ktilde,
+                             k_idx=k_idx)

@@ -18,6 +18,9 @@ from .network import Network, PathSet, edge_totals
 from .scenario import Scenario
 from .value import MassField
 
+# Absolute slack on the mass and difference-quotient bounds of X membership.
+MEMBERSHIP_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class XMembership:
@@ -56,9 +59,8 @@ def residual(mass_a: MassField, mass_b: MassField) -> float:
     return float(np.max(np.abs(b - a)))
 
 
-def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet,
-                        slack: float = 1e-9) -> XMembership:
-    """Check the mass bound and the difference-quotient bound of a trajectory."""
+def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet) -> XMembership:
+    """Check a trajectory's mass and difference-quotient bounds, up to the slack."""
     values = mass.values
     totals = edge_totals(ps, values)
     max_total = float(totals.max()) if totals.size else 0.0
@@ -68,9 +70,9 @@ def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet,
         quotient = 0.0
     bound = scen.lipschitz_bound
     return XMembership(max_total_edge_mass=max_total, rho_max=scen.rho_max,
-                       mass_ok=max_total <= scen.rho_max + slack,
+                       mass_ok=max_total <= scen.rho_max + MEMBERSHIP_SLACK,
                        max_diff_quotient=quotient, lipschitz_bound=bound,
-                       lipschitz_ok=quotient <= bound + slack)
+                       lipschitz_ok=quotient <= bound + MEMBERSHIP_SLACK)
 
 
 def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
@@ -81,7 +83,8 @@ def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
     sup-norm residual between a mass field and its image drops to the
     tolerance, and the reported equilibrium is that pre-image together with
     every stage of its map evaluation.  Non-convergence is an outcome, not
-    an error: the report carries the full residual history either way.
+    an error: the report carries the full residual history either way, and
+    its mass is then the last evaluated pre-image.
     """
     gamma = scen.solver.gamma
     tol = scen.tol
@@ -97,6 +100,10 @@ def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
     converged = False
     psi = None
     for _ in range(max_iter):
+        # damped only when another evaluation follows: mass and psi stay a pair
+        if psi is not None:
+            current = MassField(values=(1.0 - gamma) * current.values
+                                + gamma * psi.mass.values)
         psi = apply_psi(net, ps, scen, current)
         r = residual(current, psi.mass)
         if residuals and r > residuals[-1]:
@@ -105,8 +112,6 @@ def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
         if r <= tol:
             converged = True
             break
-        current = MassField(values=(1.0 - gamma) * current.values
-                            + gamma * psi.mass.values)
     membership = verify_X_membership(current, scen, ps)
     return EquilibriumReport(mass=current, psi=psi, residuals=residuals,
                              iterations=len(residuals), converged=converged,

@@ -14,7 +14,8 @@ the same additions as stepping node by node, so it gives the same bits.
 The integrator keeps the discrete balance auditable: per-step injections are
 normalized so that their running sum telescopes to dt * throughput exactly,
 and the moved-mass terms are computed once per pair so that every unit that
-leaves a row is bit-identical to the unit entering its successor row.
+leaves a row is bit-identical to the unit entering its successor row.  The
+terms are not kept: :func:`mfroute.oracle.audit_conservation` re-derives them.
 """
 
 from __future__ import annotations
@@ -40,19 +41,14 @@ class FlowField:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Euler-integrated mass plus the exact per-step increment terms.
+    """Euler-integrated mass and the sum, maximum and count of clipped amounts.
 
-    ``injections[p, i]`` is the mass entering path p's first edge during step
-    i and ``moved[r, i]`` the mass leaving pair r; the pre-clip update is
-    rho[r, i+1] = rho[r, i] + (plus[r, i] - moved[r, i]) with plus the row's
-    injection or its predecessor's moved term.  Injections are computed so
-    that their per-step sum (ascending path order) equals dt * throughput
-    exactly, which is what makes the conservation audit exact.
+    The pre-clip update is rho[r, i+1] = rho[r, i] + (plus[r, i] - moved[r, i])
+    with ``moved = dt * flows`` and plus the row's :func:`injection_terms`
+    share or its predecessor's moved term.
     """
 
     mass: MassField
-    injections: np.ndarray = field(repr=False)  # (n_paths, steps)
-    moved: np.ndarray = field(repr=False)       # (pairs, steps)
     clip_total: float = 0.0
     clip_max: float = 0.0
     clip_count: int = 0
@@ -60,7 +56,8 @@ class IntegrationResult:
 
 @dataclass(frozen=True)
 class PsiResult:
-    """One full evaluation of the mass-to-mass map with all stage outputs."""
+    """One evaluation of the mass-to-mass map: its image and the stage outputs
+    that the solver, the export and the conservation audit read."""
 
     mass: MassField
     congestion: EdgeCongestion
@@ -68,9 +65,9 @@ class PsiResult:
     policy: Policy
     costs: PathCostTable
     preference: PreferenceTrajectory
-    flows: FlowField = None
-    integration: IntegrationResult = None
-    k_idx_edges: np.ndarray = field(repr=False, default=None)
+    flows: FlowField
+    integration: IntegrationResult
+    k_idx_edges: np.ndarray = field(repr=False)
     arrival: object = None  # ArrivalConstraint in constrained mode
 
 
@@ -90,8 +87,8 @@ def local_decision(ps: PathSet, z: np.ndarray) -> np.ndarray:
     return g
 
 
-def compute_flows(net: Network, ps: PathSet, policy: Policy, z: np.ndarray,
-                  lam: np.ndarray, k_idx_edges: np.ndarray) -> FlowField:
+def compute_flows(ps: PathSet, policy: Policy, z: np.ndarray, lam: np.ndarray,
+                  k_idx_edges: np.ndarray) -> FlowField:
     """Delayed outgoing flows, evaluated by path position.
 
     A first edge replays the origin inflow from ``k`` steps earlier; any
@@ -189,6 +186,7 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: FlowField, z: np.ndarray,
     # In place: plus is not read again, and the mass check at the end of
     # this stage is where a solve's memory peaks.
     delta = np.subtract(plus, mov, out=plus)
+    del inj, mov
 
     # Left-to-right cumsum performs the stepwise recurrence's additions.
     mass = np.empty((ps.pair_count, n + 1))
@@ -230,9 +228,8 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: FlowField, z: np.ndarray,
         clip_max = max(clip_max, float(clipped.max()))
         clip_count += len(clips[i])
     _check_mass_bound(ps, scen, mass)
-    return IntegrationResult(mass=MassField(values=mass), injections=inj, moved=mov,
-                             clip_total=clip_total, clip_max=clip_max,
-                             clip_count=clip_count)
+    return IntegrationResult(mass=MassField(values=mass), clip_total=clip_total,
+                             clip_max=clip_max, clip_count=clip_count)
 
 
 def _needs_fix(values: np.ndarray) -> np.ndarray:
@@ -256,14 +253,13 @@ def apply_psi(net: Network, ps: PathSet, scen: Scenario, mass: MassField) -> Psi
 
         limits = build_speed_limits(net, scen)
         arrival = arrival_tables(net, scen, cong, limits)
-        table, policy = value_backward(net, ps, scen, mass, congestion=cong,
-                                       arrival_floor=arrival.floor_idx)
+        table, policy = value_backward(net, ps, scen, cong, arrival.floor_idx)
         k_idx_edges = arrival.k_idx
     else:
-        table, policy = value_backward(net, ps, scen, mass, congestion=cong)
+        table, policy = value_backward(net, ps, scen, cong)
         k_idx_edges = np.full(len(net.edges), scen.k_idx, dtype=np.int64)
     costs, pref = build_preferences(net, ps, scen, cong, policy)
-    flows = compute_flows(net, ps, policy, pref.z, scen.lam, k_idx_edges)
+    flows = compute_flows(ps, policy, pref.z, scen.lam, k_idx_edges)
     integ = integrate_mass(ps, scen, flows, pref.z, scen.lam, scen.rho0)
     return PsiResult(mass=integ.mass, congestion=cong, value=table, policy=policy,
                      costs=costs, preference=pref, flows=flows,

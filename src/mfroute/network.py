@@ -89,8 +89,8 @@ class PathSet:
             for pos, _ in enumerate(path)
         ]
 
-    # The two groupings below depend on the paths only.  They are derived
-    # on first use, by the first map evaluation, not by enumerate_paths, so
+    # The groupings below depend on the paths only.  They are derived on
+    # first use, by the first map evaluation, not by enumerate_paths, so
     # loading a scenario does not pay for them.
 
     @cached_property
@@ -122,6 +122,25 @@ class PathSet:
             groups[j][1].append(r)
         return tuple((np.array(edges, dtype=np.int64), np.array(rows, dtype=np.int64))
                      for edges, rows in groups)
+
+    @cached_property
+    def suffix_table(self) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+        """Distinct path suffixes in dependency order, and each pair's suffix.
+
+        A suffix is its first edge plus the suffix that follows it (-1 after
+        the last edge), so it is listed after its successor.  Returns the
+        (edge index, successor suffix) tuple and the suffix index of every
+        pair.
+        """
+        index: dict[tuple[int, int], int] = {}
+        pair_suffix = np.empty(self.pair_count, dtype=np.intp)
+        for rows in self.path_rows:
+            succ = -1
+            for r in rows[::-1]:
+                key = (int(self.pair_edge_idx[r]), succ)
+                succ = index.setdefault(key, len(index))
+                pair_suffix[r] = succ
+        return tuple(index), pair_suffix
 
 
 def edge_totals(ps: PathSet, pair_values: np.ndarray) -> np.ndarray:

@@ -24,7 +24,10 @@ import numpy as np
 from .flow import PsiResult
 from .network import Network, PathSet
 from .scenario import Scenario
-from .value import EdgeCongestion, MassField, Policy, ValueTable, congestion_total
+from .value import EdgeCongestion, Policy, ValueTable
+
+# check_value_tables stops after this many mismatches.
+MAX_REPORTED_MISMATCHES = 10
 
 
 @dataclass(frozen=True)
@@ -135,16 +138,14 @@ class ValueMismatch:
     expected: float
 
 
-def check_value_tables(net: Network, ps: PathSet, scen: Scenario, mass: MassField,
+def check_value_tables(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
                        table: ValueTable, policy: Policy,
-                       congestion: EdgeCongestion | None = None,
-                       arrival_floor: np.ndarray | None = None,
-                       max_report: int = 10) -> list[ValueMismatch]:
+                       arrival_floor: np.ndarray | None = None) -> list[ValueMismatch]:
     """Compare value tables and policies against the exhaustive enumeration.
 
-    Any deviation at all is a defect: the comparison is exact equality.
+    ``cong`` and ``arrival_floor`` are the tables' inputs.  Any deviation at
+    all is a defect: the comparison is exact equality.
     """
-    cong = congestion if congestion is not None else congestion_total(net, ps, scen, mass)
     mismatches: list[ValueMismatch] = []
     for p in range(ps.n_paths):
         ctx = _context(net, ps, scen, cong, p, arrival_floor)
@@ -156,7 +157,7 @@ def check_value_tables(net: Network, ps: PathSet, scen: Scenario, mass: MassFiel
                 if got != expected:
                     mismatches.append(ValueMismatch(p, edge_id, i, "value",
                                                     got, expected))
-                    if len(mismatches) >= max_report:
+                    if len(mismatches) >= MAX_REPORTED_MISMATCHES:
                         return mismatches
                 tau_expected = oracle_policy(ctx, pos, i)
                 tau_got = int(policy.tau_idx[r, i])
@@ -164,7 +165,7 @@ def check_value_tables(net: Network, ps: PathSet, scen: Scenario, mass: MassFiel
                     mismatches.append(ValueMismatch(p, edge_id, i, "policy",
                                                     float(tau_got),
                                                     float(tau_expected)))
-                    if len(mismatches) >= max_report:
+                    if len(mismatches) >= MAX_REPORTED_MISMATCHES:
                         return mismatches
     return mismatches
 

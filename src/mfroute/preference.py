@@ -1,4 +1,4 @@
-"""Path entry times, path costs, the logit response, and preference dynamics.
+"""Path costs along the policy, the logit response, and preference dynamics.
 
 Path costs are accumulated forward along each path by following the policy:
 the entry time of the next edge is the optimal arrival time of the current
@@ -27,18 +27,15 @@ from .network import Network, PathSet
 from .scenario import Scenario
 from .value import EdgeCongestion, Policy
 
+# Largest relative gap between sum(z0) and the initial throughput.
+Z0_SUM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PathCostTable:
-    """Cost per path and start node, plus per-pair entry nodes.
+    """Cost per path and start node of following the policy along the path."""
 
-    ``entry_idx[r, i]`` is the grid node at which an agent that started the
-    row's path at node ``i`` enters the row's edge; -1 once the agent has
-    stopped on an earlier edge and never arrives.
-    """
-
-    costs: np.ndarray = field(repr=False)      # (n_paths, nodes)
-    entry_idx: np.ndarray = field(repr=False)  # (pairs, nodes), int
+    costs: np.ndarray = field(repr=False)  # (n_paths, nodes)
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,6 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
     t = scen.grid.nodes
     tau_flat = policy.tau_idx.ravel()
     phi_flat = cong.phi_prefix.ravel()
-    entry = np.empty((ps.pair_count, n + 1), dtype=np.int64)
     # Accumulators in the longest-first path order of ps.rows_by_position:
     # the paths still present at a position are a leading block of rows.
     acc = np.zeros((ps.n_paths, n + 1))
@@ -74,7 +70,6 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
         length = net.lengths[e][:, None]
         phi_n = cong.phi_prefix[e, n][:, None]
         s = s[:rows.size]
-        entry[rows] = s
         entered = s >= 0
         s_safe = np.maximum(s, 0)
         tau = np.where(entered, tau_flat[row_off + s_safe], -1)
@@ -92,7 +87,7 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
         s = tau
     costs = np.empty_like(acc)
     costs[ps.pair_path_idx[ps.rows_by_position[0]]] = acc
-    return PathCostTable(costs=costs, entry_idx=entry)
+    return PathCostTable(costs=costs)
 
 
 def logit_response(costs: np.ndarray, lam: np.ndarray, beta: float) -> np.ndarray:
@@ -109,18 +104,18 @@ def logit_response(costs: np.ndarray, lam: np.ndarray, beta: float) -> np.ndarra
 
 
 def preference_evolution(response: np.ndarray, z0: np.ndarray, eta: float,
-                         nodes: np.ndarray, lam0: float,
-                         tol: float = 1e-9) -> np.ndarray:
+                         nodes: np.ndarray, lam0: float) -> np.ndarray:
     """Closed-form preference trajectory for the correction dynamics.
 
     The offset from the response decays exponentially at rate ``eta``:
     z(t) = F(t) + (z0 - F(0)) * exp(-eta t).  Offsets sum to zero whenever
     z0 sums to the initial throughput, so the trajectory stays on the
-    moving simplex.  Raises :class:`SimplexViolation` when it does not.
+    moving simplex.  Raises :class:`SimplexViolation` when it does not, up to
+    ``Z0_SUM_TOL`` relative to the throughput (absolute below 1).
     """
     z0 = np.asarray(z0, dtype=float)
     total = float(z0.sum())
-    if abs(total - lam0) > tol * max(1.0, abs(lam0)):
+    if abs(total - lam0) > Z0_SUM_TOL * max(1.0, abs(lam0)):
         raise SimplexViolation(
             f"z0 sums to {total!r}, expected initial throughput {lam0!r}")
     offset = z0 - response[:, 0]

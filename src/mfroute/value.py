@@ -1,8 +1,8 @@
 """Backward value functions and the constant-speed traversal policy.
 
 Given a mass field, each (edge, path) pair gets a value table over the grid
-and a policy: the optimal head-arrival node tau (or "stay put") and the
-constant traversal speed length / (tau - t).  A pair's table depends only on
+and a policy: the optimal head-arrival node tau (or "stay put"), which fixes
+the constant traversal speed length / (tau - t).  A pair's table depends only on
 the path suffix that starts at its edge, so each distinct suffix is computed
 once, after the suffix that follows it, and its rows are copied to every
 pair that shares it.
@@ -95,14 +95,13 @@ class ValueTable:
 class Policy:
     """Optimal constant-speed controls extracted from the value tables.
 
-    ``tau_idx`` holds the arrival grid index, with -1 meaning the agent stays
-    at the edge tail for the rest of the horizon; ``tau_time`` mirrors it with
-    +inf for staying, and ``speed`` is length / (tau - t), 0 when staying.
+    ``tau_idx[r, i]`` is the grid node at which an agent entering pair r's
+    edge at node i arrives at its head, or -1 when it stays at the edge tail
+    for the rest of the horizon.  Its speed is the edge length over the
+    travel time, and 0 when it stays.
     """
 
     tau_idx: np.ndarray = field(repr=False)
-    tau_time: np.ndarray = field(repr=False)
-    speed: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,7 @@ class EdgeCongestion:
     """Total mass per edge plus the congestion-cost prefix integrals."""
 
     totals: np.ndarray      # (n_edges, nodes)
-    phi_values: np.ndarray  # phi_e(totals)
-    phi_prefix: np.ndarray  # cumulative integral of phi_values
+    phi_prefix: np.ndarray  # cumulative integral of phi_e(totals)
 
 
 def congestion_total(net: Network, ps: PathSet, scen: Scenario,
@@ -126,16 +124,16 @@ def congestion_total(net: Network, ps: PathSet, scen: Scenario,
     phi_values = np.empty_like(totals)
     for e, cost in enumerate(scen.phi):
         phi_values[e] = cost(totals[e])
-    phi_prefix = prefix_integral(phi_values, scen.grid)
-    return EdgeCongestion(totals=totals, phi_values=phi_values, phi_prefix=phi_prefix)
+    return EdgeCongestion(totals=totals,
+                          phi_prefix=prefix_integral(phi_values, scen.grid))
 
 
-def value_backward(net: Network, ps: PathSet, scen: Scenario, mass: MassField,
-                   *, congestion: EdgeCongestion | None = None,
+def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
                    arrival_floor: np.ndarray | None = None
                    ) -> tuple[ValueTable, Policy]:
-    """Compute value tables and the arrival-time policy for a given mass field.
+    """Compute value tables and the arrival-time policy under given congestion.
 
+    ``cong`` is the mass field's congestion, from :func:`congestion_total`.
     ``arrival_floor``, when given, is an integer (n_edges, nodes) table of the
     earliest admissible arrival index per edge and entry node (values past the
     last node mark the moving branch as infeasible).  Without it every node
@@ -152,11 +150,10 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, mass: MassField,
     grid = scen.grid
     n = grid.steps
     t = grid.nodes
-    cong = congestion if congestion is not None else congestion_total(net, ps, scen, mass)
     eps_tie = scen.solver.eps_tie
     alpha = scen.alpha
 
-    suffixes, pair_suffix = _suffix_map(ps)
+    suffixes, pair_suffix = ps.suffix_table
     values, tau_idx, tail_cost = _initial_rows(net, suffixes, cong.phi_prefix, t,
                                                alpha, arrival_floor)
     depth = np.zeros(len(suffixes), dtype=np.int64)
@@ -180,17 +177,11 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, mass: MassField,
     finally:
         np.setbufsize(bufsize)
 
-    values = values[pair_suffix]
-    tau_idx = tau_idx[pair_suffix]
-    tau_time = np.where(tau_idx >= 0, t[np.maximum(tau_idx, 0)], np.inf)
-    pair_lengths = net.lengths[ps.pair_edge_idx]
-    speed = np.where(tau_idx >= 0,
-                     pair_lengths[:, None] / (tau_time - t[None, :]), 0.0)
-    return ValueTable(values=values), Policy(tau_idx=tau_idx, tau_time=tau_time,
-                                             speed=speed)
+    return (ValueTable(values=values[pair_suffix]),
+            Policy(tau_idx=tau_idx[pair_suffix]))
 
 
-def _initial_rows(net: Network, suffixes: list[tuple[int, int]],
+def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],
                   phi_prefix: np.ndarray, t: np.ndarray, alpha: float,
                   arrival_floor: np.ndarray | None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,7 +215,7 @@ def _initial_rows(net: Network, suffixes: list[tuple[int, int]],
     return values, tau_idx, tail_cost
 
 
-def _minimize_interior(net: Network, suffixes: list[tuple[int, int]],
+def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
                        interior: list[int], phi_prefix: np.ndarray, t: np.ndarray,
                        values: np.ndarray, tau_idx: np.ndarray, cont_n: np.ndarray,
                        arrival_floor: np.ndarray | None, eps_tie: float) -> None:
@@ -293,20 +284,3 @@ def _minimize_interior(net: Network, suffixes: list[tuple[int, int]],
             tau_idx[s, i0:i1] = np.where(best <= stay, latest, -1)
             np.minimum(stay, best, out=stay)
 
-
-def _suffix_map(ps: PathSet) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Distinct path suffixes in dependency order, and each pair's suffix.
-
-    A suffix is its first edge plus the suffix that follows it (-1 after the
-    last edge), so it is listed after its successor.  Returns the
-    (edge index, successor suffix) list and the suffix index of every pair.
-    """
-    index: dict[tuple[int, int], int] = {}
-    pair_suffix = np.empty(ps.pair_count, dtype=np.intp)
-    for rows in ps.path_rows:
-        succ = -1
-        for r in rows[::-1]:
-            key = (int(ps.pair_edge_idx[r]), succ)
-            succ = index.setdefault(key, len(index))
-            pair_suffix[r] = succ
-    return list(index), pair_suffix

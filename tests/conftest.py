@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfroute import MassField, apply_psi, scenario_from_dict
+from mfroute import (MassField, apply_psi, congestion_total, scenario_from_dict,
+                     value_backward)
 from mfroute.flow import FlowField, local_decision
 
 DIAMOND_EDGES = [
@@ -123,8 +124,10 @@ def stage_inputs(doc: dict, seed: int = 5):
 def reference_path_costs(net, ps, scen, cong, policy):
     """Path costs and entry nodes by the per-pair loops, path after path.
 
-    Returns ``(costs, entry_idx)``; :func:`mfroute.path_costs` must give the
-    same bits.
+    Returns ``(costs, entry)``: :func:`mfroute.path_costs` must give the same
+    bits as ``costs``, and ``entry[r, i]`` is the node at which an agent that
+    started row r's path at node i enters row r's edge, -1 once it stopped
+    on an earlier edge.
     """
     n = scen.grid.steps
     t = scen.grid.nodes
@@ -183,6 +186,27 @@ def reference_edge_totals(ps, pair_values):
     totals = np.zeros((int(ps.pair_edge_idx.max()) + 1, pair_values.shape[1]))
     np.add.at(totals, ps.pair_edge_idx, pair_values)
     return totals
+
+
+def value_stage(net, ps, scen, mass, arrival_floor=None):
+    """A mass field's congestion, and the value tables and policy under it."""
+    cong = congestion_total(net, ps, scen, mass)
+    table, policy = value_backward(net, ps, scen, cong, arrival_floor)
+    return cong, table, policy
+
+
+def arrival_times(grid, policy):
+    """Arrival time per pair and entry node, +inf where the policy stays."""
+    tau = policy.tau_idx
+    return np.where(tau >= 0, grid.nodes[np.maximum(tau, 0)], np.inf)
+
+
+def speeds(net, ps, grid, policy):
+    """Constant traversal speed per pair and entry node, 0 where the policy
+    stays: the edge length over the travel time."""
+    lengths = net.lengths[ps.pair_edge_idx][:, None]
+    return np.where(policy.tau_idx >= 0,
+                    lengths / (arrival_times(grid, policy) - grid.nodes[None, :]), 0.0)
 
 
 def zero_mass(ps, grid) -> MassField:

@@ -8,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from mfroute import MassField, ParseError, Policy, load_scenario
+from mfroute import MassField, ParseError, Policy, load_scenario, solve
 from mfroute.cli import main, read_mass_csv, write_mass_csv
 
-from conftest import build, diamond_dict
+from conftest import arrival_times, build, diamond_dict
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -65,8 +65,6 @@ def test_solve_mass_csv_round_trips(write_scenario, tmp_path, capsys):
     run(capsys, "solve", str(scenario), "--out", str(out_dir))
     net, ps, scen, grid = load_scenario(scenario)
     mass = read_mass_csv(out_dir / "masses.csv", ps, grid)
-    from mfroute import solve
-
     report = solve(net, ps, scen)
     assert np.array_equal(mass.values, report.mass.values)
 
@@ -192,6 +190,18 @@ def test_solve_deterministic_outputs(write_scenario, tmp_path, capsys):
     assert ma == mb
 
 
+@pytest.mark.parametrize("command, extra", [("solve", []), ("psi-once", ["--zero"])])
+def test_report_echoes_the_manifest_file(write_scenario, tmp_path, capsys,
+                                         command, extra):
+    scenario = write_scenario(diamond_dict(steps=40))
+    out_dir = tmp_path / "run"
+    run(capsys, command, str(scenario), "--out", str(out_dir), *extra)
+    report = json.loads((out_dir / "report.json").read_text())
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    # one manifest, duration included
+    assert report["manifest"] == manifest
+
+
 def test_validation_failure_exit_one(write_scenario, tmp_path, capsys):
     scenario = write_scenario(diamond_dict(steps=50, model={"rho_max": 5.0}))
     code, _ = run(capsys, "solve", str(scenario), "--out", str(tmp_path / "x"))
@@ -279,6 +289,11 @@ def test_policy_csv_uses_inf_token(write_scenario, tmp_path, capsys):
     assert "inf" in text.split("\n")[-2]  # stay-forever at the final node
     last = text.strip().splitlines()[-1]
     assert float(last.split(",")[1]) == float("inf")
+    # one column per pair: the arrival times of the equilibrium's policy
+    net, ps, scen, grid = load_scenario(scenario)
+    tau = arrival_times(grid, solve(net, ps, scen).psi.policy)
+    table = np.loadtxt(out_dir / "policy.csv", delimiter=",", skiprows=1)
+    assert table[:, 1:].T.tobytes() == tau.tobytes()
 
 
 def test_solve_constrained_flag_with_slack_limits_matches_plain(write_scenario,
@@ -333,13 +348,12 @@ def test_oracle_detects_injected_policy_fault(write_scenario, capsys, monkeypatc
     import mfroute.flow as flow_mod
     real = flow_mod.value_backward
 
-    def crooked(net, ps, scen, mass, **kw):
-        table, policy = real(net, ps, scen, mass, **kw)
+    def crooked(net, ps, scen, cong, *args):
+        table, policy = real(net, ps, scen, cong, *args)
         n = scen.grid.steps
         shifted = np.where((policy.tau_idx >= 0) & (policy.tau_idx < n),
                            policy.tau_idx + 1, policy.tau_idx)
-        return table, Policy(tau_idx=shifted, tau_time=policy.tau_time,
-                             speed=policy.speed)
+        return table, Policy(tau_idx=shifted)
 
     monkeypatch.setattr(flow_mod, "value_backward", crooked)
     scenario = write_scenario(diamond_dict(steps=8))

@@ -13,7 +13,8 @@ from mfroute import (MassField, ReciprocalSpeedLimit, TabulatedSpeedLimit,
 from mfroute.constrained import validate_limit_spec
 from mfroute.oracle import check_value_tables
 
-from conftest import admissible_mass, build, diamond_dict, zero_mass
+from conftest import (admissible_mass, build, diamond_dict, speeds, value_stage,
+                      zero_mass)
 
 SLACK = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 1000.0}}}
 TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
@@ -113,7 +114,7 @@ def test_blocked_edge_forces_stay():
     table, policy = psi.value, psi.policy
     r = ps.row("e3", ps.paths.index(("e1", "e3", "e5")))
     assert np.all(policy.tau_idx[r] == -1)
-    assert np.all(policy.speed[r] == 0.0)
+    assert np.all(speeds(net, ps, grid, policy)[r] == 0.0)
     e3 = net.edge_index["e3"]
     cong = psi.congestion
     stay = scen.alpha * net.dist_tail[e3] + (cong.phi_prefix[e3, -1]
@@ -127,7 +128,7 @@ def test_tightened_limits_dominate_unconstrained():
     rng = np.random.default_rng(43)
     for mass in (zero_mass(ps, grid), admissible_mass(rng, ps, scen)):
         tc = apply_psi(net, ps, scen, mass).value
-        tu, _ = value_backward(netu, psu, scenu, mass)
+        _, tu, _ = value_stage(netu, psu, scenu, mass)
         assert np.all(tc.values >= tu.values)
 
 
@@ -138,10 +139,8 @@ def test_constrained_tables_match_enumeration():
     cong = congestion_total(net, ps, scen, mass)
     limits = build_speed_limits(net, scen)
     arr = arrival_tables(net, scen, cong, limits)
-    table, policy = value_backward(net, ps, scen, mass, congestion=cong,
-                                   arrival_floor=arr.floor_idx)
-    assert check_value_tables(net, ps, scen, mass, table, policy,
-                              congestion=cong, arrival_floor=arr.floor_idx) == []
+    table, policy = value_backward(net, ps, scen, cong, arr.floor_idx)
+    assert check_value_tables(net, ps, scen, cong, table, policy, arr.floor_idx) == []
 
 
 def test_mean_traverse_constant_excess():

@@ -82,15 +82,20 @@ def test_default_solve_converges_and_is_golden():
 
 
 def test_solution_has_consistent_stages():
-    net, ps, scen, grid = build(diamond_dict(steps=200))
-    report = solve(net, ps, scen)
-    psi = apply_psi(net, ps, scen, report.mass)
-    # the recorded psi evaluation is exactly the map applied to the fixed point
-    assert np.array_equal(psi.mass.values, report.psi.mass.values)
-    assert residual(report.mass, psi.mass) == report.final_residual
-    assert report.membership.mass_ok and report.membership.lipschitz_ok
-    sums = report.psi.preference.z.sum(axis=0)
-    assert np.allclose(sums, scen.lam, rtol=1e-12, atol=0.0)
+    # converged, and stopped by the iteration cap three iterations in
+    for solver in ({}, {"max_iter": 3}):
+        net, ps, scen, grid = build(diamond_dict(steps=200, solver=solver))
+        report = solve(net, ps, scen)
+        assert report.converged == (not solver)
+        psi = apply_psi(net, ps, scen, report.mass)
+        # the recorded psi evaluation is exactly the map applied to the
+        # reported mass, and the membership diagnostics describe that mass
+        assert np.array_equal(psi.mass.values, report.psi.mass.values)
+        assert residual(report.mass, psi.mass) == report.final_residual
+        assert report.membership == verify_X_membership(report.mass, scen, ps)
+        assert report.membership.mass_ok and report.membership.lipschitz_ok
+        sums = report.psi.preference.z.sum(axis=0)
+        assert np.allclose(sums, scen.lam, rtol=1e-12, atol=0.0)
 
 
 def test_non_convergence_is_reported_not_raised():

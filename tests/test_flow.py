@@ -19,10 +19,7 @@ from conftest import (STAGE_DOCS, admissible_mass, build, diamond_dict, lattice_
 
 def all_moving_policy(ps, n_nodes):
     tau = np.minimum(np.arange(n_nodes) + 1, n_nodes - 1)
-    tau_idx = np.tile(tau, (ps.pair_count, 1))
-    return Policy(tau_idx=tau_idx,
-                  tau_time=tau_idx.astype(float),
-                  speed=np.ones((ps.pair_count, n_nodes)))
+    return Policy(tau_idx=np.tile(tau, (ps.pair_count, 1)))
 
 
 def test_local_decision_uniform(diamond):
@@ -63,8 +60,7 @@ def test_local_decision_degenerate(diamond):
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
 def test_flows_match_per_pair_reference(doc):
     net, ps, scen, mass, psi = stage_inputs(doc)
-    flows = compute_flows(net, ps, psi.policy, psi.preference.z, scen.lam,
-                          psi.k_idx_edges)
+    flows = compute_flows(ps, psi.policy, psi.preference.z, scen.lam, psi.k_idx_edges)
     ref = reference_flows(ps, psi.policy, psi.preference.z, scen.lam, psi.k_idx_edges)
     assert flows.values.tobytes() == ref.values.tobytes()
     if scen.constrained.enabled:
@@ -78,7 +74,7 @@ def test_flows_zero_before_delay(diamond):
     n_nodes = grid.steps + 1
     z = np.ones((3, n_nodes))
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
-    f = compute_flows(net, ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
+    f = compute_flows(ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
     assert np.all(f.values[:, :scen.k_idx] == 0.0)
     assert np.any(f.values[:, scen.k_idx:] > 0.0)
 
@@ -88,7 +84,7 @@ def test_flow_two_stage_unroll(diamond):
     n_nodes = grid.steps + 1
     z = np.ones((3, n_nodes))
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
-    f = compute_flows(net, ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
+    f = compute_flows(ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
     p = ps.paths.index(("e1", "e4"))
     r_first = ps.row("e1", p)
     r_last = ps.row("e4", p)
@@ -107,7 +103,7 @@ def test_stopped_edge_emits_nothing(diamond):
     r = ps.row("e3", p)
     pol.tau_idx[r, :] = -1
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
-    f = compute_flows(net, ps, pol, z, scen.lam, k_idx)
+    f = compute_flows(ps, pol, z, scen.lam, k_idx)
     assert np.all(f.values[r] == 0.0)
     # downstream of the stopped edge nothing arrives either
     assert np.all(f.values[ps.row("e5", p)] == 0.0)
@@ -128,23 +124,30 @@ def test_delay_causality(diamond):
     z = rng.uniform(0.1, 1.0, size=(3, n_nodes))
     pol = all_moving_policy(ps, n_nodes)
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
-    f1 = compute_flows(net, ps, pol, z, scen.lam, k_idx)
+    f1 = compute_flows(ps, pol, z, scen.lam, k_idx)
     cut = 40
     z2 = z.copy()
     z2[:, cut:] = rng.uniform(0.1, 1.0, size=(3, n_nodes - cut))
-    f2 = compute_flows(net, ps, pol, z2, scen.lam, k_idx)
+    f2 = compute_flows(ps, pol, z2, scen.lam, k_idx)
     assert np.array_equal(f1.values[:, :cut + scen.k_idx],
                           f2.values[:, :cut + scen.k_idx])
 
 
-def increments(ps, integ):
-    """Pre-clip mass increment per pair and step from the recorded terms:
-    the row's injection or its predecessor's moved mass, minus its own."""
-    mov = integ.moved
+def moved_terms(grid, flows):
+    """Mass leaving each pair per step."""
+    return grid.dt * flows.values[:, :grid.steps]
+
+
+def increments(ps, grid, flows, z, lam):
+    """Pre-clip mass increment per pair and step, the terms integrate_mass
+    documents: the row's injection or its predecessor's moved mass, minus
+    its own."""
+    mov = moved_terms(grid, flows)
+    inj = injection_terms(z[:, :grid.steps], lam[:grid.steps], grid.dt)
     plus = np.empty_like(mov)
     first_rows = np.flatnonzero(ps.first_mask)
     nonfirst = np.flatnonzero(~ps.first_mask)
-    plus[first_rows] = integ.injections[ps.pair_path_idx[first_rows]]
+    plus[first_rows] = inj[ps.pair_path_idx[first_rows]]
     plus[nonfirst] = mov[nonfirst - 1]
     return plus - mov
 
@@ -154,20 +157,19 @@ def test_increments_before_delay_are_pure_inflow(diamond):
     n_nodes = grid.steps + 1
     z = np.ones((3, n_nodes))
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
-    f = compute_flows(net, ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
-    integ = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
-    h = increments(ps, integ)[:, :scen.k_idx]
+    f = compute_flows(ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
+    h = increments(ps, grid, f, z, scen.lam)[:, :scen.k_idx]
     first_rows = np.flatnonzero(ps.first_mask)
     assert np.allclose(h[first_rows], grid.dt / 3.0, rtol=1e-15)
     assert np.all(h[np.flatnonzero(~ps.first_mask)] == 0.0)
     # after the delay the first edges emit, so the increments are not pure inflow
-    assert np.any(integ.moved[:, scen.k_idx:] > 0.0)
+    assert np.any(moved_terms(grid, f)[:, scen.k_idx:] > 0.0)
 
 
 def test_increments_telescope_to_boundary_terms(diamond):
     net, ps, scen, grid = diamond
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-    h = increments(ps, psi.integration)
+    h = increments(ps, grid, psi.flows, psi.preference.z, scen.lam)
     last_rows = np.flatnonzero(ps.last_mask)
     outflow = psi.flows.values[last_rows, :grid.steps].sum(axis=0)
     assert np.allclose(h.sum(axis=0), grid.dt * scen.lam[:grid.steps] - grid.dt * outflow,
@@ -181,10 +183,13 @@ def test_increments_route_concentrated_preference(diamond):
     z[0] = 1.0  # everything on the long path (e1, e3, e5)
     f = FlowField(values=np.zeros((ps.pair_count, n_nodes)))
     integ = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
-    h = increments(ps, integ)
+    h = increments(ps, grid, f, z, scen.lam)
     r = ps.row("e1", 0)
     assert np.allclose(h[r], grid.dt * scen.lam[:grid.steps], rtol=1e-15)
     assert np.all(h[ps.row("e2", 2)] == 0.0)
+    # the routed increments are what the mass accumulates
+    assert np.array_equal(integ.mass.values[r, 1:], np.cumsum(h[r]))
+    assert np.all(integ.mass.values[ps.row("e2", 2)] == 0.0)
 
 
 def test_injection_terms_sum_exactly_to_budget(diamond):
@@ -333,8 +338,9 @@ def test_integrate_matches_stepwise_loop_when_clipping(name):
     net, ps, scen, grid = build(doc)
     z = np.random.default_rng(53).uniform(0.2, 1.5, size=(ps.n_paths, grid.steps + 1))
     f, rho0 = _clipping_case(name, ps, grid)
-    res = integrate_mass(ps, scen, FlowField(values=f), z, scen.lam, rho0)
-    delta = increments(ps, res)
+    flows = FlowField(values=f)
+    res = integrate_mass(ps, scen, flows, z, scen.lam, rho0)
+    delta = increments(ps, grid, flows, z, scen.lam)
     mass, clip_total, clip_max, clip_count = stepwise_integration(delta, rho0)
     # tobytes: signed zeros must match too
     assert res.mass.values.tobytes() == mass.tobytes()

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from mfroute import (BadEdge, CycleDetected, EdgeNotOnPath, TooManyPaths,
-                     Unreachable, build_network, enumerate_paths)
+                     Unreachable, apply_psi, build_network, enumerate_paths)
 from mfroute.network import edge_totals
 
-from conftest import (DIAMOND_EDGES, STAGE_DOCS, build, lattice_dict,
-                      reference_edge_totals, stage_inputs)
+from conftest import (DIAMOND_EDGES, STAGE_DOCS, build, diamond_dict, lattice_dict,
+                      reference_edge_totals, stage_inputs, zero_mass)
 
 VERTS = ["o", "v1", "v2", "d"]
 
@@ -183,13 +183,23 @@ def test_pairs_are_path_major():
 
 def test_path_groupings_are_derived_on_first_use():
     ps = enumerate_paths(diamond_net())
-    assert "rows_by_position" not in vars(ps)
-    assert "rows_by_occurrence" not in vars(ps)
+    groupings = ("rows_by_position", "rows_by_occurrence", "suffix_table")
+    assert not any(name in vars(ps) for name in groupings)
     # longest path first; the two-edge paths keep their order
     assert [rows.tolist() for rows in ps.rows_by_position] == [[0, 3, 5], [1, 4, 6], [2]]
     # e1 and e5 (indices 0 and 4) occur twice, in rows 0, 3 and 2, 6
     assert [(edges.tolist(), rows.tolist()) for edges, rows in ps.rows_by_occurrence] == [
         ([0, 2, 4, 3, 1], [0, 1, 2, 4, 5]), ([0, 4], [3, 6])]
+    # (edge, successor suffix), each after its successor; e5 ends paths 0
+    # and 2, so rows 2 and 6 share suffix 0, and every other suffix is unique
+    suffixes, pair_suffix = ps.suffix_table
+    assert suffixes == ((4, -1), (2, 0), (0, 1), (3, -1), (0, 3), (1, 0))
+    assert pair_suffix.tolist() == [2, 1, 0, 4, 3, 5, 0]
+    # loading a scenario derives none of them; the first map evaluation does
+    net, ps, scen, grid = build(diamond_dict(steps=4))
+    assert not any(name in vars(ps) for name in groupings)
+    apply_psi(net, ps, scen, zero_mass(ps, grid))
+    assert all(name in vars(ps) for name in groupings)
 
 
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())

@@ -45,7 +45,6 @@ def test_value_check_detects_tampered_table():
     values = psi.value.values.copy()
     values[0, 2] += 1e-12
     tampered = dataclasses.replace(psi.value, values=values)
-    mismatches = check_value_tables(net, ps, scen, zero_mass(ps, grid),
-                                    tampered, psi.policy,
-                                    congestion=psi.congestion)
+    mismatches = check_value_tables(net, ps, scen, psi.congestion, tampered,
+                                    psi.policy)
     assert any(m.kind == "value" and m.node == 2 for m in mismatches)

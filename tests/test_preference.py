@@ -7,17 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from mfroute import (SimplexViolation, apply_psi, congestion_total,
-                     logit_response, path_costs, preference_evolution,
-                     value_backward)
+from mfroute import (SimplexViolation, apply_psi, logit_response, path_costs,
+                     preference_evolution)
 
 from conftest import (STAGE_DOCS, build, diamond_dict, reference_path_costs,
-                      stage_inputs, zero_mass)
+                      stage_inputs, value_stage, zero_mass)
 
 
-def scalar_entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
-    """Reference walk: entry node of every edge on a path for a start at
-    ``node``, following the policy edge by edge (-1: never entered)."""
+def entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
+    """Entry node of every edge on a path for a start at ``node``, following
+    the policy edge by edge (-1: never entered)."""
     entries = []
     cur = int(node)
     for r in ps.path_rows[path_idx]:
@@ -28,56 +27,56 @@ def scalar_entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
     return entries
 
 
-def entry_table(net, ps, scen, cong, policy):
-    """Entry nodes of every pair and start node, as the pipeline computes them."""
-    return path_costs(net, ps, scen, cong, policy).entry_idx
+def leg_cost(net, scen, cong, edge_id, entry, arrival):
+    """Cost of traversing an edge from node ``entry`` to node ``arrival``."""
+    e = net.edge_index[edge_id]
+    length = float(net.lengths[e])
+    t = scen.grid.nodes
+    return ((length * length) / (2.0 * (t[arrival] - t[entry]))
+            + (cong.phi_prefix[e, arrival] - cong.phi_prefix[e, entry]))
 
 
-def table_entry_times(net, ps, scen, cong, policy, path_idx: int, node: int) -> list[int]:
-    """The same entries read from the pipeline's vectorized table."""
-    full = entry_table(net, ps, scen, cong, policy)
-    return [int(full[int(r), node]) for r in ps.path_rows[path_idx]]
+def stop_cost(net, scen, cong, edge_id, entry):
+    """Cost of staying at an edge's tail from node ``entry`` on."""
+    e = net.edge_index[edge_id]
+    return (scen.alpha * net.dist_tail[e]) + (cong.phi_prefix[e, -1]
+                                              - cong.phi_prefix[e, entry])
 
 
 @pytest.fixture
 def diamond_policy(diamond):
     net, ps, scen, grid = diamond
-    mass = zero_mass(ps, grid)
-    cong = congestion_total(net, ps, scen, mass)
-    table, policy = value_backward(net, ps, scen, mass, congestion=cong)
+    cong, table, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
     return net, ps, scen, grid, cong, table, policy
 
 
 def test_entry_times_follow_policy(diamond_policy):
+    # the second edge is entered at the first edge's arrival node, and the
+    # path cost adds the two legs from +0.0
     net, ps, scen, grid, cong, table, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
-    entries = table_entry_times(net, ps, scen, cong, policy, p, 0)
-    assert entries[0] == 0
-    assert entries[1] == policy.tau_idx[ps.row("e1", p), 0]
+    entries = entry_times(ps, policy, p, 0)
+    tau = int(policy.tau_idx[ps.row("e4", p), entries[1]])
+    assert 0 < entries[1] < tau
+    expected = 0.0 + leg_cost(net, scen, cong, "e1", 0, entries[1])
+    expected += leg_cost(net, scen, cong, "e4", entries[1], tau)
+    assert path_costs(net, ps, scen, cong, policy).costs[p, 0] == expected
 
 
 def test_entry_times_propagate_stop(diamond_policy):
     net, ps, scen, grid, cong, table, policy = diamond_policy
     p = ps.paths.index(("e1", "e3", "e5"))
-    # near the horizon the whole path stays put
-    entries = table_entry_times(net, ps, scen, cong, policy, p, grid.steps)
-    assert entries == [grid.steps, -1, -1]
-
-
-def test_entry_table_matches_scalar_queries(diamond_policy):
-    net, ps, scen, grid, cong, table, policy = diamond_policy
-    for p in range(ps.n_paths):
-        for i in (0, grid.steps // 2, grid.steps):
-            expected = scalar_entry_times(ps, policy, p, i)
-            assert table_entry_times(net, ps, scen, cong, policy, p, i) == expected
+    # near the horizon the whole path stays put: the later edges cost nothing
+    assert entry_times(ps, policy, p, grid.steps) == [grid.steps, -1, -1]
+    cost = path_costs(net, ps, scen, cong, policy).costs[p, grid.steps]
+    assert cost == 0.0 + stop_cost(net, scen, cong, "e1", grid.steps)
 
 
 def test_entry_times_strictly_increase_while_finite(diamond_policy):
     net, ps, scen, grid, cong, table, policy = diamond_policy
-    full = entry_table(net, ps, scen, cong, policy)
-    for p, rows in enumerate(ps.path_rows):
+    for p in range(ps.n_paths):
         for i in range(grid.steps + 1):
-            seq = [int(full[int(r), i]) for r in rows]
+            seq = entry_times(ps, policy, p, i)
             finite = [s for s in seq if s >= 0]
             assert finite == sorted(finite)
             assert len(set(finite)) == len(finite)
@@ -87,14 +86,18 @@ def test_entry_times_strictly_increase_while_finite(diamond_policy):
 
 
 def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
+    # arriving at the final node enters the next edge there, which then
+    # stays and pays its distance penalty
     net, ps, scen, grid, cong, table, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
     r = ps.row("e1", p)
-    # find a start whose arrival is exactly the final node
     hits = np.flatnonzero(policy.tau_idx[r] == grid.steps)
-    if hits.size:
-        entries = table_entry_times(net, ps, scen, cong, policy, p, int(hits[0]))
-        assert entries[1] == grid.steps
+    assert hits.size
+    i = int(hits[0])
+    assert entry_times(ps, policy, p, i) == [i, grid.steps]
+    expected = 0.0 + leg_cost(net, scen, cong, "e1", i, grid.steps)
+    expected += stop_cost(net, scen, cong, "e4", grid.steps)
+    assert path_costs(net, ps, scen, cong, policy).costs[p, i] == expected
 
 
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
@@ -103,7 +106,6 @@ def test_path_costs_match_per_pair_reference(doc):
     table = path_costs(net, ps, scen, psi.congestion, psi.policy)
     costs, entry = reference_path_costs(net, ps, scen, psi.congestion, psi.policy)
     assert table.costs.tobytes() == costs.tobytes()
-    assert table.entry_idx.tobytes() == entry.tobytes()
     # agents stop on some edges, so later edges are never entered
     assert np.any(entry < 0)
 
@@ -120,9 +122,7 @@ def test_single_edge_path_cost_is_kinetic_term():
                   "phi": {"default": {"family": "linear", "coeff": 0.0}}},
     }
     net, ps, scen, grid = build(doc)
-    mass = zero_mass(ps, grid)
-    cong = congestion_total(net, ps, scen, mass)
-    _, policy = value_backward(net, ps, scen, mass, congestion=cong)
+    cong, _, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
     table = path_costs(net, ps, scen, cong, policy)
     # while moving is optimal the cost is l^2 / (2 (T - t))
     for i in range(0, 6):
@@ -133,9 +133,7 @@ def test_single_edge_path_cost_is_kinetic_term():
 
 def test_stopped_first_edge_contributes_distance_and_tail_integral(diamond):
     net, ps, scen, grid = diamond
-    mass = zero_mass(ps, grid)
-    cong = congestion_total(net, ps, scen, mass)
-    _, policy = value_backward(net, ps, scen, mass, congestion=cong)
+    cong, _, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
     table = path_costs(net, ps, scen, cong, policy)
     p = ps.paths.index(("e1", "e4"))
     r = ps.row("e1", p)

@@ -79,14 +79,12 @@ def test_psi_stages_match_references_and_oracles(case):
     for values in (mass.values, psi.mass.values):
         assert edge_totals(ps, values).tobytes() == reference_edge_totals(ps, values).tobytes()
     table = path_costs(net, ps, scen, cong, policy)
-    costs, entry = reference_path_costs(net, ps, scen, cong, policy)
+    costs, _ = reference_path_costs(net, ps, scen, cong, policy)
     assert table.costs.tobytes() == costs.tobytes()
-    assert table.entry_idx.tobytes() == entry.tobytes()
-    flows = compute_flows(net, ps, policy, psi.preference.z, scen.lam, psi.k_idx_edges)
+    flows = compute_flows(ps, policy, psi.preference.z, scen.lam, psi.k_idx_edges)
     ref = reference_flows(ps, policy, psi.preference.z, scen.lam, psi.k_idx_edges)
     assert flows.values.tobytes() == ref.values.tobytes()
 
     floor = psi.arrival.floor_idx if psi.arrival is not None else None
-    assert check_value_tables(net, ps, scen, mass, psi.value, policy,
-                              congestion=cong, arrival_floor=floor) == []
+    assert check_value_tables(net, ps, scen, cong, psi.value, policy, floor) == []
     assert audit_conservation(ps, scen, psi, scen.rho0).ok

@@ -10,7 +10,8 @@ from mfroute import (MassField, ShapeMismatch, arrival_tables,
                      build_speed_limits, congestion_total, value_backward)
 from mfroute.oracle import check_value_tables
 
-from conftest import admissible_mass, build, diamond_dict, lattice_dict, zero_mass
+from conftest import (admissible_mass, build, diamond_dict, lattice_dict, speeds,
+                      value_stage, zero_mass)
 
 
 def unit_chain_dict(steps, horizon=1.0, alpha=1.0, coeff=0.0, n_edges=1,
@@ -60,30 +61,29 @@ def test_congestion_shape_checked(diamond):
 
 def test_last_edge_closed_form_no_congestion():
     net, ps, scen, grid = build(unit_chain_dict(steps=10))
-    mass = zero_mass(ps, grid)
-    table, policy = value_backward(net, ps, scen, mass)
-    t = grid.nodes
+    _, table, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
+    speed = speeds(net, ps, grid, policy)
     # analytic: min(alpha * l, l^2 / (2 (T - t))) with the moving branch only before T
     assert table.values[0, 0] == pytest.approx(0.5)   # 1/(2*1)
     assert policy.tau_idx[0, 0] == 10
-    assert policy.speed[0, 0] == pytest.approx(1.0)
+    assert speed[0, 0] == pytest.approx(1.0)
     i9 = 9  # t = 0.9: moving costs 5, staying costs 1
     assert table.values[0, i9] == pytest.approx(1.0)
     assert policy.tau_idx[0, i9] == -1
-    assert policy.speed[0, i9] == 0.0
+    assert speed[0, i9] == 0.0
 
 
 def test_switch_node_is_first_past_threshold():
     # threshold at horizon - l/(2 alpha) = 0.5; with 10 steps that is node 5
     net, ps, scen, grid = build(unit_chain_dict(steps=10))
-    table, policy = value_backward(net, ps, scen, zero_mass(ps, grid))
+    _, table, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
     assert policy.tau_idx[0, 5] == 10   # exact tie resolves to moving
     assert policy.tau_idx[0, 6] == -1
 
 
 def test_value_at_horizon_is_distance_penalty(diamond):
     net, ps, scen, grid = diamond
-    table, policy = value_backward(net, ps, scen, zero_mass(ps, grid))
+    _, table, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
     for r in range(ps.pair_count):
         e = int(ps.pair_edge_idx[r])
         if ps.last_mask[r]:
@@ -98,29 +98,27 @@ def test_two_edge_chain_matches_enumeration_exactly():
     net, ps, scen, grid = build(unit_chain_dict(steps=12, horizon=2.0,
                                                 alpha=50.0, n_edges=2,
                                                 rho_max=5.0))
-    mass = zero_mass(ps, grid)
-    table, policy = value_backward(net, ps, scen, mass)
-    assert check_value_tables(net, ps, scen, mass, table, policy) == []
+    cong, table, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
+    assert check_value_tables(net, ps, scen, cong, table, policy) == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_diamond_matches_enumeration_on_random_masses(seed):
     net, ps, scen, grid = build(diamond_dict(steps=12))
     rng = np.random.default_rng(seed)
-    mass = admissible_mass(rng, ps, scen)
-    table, policy = value_backward(net, ps, scen, mass)
-    assert check_value_tables(net, ps, scen, mass, table, policy) == []
+    cong, table, policy = value_stage(net, ps, scen, admissible_mass(rng, ps, scen))
+    assert check_value_tables(net, ps, scen, cong, table, policy) == []
 
 
 def test_moving_speed_bounded_below(diamond):
     net, ps, scen, grid = diamond
     rng = np.random.default_rng(5)
-    mass = admissible_mass(rng, ps, scen)
-    _, policy = value_backward(net, ps, scen, mass)
+    _, _, policy = value_stage(net, ps, scen, admissible_mass(rng, ps, scen))
+    speed = speeds(net, ps, grid, policy)
     moving = policy.tau_idx >= 0
     lengths = net.lengths[ps.pair_edge_idx][:, None]
-    floor = (lengths / scen.horizon) * np.ones_like(policy.speed)
-    assert np.all(policy.speed[moving] >= floor[moving] - 1e-12)
+    floor = (lengths / scen.horizon) * np.ones_like(speed)
+    assert np.all(speed[moving] >= floor[moving] - 1e-12)
 
 
 def test_values_bounded_by_stay_envelope(diamond):
@@ -128,8 +126,7 @@ def test_values_bounded_by_stay_envelope(diamond):
     rng = np.random.default_rng(15)
     phi_bar = max(c.bound() for c in scen.phi)
     for _ in range(3):
-        mass = admissible_mass(rng, ps, scen)
-        table, _ = value_backward(net, ps, scen, mass)
+        _, table, _ = value_stage(net, ps, scen, admissible_mass(rng, ps, scen))
         for r in range(ps.pair_count):
             e = int(ps.pair_edge_idx[r])
             tail = net.lengths[e] if ps.last_mask[r] else net.dist_tail[e]
@@ -147,8 +144,7 @@ def test_equi_lipschitz_in_time_across_masses(diamond):
     phi_bar = max(c.bound() for c in scen.phi)
     bound = 4.0 * (float(net.lengths.max()) ** 2 / (2.0 * h * h) + 2.0 * phi_bar)
     for _ in range(3):
-        mass = admissible_mass(rng, ps, scen)
-        table, _ = value_backward(net, ps, scen, mass)
+        _, table, _ = value_stage(net, ps, scen, admissible_mass(rng, ps, scen))
         quot = np.max(np.abs(np.diff(table.values, axis=1))) / grid.dt
         assert quot <= bound
 
@@ -157,14 +153,14 @@ def test_value_continuity_in_mass(diamond):
     net, ps, scen, grid = diamond
     rng = np.random.default_rng(13)
     base = admissible_mass(rng, ps, scen)
-    table0, _ = value_backward(net, ps, scen, base)
+    _, table0, _ = value_stage(net, ps, scen, base)
     lip = max(c.lipschitz() for c in scen.phi)
     max_legs = max(len(p) for p in ps.paths)
     c_bound = lip * scen.horizon * max_legs
     for scale in (1e-3, 1e-2, 1e-1):
         delta = rng.uniform(0.0, scale, size=base.values.shape)
         pert = MassField(values=np.clip(base.values + delta, 0.0, None))
-        table1, _ = value_backward(net, ps, scen, pert)
+        _, table1, _ = value_stage(net, ps, scen, pert)
         gap = float(np.max(np.abs(table1.values - table0.values)))
         actual = float(np.max(np.abs(pert.values - base.values)))
         assert gap <= c_bound * actual + 1e-12
@@ -190,12 +186,11 @@ def test_policy_monotone_and_absorbing_on_pipeline_mass(diamond):
 def test_value_backward_bitwise_deterministic(diamond):
     net, ps, scen, grid = diamond
     rng = np.random.default_rng(21)
-    mass = admissible_mass(rng, ps, scen)
-    t1, p1 = value_backward(net, ps, scen, mass)
-    t2, p2 = value_backward(net, ps, scen, mass)
+    cong = congestion_total(net, ps, scen, admissible_mass(rng, ps, scen))
+    t1, p1 = value_backward(net, ps, scen, cong)
+    t2, p2 = value_backward(net, ps, scen, cong)
     assert np.array_equal(t1.values, t2.values)
     assert np.array_equal(p1.tau_idx, p2.tau_idx)
-    assert np.array_equal(p1.speed, p2.speed)
 
 
 TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
@@ -208,7 +203,7 @@ def _value_inputs(doc, seed):
     floor = None
     if scen.constrained.enabled:
         floor = arrival_tables(net, scen, cong, build_speed_limits(net, scen)).floor_idx
-    return net, ps, scen, mass, cong, floor
+    return net, ps, scen, cong, floor
 
 
 def detour_dict(steps):
@@ -232,14 +227,12 @@ ROW_BLOCK_DOCS = {"diamond": diamond_dict(steps=16), "lattice-3x3": lattice_dict
 def _check_row_blocks(monkeypatch, doc):
     # three entry nodes per block: N = 16 spans six blocks
     monkeypatch.setattr(value_module, "BLOCK_CELLS", 3 * 17)
-    net, ps, scen, mass, cong, floor = _value_inputs(doc, seed=31)
+    net, ps, scen, cong, floor = _value_inputs(doc, seed=31)
     if floor is not None:
         # rows with no admissible arrival are part of what is checked
         assert np.any(floor > scen.grid.steps)
-    table, policy = value_backward(net, ps, scen, mass, congestion=cong,
-                                   arrival_floor=floor)
-    assert check_value_tables(net, ps, scen, mass, table, policy,
-                              congestion=cong, arrival_floor=floor) == []
+    table, policy = value_backward(net, ps, scen, cong, floor)
+    assert check_value_tables(net, ps, scen, cong, table, policy, floor) == []
     return policy
 
 
@@ -270,8 +263,8 @@ def test_final_node_continues_with_stay_penalty(monkeypatch):
     monkeypatch.setattr(value_module, "BLOCK_CELLS", 3 * (n + 1))
     first_tau = []
     for mass in (zero_mass(ps, grid), admissible_mass(np.random.default_rng(43), ps, scen)):
-        table, policy = value_backward(net, ps, scen, mass)
-        assert check_value_tables(net, ps, scen, mass, table, policy) == []
+        cong, table, policy = value_stage(net, ps, scen, mass)
+        assert check_value_tables(net, ps, scen, cong, table, policy) == []
         first_tau.append(policy.tau_idx[r, 0])
     assert first_tau[0] == n
 
@@ -282,25 +275,23 @@ def test_final_node_continues_with_stay_penalty(monkeypatch):
                          ids=["free", "constrained", "lattice-3x3-constrained"])
 def test_block_size_does_not_change_results(monkeypatch, doc):
     steps = doc["model"]["steps"]
-    net, ps, scen, mass, cong, floor = _value_inputs(doc, seed=37)
+    net, ps, scen, cong, floor = _value_inputs(doc, seed=37)
     results = []
     # default blocks, one entry node per block, one block for all entry nodes
     for cells in (value_module.BLOCK_CELLS, 1, (steps + 1) ** 2):
         monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
-        results.append(value_backward(net, ps, scen, mass, congestion=cong,
-                                      arrival_floor=floor))
+        results.append(value_backward(net, ps, scen, cong, floor))
     (t0, p0), *others = results
     for table, policy in others:
         assert np.array_equal(table.values, t0.values)
         assert np.array_equal(policy.tau_idx, p0.tau_idx)
-        assert np.array_equal(policy.speed, p0.speed)
 
 
 @pytest.mark.parametrize("doc", [diamond_dict(steps=60), lattice_dict(3, steps=60)],
                          ids=["diamond", "lattice-3x3"])
 def test_pairs_sharing_a_suffix_get_equal_rows(doc):
-    net, ps, scen, mass, cong, _ = _value_inputs(doc, seed=41)
-    table, policy = value_backward(net, ps, scen, mass, congestion=cong)
+    net, ps, scen, cong, _ = _value_inputs(doc, seed=41)
+    table, policy = value_backward(net, ps, scen, cong)
     first_row = {}
     shared = 0
     for p, rows in enumerate(ps.path_rows):
@@ -310,13 +301,13 @@ def test_pairs_sharing_a_suffix_get_equal_rows(doc):
                 shared += 1
                 assert np.array_equal(table.values[r], table.values[r0])
                 assert np.array_equal(policy.tau_idx[r], policy.tau_idx[r0])
-                assert np.array_equal(policy.speed[r], policy.speed[r0])
     assert shared > 0
 
 
 def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
     net, ps, scen, grid = diamond
     mass = admissible_mass(np.random.default_rng(47), ps, scen)
+    cong = congestion_total(net, ps, scen, mass)
     seen = []
 
     def failing_argmax(*args, **kwargs):
@@ -326,11 +317,11 @@ def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
     with np.errstate():
         caller = np.setbufsize(4096)
         try:
-            value_backward(net, ps, scen, mass)
+            value_backward(net, ps, scen, cong)
             assert np.getbufsize() == 4096
             monkeypatch.setattr(np, "argmax", failing_argmax)
             with pytest.raises(RuntimeError, match="block loop"):
-                value_backward(net, ps, scen, mass)
+                value_backward(net, ps, scen, cong)
             assert seen == [value_module._BLOCK_BUFSIZE]
             assert np.getbufsize() == 4096
         finally:
