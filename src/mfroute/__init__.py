@@ -12,9 +12,9 @@ from .constrained import (ArrivalConstraint, ReciprocalSpeedLimit,
                           min_arrival)
 from .equilibrium import (EquilibriumReport, XMembership, residual, solve,
                           verify_X_membership)
-from .errors import (BadEdge, CycleDetected, DegenerateSimplex, EdgeNotOnPath,
-                     MassBoundExceeded, MFRouteError, ParseError, ShapeMismatch,
-                     SimplexViolation, TooManyPaths, Unreachable, ValidationError)
+from .errors import (BadEdge, CycleDetected, DegenerateSimplex, MassBoundExceeded,
+                     MFRouteError, ParseError, ShapeMismatch, SimplexViolation,
+                     TooManyPaths, Unreachable, ValidationError)
 from .flow import (FlowField, IntegrationResult, PsiResult, apply_psi,
                    compute_flows, integrate_mass, local_decision)
 from .network import Edge, Network, PathSet, build_network, enumerate_paths

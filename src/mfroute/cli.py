@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .equilibrium import XMembership, residual, solve, verify_X_membership
-from .errors import MFRouteError, ParseError, ShapeMismatch
+from .errors import MFRouteError, ParseError, ShapeMismatch, ValidationError
 from .flow import PsiResult, apply_psi
 from .network import Network, PathSet
 from .oracle import audit_conservation, check_value_tables
@@ -58,7 +58,11 @@ def write_mass_csv(path: Path, grid: TimeGrid, ps: PathSet, mass: MassField) -> 
 
 
 def read_mass_csv(path: Path, ps: PathSet, grid: TimeGrid) -> MassField:
-    """Parse a masses.csv produced by this tool back into a mass field."""
+    """Parse a masses.csv produced by this tool back into a mass field.
+
+    Every mass must be a finite number (else :class:`ParseError`) and
+    nonnegative (else :class:`ValidationError`), as psi's domain requires.
+    """
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except OSError as exc:
@@ -82,6 +86,15 @@ def read_mass_csv(path: Path, ps: PathSet, grid: TimeGrid) -> MassField:
             data[:, i] = [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise ParseError(f"row {i} of the mass file: {exc}") from None
+    # data holds the file's rows as columns; -0.0 is not negative
+    finite = np.isfinite(data).all(axis=0)
+    if not finite.all():
+        raise ParseError(f"row {int(np.argmin(finite))} of the mass file holds a "
+                         "non-finite mass")
+    negative = (data < 0.0).any(axis=0)
+    if negative.any():
+        raise ValidationError(f"row {int(np.argmax(negative))} of the mass file "
+                              "holds a negative mass")
     return MassField(values=data)
 
 

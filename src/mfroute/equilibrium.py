@@ -8,7 +8,7 @@ non-converged outcome rather than failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +38,21 @@ class XMembership:
 class EquilibriumReport:
     mass: MassField
     psi: PsiResult
-    residuals: list[float]
-    iterations: int
+    residuals: list[float]  # one per map evaluation
     converged: bool
     tol: float
     gamma: float
     membership: XMembership
-    residual_increases: list[int] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
+
+    @property
+    def residual_increases(self) -> list[int]:
+        """Iterations, counted from 0, whose residual exceeds the one before."""
+        r = self.residuals
+        return [k for k in range(1, len(r)) if r[k] > r[k - 1]]
 
     @property
     def final_residual(self) -> float:
@@ -96,7 +104,6 @@ def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
     current = MassField(values=np.tile(scen.rho0[:, None], (1, scen.grid.steps + 1)))
 
     residuals: list[float] = []
-    increases: list[int] = []
     converged = False
     psi = None
     for _ in range(max_iter):
@@ -105,15 +112,11 @@ def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
             current = MassField(values=(1.0 - gamma) * current.values
                                 + gamma * psi.mass.values)
         psi = apply_psi(net, ps, scen, current)
-        r = residual(current, psi.mass)
-        if residuals and r > residuals[-1]:
-            increases.append(len(residuals))
-        residuals.append(r)
-        if r <= tol:
+        residuals.append(residual(current, psi.mass))
+        if residuals[-1] <= tol:
             converged = True
             break
     membership = verify_X_membership(current, scen, ps)
     return EquilibriumReport(mass=current, psi=psi, residuals=residuals,
-                             iterations=len(residuals), converged=converged,
-                             tol=tol, gamma=gamma, membership=membership,
-                             residual_increases=increases)
+                             converged=converged, tol=tol, gamma=gamma,
+                             membership=membership)

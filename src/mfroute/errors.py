@@ -29,10 +29,6 @@ class TooManyPaths(ValidationError):
     """Path enumeration exceeded the configured limit."""
 
 
-class EdgeNotOnPath(MFRouteError):
-    """A structural query named an edge that does not lie on the given path."""
-
-
 class ShapeMismatch(MFRouteError):
     """Array arguments do not share the expected (pair, node) shape."""
 

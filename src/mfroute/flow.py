@@ -133,9 +133,6 @@ def injection_terms(z_cols: np.ndarray, lam_cols: np.ndarray, dt: float) -> np.n
     shares = z_cols / totals
     n_paths = z_cols.shape[0]
     inj = np.empty_like(shares)
-    if n_paths == 1:
-        inj[0] = budget
-        return inj
     partial = np.zeros_like(budget)
     for p in range(n_paths - 1):
         inj[p] = budget * shares[p]

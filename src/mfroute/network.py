@@ -1,8 +1,12 @@
 """Directed acyclic multigraph with a single origin-destination pair.
 
-Builds and validates the routing graph, computes the shortest distance from
-every vertex to the destination, and enumerates all origin-destination
-paths as (edge, path) pairs.
+:func:`build_network` validates the routing graph and derives, in one
+topological order, what the solver reads of it: reachability from the
+origin, the shortest distance from every edge tail to the destination
+(which sets the stay penalty), and the edge arrays.
+:func:`enumerate_paths` lists every origin-destination path and lays out
+the (edge, path) pairs along them.  Neither recurses, so a route of any
+length builds.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadEdge, CycleDetected, EdgeNotOnPath, TooManyPaths, Unreachable
+from .errors import BadEdge, CycleDetected, TooManyPaths, Unreachable
 
 DEFAULT_PATH_LIMIT = 10_000
 
@@ -30,25 +34,23 @@ class Edge:
 
 @dataclass(frozen=True)
 class Network:
-    """Validated acyclic multigraph.
+    """Validated acyclic multigraph in which every vertex lies on a route.
 
-    Derived fields are filled in by :func:`build_network`; instances are
-    immutable and safe to share between threads.
+    Edges keep their input order; ``edge_index`` maps an edge id to that
+    order, which indexes ``lengths``, ``capacities`` and ``dist_tail``.
+    ``dist_tail`` is the shortest distance from each edge's tail to the
+    destination.  Built by :func:`build_network`; instances are immutable
+    and safe to share between threads.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     origin: str
     destination: str
-    topo_order: tuple[str, ...] = field(repr=False)
-    dist_to_destination: dict[str, float] = field(repr=False)
     edge_index: dict[str, int] = field(repr=False)
     lengths: np.ndarray = field(repr=False)
     capacities: np.ndarray = field(repr=False)
-    dist_tail: np.ndarray = field(repr=False)  # dist_to_destination at each edge tail
-
-    def edge(self, edge_id: str) -> Edge:
-        return self.edges[self.edge_index[edge_id]]
+    dist_tail: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -59,27 +61,24 @@ class PathSet:
     pair, laid out path-major: the pairs of path 0 come first, in edge
     order, then the pairs of path 1, and so on.  With this layout the
     predecessor pair of a non-first edge is always the previous row, which
-    the flow and conservation code relies on.
+    the flow and conservation code relies on.  ``pair_edge_idx`` and
+    ``pair_path_idx`` give each row's edge index and path, ``first_mask``
+    and ``last_mask`` flag the rows that start and end a path, and
+    ``path_rows[p]`` lists the rows of path p.  Built by
+    :func:`enumerate_paths`.
     """
 
     paths: tuple[tuple[str, ...], ...]
-    pair_count: int = 0
-    pair_edge_idx: np.ndarray = field(repr=False, default=None)  # (pairs,)
-    pair_path_idx: np.ndarray = field(repr=False, default=None)
-    first_mask: np.ndarray = field(repr=False, default=None)
-    last_mask: np.ndarray = field(repr=False, default=None)
-    path_rows: tuple[np.ndarray, ...] = field(repr=False, default=None)
-    pair_index: dict[tuple[str, int], int] = field(repr=False, default=None)
+    pair_count: int
+    pair_edge_idx: np.ndarray = field(repr=False)  # (pairs,)
+    pair_path_idx: np.ndarray = field(repr=False)
+    first_mask: np.ndarray = field(repr=False)
+    last_mask: np.ndarray = field(repr=False)
+    path_rows: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def n_paths(self) -> int:
         return len(self.paths)
-
-    def row(self, edge_id: str, path_idx: int) -> int:
-        try:
-            return self.pair_index[(edge_id, path_idx)]
-        except KeyError:
-            raise EdgeNotOnPath(f"edge {edge_id!r} is not on path {path_idx}") from None
 
     def pair_labels(self) -> list[str]:
         """Column labels like ``e1:p2``, in canonical pair order."""
@@ -156,29 +155,22 @@ def edge_totals(ps: PathSet, pair_values: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _as_edge(item) -> Edge:
-    if isinstance(item, Edge):
-        return item
-    if isinstance(item, dict):
-        return Edge(str(item["id"]), str(item["tail"]), str(item["head"]),
-                    float(item["length"]), float(item["capacity"]))
-    eid, tail, head, length, capacity = item
-    return Edge(str(eid), str(tail), str(head), float(length), float(capacity))
-
-
-def build_network(vertices: Sequence[str], edges: Sequence, origin: str,
+def build_network(vertices: Sequence[str], edges: Sequence[dict], origin: str,
                   destination: str) -> Network:
     """Validate the graph data and return an immutable :class:`Network`.
 
-    Raises :class:`BadEdge` for malformed edges, :class:`CycleDetected` if a
-    topological order does not exist, and :class:`Unreachable` if some vertex
-    is not on an origin-to-destination route.
+    ``edges`` are the scenario's edge objects, each with the keys ``id``,
+    ``tail``, ``head``, ``length`` and ``capacity``.  Raises
+    :class:`BadEdge` for malformed edges, :class:`CycleDetected` if a
+    topological order does not exist, and :class:`Unreachable` if some
+    vertex is not on an origin-to-destination route.
     """
     vertices = tuple(str(v) for v in vertices)
     if len(set(vertices)) != len(vertices):
         raise BadEdge("duplicate vertex ids")
     vset = set(vertices)
-    parsed = tuple(_as_edge(e) for e in edges)
+    parsed = tuple(Edge(str(e["id"]), str(e["tail"]), str(e["head"]),
+                        float(e["length"]), float(e["capacity"])) for e in edges)
     seen_ids: set[str] = set()
     for e in parsed:
         if e.id in seen_ids:
@@ -198,15 +190,14 @@ def build_network(vertices: Sequence[str], edges: Sequence, origin: str,
         raise Unreachable("origin equals destination; no acyclic route exists")
 
     out_edges: dict[str, list[Edge]] = {v: [] for v in vertices}
-    in_degree = {v: 0 for v in vertices}
+    remaining = {v: 0 for v in vertices}  # in-degree not yet removed
     for e in parsed:
         out_edges[e.tail].append(e)
-        in_degree[e.head] += 1
+        remaining[e.head] += 1
 
     # Kahn's algorithm; a leftover vertex means a directed cycle.
-    queue = deque(v for v in vertices if in_degree[v] == 0)
+    queue = deque(v for v in vertices if remaining[v] == 0)
     topo: list[str] = []
-    remaining = dict(in_degree)
     while queue:
         v = queue.popleft()
         topo.append(v)
@@ -218,99 +209,73 @@ def build_network(vertices: Sequence[str], edges: Sequence, origin: str,
         stuck = sorted(v for v in vertices if remaining[v] > 0)
         raise CycleDetected(f"directed cycle through {stuck}")
 
-    reachable = _forward_reach(out_edges, origin)
-    if reachable != vset:
-        missing = sorted(vset - reachable)
+    # Every predecessor of a vertex comes before it in topological order,
+    # so one forward sweep settles reachability from the origin.
+    reached = {origin}
+    for v in topo:
+        if v in reached:
+            reached.update(e.head for e in out_edges[v])
+    if reached != vset:
+        missing = sorted(vset - reached)
         raise Unreachable(f"not reachable from origin {origin!r}: {missing}")
-    in_edges: dict[str, list[Edge]] = {v: [] for v in vertices}
-    for e in parsed:
-        in_edges[e.head].append(e)
-    co_reachable = _backward_reach(in_edges, destination)
-    if co_reachable != vset:
-        missing = sorted(vset - co_reachable)
-        raise Unreachable(f"destination {destination!r} not reachable from: {missing}")
 
-    # Shortest distance to destination by relaxation in reverse topological
-    # order; every length is positive so no negative-cycle concerns.
-    dist = {v: np.inf for v in vertices}
-    dist[destination] = 0.0
+    # Shortest distance to the destination by relaxation in reverse
+    # topological order; lengths are positive, so no negative cycles.  A
+    # vertex gets a distance exactly when it reaches the destination.
+    dist = {destination: 0.0}
     for v in reversed(topo):
         for e in out_edges[v]:
-            cand = e.length + dist[e.head]
-            if cand < dist[v]:
-                dist[v] = cand
+            if e.head in dist:
+                cand = e.length + dist[e.head]
+                if v not in dist or cand < dist[v]:
+                    dist[v] = cand
+    if len(dist) != len(vertices):
+        missing = sorted(vset - dist.keys())
+        raise Unreachable(f"destination {destination!r} not reachable from: {missing}")
 
-    edge_index = {e.id: i for i, e in enumerate(parsed)}
-    lengths = np.array([e.length for e in parsed], dtype=float)
-    capacities = np.array([e.capacity for e in parsed], dtype=float)
-    dist_tail = np.array([dist[e.tail] for e in parsed], dtype=float)
     return Network(vertices=vertices, edges=parsed, origin=origin,
-                   destination=destination, topo_order=tuple(topo),
-                   dist_to_destination=dist, edge_index=edge_index,
-                   lengths=lengths, capacities=capacities, dist_tail=dist_tail)
-
-
-def _forward_reach(out_edges: dict[str, list[Edge]], start: str) -> set[str]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for e in out_edges[queue.popleft()]:
-            if e.head not in seen:
-                seen.add(e.head)
-                queue.append(e.head)
-    return seen
-
-
-def _backward_reach(in_edges: dict[str, list[Edge]], start: str) -> set[str]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for e in in_edges[queue.popleft()]:
-            if e.tail not in seen:
-                seen.add(e.tail)
-                queue.append(e.tail)
-    return seen
+                   destination=destination,
+                   edge_index={e.id: i for i, e in enumerate(parsed)},
+                   lengths=np.array([e.length for e in parsed], dtype=float),
+                   capacities=np.array([e.capacity for e in parsed], dtype=float),
+                   dist_tail=np.array([dist[e.tail] for e in parsed], dtype=float))
 
 
 def enumerate_paths(net: Network, limit: int = DEFAULT_PATH_LIMIT) -> PathSet:
     """Enumerate every origin-destination path by depth-first search.
 
-    Out-edges are explored in edge-id order, so the resulting path list is
-    lexicographic in the edge-id sequences regardless of input edge order.
-    Raises :class:`TooManyPaths` when more than ``limit`` paths exist.
+    The walk keeps an explicit stack of out-edge iterators, one per vertex
+    on the current path, and tries out-edges in edge-id order, so the path
+    list is lexicographic in the edge-id sequences regardless of input edge
+    order.  Raises :class:`TooManyPaths` when more than ``limit`` paths
+    exist.
     """
     out_sorted: dict[str, list[Edge]] = {v: [] for v in net.vertices}
-    for e in net.edges:
+    for e in sorted(net.edges, key=lambda e: e.id):
         out_sorted[e.tail].append(e)
-    for v in out_sorted:
-        out_sorted[v].sort(key=lambda e: e.id)
 
     paths: list[tuple[str, ...]] = []
-    stack: list[str] = []
-
-    def walk(v: str) -> None:
-        if v == net.destination:
+    walk: list[str] = []  # edge ids from the origin to the top of the stack
+    stack = [iter(out_sorted[net.origin])]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:  # every way on from here is explored: back up one edge
+            stack.pop()
+            if walk:
+                walk.pop()
+        elif e.head == net.destination:
             if len(paths) >= limit:
                 raise TooManyPaths(f"more than {limit} origin-destination paths")
-            paths.append(tuple(stack))
-            return
-        for e in out_sorted[v]:
-            stack.append(e.id)
-            walk(e.head)
-            stack.pop()
+            paths.append((*walk, e.id))
+        else:
+            walk.append(e.id)
+            stack.append(iter(out_sorted[e.head]))
 
-    walk(net.origin)
-
-    pair_edge, pair_path = [], []
-    pair_index: dict[tuple[str, int], int] = {}
-    for p, path in enumerate(paths):
-        for eid in path:
-            pair_index[(eid, p)] = len(pair_edge)
-            pair_edge.append(net.edge_index[eid])
-            pair_path.append(p)
-    pair_edge = np.array(pair_edge, dtype=np.int64)
-    pair_path = np.array(pair_path, dtype=np.int64)
-    offsets = np.cumsum([0] + [len(path) for path in paths], dtype=np.int64)
+    pair_edge = np.array([net.edge_index[eid] for path in paths for eid in path],
+                         dtype=np.int64)
+    lengths = [len(path) for path in paths]
+    pair_path = np.repeat(np.arange(len(paths), dtype=np.int64), lengths)
+    offsets = np.cumsum([0] + lengths, dtype=np.int64)
     first_mask = np.zeros(len(pair_edge), dtype=bool)
     first_mask[offsets[:-1]] = True
     last_mask = np.zeros(len(pair_edge), dtype=bool)
@@ -320,4 +285,4 @@ def enumerate_paths(net: Network, limit: int = DEFAULT_PATH_LIMIT) -> PathSet:
     return PathSet(paths=tuple(paths), pair_count=len(pair_edge),
                    pair_edge_idx=pair_edge, pair_path_idx=pair_path,
                    first_mask=first_mask, last_mask=last_mask,
-                   path_rows=path_rows, pair_index=pair_index)
+                   path_rows=path_rows)

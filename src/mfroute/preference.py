@@ -24,11 +24,8 @@ import numpy as np
 
 from .errors import SimplexViolation
 from .network import Network, PathSet
-from .scenario import Scenario
+from .scenario import Z0_SUM_TOL, Scenario
 from .value import EdgeCongestion, Policy
-
-# Largest relative gap between sum(z0) and the initial throughput.
-Z0_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)

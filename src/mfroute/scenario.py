@@ -27,6 +27,10 @@ from .errors import ParseError, ShapeMismatch, ValidationError
 from .network import (DEFAULT_PATH_LIMIT, Network, PathSet, build_network,
                       enumerate_paths)
 
+# Largest relative gap between sum(z0) and the initial throughput (absolute
+# below a throughput of 1).
+Z0_SUM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -263,6 +267,17 @@ def _per_edge_specs(spec, section: str, net: Network) -> dict[str, dict]:
     return specs
 
 
+def _explicit_vector(raw: dict, name: str, size: int, layout: str) -> np.ndarray:
+    """The ``values`` list of an explicit ``z0`` or ``rho0`` rule: ``size``
+    finite, nonnegative numbers."""
+    values = np.array([_num(v, f"{name} value") for v in _list(raw, "values", f"model.{name}")])
+    if values.shape != (size,):
+        raise ParseError(f"{name}.values must list {size} entries, {layout}")
+    if np.any(values < 0.0):
+        raise ValidationError(f"{name} values must be >= 0")
+    return values
+
+
 _EDGE_KEYS = frozenset({"id", "tail", "head", "length", "capacity"})
 
 
@@ -427,9 +442,11 @@ def _build(data: dict) -> tuple[tuple[Network, PathSet, Scenario, TimeGrid], lis
     if z0_rule == "uniform":
         z0 = np.full(ps.n_paths, lam[0] / ps.n_paths)
     elif z0_rule == "explicit":
-        z0 = np.array([_num(v, "z0 value") for v in _list(z0_raw, "values", "model.z0")])
-        if z0.shape != (ps.n_paths,):
-            raise ParseError(f"z0.values must list {ps.n_paths} entries, one per path")
+        z0 = _explicit_vector(z0_raw, "z0", ps.n_paths, "one per path")
+        total, lam0 = float(z0.sum()), float(lam[0])
+        if abs(total - lam0) > Z0_SUM_TOL * max(1.0, abs(lam0)):
+            raise ValidationError(
+                f"z0 values sum to {total!r}, expected initial throughput {lam0!r}")
     else:
         raise ParseError(f"unknown z0 rule {z0_rule!r}")
 
@@ -438,12 +455,8 @@ def _build(data: dict) -> tuple[tuple[Network, PathSet, Scenario, TimeGrid], lis
     if rho0_rule == "zero":
         rho0 = np.zeros(ps.pair_count)
     elif rho0_rule == "explicit":
-        rho0 = np.array([_num(v, "rho0 value") for v in _list(rho0_raw, "values", "model.rho0")])
-        if rho0.shape != (ps.pair_count,):
-            raise ParseError(f"rho0.values must list {ps.pair_count} entries, "
-                             "one per (edge, path) pair in path-major order")
-        if np.any(rho0 < 0.0):
-            raise ValidationError("rho0 values must be >= 0")
+        rho0 = _explicit_vector(rho0_raw, "rho0", ps.pair_count,
+                                "one per (edge, path) pair in path-major order")
     else:
         raise ParseError(f"unknown rho0 rule {rho0_rule!r}")
 

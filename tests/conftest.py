@@ -76,6 +76,16 @@ def lattice_dict(k, steps, constrained=None):
     return doc
 
 
+def chain_dict(n_edges, steps):
+    """A single route of ``n_edges`` edges of length 0.01 each."""
+    edges = [{"id": f"e{i}", "tail": f"v{i}", "head": f"v{i + 1}", "length": 0.01,
+              "capacity": 2.0} for i in range(n_edges)]
+    doc = diamond_dict(steps=steps, edges=edges)
+    doc["network"].update(vertices=[f"v{i}" for i in range(n_edges + 1)],
+                          origin="v0", destination=f"v{n_edges}")
+    return doc
+
+
 def detour_parallel_dict(steps, constrained=None):
     """Parallel edges on both routes, and a detour whose head is farther from
     the destination than its tail.  The paths are (e0), (e1, e2), (e1b, e2)
@@ -112,6 +122,33 @@ STAGE_DOCS = {
 
 def build(doc: dict):
     return scenario_from_dict(doc)
+
+
+def row(ps, edge_id: str, p: int) -> int:
+    """Row of the (edge, path) pair of edge ``edge_id`` on path ``p``."""
+    return int(ps.path_rows[p][ps.paths[p].index(edge_id)])
+
+
+def reference_paths(net) -> list[tuple[str, ...]]:
+    """Origin-destination paths by a recursive depth-first walk that tries
+    out-edges in edge-id order; :func:`mfroute.enumerate_paths` must list
+    the same paths in the same order."""
+    out_sorted = {v: sorted((e for e in net.edges if e.tail == v), key=lambda e: e.id)
+                  for v in net.vertices}
+    paths: list[tuple[str, ...]] = []
+    stack: list[str] = []
+
+    def walk(v: str) -> None:
+        if v == net.destination:
+            paths.append(tuple(stack))
+            return
+        for e in out_sorted[v]:
+            stack.append(e.id)
+            walk(e.head)
+            stack.pop()
+
+    walk(net.origin)
+    return paths
 
 
 def stage_inputs(doc: dict, seed: int = 5):

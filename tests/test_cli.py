@@ -11,7 +11,7 @@ import pytest
 from mfroute import MassField, ParseError, Policy, load_scenario, solve
 from mfroute.cli import main, read_mass_csv, write_mass_csv
 
-from conftest import arrival_times, build, diamond_dict
+from conftest import arrival_times, build, chain_dict, diamond_dict
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -40,6 +40,19 @@ def test_validate_parse_error(tmp_path, capsys):
     path.write_text("{", encoding="utf-8")
     code, out = run(capsys, "validate", str(path))
     assert code == 2
+
+
+def test_long_chain_validates_and_solves(write_scenario, tmp_path, capsys):
+    # a route of more edges than the interpreter's recursion limit
+    scenario = write_scenario(chain_dict(1000, steps=16))
+    code, out = run(capsys, "validate", str(scenario))
+    assert code == 0 and "assumption 2.1.4: PASS" in out
+    out_dir = tmp_path / "run"
+    code, _ = run(capsys, "solve", str(scenario), "--out", str(out_dir))
+    assert code in (0, 3)
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["exit_status"] == code
+    assert (out_dir / "masses.csv").exists()
 
 
 def test_solve_writes_outputs(write_scenario, tmp_path, capsys):
@@ -93,8 +106,15 @@ def test_mass_csv_matches_per_cell_formatting(tmp_path):
     write_mass_csv(path, grid, ps, MassField(values=values))
     headers = [f"rho[{label}]" for label in ps.pair_labels()]
     assert path.read_bytes() == per_cell_csv(grid, headers, list(values)).encode()
+    # the reader takes only masses in psi's domain, and those round-trip,
+    # -0.0 and the subnormals included
+    with pytest.raises(ParseError, match="non-finite"):
+        read_mass_csv(path, ps, grid)
+    domain = np.where(np.isfinite(values), np.where(values < 0.0, -values, values), 1.0)
+    assert np.signbit(domain).sum() == 1
+    write_mass_csv(path, grid, ps, MassField(values=domain))
     back = read_mass_csv(path, ps, grid)
-    assert back.values.tobytes() == values.tobytes()
+    assert back.values.tobytes() == domain.tobytes()
 
 
 def test_solve_exit_three_on_iteration_cap(write_scenario, tmp_path, capsys):
@@ -202,6 +222,22 @@ def test_report_echoes_the_manifest_file(write_scenario, tmp_path, capsys,
     assert report["manifest"] == manifest
 
 
+@pytest.mark.parametrize("values, message", [
+    ([-1.0, 1.0, 1.0], "z0 values must be >= 0"),
+    ([0.5, 0.5, 0.25], "z0 values sum to 1.25"),
+], ids=["negative", "sum"])
+def test_explicit_z0_is_checked_on_load(write_scenario, tmp_path, capsys, values, message):
+    scenario = write_scenario(diamond_dict(steps=16, model={
+        "z0": {"rule": "explicit", "values": values}}))
+    code, out = run(capsys, "validate", str(scenario))
+    assert code == 1 and message in out
+    out_dir = tmp_path / "run"
+    code, _ = run(capsys, "solve", str(scenario), "--out", str(out_dir))
+    assert code == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+    assert message in json.loads((out_dir / "manifest.json").read_text())["error"]
+
+
 def test_validation_failure_exit_one(write_scenario, tmp_path, capsys):
     scenario = write_scenario(diamond_dict(steps=50, model={"rho_max": 5.0}))
     code, _ = run(capsys, "solve", str(scenario), "--out", str(tmp_path / "x"))
@@ -279,6 +315,26 @@ def test_psi_once_non_numeric_mass_field_is_parse_error(write_scenario, tmp_path
     assert sorted(p.name for p in out_b.iterdir()) == ["manifest.json"]
     manifest = json.loads((out_b / "manifest.json").read_text())
     assert manifest["exit_status"] == 2 and "row 3" in manifest["error"]
+
+
+@pytest.mark.parametrize("field, code", [("nan", 2), ("inf", 2), ("-inf", 2), ("-5", 1)])
+def test_psi_once_mass_outside_psi_domain_is_rejected(write_scenario, tmp_path, capsys,
+                                                      field, code):
+    scenario = write_scenario(diamond_dict(steps=20))
+    out_a = tmp_path / "a"
+    run(capsys, "psi-once", str(scenario), "--out", str(out_a), "--zero")
+    lines = (out_a / "masses.csv").read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[2] = field
+    lines[4] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_b = tmp_path / "b"
+    got, _ = run(capsys, "psi-once", str(scenario), "--out", str(out_b), "--mass", str(bad))
+    assert got == code
+    assert sorted(p.name for p in out_b.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out_b / "manifest.json").read_text())
+    assert manifest["exit_status"] == code and "row 3" in manifest["error"]
 
 
 def test_policy_csv_uses_inf_token(write_scenario, tmp_path, capsys):

@@ -13,7 +13,7 @@ from mfroute import (MassField, ReciprocalSpeedLimit, TabulatedSpeedLimit,
 from mfroute.constrained import validate_limit_spec
 from mfroute.oracle import check_value_tables
 
-from conftest import (admissible_mass, build, diamond_dict, speeds, value_stage,
+from conftest import (admissible_mass, build, diamond_dict, row, speeds, value_stage,
                       zero_mass)
 
 SLACK = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 1000.0}}}
@@ -112,7 +112,7 @@ def test_blocked_edge_forces_stay():
     mass = MassField(values=np.tile(scen.rho0[:, None], (1, grid.steps + 1)))
     psi = apply_psi(net, ps, scen, mass)
     table, policy = psi.value, psi.policy
-    r = ps.row("e3", ps.paths.index(("e1", "e3", "e5")))
+    r = row(ps, "e3", ps.paths.index(("e1", "e3", "e5")))
     assert np.all(policy.tau_idx[r] == -1)
     assert np.all(speeds(net, ps, grid, policy)[r] == 0.0)
     e3 = net.edge_index["e3"]

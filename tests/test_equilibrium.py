@@ -10,7 +10,7 @@ import pytest
 from mfroute import (MassField, ShapeMismatch, SolverSettings, apply_psi,
                      residual, solve, verify_X_membership)
 
-from conftest import admissible_mass, build, diamond_dict, zero_mass
+from conftest import admissible_mass, build, diamond_dict, lattice_dict, zero_mass
 
 GOLDEN_RESIDUALS_500 = [0.611642397957458, 0.29752430428880045,
                         0.14716729696282627, 0.06783532419631133,
@@ -113,6 +113,14 @@ def test_solver_flags_residual_increases():
     # whether or not undamped iteration oscillates, the flags index residuals
     for n in report.residual_increases:
         assert report.residuals[n] > report.residuals[n - 1]
+    # a lightly damped lattice oscillates: exactly the rises are flagged
+    doc = lattice_dict(3, steps=40)
+    doc["solver"].update(gamma=0.9, max_iter=25, tol=1e-12)
+    report = solve(*build(doc)[:3])
+    r = report.residuals
+    assert report.iterations == len(r) == 25
+    assert len(report.residual_increases) > 5
+    assert all((r[k] > r[k - 1]) == (k in report.residual_increases) for k in range(1, 25))
 
 
 def test_solve_deterministic():

@@ -14,7 +14,7 @@ from mfroute.flow import injection_terms
 from mfroute.oracle import audit_conservation
 
 from conftest import (STAGE_DOCS, admissible_mass, build, diamond_dict, lattice_dict,
-                      reference_flows, stage_inputs, zero_mass)
+                      reference_flows, row, stage_inputs, zero_mass)
 
 
 def all_moving_policy(ps, n_nodes):
@@ -86,8 +86,8 @@ def test_flow_two_stage_unroll(diamond):
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
     f = compute_flows(ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
     p = ps.paths.index(("e1", "e4"))
-    r_first = ps.row("e1", p)
-    r_last = ps.row("e4", p)
+    r_first = row(ps, "e1", p)
+    r_last = row(ps, "e4", p)
     # after one delay the origin edge emits lambda/3; the next edge one delay later
     assert np.allclose(f.values[r_first, scen.k_idx:], 1.0 / 3.0, rtol=1e-15)
     assert np.all(f.values[r_last, :2 * scen.k_idx] == 0.0)
@@ -100,13 +100,13 @@ def test_stopped_edge_emits_nothing(diamond):
     z = np.ones((3, n_nodes))
     pol = all_moving_policy(ps, n_nodes)
     p = ps.paths.index(("e1", "e3", "e5"))
-    r = ps.row("e3", p)
+    r = row(ps, "e3", p)
     pol.tau_idx[r, :] = -1
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
     f = compute_flows(ps, pol, z, scen.lam, k_idx)
     assert np.all(f.values[r] == 0.0)
     # downstream of the stopped edge nothing arrives either
-    assert np.all(f.values[ps.row("e5", p)] == 0.0)
+    assert np.all(f.values[row(ps, "e5", p)] == 0.0)
 
 
 def test_flows_respect_capacity_margin(diamond):
@@ -184,12 +184,12 @@ def test_increments_route_concentrated_preference(diamond):
     f = FlowField(values=np.zeros((ps.pair_count, n_nodes)))
     integ = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
     h = increments(ps, grid, f, z, scen.lam)
-    r = ps.row("e1", 0)
+    r = row(ps, "e1", 0)
     assert np.allclose(h[r], grid.dt * scen.lam[:grid.steps], rtol=1e-15)
-    assert np.all(h[ps.row("e2", 2)] == 0.0)
+    assert np.all(h[row(ps, "e2", 2)] == 0.0)
     # the routed increments are what the mass accumulates
     assert np.array_equal(integ.mass.values[r, 1:], np.cumsum(h[r]))
-    assert np.all(integ.mass.values[ps.row("e2", 2)] == 0.0)
+    assert np.all(integ.mass.values[row(ps, "e2", 2)] == 0.0)
 
 
 def test_injection_terms_sum_exactly_to_budget(diamond):
@@ -203,6 +203,9 @@ def test_injection_terms_sum_exactly_to_budget(diamond):
     for p in range(1, 3):
         total = total + inj[p]
     assert np.array_equal(total, budget)
+    # a single path receives the whole budget, bit for bit
+    one = injection_terms(z[:1], lam, grid.dt)
+    assert one.shape == (1, 32) and one[0].tobytes() == budget.tobytes()
 
 
 def test_integrate_zero_rhs_keeps_initial_mass(diamond):

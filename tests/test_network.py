@@ -5,14 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mfroute import (BadEdge, CycleDetected, EdgeNotOnPath, TooManyPaths,
-                     Unreachable, apply_psi, build_network, enumerate_paths)
+from mfroute import (BadEdge, CycleDetected, TooManyPaths, Unreachable, apply_psi,
+                     build_network, enumerate_paths)
 from mfroute.network import edge_totals
 
-from conftest import (DIAMOND_EDGES, STAGE_DOCS, build, diamond_dict, lattice_dict,
-                      reference_edge_totals, stage_inputs, zero_mass)
+from conftest import (DIAMOND_EDGES, STAGE_DOCS, build, chain_dict, diamond_dict,
+                      lattice_dict, reference_edge_totals, stage_inputs, zero_mass)
 
 VERTS = ["o", "v1", "v2", "d"]
+
+
+def edge(eid, tail, head, length=1.0, capacity=2.0):
+    """A network edge object as a scenario file spells it."""
+    return {"id": eid, "tail": tail, "head": head, "length": length, "capacity": capacity}
 
 
 def diamond_net():
@@ -22,32 +27,36 @@ def diamond_net():
 def test_diamond_builds():
     net = diamond_net()
     assert net.origin == "o" and net.destination == "d"
-    assert len(net.edges) == 5
-    assert net.topo_order.index("o") == 0
-    assert net.topo_order.index("d") == 3
+    assert net.vertices == tuple(VERTS)
+    assert [e.id for e in net.edges] == ["e1", "e2", "e3", "e4", "e5"]
+    assert net.edge_index == {"e1": 0, "e2": 1, "e3": 2, "e4": 3, "e5": 4}
+    assert net.lengths.tolist() == [1.0] * 5 and net.capacities.tolist() == [2.0] * 5
 
 
 def test_single_edge_network():
-    net = build_network(["o", "d"], [("e1", "o", "d", 1.0, 2.0)], "o", "d")
+    net = build_network(["o", "d"], [edge("e1", "o", "d")], "o", "d")
     ps = enumerate_paths(net)
     assert ps.paths == (("e1",),)
     assert ps.pair_count == 1
 
 
 def test_cycle_detected():
-    edges = DIAMOND_EDGES + [{"id": "e6", "tail": "d", "head": "o",
-                              "length": 1.0, "capacity": 2.0}]
-    with pytest.raises(CycleDetected):
+    edges = DIAMOND_EDGES + [edge("e6", "d", "o")]
+    with pytest.raises(CycleDetected, match=r"through \['d', 'o', 'v1', 'v2'\]$"):
+        build_network(VERTS, edges, "o", "d")
+    # only the vertices on or behind the cycle are named
+    edges = DIAMOND_EDGES + [edge("e6", "d", "v2")]
+    with pytest.raises(CycleDetected, match=r"through \['d', 'v2'\]$"):
         build_network(VERTS, edges, "o", "d")
 
 
 @pytest.mark.parametrize("bad", [
-    ("e9", "o", "o", 1.0, 2.0),       # self loop
-    ("e9", "v1", "v2", 0.0, 2.0),     # zero length
-    ("e9", "v1", "v2", -1.0, 2.0),    # negative length
-    ("e9", "v1", "v2", 1.0, 0.0),     # zero capacity
-    ("e9", "v1", "w", 1.0, 2.0),      # undeclared head
-    ("e1", "o", "v1", 1.0, 2.0),      # duplicate id
+    edge("e9", "o", "o"),                  # self loop
+    edge("e9", "v1", "v2", length=0.0),    # zero length
+    edge("e9", "v1", "v2", length=-1.0),   # negative length
+    edge("e9", "v1", "v2", capacity=0.0),  # zero capacity
+    edge("e9", "v1", "w"),                 # undeclared head
+    edge("e1", "o", "v1"),                 # duplicate id
 ])
 def test_bad_edges_rejected(bad):
     with pytest.raises(BadEdge):
@@ -55,13 +64,16 @@ def test_bad_edges_rejected(bad):
 
 
 def test_unreachable_vertex_rejected():
-    with pytest.raises(Unreachable):
+    with pytest.raises(Unreachable, match=r"^not reachable from origin 'o': \['w'\]$"):
         build_network(VERTS + ["w"], DIAMOND_EDGES, "o", "d")
-    # w reachable from o but cannot reach d
-    edges = DIAMOND_EDGES + [{"id": "e6", "tail": "o", "head": "w",
-                              "length": 1.0, "capacity": 2.0}]
-    with pytest.raises(Unreachable):
-        build_network(VERTS + ["w"], edges, "o", "d")
+    # w and x reachable from o but cannot reach d
+    edges = DIAMOND_EDGES + [edge("e6", "o", "x"), edge("e7", "x", "w")]
+    with pytest.raises(Unreachable, match=r"^destination 'd' not reachable from: \['w', 'x'\]$"):
+        build_network(VERTS + ["x", "w"], edges, "o", "d")
+    # a vertex that fails both is reported as unreachable from the origin
+    edges = DIAMOND_EDGES + [edge("e6", "o", "x")]
+    with pytest.raises(Unreachable, match=r"^not reachable from origin 'o': \['w'\]$"):
+        build_network(VERTS + ["x", "w"], edges, "o", "d")
 
 
 def test_origin_destination_distinct():
@@ -81,7 +93,7 @@ def test_diamond_paths_and_incidence():
 
 def test_parallel_edges_identity_incidence():
     net = build_network(["o", "d"],
-                        [("e1", "o", "d", 1.0, 2.0), ("e2", "o", "d", 1.5, 2.0)],
+                        [edge("e1", "o", "d"), edge("e2", "o", "d", length=1.5)],
                         "o", "d")
     ps = enumerate_paths(net)
     assert ps.paths == (("e1",), ("e2",))
@@ -98,6 +110,16 @@ def test_enumeration_invariant_under_edge_order(diamond):
         assert ps.paths == ps_ref.paths
 
 
+def test_long_chain_builds_and_enumerates():
+    # a route far longer than the interpreter's recursion limit
+    doc = chain_dict(2000, steps=1)["network"]
+    net = build_network(doc["vertices"], doc["edges"], doc["origin"], doc["destination"])
+    ps = enumerate_paths(net)
+    assert ps.paths == (tuple(f"e{i}" for i in range(2000)),)
+    assert ps.pair_edge_idx.tolist() == list(range(2000))
+    assert net.dist_tail[0] == sum([0.01] * 2000) and net.dist_tail[-1] == 0.01
+
+
 def test_path_limit_guard():
     # layered graph with 2^6 paths
     verts = ["o", "d"] + [f"a{i}" for i in range(5)]
@@ -105,7 +127,7 @@ def test_path_limit_guard():
     edges = []
     for i in range(6):
         for j in range(2):
-            edges.append((f"e{i}_{j}", layer[i], layer[i + 1], 1.0, 2.0))
+            edges.append(edge(f"e{i}_{j}", layer[i], layer[i + 1]))
     net = build_network(verts, edges, "o", "d")
     assert len(enumerate_paths(net).paths) == 64
     with pytest.raises(TooManyPaths):
@@ -113,10 +135,14 @@ def test_path_limit_guard():
 
 
 def test_shortest_remaining_lengths():
-    net = diamond_net()
-    assert net.dist_to_destination == {"o": 2.0, "v1": 1.0, "v2": 1.0, "d": 0.0}
     # the stay penalty reads the distance at each edge's tail
-    assert net.dist_tail.tolist() == [2.0, 2.0, 1.0, 1.0, 1.0]
+    assert diamond_net().dist_tail.tolist() == [2.0, 2.0, 1.0, 1.0, 1.0]
+    # o-v1-d is shorter than o-d, and v1-v2-d shorter than v1-d
+    net = build_network(["o", "v1", "v2", "d"],
+                        [edge("a", "o", "d", 5.0), edge("b", "o", "v1", 1.0),
+                         edge("c", "v1", "d", 3.0), edge("x", "v1", "v2", 0.5),
+                         edge("y", "v2", "d", 1.0)], "o", "d")
+    assert net.dist_tail.tolist() == [2.5, 2.5, 1.5, 1.5, 1.0]
 
 
 def test_triangle_inequality_along_edges():
@@ -127,28 +153,33 @@ def test_triangle_inequality_along_edges():
         chain = verts
         edges = []
         for i in range(len(chain) - 1):
-            edges.append((f"c{i}", chain[i], chain[i + 1],
-                          float(rng.uniform(0.5, 3.0)), 2.0))
+            edges.append(edge(f"c{i}", chain[i], chain[i + 1], float(rng.uniform(0.5, 3.0))))
         # random forward skips keep the graph acyclic and connected
         for s in range(int(rng.integers(1, 4))):
             a, b = sorted(rng.choice(len(chain), size=2, replace=False))
             if b > a:
-                edges.append((f"s{trial}_{s}", chain[a], chain[b],
-                              float(rng.uniform(0.5, 3.0)), 2.0))
+                edges.append(edge(f"s{trial}_{s}", chain[a], chain[b],
+                                  float(rng.uniform(0.5, 3.0))))
         net = build_network(verts, edges, "o", "d")
+        dist = {e.tail: d for e, d in zip(net.edges, net.dist_tail.tolist())}
+        dist["d"] = 0.0
         for e in net.edges:
-            lhs = net.dist_to_destination[e.tail]
-            rhs = e.length + net.dist_to_destination[e.head]
-            assert lhs <= rhs + 1e-12
+            assert dist[e.tail] <= e.length + dist[e.head]
+        # and the distance is attained by some out-edge
+        for v in verts[:-1]:
+            assert dist[v] == min(e.length + dist[e.head] for e in net.edges if e.tail == v)
 
 
 def test_paths_ascend_in_topological_order():
+    # each path is a chain of edges from the origin to the destination
+    # that visits no vertex twice, so its tails ascend in any topological order
     net = diamond_net()
-    ps = enumerate_paths(net)
-    rank = {v: i for i, v in enumerate(net.topo_order)}
-    for path in ps.paths:
-        tails = [rank[net.edge(eid).tail] for eid in path]
-        assert tails == sorted(tails)
+    for path in enumerate_paths(net).paths:
+        edges = [net.edges[net.edge_index[eid]] for eid in path]
+        visited = [e.tail for e in edges] + [edges[-1].head]
+        assert visited[0] == "o" and visited[-1] == "d"
+        assert [e.head for e in edges[:-1]] == [e.tail for e in edges[1:]]
+        assert len(set(visited)) == len(visited)
 
 
 def test_adjacency_queries():
@@ -159,12 +190,10 @@ def test_adjacency_queries():
     for p, path in enumerate(ps.paths):
         rows = ps.path_rows[p]
         assert [net.edges[ps.pair_edge_idx[r]].id for r in rows] == list(path)
-        assert [ps.row(eid, p) for eid in path] == rows.tolist()
+        assert ps.pair_path_idx[rows].tolist() == [p] * len(path)
         assert ps.first_mask[rows].tolist() == [True] + [False] * (len(path) - 1)
         assert ps.last_mask[rows].tolist() == [False] * (len(path) - 1) + [True]
-    two_leg = ps.paths.index(("e1", "e4"))
-    with pytest.raises(EdgeNotOnPath):
-        ps.row("e3", two_leg)
+    assert np.concatenate(ps.path_rows).tolist() == list(range(ps.pair_count))
 
 
 def test_pairs_are_path_major():

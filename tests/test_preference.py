@@ -10,7 +10,7 @@ import pytest
 from mfroute import (SimplexViolation, apply_psi, logit_response, path_costs,
                      preference_evolution)
 
-from conftest import (STAGE_DOCS, build, diamond_dict, reference_path_costs,
+from conftest import (STAGE_DOCS, build, diamond_dict, reference_path_costs, row,
                       stage_inputs, value_stage, zero_mass)
 
 
@@ -56,7 +56,7 @@ def test_entry_times_follow_policy(diamond_policy):
     net, ps, scen, grid, cong, table, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
     entries = entry_times(ps, policy, p, 0)
-    tau = int(policy.tau_idx[ps.row("e4", p), entries[1]])
+    tau = int(policy.tau_idx[row(ps, "e4", p), entries[1]])
     assert 0 < entries[1] < tau
     expected = 0.0 + leg_cost(net, scen, cong, "e1", 0, entries[1])
     expected += leg_cost(net, scen, cong, "e4", entries[1], tau)
@@ -90,7 +90,7 @@ def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
     # stays and pays its distance penalty
     net, ps, scen, grid, cong, table, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
-    r = ps.row("e1", p)
+    r = row(ps, "e1", p)
     hits = np.flatnonzero(policy.tau_idx[r] == grid.steps)
     assert hits.size
     i = int(hits[0])
@@ -136,7 +136,7 @@ def test_stopped_first_edge_contributes_distance_and_tail_integral(diamond):
     cong, _, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
     table = path_costs(net, ps, scen, cong, policy)
     p = ps.paths.index(("e1", "e4"))
-    r = ps.row("e1", p)
+    r = row(ps, "e1", p)
     stopped = np.flatnonzero(policy.tau_idx[r] < 0)
     i = int(stopped[0])
     e = net.edge_index["e1"]

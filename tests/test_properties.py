@@ -13,12 +13,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mfroute import MassField, apply_psi, compute_flows, path_costs
+from mfroute import (MassField, apply_psi, build_network, compute_flows,
+                     enumerate_paths, path_costs)
 from mfroute.network import edge_totals
 from mfroute.oracle import audit_conservation, check_value_tables
 
 from conftest import (build, diamond_dict, reference_edge_totals, reference_flows,
-                      reference_path_costs)
+                      reference_path_costs, reference_paths)
 
 # Derandomized, so every run checks the same examples; the example count
 # keeps the test to a few seconds.
@@ -76,6 +77,7 @@ def test_psi_stages_match_references_and_oracles(case):
     psi = apply_psi(net, ps, scen, mass)
     cong, policy = psi.congestion, psi.policy
 
+    assert list(ps.paths) == reference_paths(net)
     for values in (mass.values, psi.mass.values):
         assert edge_totals(ps, values).tobytes() == reference_edge_totals(ps, values).tobytes()
     table = path_costs(net, ps, scen, cong, policy)
@@ -88,3 +90,42 @@ def test_psi_stages_match_references_and_oracles(case):
     floor = psi.arrival.floor_idx if psi.arrival is not None else None
     assert check_value_tables(net, ps, scen, cong, psi.value, policy, floor) == []
     assert audit_conservation(ps, scen, psi, scen.rho0).ok
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A DAG on 2-8 vertices, origin first and destination last in its
+    topological order, with up to two edges between any ordered pair and a
+    chain of consecutive vertices so that every vertex lies on a route.  The
+    vertex list and the edge list are shuffled, and edge ids are drawn so
+    that their lexicographic order differs from the input order."""
+    k = draw(st.integers(2, 8))
+    names = draw(st.permutations([f"v{i}" for i in range(k)]))
+    edges = []
+    for i in range(k - 1):
+        for j in range(i + 1, k):
+            for _ in range(draw(st.integers(1 if j == i + 1 else 0, 2))):
+                edges.append({"tail": names[i], "head": names[j],
+                              "length": draw(st.sampled_from(LENGTHS)), "capacity": 2.0})
+    ids = draw(st.permutations(range(len(edges))))
+    for e, n in zip(edges, ids):
+        e["id"] = f"e{n}"
+    vertices = draw(st.permutations(names))
+    return vertices, draw(st.permutations(edges)), names[0], names[-1]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(shuffled_dags())
+def test_paths_and_pair_layout_match_recursive_reference(dag):
+    net = build_network(*dag)
+    ps = enumerate_paths(net)
+    assert list(ps.paths) == reference_paths(net)
+    rows = [(net.edge_index[eid], p, pos == 0, pos == len(path) - 1)
+            for p, path in enumerate(ps.paths) for pos, eid in enumerate(path)]
+    edge_idx, path_idx, first, last = (list(col) for col in zip(*rows))
+    assert ps.pair_count == len(rows)
+    assert ps.pair_edge_idx.tolist() == edge_idx
+    assert ps.pair_path_idx.tolist() == path_idx
+    assert ps.first_mask.tolist() == first and ps.last_mask.tolist() == last
+    assert [r.tolist() for r in ps.path_rows] == [
+        [r for r, p in enumerate(path_idx) if p == q] for q in range(ps.n_paths)]

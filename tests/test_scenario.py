@@ -266,6 +266,26 @@ def test_explicit_z0_must_match_path_count():
         build(diamond_dict(model={"z0": {"rule": "explicit", "values": [1.0]}}))
 
 
+def test_explicit_z0_must_be_nonnegative():
+    # sums to lambda(0) = 1, but a negative preference is no split of it
+    with pytest.raises(ValidationError, match=r"^z0 values must be >= 0$"):
+        build(diamond_dict(model={"z0": {"rule": "explicit", "values": [-1.0, 1.0, 1.0]}}))
+
+
+def test_explicit_z0_must_sum_to_initial_throughput():
+    with pytest.raises(ValidationError, match=r"^z0 values sum to 1\.25, expected "
+                                              r"initial throughput 1\.0$"):
+        build(diamond_dict(model={"z0": {"rule": "explicit", "values": [0.5, 0.5, 0.25]}}))
+    with pytest.raises(ValidationError, match="z0 values sum to"):
+        build(diamond_dict(model={"z0": {"rule": "explicit",
+                                         "values": [0.5, 0.25, 0.25 + 1e-8]}}))
+    # within the tolerance the preference stage accepts the vector as it is
+    net, ps, scen, grid = build(diamond_dict(steps=4, model={
+        "z0": {"rule": "explicit", "values": [0.5, 0.25, 0.25 + 1e-12]}}))
+    assert scen.z0.tolist() == [0.5, 0.25, 0.25 + 1e-12]
+    apply_psi(net, ps, scen, zero_mass(ps, grid))
+
+
 def test_rho0_explicit_shape_and_sign():
     with pytest.raises(ParseError):
         build(diamond_dict(model={"rho0": {"rule": "explicit", "values": [0.0] * 3}}))

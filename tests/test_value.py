@@ -10,8 +10,8 @@ from mfroute import (MassField, ShapeMismatch, arrival_tables,
                      build_speed_limits, congestion_total, value_backward)
 from mfroute.oracle import check_value_tables
 
-from conftest import (admissible_mass, build, diamond_dict, lattice_dict, speeds,
-                      value_stage, zero_mass)
+from conftest import (admissible_mass, build, diamond_dict, lattice_dict, row,
+                      speeds, value_stage, zero_mass)
 
 
 def unit_chain_dict(steps, horizon=1.0, alpha=1.0, coeff=0.0, n_edges=1,
@@ -41,8 +41,8 @@ def test_congestion_total_zero_mass(diamond):
 def test_congestion_total_sums_sharing_paths(diamond):
     net, ps, scen, grid = diamond
     mass = zero_mass(ps, grid)
-    r1 = ps.row("e5", ps.paths.index(("e1", "e3", "e5")))
-    r2 = ps.row("e5", ps.paths.index(("e2", "e5")))
+    r1 = row(ps, "e5", ps.paths.index(("e1", "e3", "e5")))
+    r2 = row(ps, "e5", ps.paths.index(("e2", "e5")))
     mass.values[r1] = 0.3
     mass.values[r2] = 0.7
     cong = congestion_total(net, ps, scen, mass)
@@ -259,7 +259,7 @@ def test_final_node_continues_with_stay_penalty(monkeypatch):
     doc["solver"]["eps_tie"] = 0.3
     net, ps, scen, grid = build(doc)
     n = grid.steps
-    r = ps.row("e1", ps.paths.index(("e1", "e2")))
+    r = row(ps, "e1", ps.paths.index(("e1", "e2")))
     monkeypatch.setattr(value_module, "BLOCK_CELLS", 3 * (n + 1))
     first_tau = []
     for mass in (zero_mass(ps, grid), admissible_mass(np.random.default_rng(43), ps, scen)):
