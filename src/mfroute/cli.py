@@ -230,6 +230,8 @@ def _solve_body(args, out: Path, net: Network, ps: PathSet, scen: Scenario,
         "iterations": report.iterations,
         "converged": report.converged,
         "tol": report.tol,
+        "final_relative_residual": report.final_relative_residual,
+        "restarts": report.restarts,
         "gamma": report.gamma,
         "diagnostics": {**_diagnostics(scen, report.psi, report.membership),
                         "residual_increases": report.residual_increases},

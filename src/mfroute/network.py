@@ -160,16 +160,17 @@ def build_network(vertices: Sequence[str], edges: Sequence[dict], origin: str,
     """Validate the graph data and return an immutable :class:`Network`.
 
     ``edges`` are the scenario's edge objects, each with the keys ``id``,
-    ``tail``, ``head``, ``length`` and ``capacity``.  Raises
+    ``tail``, ``head``, ``length`` and ``capacity``.  Ids are used as
+    given; the scenario parser admits only non-empty strings.  Raises
     :class:`BadEdge` for malformed edges, :class:`CycleDetected` if a
     topological order does not exist, and :class:`Unreachable` if some
     vertex is not on an origin-to-destination route.
     """
-    vertices = tuple(str(v) for v in vertices)
+    vertices = tuple(vertices)
     if len(set(vertices)) != len(vertices):
         raise BadEdge("duplicate vertex ids")
     vset = set(vertices)
-    parsed = tuple(Edge(str(e["id"]), str(e["tail"]), str(e["head"]),
+    parsed = tuple(Edge(e["id"], e["tail"], e["head"],
                         float(e["length"]), float(e["capacity"])) for e in edges)
     seen_ids: set[str] = set()
     for e in parsed:

@@ -282,17 +282,26 @@ _EDGE_KEYS = frozenset({"id", "tail", "head", "length", "capacity"})
 
 
 def _network_fields(raw: dict) -> tuple[list, list[dict], str, str]:
-    """Vertices, edges, origin and destination of the network section."""
+    """Vertices, edges, origin and destination of the network section.
+
+    Vertex and edge ids are non-empty strings; ``build_network`` takes them
+    as given.
+    """
     vertices = _list(raw, "vertices", "network")
+    if not all(isinstance(v, str) and v for v in vertices):
+        raise ParseError("network vertex ids must be non-empty strings")
     edges = _list(raw, "edges", "network")
     for e in edges:
         if not isinstance(e, dict) or not _EDGE_KEYS <= e.keys():
             raise ParseError("each network edge must be an object with keys "
                              "id, tail, head, length and capacity")
+        for key in ("id", "tail", "head"):
+            if not (isinstance(e[key], str) and e[key]):
+                raise ParseError(f"edge {key} must be a non-empty string")
         _num(e["length"], "edge length")
         _num(e["capacity"], "edge capacity")
     ends = [_req(raw, key, "network") for key in ("origin", "destination")]
-    if not all(isinstance(v, str) for v in ends):
+    if not all(isinstance(v, str) and v for v in ends):
         raise ParseError("network.origin and network.destination must be vertex ids")
     return vertices, edges, *ends
 

@@ -170,6 +170,7 @@ MALFORMED_SPECS = {
     "lambda-missing-value": {"model": {"lambda": {"family": "constant"}}},
     "phi-default": {"model": {"phi": {"default": 5}}},
     "u-default": {"constrained": {"enabled": True, "u": {"default": 5}}},
+    "vertex-null": {"network": {"vertices": ["o", "v1", "v2", None]}},
 }
 
 
@@ -191,6 +192,20 @@ def test_malformed_nested_spec_is_parse_error(write_scenario, tmp_path, capsys, 
     assert manifest["error"] and manifest["parameters"] is None
 
 
+@pytest.mark.parametrize("key, value", [("id", None), ("id", ["x"]), ("id", ""),
+                                        ("tail", None), ("head", ["d"])])
+def test_non_string_edge_id_is_parse_error(write_scenario, tmp_path, capsys, key, value):
+    doc = diamond_dict(steps=50)
+    doc["network"]["edges"][2][key] = value
+    scenario = write_scenario(doc)
+    assert main(["validate", str(scenario)]) == 2
+    out_dir = tmp_path / "run"
+    assert main(["solve", str(scenario), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"edge {key} must be a non-empty string" in err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+
+
 def test_solve_deterministic_outputs(write_scenario, tmp_path, capsys):
     scenario = write_scenario(diamond_dict(steps=80))
     a = tmp_path / "a"
@@ -208,6 +223,18 @@ def test_solve_deterministic_outputs(write_scenario, tmp_path, capsys):
     mb = json.loads((b / "manifest.json").read_text())
     del ma["duration_seconds"], mb["duration_seconds"]
     assert ma == mb
+
+
+def test_report_gives_restarts_and_relative_residual(write_scenario, tmp_path, capsys):
+    scenario = write_scenario(diamond_dict(steps=80))
+    out_dir = tmp_path / "run"
+    code, _ = run(capsys, "solve", str(scenario), "--out", str(out_dir))
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["restarts"] == 0
+    net, ps, scen, grid = load_scenario(scenario)
+    mass = read_mass_csv(out_dir / "masses.csv", ps, grid)
+    assert report["final_relative_residual"] == report["residuals"][-1] / mass.values.max()
 
 
 @pytest.mark.parametrize("command, extra", [("solve", []), ("psi-once", ["--zero"])])

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfroute.equilibrium as equilibrium
 from mfroute import (MassField, ShapeMismatch, SolverSettings, apply_psi,
-                     residual, solve, verify_X_membership)
+                     load_scenario, residual, solve, verify_X_membership)
+from mfroute.oracle import audit_conservation
 
 from conftest import admissible_mass, build, diamond_dict, lattice_dict, zero_mass
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN_RESIDUALS_500 = [0.611642397957458, 0.29752430428880045,
                         0.14716729696282627, 0.06783532419631133,
@@ -68,9 +74,17 @@ def test_immediate_convergence_with_loose_tolerance():
     report = solve(net, ps, scen)
     assert report.converged and report.iterations == 1
     assert np.all(report.mass.values == 0.0)
+    assert report.final_relative_residual is None  # no mass to scale by
 
 
-def test_default_solve_converges_and_is_golden():
+@pytest.fixture
+def picard(monkeypatch):
+    """Solve without Anderson history: damped Picard iteration, the solver's
+    bits before Anderson."""
+    monkeypatch.setattr(equilibrium, "ANDERSON_DEPTH", 0)
+
+
+def test_default_solve_converges_and_is_golden(picard):
     net, ps, scen, grid = build(diamond_dict(steps=500))
     report = solve(net, ps, scen)
     assert report.converged
@@ -81,9 +95,12 @@ def test_default_solve_converges_and_is_golden():
     assert report.residual_increases == []
 
 
-def test_solution_has_consistent_stages():
-    # converged, and stopped by the iteration cap three iterations in
-    for solver in ({}, {"max_iter": 3}):
+def test_solution_has_consistent_stages(monkeypatch):
+    # converged, and stopped by the iteration cap: damped Picard three
+    # iterations in, Anderson (which converges in three) two iterations in
+    depth = equilibrium.ANDERSON_DEPTH
+    for depth, solver in ((depth, {}), (0, {"max_iter": 3}), (depth, {"max_iter": 2})):
+        monkeypatch.setattr(equilibrium, "ANDERSON_DEPTH", depth)
         net, ps, scen, grid = build(diamond_dict(steps=200, solver=solver))
         report = solve(net, ps, scen)
         assert report.converged == (not solver)
@@ -123,14 +140,25 @@ def test_solver_flags_residual_increases():
     assert all((r[k] > r[k - 1]) == (k in report.residual_increases) for k in range(1, 25))
 
 
-def test_solve_deterministic():
-    doc = diamond_dict(steps=150)
-    n1, p1, s1, g1 = build(doc)
-    n2, p2, s2, g2 = build(doc)
-    r1 = solve(n1, p1, s1)
-    r2 = solve(n2, p2, s2)
-    assert r1.residuals == r2.residuals
-    assert np.array_equal(r1.mass.values, r2.mass.values)
+def oscillating_lattice():
+    """A lightly damped lattice whose residual rises often in 25 steps (nine
+    times by Anderson)."""
+    doc = lattice_dict(3, steps=40)
+    doc["solver"].update(gamma=0.9, max_iter=25, tol=1e-12)
+    return build(doc)
+
+
+def test_solve_deterministic(monkeypatch):
+    for depth in (equilibrium.ANDERSON_DEPTH, 0):
+        monkeypatch.setattr(equilibrium, "ANDERSON_DEPTH", depth)
+        n1, p1, s1, g1 = oscillating_lattice()
+        n2, p2, s2, g2 = oscillating_lattice()
+        r1 = solve(n1, p1, s1)
+        r2 = solve(n2, p2, s2)
+        assert r1.residuals == r2.residuals
+        assert r1.restarts == r2.restarts
+        assert r1.mass.values.tobytes() == r2.mass.values.tobytes()
+        assert r1.psi.mass.values.tobytes() == r2.psi.mass.values.tobytes()
 
 
 def test_gamma_validation(diamond):
@@ -147,3 +175,126 @@ def test_near_flat_response_for_tiny_beta():
     assert report.converged
     z = report.psi.preference.z
     assert np.max(np.abs(z - scen.lam / ps.n_paths)) <= 1e-4 * scen.lam_max
+
+
+def record_psi(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(pre-image, image) of every map evaluation of the solves that follow,
+    copied when the map returns."""
+    calls = []
+
+    def recorded(net, ps, scen, mass):
+        psi = apply_psi(net, ps, scen, mass)
+        calls.append((mass.values.copy(), psi.mass.values.copy()))
+        return psi
+
+    monkeypatch.setattr(equilibrium, "apply_psi", recorded)
+    return calls
+
+
+def picard_step(call, gamma):
+    x, g = call
+    return (1.0 - gamma) * x + gamma * g
+
+
+def test_picard_is_the_empty_history_step(monkeypatch):
+    calls = record_psi(monkeypatch)
+    net, ps, scen, grid = oscillating_lattice()
+    report = solve(net, ps, scen)
+    assert report.iterations == len(calls) == 25
+    gamma = scen.solver.gamma
+    # the first step, and the step after every residual rise, is damped
+    # Picard bit for bit; the others are not
+    picard = {0} | set(report.residual_increases)
+    assert len(picard) == 10
+    for k in range(len(calls) - 1):
+        same = calls[k + 1][0].tobytes() == picard_step(calls[k], gamma).tobytes()
+        assert same == (k in picard), k
+
+
+def test_residual_rise_empties_the_history(monkeypatch):
+    calls = record_psi(monkeypatch)
+    net, ps, scen, grid = oscillating_lattice()
+    report = solve(net, ps, scen)
+    rises = report.residual_increases
+    assert report.restarts == len(rises) == 9
+    gamma = scen.solver.gamma
+    checked = 0
+    for k in rises:
+        if k + 1 in rises or k + 2 >= len(calls):
+            continue
+        # two steps after a rise, the history holds the one pair from it
+        (x0, g0), (x1, g1) = calls[k], calls[k + 1]
+        f0, f1 = g0 - x0, g1 - x1
+        dx, df = x1 - x0, f1 - f0
+        c = float((df * f1).sum()) / float((df * df).sum())
+        want = np.maximum(picard_step(calls[k + 1], gamma) - c * (dx + gamma * df), 0.0)
+        np.testing.assert_allclose(calls[k + 2][0], want, rtol=1e-12, atol=1e-15)
+        checked += 1
+    assert checked >= 3
+
+
+def test_depth_zero_has_no_history(monkeypatch, picard):
+    calls = record_psi(monkeypatch)
+    net, ps, scen, grid = oscillating_lattice()
+    report = solve(net, ps, scen)
+    assert report.restarts == 0
+    assert len(report.residual_increases) > 5
+    for k in range(len(calls) - 1):
+        assert calls[k + 1][0].tobytes() == picard_step(calls[k], 0.9).tobytes()
+
+
+@pytest.mark.parametrize("name", ["diamond_coarse", "diamond_default", "diamond_constrained"])
+def test_shipped_scenarios_converge_with_anderson(name):
+    net, ps, scen, grid = load_scenario(SCENARIOS / f"{name}.json")
+    report = solve(net, ps, scen)
+    assert report.converged
+    again = apply_psi(net, ps, scen, report.mass)
+    for got, want in ((again.mass.values, report.psi.mass.values),
+                      (again.value.values, report.psi.value.values),
+                      (again.policy.tau_idx, report.psi.policy.tau_idx),
+                      (again.flows.values, report.psi.flows.values)):
+        assert got.tobytes() == want.tobytes()
+    assert residual(report.mass, again.mass) == report.final_residual <= report.tol
+    assert audit_conservation(ps, scen, report.psi, scen.rho0).ok
+    assert report.membership.mass_ok
+
+
+def _hard_cases():
+    beta = diamond_dict(steps=500, model={"beta": 1000.0}, solver={"max_iter": 60})
+    tight = json.loads((SCENARIOS / "diamond_constrained.json").read_text())
+    tight["solver"].update(tol=1e-4, max_iter=60)
+    return {"beta-1000": beta, "constrained-tol-1e-4": tight}
+
+
+@pytest.mark.parametrize("depth", [equilibrium.ANDERSON_DEPTH, 0], ids=["anderson", "picard"])
+@pytest.mark.parametrize("case", ["beta-1000", "constrained-tol-1e-4"])
+def test_hard_cases_end_unconverged_without_raising(case, depth, monkeypatch):
+    monkeypatch.setattr(equilibrium, "ANDERSON_DEPTH", depth)
+    net, ps, scen, grid = build(_hard_cases()[case])
+    report = solve(net, ps, scen)
+    assert not report.converged and report.iterations == 60
+    assert report.final_relative_residual > 0.0
+    assert (report.restarts > 0) == (depth > 0)
+    again = apply_psi(net, ps, scen, report.mass)
+    assert again.mass.values.tobytes() == report.psi.mass.values.tobytes()
+
+
+def test_anderson_correction_rejects_dependent_differences():
+    rng = np.random.default_rng(0)
+    df = rng.uniform(size=(3, 5))
+    f = rng.uniform(size=(3, 5))
+    step = rng.uniform(size=(3, 5))
+    before = step.copy()
+    # the same residual difference twice: the second pivot is zero
+    assert not equilibrium.anderson_correction(step, f, [(df, df), (df, df)], 0.5)
+    assert step.tobytes() == before.tobytes()
+    assert not equilibrium.anderson_correction(step, f, [(df, 0.0 * df)], 0.5)
+    # nearly the same difference twice: rounding leaves the second pivot
+    # positive (about 3e-15) but far below PIVOT_RTOL of its diagonal entry
+    near = df + 1e-8 * rng.uniform(size=(3, 5))
+    assert not equilibrium.anderson_correction(step, f, [(df, df), (near, near)], 0.5)
+    assert step.tobytes() == before.tobytes()
+    # one pair: the least-squares coefficient of f on df
+    assert equilibrium.anderson_correction(step, f, [(df, df)], 0.5)
+    c = (df * f).sum() / (df * df).sum()
+    np.testing.assert_allclose(step, np.maximum(before - c * 1.5 * df, 0.0), rtol=1e-14)

@@ -4,17 +4,20 @@ Each example draws a small acyclic multigraph, a short grid, a random mass
 field below the mass bound, and speed limits or none.  One map evaluation
 must then agree bit for bit with the per-pair reference loops, the value
 tables must equal the exhaustive enumeration, and the conservation audit
-must pass.
+must pass.  A solve, with Anderson history or without, must report the
+residual of the mass it returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mfroute import (MassField, apply_psi, build_network, compute_flows,
-                     enumerate_paths, path_costs)
+import mfroute.equilibrium as equilibrium
+from mfroute import (MassField, MFRouteError, apply_psi, build_network,
+                     compute_flows, enumerate_paths, path_costs, residual, solve)
 from mfroute.network import edge_totals
 from mfroute.oracle import audit_conservation, check_value_tables
 
@@ -90,6 +93,32 @@ def test_psi_stages_match_references_and_oracles(case):
     floor = psi.arrival.floor_idx if psi.arrival is not None else None
     assert check_value_tables(net, ps, scen, cong, psi.value, policy, floor) == []
     assert audit_conservation(ps, scen, psi, scen.rho0).ok
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario_docs())
+def test_solve_reports_the_residual_of_its_mass_whatever_the_depth(case):
+    doc, _ = case
+    doc["solver"].update(tol=1e-9, max_iter=20)
+    raised = {}
+    for depth in (0, equilibrium.ANDERSON_DEPTH):
+        net, ps, scen, grid = build(doc)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(equilibrium, "ANDERSON_DEPTH", depth)
+                report = solve(net, ps, scen)
+        except MFRouteError as exc:
+            raised[depth] = type(exc)
+            continue
+        psi = apply_psi(net, ps, scen, report.mass)
+        assert psi.mass.values.tobytes() == report.psi.mass.values.tobytes()
+        assert residual(report.mass, psi.mass) == report.final_residual
+        assert report.converged == (report.final_residual <= scen.tol)
+        assert np.all(report.mass.values >= 0.0)
+    # acceleration adds no failure mode of its own
+    if equilibrium.ANDERSON_DEPTH in raised:
+        assert raised.get(0) == raised[equilibrium.ANDERSON_DEPTH]
 
 
 @st.composite

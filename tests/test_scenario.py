@@ -110,6 +110,16 @@ MALFORMED_SPECS = {
     "edge-length-not-a-number": _with(("network", "edges", 0, "length"), "abc"),
     "edge-not-an-object": _with(("network", "edges", 0), 5),
     "origin-list": _with(("network", "origin"), []),
+    "origin-empty": _with(("network", "origin"), ""),
+    "vertex-null": _with(("network", "vertices", 3), None),
+    "vertex-number": _with(("network", "vertices", 0), 7),
+    "vertex-empty": _with(("network", "vertices", 1), ""),
+    "edge-id-null": _with(("network", "edges", 2, "id"), None),
+    "edge-id-list": _with(("network", "edges", 4, "id"), ["x"]),
+    "edge-id-empty": _with(("network", "edges", 0, "id"), ""),
+    "edge-id-number": _with(("network", "edges", 0, "id"), 1),
+    "edge-tail-list": _with(("network", "edges", 1, "tail"), ["o"]),
+    "edge-head-null": _with(("network", "edges", 3, "head"), None),
 }
 
 
