@@ -6,88 +6,28 @@ the integrated speed limit covers the edge length.  The value minimization
 then runs over arrival nodes no earlier than that minimal arrival time, and
 the flow delay of each edge is enlarged to its mean constrained traverse
 time when that exceeds the a-priori constant.
+
+The speed limits themselves, :class:`ReciprocalSpeedLimit` and
+:class:`TabulatedSpeedLimit`, are built from the ``constrained.u`` specs
+when the scenario loads, beside the congestion costs in
+:mod:`mfroute.scenario`; this module re-exports them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
 from .network import Network
-from .scenario import Scenario, TimeGrid, _num, prefix_integral
+from .scenario import (ReciprocalSpeedLimit, Scenario, SpeedLimit,
+                       TabulatedSpeedLimit, TimeGrid, prefix_integral)
 from .value import EdgeCongestion
 
 
-@dataclass(frozen=True)
-class ReciprocalSpeedLimit:
-    """Speed limit coeff / mass: unbounded on an empty edge, vanishing when crowded."""
-
-    coeff: float
-
-    def __call__(self, mass):
-        return self.coeff / np.asarray(mass, dtype=float)
-
-
-@dataclass(frozen=True)
-class TabulatedSpeedLimit:
-    """Strictly positive, decreasing speed samples interpolated in mass."""
-
-    masses: np.ndarray = field(repr=False)
-    speeds: np.ndarray = field(repr=False)
-
-    def __call__(self, mass):
-        return np.interp(np.asarray(mass, dtype=float), self.masses, self.speeds)
-
-
-SpeedLimit = ReciprocalSpeedLimit | TabulatedSpeedLimit
-
-
-def validate_limit_spec(edge_id: str, spec: dict[str, Any]) -> None:
-    family = spec.get("family")
-    if family == "reciprocal":
-        coeff = spec.get("coeff")
-        # NaN passes "<= 0" and would cast to garbage arrival floors
-        if (not isinstance(coeff, (int, float)) or isinstance(coeff, bool)
-                or not 0.0 < coeff < math.inf):
-            raise ValidationError(f"speed limit for edge {edge_id!r}: "
-                                  "coeff must be finite and > 0")
-        return
-    if family == "table":
-        masses = spec.get("masses")
-        speeds = spec.get("speeds")
-        if (not isinstance(masses, list) or not isinstance(speeds, list)
-                or len(masses) != len(speeds) or len(masses) < 2):
-            raise ParseError(f"speed limit table for edge {edge_id!r} needs matching "
-                             "masses/speeds lists of length >= 2")
-        m = np.array([_num(v, f"speed limit table mass for edge {edge_id!r}") for v in masses])
-        s = np.array([_num(v, f"speed limit table speed for edge {edge_id!r}") for v in speeds])
-        if np.any(np.diff(m) <= 0):
-            raise ValidationError(f"speed limit table for edge {edge_id!r}: "
-                                  "masses must be strictly increasing")
-        if np.any(s <= 0) or np.any(np.diff(s) >= 0):
-            raise ValidationError(f"speed limit table for edge {edge_id!r}: "
-                                  "speeds must be strictly positive and decreasing")
-        return
-    raise ParseError(f"unknown speed limit family {family!r} for edge {edge_id!r}")
-
-
 def build_speed_limits(net: Network, scen: Scenario) -> tuple[SpeedLimit, ...]:
-    limits = []
-    for e in net.edges:
-        spec = scen.constrained.limits.get(e.id)
-        if spec is None:
-            raise ValidationError(f"no speed limit configured for edge {e.id!r}")
-        if spec["family"] == "reciprocal":
-            limits.append(ReciprocalSpeedLimit(coeff=float(spec["coeff"])))
-        else:
-            limits.append(TabulatedSpeedLimit(
-                masses=np.asarray(spec["masses"], dtype=float),
-                speeds=np.asarray(spec["speeds"], dtype=float)))
-    return tuple(limits)
+    """The speed limits the scenario built at load, in edge order."""
+    return tuple(scen.constrained.limits[e.id] for e in net.edges)
 
 
 @dataclass(frozen=True)

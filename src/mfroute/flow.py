@@ -71,20 +71,14 @@ class PsiResult:
     arrival: object = None  # ArrivalConstraint in constrained mode
 
 
-def local_decision(ps: PathSet, z: np.ndarray) -> np.ndarray:
-    """Fraction of entering agents assigned to each origin-outgoing pair.
-
-    Nonzero only on the first pair of each path, where it is that path's
-    share of the current preference total.
-    """
+def local_decision(z: np.ndarray) -> np.ndarray:
+    """Fraction of entering agents that choose each path: the path's share
+    of the current preference total, per node."""
     z = np.asarray(z, dtype=float)
     totals = z.sum(axis=0)
     if np.any(totals <= 0.0):
         raise DegenerateSimplex("preference vector sums to a nonpositive value")
-    g = np.zeros((ps.pair_count,) + totals.shape)
-    first_rows = np.flatnonzero(ps.first_mask)
-    g[first_rows] = z[ps.pair_path_idx[first_rows]] / totals
-    return g
+    return z / totals
 
 
 def compute_flows(ps: PathSet, policy: Policy, z: np.ndarray, lam: np.ndarray,
@@ -98,7 +92,7 @@ def compute_flows(ps: PathSet, policy: Policy, z: np.ndarray, lam: np.ndarray,
     delay are evaluated together, after the position before them.
     """
     n_nodes = lam.shape[0]
-    g = local_decision(ps, z)
+    shares = local_decision(z)
     moving = policy.tau_idx >= 0
     f = np.zeros((ps.pair_count, n_nodes))
     delays = k_idx_edges[ps.pair_edge_idx]
@@ -106,7 +100,8 @@ def compute_flows(ps: PathSet, policy: Policy, z: np.ndarray, lam: np.ndarray,
         # Gated over the full width; a pair with delay k keeps the first
         # n_nodes - k entries, shifted k nodes right.
         gate = moving[rows].astype(float)
-        out = (lam * g[rows]) * gate if pos == 0 else f[rows - 1] * gate
+        out = ((lam * shares[ps.pair_path_idx[rows]]) * gate if pos == 0
+               else f[rows - 1] * gate)
         row_delays = delays[rows]
         for ke in set(row_delays.tolist()):
             sel = row_delays == ke

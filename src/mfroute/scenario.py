@@ -7,19 +7,26 @@ A scenario file is a single JSON document with four sections::
     solver       gamma, tol, max_iter, eps_tie, path_limit
     constrained  enabled, u (speed-limit specs), eps_rho_rel, cap_frac
 
-All keys are lowercase snake_case and all numbers are plain decimals.
-Model assumptions are checked at load time and reported by name, e.g.
-"assumption 2.1.4" for the capacity margins rho_max > max(lambda) * horizon
-and capacity > max(lambda) on every edge.
+All keys are lowercase snake_case and all numbers are plain decimals.  Each
+object of the document is read once, by :func:`_fields`, which states each
+key's default and refuses a key it does not know, so a misspelt key is a
+parse error rather than a silent default.  Every spec is built at load into
+the object the solver evaluates: throughput samples, :class:`CongestionCost`
+and speed limits (those of a disabled ``constrained`` section too), and
+:func:`scenario_to_dict` echoes the parsed values.  Model assumptions are
+checked at load time and reported by name, e.g. "assumption 2.1.4" for the
+capacity margins rho_max > max(lambda) * horizon and capacity > max(lambda)
+on every edge.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -51,39 +58,25 @@ def make_grid(horizon: float, steps: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class LambdaSpec:
-    """Closed-form throughput family sampled onto the grid."""
+    """Closed-form throughput family with its parameters parsed at load.
+
+    ``params`` holds floats, and for ``piecewise_linear`` the ``points`` as
+    [time, value] lists, exactly as the scenario echo writes them.
+    """
 
     family: str
     params: dict[str, Any]
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
         t = grid.nodes
-        params = self.params
-
-        def num(key):
-            return _num(_req(params, key, "model.lambda"), f"lambda.{key}")
-
+        p = self.params
         if self.family == "constant":
-            return np.full(t.shape, num("value"))
+            return np.full(t.shape, p["value"])
         if self.family == "sinusoidal":
-            base = num("base")
-            amp = num("amplitude")
-            period = num("period")
-            phase = _num(params.get("phase", 0.0), "lambda.phase")
-            if period <= 0.0:
-                raise ParseError("lambda.period must be positive")
-            return base + amp * np.sin(2.0 * np.pi * t / period + phase)
-        if self.family == "piecewise_linear":
-            pts = _req(params, "points", "model.lambda")
-            if not isinstance(pts, list) or not all(
-                    isinstance(p, list) and len(p) == 2 for p in pts):
-                raise ParseError("lambda.points must be a list of [time, value] pairs")
-            ts = np.array([_num(p[0], "lambda.points time") for p in pts])
-            vs = np.array([_num(p[1], "lambda.points value") for p in pts])
-            if ts.size < 2 or np.any(np.diff(ts) <= 0):
-                raise ParseError("lambda.points must list two or more strictly increasing times")
-            return np.interp(t, ts, vs)
-        raise ParseError(f"unknown lambda family {self.family!r}")
+            return p["base"] + p["amplitude"] * np.sin(2.0 * np.pi * t / p["period"]
+                                                       + p["phase"])
+        times, values = np.array(p["points"]).T
+        return np.interp(t, times, values)
 
 
 @dataclass(frozen=True)
@@ -103,29 +96,46 @@ class CongestionCost:
             return self.coeff * np.asarray(mass, dtype=float)
         return self.coeff * np.minimum(np.asarray(mass, dtype=float), self.rho_cap)
 
-    def bound(self) -> float:
-        """Maximum value on the admissible mass range."""
-        return self.coeff * self.rho_cap
 
-    def lipschitz(self) -> float:
-        return self.coeff
+@dataclass(frozen=True)
+class ReciprocalSpeedLimit:
+    """Speed limit coeff / mass: unbounded on an empty edge, vanishing when crowded."""
+
+    coeff: float
+
+    def __call__(self, mass):
+        return self.coeff / np.asarray(mass, dtype=float)
+
+
+@dataclass(frozen=True)
+class TabulatedSpeedLimit:
+    """Strictly positive, decreasing speed samples interpolated in mass."""
+
+    masses: tuple[float, ...]
+    speeds: tuple[float, ...]
+
+    def __call__(self, mass):
+        return np.interp(np.asarray(mass, dtype=float), self.masses, self.speeds)
+
+
+SpeedLimit = ReciprocalSpeedLimit | TabulatedSpeedLimit
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    gamma: float = 0.5
-    tol: float | None = None  # absolute; None means 1e-3 * rho_max
-    max_iter: int = 500
-    eps_tie: float = 1e-9
-    path_limit: int = DEFAULT_PATH_LIMIT
+    gamma: float
+    tol: float | None  # absolute; None means 1e-3 * rho_max
+    max_iter: int
+    eps_tie: float
+    path_limit: int
 
 
 @dataclass(frozen=True)
 class ConstrainedConfig:
-    enabled: bool = False
-    limits: dict[str, dict[str, Any]] = field(default_factory=dict)  # edge id -> spec
-    eps_rho_rel: float = 1e-6
-    cap_frac: float = 0.5
+    enabled: bool
+    limits: dict[str, SpeedLimit]  # by edge id, in edge order; every edge when enabled
+    eps_rho_rel: float
+    cap_frac: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,15 +149,15 @@ class Scenario:
     rho_max: float
     lambda_spec: LambdaSpec
     lam: np.ndarray = field(repr=False)       # throughput samples on the grid
-    phi: tuple[CongestionCost, ...] = field(repr=False, default=())  # by edge index
-    z0: np.ndarray = field(repr=False, default=None)   # per path
-    rho0: np.ndarray = field(repr=False, default=None)  # per (edge, path) pair
-    z0_rule: str = "uniform"
-    rho0_rule: str = "zero"
-    solver: SolverSettings = SolverSettings()
-    constrained: ConstrainedConfig = ConstrainedConfig()
-    k: float = 0.0       # a-priori traverse-time constant, a positive grid multiple
-    k_idx: int = 0
+    phi: tuple[CongestionCost, ...] = field(repr=False)  # by edge index
+    z0: np.ndarray = field(repr=False)        # per path
+    rho0: np.ndarray = field(repr=False)      # per (edge, path) pair
+    z0_rule: str
+    rho0_rule: str
+    solver: SolverSettings
+    constrained: ConstrainedConfig
+    k: float       # a-priori traverse-time constant, a positive grid multiple
+    k_idx: int
 
     @property
     def horizon(self) -> float:
@@ -215,25 +225,67 @@ def _k_and_index(net: Network, grid: TimeGrid, alpha: float) -> tuple[float, int
 # ---------------------------------------------------------------------------
 # Parsing
 
+_REQUIRED = object()  # the default of a key that must be given
 
-def _section(value, section: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{section} must be an object")
-    return value
+# Every key of each scenario object, with its default.
+_SCENARIO_KEYS = {"network": _REQUIRED, "model": _REQUIRED, "solver": {}, "constrained": {}}
+_NETWORK_KEYS = dict.fromkeys(("vertices", "edges", "origin", "destination"), _REQUIRED)
+_EDGE_KEYS = dict.fromkeys(("id", "tail", "head", "length", "capacity"), _REQUIRED)
+_MODEL_KEYS = {**dict.fromkeys(("horizon", "steps", "alpha", "beta", "eta", "rho_max",
+                                "lambda"), _REQUIRED),
+               "phi": {"default": {"family": "linear", "coeff": 0.0}}, "z0": {}, "rho0": {}}
+_SOLVER_KEYS = {"gamma": 0.5, "tol": None, "max_iter": 500, "eps_tie": 1e-9,
+                "path_limit": DEFAULT_PATH_LIMIT}
+_CONSTRAINED_KEYS = {"enabled": False, "u": None, "eps_rho_rel": 1e-6, "cap_frac": 0.5}
+_PER_EDGE_KEYS = {"default": None, "per_edge": {}}  # model.phi and constrained.u
+# The keys of each family, besides ``family`` itself.
+_LAMBDA_FAMILIES = {
+    "constant": {"value": _REQUIRED},
+    "sinusoidal": {"base": _REQUIRED, "amplitude": _REQUIRED, "period": _REQUIRED,
+                   "phase": 0.0},
+    "piecewise_linear": {"points": _REQUIRED}}
+_PHI_FAMILIES = {"linear": {"coeff": _REQUIRED}, "affine_saturating": {"coeff": _REQUIRED}}
+_LIMIT_FAMILIES = {"reciprocal": {"coeff": _REQUIRED},
+                   "table": {"masses": _REQUIRED, "speeds": _REQUIRED}}
 
 
-def _req(mapping: dict, key: str, section: str):
-    if not isinstance(mapping, dict):
-        raise ParseError(f"{section} must be an object")
-    if key not in mapping:
-        raise ParseError(f"missing key {key!r} in section {section!r}")
-    return mapping[key]
+def _fields(raw, where: str, keys: dict[str, Any]) -> dict[str, Any]:
+    """The keys of the scenario object ``raw`` at ``where``, each with its default.
+
+    ``keys`` maps every key the object may hold to its default, or to
+    ``_REQUIRED``.  Any other key is a parse error that names ``where.key``.
+    """
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where} must be an object")
+    out = {**keys, **raw}
+    if len(out) > len(keys):
+        unknown = next(key for key in raw if key not in keys)
+        raise ParseError(f"unknown key {where}.{unknown}")
+    for key, value in out.items():
+        if value is _REQUIRED:
+            raise ParseError(f"missing key {key!r} in section {where!r}")
+    return out
 
 
-def _list(mapping: dict, key: str, section: str) -> list:
-    value = _req(mapping, key, section)
+def _variant(raw, where: str, key: str, variants: dict[str, dict[str, Any]],
+             default: Any = _REQUIRED) -> tuple[str, dict[str, Any]]:
+    """The variant that ``raw[key]`` names (a family or a rule) and its
+    parameters, read by :func:`_fields` against the keys of that variant."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where} must be an object")
+    name = raw.get(key, default)
+    if name is _REQUIRED:
+        raise ParseError(f"missing key {key!r} in section {where!r}")
+    if not isinstance(name, str) or name not in variants:
+        raise ParseError(f"unknown {where}.{key} {name!r}")
+    params = _fields(raw, where, {key: default, **variants[name]})
+    del params[key]
+    return name, params
+
+
+def _list(value, where: str) -> list:
     if not isinstance(value, list):
-        raise ParseError(f"{section}.{key} must be a list")
+        raise ParseError(f"{where} must be a list")
     return value
 
 
@@ -246,126 +298,148 @@ def _num(value, where: str) -> float:
     return float(value)
 
 
-def _per_edge_specs(spec, section: str, net: Network) -> dict[str, dict]:
-    """Per-edge specs of a ``default`` / ``per_edge`` section, by edge id.
+def _positive(value, where: str) -> float:
+    value = _num(value, where)
+    if value <= 0.0:
+        raise ValidationError(f"{where} must be positive")
+    return value
 
-    Edges with neither a ``per_edge`` entry nor a ``default`` are left out.
+
+def _numbers(value, where: str) -> list[float]:
+    return [_num(v, f"{where} entry") for v in _list(value, where)]
+
+
+def _positive_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParseError(f"{where} must be a positive integer")
+    return value
+
+
+def _name(value, where: str) -> str:
+    """A vertex or edge id: a non-empty string, which ``build_network``
+    takes as given."""
+    if not (isinstance(value, str) and value):
+        raise ParseError(f"{where} must be a non-empty string")
+    return value
+
+
+def _parse_network(raw) -> Network:
+    f = _fields(raw, "network", _NETWORK_KEYS)
+    vertices = [_name(v, "network vertex id") for v in _list(f["vertices"], "network.vertices")]
+    edges = []
+    for i, e in enumerate(_list(f["edges"], "network.edges")):
+        e = _fields(e, f"network.edges[{i}]", _EDGE_KEYS)
+        _name(e["id"], "edge id")
+        _name(e["tail"], "edge tail")
+        _name(e["head"], "edge head")
+        _num(e["length"], "edge length")
+        _num(e["capacity"], "edge capacity")
+        edges.append(e)
+    return build_network(vertices, edges, _name(f["origin"], "network.origin"),
+                         _name(f["destination"], "network.destination"))
+
+
+def _per_edge(raw, where: str, net: Network, build: Callable[[Any, str], Any]) -> dict:
+    """The objects of a ``default`` / ``per_edge`` section, by edge id in edge order.
+
+    ``build(spec, where)`` turns one spec into its object.  Every spec given
+    is built, also one that no edge uses; edges with neither a ``per_edge``
+    entry nor a ``default`` are left out.
     """
-    if not isinstance(spec, dict):
-        raise ParseError(f"{section} must be an object")
-    default = spec.get("default")
-    per_edge = spec.get("per_edge", {})
-    if not isinstance(per_edge, dict):
-        raise ParseError(f"{section}.per_edge must be an object")
-    specs = {}
-    for e in net.edges:
-        raw = per_edge.get(e.id, default)
-        if raw is not None:
-            if not isinstance(raw, dict):
-                raise ParseError(f"{section} spec for edge {e.id!r} must be an object")
-            specs[e.id] = raw
-    return specs
+    f = _fields(raw, where, _PER_EDGE_KEYS)
+    if not isinstance(f["per_edge"], dict):
+        raise ParseError(f"{where}.per_edge must be an object")
+    default = None if f["default"] is None else build(f["default"], f"{where}.default")
+    given = {eid: build(spec, f"{where}.per_edge.{eid}") for eid, spec in f["per_edge"].items()}
+    built = {e.id: given.get(e.id, default) for e in net.edges}
+    return {eid: obj for eid, obj in built.items() if obj is not None}
 
 
-def _explicit_vector(raw: dict, name: str, size: int, layout: str) -> np.ndarray:
-    """The ``values`` list of an explicit ``z0`` or ``rho0`` rule: ``size``
-    finite, nonnegative numbers."""
-    values = np.array([_num(v, f"{name} value") for v in _list(raw, "values", f"model.{name}")])
+def _parse_lambda(raw) -> LambdaSpec:
+    where = "model.lambda"
+    family, p = _variant(raw, where, "family", _LAMBDA_FAMILIES)
+    if family != "piecewise_linear":
+        params = {key: _num(value, f"{where}.{key}") for key, value in p.items()}
+        if family == "sinusoidal" and params["period"] <= 0.0:
+            raise ParseError(f"{where}.period must be positive")
+        return LambdaSpec(family=family, params=params)
+    pts = _list(p["points"], f"{where}.points")
+    if not all(isinstance(q, list) and len(q) == 2 for q in pts):
+        raise ParseError(f"{where}.points must be a list of [time, value] pairs")
+    points = [[_num(t, f"{where}.points time"), _num(v, f"{where}.points value")]
+              for t, v in pts]
+    if len(points) < 2 or any(b[0] <= a[0] for a, b in zip(points, points[1:])):
+        raise ParseError(f"{where}.points must list two or more strictly increasing times")
+    return LambdaSpec(family=family, params={"points": points})
+
+
+def _congestion_cost(raw, where: str, rho_max: float) -> CongestionCost:
+    family, p = _variant(raw, where, "family", _PHI_FAMILIES)
+    coeff = _num(p["coeff"], f"{where}.coeff")
+    if coeff < 0.0:
+        raise ValidationError("assumption 2.1.3: congestion coefficients must be >= 0")
+    return CongestionCost(family=family, coeff=coeff, rho_cap=rho_max)
+
+
+def _speed_limit(raw, where: str) -> SpeedLimit:
+    family, p = _variant(raw, where, "family", _LIMIT_FAMILIES)
+    if family == "reciprocal":
+        return ReciprocalSpeedLimit(coeff=_positive(p["coeff"], f"{where}.coeff"))
+    masses = _numbers(p["masses"], f"{where}.masses")
+    speeds = _numbers(p["speeds"], f"{where}.speeds")
+    if len(masses) != len(speeds) or len(masses) < 2:
+        raise ParseError(f"{where} needs masses and speeds lists of one length >= 2")
+    if np.any(np.diff(masses) <= 0):
+        raise ValidationError(f"{where}: masses must be strictly increasing")
+    if min(speeds) <= 0 or np.any(np.diff(speeds) >= 0):
+        raise ValidationError(f"{where}: speeds must be strictly positive and decreasing")
+    return TabulatedSpeedLimit(masses=tuple(masses), speeds=tuple(speeds))
+
+
+def _initial(raw, name: str, default: str, size: int,
+             layout: str) -> tuple[str, np.ndarray | None]:
+    """Rule of a ``z0`` or ``rho0`` object, and the ``values`` of an explicit
+    rule: ``size`` finite, nonnegative numbers."""
+    rule, p = _variant(raw, f"model.{name}", "rule",
+                       {default: {}, "explicit": {"values": _REQUIRED}}, default)
+    if rule == default:
+        return rule, None
+    values = np.array(_numbers(p["values"], f"{name} values"))
     if values.shape != (size,):
         raise ParseError(f"{name}.values must list {size} entries, {layout}")
     if np.any(values < 0.0):
         raise ValidationError(f"{name} values must be >= 0")
-    return values
+    return rule, values
 
 
-_EDGE_KEYS = frozenset({"id", "tail", "head", "length", "capacity"})
-
-
-def _network_fields(raw: dict) -> tuple[list, list[dict], str, str]:
-    """Vertices, edges, origin and destination of the network section.
-
-    Vertex and edge ids are non-empty strings; ``build_network`` takes them
-    as given.
-    """
-    vertices = _list(raw, "vertices", "network")
-    if not all(isinstance(v, str) and v for v in vertices):
-        raise ParseError("network vertex ids must be non-empty strings")
-    edges = _list(raw, "edges", "network")
-    for e in edges:
-        if not isinstance(e, dict) or not _EDGE_KEYS <= e.keys():
-            raise ParseError("each network edge must be an object with keys "
-                             "id, tail, head, length and capacity")
-        for key in ("id", "tail", "head"):
-            if not (isinstance(e[key], str) and e[key]):
-                raise ParseError(f"edge {key} must be a non-empty string")
-        _num(e["length"], "edge length")
-        _num(e["capacity"], "edge capacity")
-    ends = [_req(raw, key, "network") for key in ("origin", "destination")]
-    if not all(isinstance(v, str) and v for v in ends):
-        raise ParseError("network.origin and network.destination must be vertex ids")
-    return vertices, edges, *ends
-
-
-def _parse_phi(model: dict, net: Network, rho_max: float) -> tuple[CongestionCost, ...]:
-    specs = _per_edge_specs(model.get("phi", {"default": {"family": "linear", "coeff": 0.0}}),
-                            "model.phi", net)
-    costs = []
-    for e in net.edges:
-        raw = specs.get(e.id)
-        if raw is None:
-            raise ParseError(f"no congestion cost for edge {e.id!r} and no default")
-        family = str(_req(raw, "family", "model.phi"))
-        if family not in ("linear", "affine_saturating"):
-            raise ParseError(f"unknown congestion family {family!r}")
-        coeff = _num(_req(raw, "coeff", "model.phi"), "phi coeff")
-        if coeff < 0.0:
-            raise ValidationError("assumption 2.1.3: congestion coefficients must be >= 0")
-        costs.append(CongestionCost(family=family, coeff=coeff, rho_cap=rho_max))
-    return tuple(costs)
-
-
-def _parse_solver(data: dict) -> SolverSettings:
-    raw = _section(data.get("solver", {}), "solver")
-    gamma = _num(raw.get("gamma", 0.5), "solver.gamma")
-    tol = raw.get("tol")
-    tol = None if tol is None else _num(tol, "solver.tol")
-    max_iter = raw.get("max_iter", 500)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        raise ParseError("solver.max_iter must be a positive integer")
-    eps_tie = _num(raw.get("eps_tie", 1e-9), "solver.eps_tie")
-    path_limit = raw.get("path_limit", DEFAULT_PATH_LIMIT)
-    if isinstance(path_limit, bool) or not isinstance(path_limit, int) or path_limit < 1:
-        raise ParseError("solver.path_limit must be a positive integer")
+def _parse_solver(raw) -> SolverSettings:
+    f = _fields(raw, "solver", _SOLVER_KEYS)
+    gamma = _num(f["gamma"], "solver.gamma")
+    tol = None if f["tol"] is None else _positive(f["tol"], "solver.tol")
+    max_iter = _positive_int(f["max_iter"], "solver.max_iter")
+    eps_tie = _num(f["eps_tie"], "solver.eps_tie")
+    path_limit = _positive_int(f["path_limit"], "solver.path_limit")
     if not (0.0 < gamma <= 1.0):
         raise ValidationError("solver.gamma must lie in ]0, 1]")
-    if tol is not None and tol <= 0.0:
-        raise ValidationError("solver.tol must be positive")
     if eps_tie < 0.0:
         raise ValidationError("solver.eps_tie must be >= 0")
     return SolverSettings(gamma=gamma, tol=tol, max_iter=max_iter,
                           eps_tie=eps_tie, path_limit=path_limit)
 
 
-def _parse_constrained(data: dict, net: Network) -> ConstrainedConfig:
-    raw = _section(data.get("constrained", {}), "constrained")
-    enabled = raw.get("enabled", False)
+def _parse_constrained(raw, net: Network) -> ConstrainedConfig:
+    f = _fields(raw, "constrained", _CONSTRAINED_KEYS)
+    enabled = f["enabled"]
     if not isinstance(enabled, bool):
         raise ParseError("constrained.enabled must be a boolean")
-    eps_rho_rel = _num(raw.get("eps_rho_rel", 1e-6), "constrained.eps_rho_rel")
-    cap_frac = _num(raw.get("cap_frac", 0.5), "constrained.cap_frac")
-    u = raw.get("u")
-    limits = ({} if u is None else
-              {eid: dict(spec) for eid, spec in _per_edge_specs(u, "constrained.u", net).items()})
+    eps_rho_rel = _positive(f["eps_rho_rel"], "constrained.eps_rho_rel")
+    cap_frac = _num(f["cap_frac"], "constrained.cap_frac")
+    # parsed whether or not the mode is on, so --constrained finds them valid
+    limits = {} if f["u"] is None else _per_edge(f["u"], "constrained.u", net, _speed_limit)
     if enabled:
         missing = [e.id for e in net.edges if e.id not in limits]
         if missing:
             raise ValidationError(f"constrained mode enabled but no speed limit for edges {missing}")
-        from .constrained import validate_limit_spec  # deferred: avoids an import cycle
-
-        for eid, spec in limits.items():
-            validate_limit_spec(eid, spec)
-    if not (eps_rho_rel > 0.0):
-        raise ValidationError("constrained.eps_rho_rel must be positive")
     if not (0.0 < cap_frac <= 1.0):
         raise ValidationError("constrained.cap_frac must lie in ]0, 1]")
     return ConstrainedConfig(enabled=enabled, limits=limits,
@@ -409,71 +483,46 @@ def _read_json(path: str | Path) -> dict:
 
 
 def _build(data: dict) -> tuple[tuple[Network, PathSet, Scenario, TimeGrid], list[Check]]:
-    if not isinstance(data, dict):
-        raise ParseError("scenario document must be a JSON object")
-    net_raw = _req(data, "network", "scenario")
-    model = _req(data, "model", "scenario")
-    if not isinstance(net_raw, dict) or not isinstance(model, dict):
-        raise ParseError("network and model sections must be objects")
+    doc = _fields(data, "scenario", _SCENARIO_KEYS)
+    model = _fields(doc["model"], "model", _MODEL_KEYS)
 
-    solver = _parse_solver(data)
-    net = build_network(*_network_fields(net_raw))
+    solver = _parse_solver(doc["solver"])
+    net = _parse_network(doc["network"])
     ps = enumerate_paths(net, limit=solver.path_limit)
 
-    horizon = _num(_req(model, "horizon", "model"), "model.horizon")
-    steps = _req(model, "steps", "model")
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise ParseError("model.steps must be a positive integer")
-    if horizon <= 0.0:
-        raise ValidationError("model.horizon must be positive")
-    grid = make_grid(horizon, steps)
+    horizon, alpha, beta, eta, rho_max = (
+        _positive(model[name], f"model.{name}")
+        for name in ("horizon", "alpha", "beta", "eta", "rho_max"))
+    grid = make_grid(horizon, _positive_int(model["steps"], "model.steps"))
 
-    alpha = _num(_req(model, "alpha", "model"), "model.alpha")
-    beta = _num(_req(model, "beta", "model"), "model.beta")
-    eta = _num(_req(model, "eta", "model"), "model.eta")
-    rho_max = _num(_req(model, "rho_max", "model"), "model.rho_max")
-    for name, val in (("alpha", alpha), ("beta", beta), ("eta", eta), ("rho_max", rho_max)):
-        if val <= 0.0:
-            raise ValidationError(f"model.{name} must be positive")
-
-    lam_raw = _req(model, "lambda", "model")
-    if not isinstance(lam_raw, dict) or "family" not in lam_raw:
-        raise ParseError("model.lambda must be an object with a 'family' key")
-    lambda_spec = LambdaSpec(family=str(lam_raw["family"]),
-                             params={k: v for k, v in lam_raw.items() if k != "family"})
+    lambda_spec = _parse_lambda(model["lambda"])
     lam = lambda_spec.sample(grid)
 
-    phi = _parse_phi(model, net, rho_max)
-    constrained = _parse_constrained(data, net)
+    costs = _per_edge(model["phi"], "model.phi", net,
+                      lambda raw, where: _congestion_cost(raw, where, rho_max))
+    missing = [e.id for e in net.edges if e.id not in costs]
+    if missing:
+        raise ParseError(f"no congestion cost for edges {missing} and no default")
+    constrained = _parse_constrained(doc["constrained"], net)
 
-    z0_raw = model.get("z0", {"rule": "uniform"})
-    z0_rule = str(_section(z0_raw, "model.z0").get("rule", "uniform"))
-    if z0_rule == "uniform":
+    z0_rule, z0 = _initial(model["z0"], "z0", "uniform", ps.n_paths, "one per path")
+    if z0 is None:
         z0 = np.full(ps.n_paths, lam[0] / ps.n_paths)
-    elif z0_rule == "explicit":
-        z0 = _explicit_vector(z0_raw, "z0", ps.n_paths, "one per path")
+    else:
         total, lam0 = float(z0.sum()), float(lam[0])
         if abs(total - lam0) > Z0_SUM_TOL * max(1.0, abs(lam0)):
             raise ValidationError(
                 f"z0 values sum to {total!r}, expected initial throughput {lam0!r}")
-    else:
-        raise ParseError(f"unknown z0 rule {z0_rule!r}")
-
-    rho0_raw = model.get("rho0", {"rule": "zero"})
-    rho0_rule = str(_section(rho0_raw, "model.rho0").get("rule", "zero"))
-    if rho0_rule == "zero":
+    rho0_rule, rho0 = _initial(model["rho0"], "rho0", "zero", ps.pair_count,
+                               "one per (edge, path) pair in path-major order")
+    if rho0 is None:
         rho0 = np.zeros(ps.pair_count)
-    elif rho0_rule == "explicit":
-        rho0 = _explicit_vector(rho0_raw, "rho0", ps.pair_count,
-                                "one per (edge, path) pair in path-major order")
-    else:
-        raise ParseError(f"unknown rho0 rule {rho0_rule!r}")
 
     k, k_idx = _k_and_index(net, grid, alpha)
     scen = Scenario(grid=grid, alpha=alpha, beta=beta, eta=eta, rho_max=rho_max,
-                    lambda_spec=lambda_spec, lam=lam, phi=phi, z0=z0, rho0=rho0,
-                    z0_rule=z0_rule, rho0_rule=rho0_rule, solver=solver,
-                    constrained=constrained, k=k, k_idx=k_idx)
+                    lambda_spec=lambda_spec, lam=lam, phi=tuple(costs.values()),
+                    z0=z0, rho0=rho0, z0_rule=z0_rule, rho0_rule=rho0_rule,
+                    solver=solver, constrained=constrained, k=k, k_idx=k_idx)
 
     checks = _assumption_checks(net, scen)
     return (net, ps, scen, grid), checks
@@ -521,8 +570,22 @@ def _assumption_checks(net: Network, scen: Scenario) -> list[Check]:
 # Serialization
 
 
+def _limit_spec(limit: SpeedLimit) -> dict:
+    if isinstance(limit, ReciprocalSpeedLimit):
+        return {"family": "reciprocal", "coeff": limit.coeff}
+    return {"family": "table", "masses": list(limit.masses), "speeds": list(limit.speeds)}
+
+
+def _initial_spec(rule: str, values: np.ndarray) -> dict:
+    return {"rule": rule, "values": values.tolist()} if rule == "explicit" else {"rule": rule}
+
+
 def scenario_to_dict(net: Network, scen: Scenario) -> dict:
-    """Canonical JSON-ready echo of every resolved parameter."""
+    """Canonical JSON-ready echo of every resolved parameter.
+
+    Written from the parsed values, defaults included; parsing the echo
+    again gives the same scenario.
+    """
     return {
         "network": {
             "vertices": list(net.vertices),
@@ -542,21 +605,14 @@ def scenario_to_dict(net: Network, scen: Scenario) -> dict:
             "lambda": {"family": scen.lambda_spec.family, **scen.lambda_spec.params},
             "phi": {"per_edge": {e.id: {"family": c.family, "coeff": c.coeff}
                                  for e, c in zip(net.edges, scen.phi)}},
-            "z0": ({"rule": "uniform"} if scen.z0_rule == "uniform"
-                   else {"rule": "explicit", "values": [float(v) for v in scen.z0]}),
-            "rho0": ({"rule": "zero"} if scen.rho0_rule == "zero"
-                     else {"rule": "explicit", "values": [float(v) for v in scen.rho0]}),
+            "z0": _initial_spec(scen.z0_rule, scen.z0),
+            "rho0": _initial_spec(scen.rho0_rule, scen.rho0),
         },
-        "solver": {
-            "gamma": scen.solver.gamma,
-            "tol": scen.solver.tol,
-            "max_iter": scen.solver.max_iter,
-            "eps_tie": scen.solver.eps_tie,
-            "path_limit": scen.solver.path_limit,
-        },
+        "solver": dataclasses.asdict(scen.solver),
         "constrained": {
             "enabled": scen.constrained.enabled,
-            "u": {"per_edge": scen.constrained.limits},
+            "u": {"per_edge": {eid: _limit_spec(limit)
+                               for eid, limit in scen.constrained.limits.items()}},
             "eps_rho_rel": scen.constrained.eps_rho_rel,
             "cap_frac": scen.constrained.cap_frac,
         },

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 from pathlib import Path
 
@@ -12,6 +13,20 @@ import pytest
 from mfroute import (MassField, apply_psi, congestion_total, scenario_from_dict,
                      value_backward)
 from mfroute.flow import FlowField, local_decision
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's scenario generators (perfbench is not a package).
+WORKLOADS = _perfbench_workloads()
 
 DIAMOND_EDGES = [
     {"id": "e1", "tail": "o", "head": "v1", "length": 1.0, "capacity": 2.0},
@@ -202,7 +217,7 @@ def reference_path_costs(net, ps, scen, cong, policy):
 def reference_flows(ps, policy, z, lam, k_idx_edges) -> FlowField:
     """Delayed flows by the per-pair loop, path after path."""
     n_nodes = lam.shape[0]
-    g = local_decision(ps, z)
+    shares = local_decision(z)
     moving = policy.tau_idx >= 0
     f = np.zeros((ps.pair_count, n_nodes))
     for rows in ps.path_rows:
@@ -212,7 +227,7 @@ def reference_flows(ps, policy, z, lam, k_idx_edges) -> FlowField:
             m = n_nodes - ke
             gate = moving[r, :m].astype(float)
             if pos == 0:
-                f[r, ke:] = (lam[:m] * g[r, :m]) * gate
+                f[r, ke:] = (lam[:m] * shares[ps.pair_path_idx[r], :m]) * gate
             else:
                 f[r, ke:] = f[r - 1, :m] * gate
     return FlowField(values=f)

@@ -170,6 +170,8 @@ MALFORMED_SPECS = {
     "lambda-missing-value": {"model": {"lambda": {"family": "constant"}}},
     "phi-default": {"model": {"phi": {"default": 5}}},
     "u-default": {"constrained": {"enabled": True, "u": {"default": 5}}},
+    "u-disabled-unknown-family": {"constrained": {"enabled": False,
+                                                  "u": {"default": {"family": "nope"}}}},
     "vertex-null": {"network": {"vertices": ["o", "v1", "v2", None]}},
 }
 
@@ -190,6 +192,22 @@ def test_malformed_nested_spec_is_parse_error(write_scenario, tmp_path, capsys, 
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["exit_status"] == 2
     assert manifest["error"] and manifest["parameters"] is None
+
+
+@pytest.mark.parametrize("section, key", [("solver", "max_iters"), ("model", "rho_mx")])
+def test_unknown_key_is_parse_error(write_scenario, tmp_path, capsys, section, key):
+    doc = diamond_dict(steps=50)
+    doc[section][key] = 3
+    scenario = write_scenario(doc)
+    assert main(["validate", str(scenario)]) == 2
+    out_dir = tmp_path / "run"
+    assert main(["solve", str(scenario), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count(f"unknown key {section}.{key}") == 2
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2 and manifest["parameters"] is None
+    assert manifest["error"] == f"unknown key {section}.{key}"
 
 
 @pytest.mark.parametrize("key, value", [("id", None), ("id", ["x"]), ("id", ""),

@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mfroute import (MassField, ReciprocalSpeedLimit, TabulatedSpeedLimit,
+from mfroute import (MassField, ParseError, ReciprocalSpeedLimit, TabulatedSpeedLimit,
                      ValidationError, apply_psi, arrival_tables,
                      build_speed_limits, congestion_total, make_grid,
                      mean_traverse_and_ktilde, min_arrival, solve,
                      value_backward)
-from mfroute.constrained import validate_limit_spec
 from mfroute.oracle import check_value_tables
 
 from conftest import (admissible_mass, build, diamond_dict, row, speeds, value_stage,
@@ -20,16 +19,49 @@ SLACK = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 100
 TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
 
 
+def speed_limits(spec, enabled=True):
+    """Speed limits in edge order of the diamond with ``spec`` as the default."""
+    net, ps, scen, grid = build(diamond_dict(steps=20, constrained={
+        "enabled": enabled, "u": {"default": spec}}))
+    return build_speed_limits(net, scen)
+
+
 def test_limit_spec_validation():
-    validate_limit_spec("e1", {"family": "reciprocal", "coeff": 2.0})
-    for coeff in (0.0, float("nan"), float("inf")):
+    assert speed_limits({"family": "reciprocal", "coeff": 2.0}) == (
+        ReciprocalSpeedLimit(coeff=2.0),) * 5
+    for coeff in (0.0, -1.0):
+        with pytest.raises(ValidationError, match=r"^constrained\.u\.default\.coeff must be positive$"):
+            speed_limits({"family": "reciprocal", "coeff": coeff})
+    # not finite: a parse error, as for every other number of the scenario
+    for coeff in (float("nan"), float("inf")):
+        with pytest.raises(ParseError, match="finite"):
+            speed_limits({"family": "reciprocal", "coeff": coeff})
+    assert speed_limits({"family": "table", "masses": [0.1, 1.0, 5.0],
+                         "speeds": [3.0, 1.0, 0.2]}) == (
+        TabulatedSpeedLimit(masses=(0.1, 1.0, 5.0), speeds=(3.0, 1.0, 0.2)),) * 5
+    for masses, speeds_ in (([0.1, 1.0], [1.0, 2.0]), ([1.0, 0.1], [2.0, 1.0]),
+                            ([0.1, 1.0], [1.0, 0.0])):
         with pytest.raises(ValidationError):
-            validate_limit_spec("e1", {"family": "reciprocal", "coeff": coeff})
-    validate_limit_spec("e1", {"family": "table", "masses": [0.1, 1.0, 5.0],
-                               "speeds": [3.0, 1.0, 0.2]})
-    with pytest.raises(ValidationError):
-        validate_limit_spec("e1", {"family": "table", "masses": [0.1, 1.0],
-                                   "speeds": [1.0, 2.0]})
+            speed_limits({"family": "table", "masses": masses, "speeds": speeds_})
+
+
+def test_speed_limits_follow_edge_order():
+    net, ps, scen, grid = build(diamond_dict(steps=20, constrained={
+        "enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 2.0},
+                               "per_edge": {"e2": {"family": "reciprocal", "coeff": 0.5}}}}))
+    coeffs = [limit.coeff for limit in build_speed_limits(net, scen)]
+    assert coeffs == [2.0, 0.5, 2.0, 2.0, 2.0]
+
+
+def test_disabled_speed_limits_are_built_and_checked_at_load():
+    spec = {"family": "table", "masses": [0.1, 1.0], "speeds": [2.0, 1.0]}
+    assert speed_limits(spec, enabled=False) == (
+        TabulatedSpeedLimit(masses=(0.1, 1.0), speeds=(2.0, 1.0)),) * 5
+    with pytest.raises(ParseError, match=r"constrained\.u\.default\.family 'nope'"):
+        speed_limits({"family": "nope"}, enabled=False)
+    with pytest.raises(ValidationError, match="speeds must be strictly positive"):
+        speed_limits({"family": "table", "masses": [0.1, 1.0], "speeds": [1.0, 2.0]},
+                     enabled=False)
 
 
 def test_reciprocal_constant_mass_analytic():

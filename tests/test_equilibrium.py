@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mfroute.equilibrium as equilibrium
-from mfroute import (MassField, ShapeMismatch, SolverSettings, apply_psi,
+from mfroute import (MassField, ShapeMismatch, apply_psi,
                      load_scenario, residual, solve, verify_X_membership)
 from mfroute.oracle import audit_conservation
 
@@ -164,7 +164,7 @@ def test_solve_deterministic(monkeypatch):
 def test_gamma_validation(diamond):
     # the scenario parser rejects gamma = 0; settings built by hand skip it
     net, ps, scen, grid = diamond
-    scen = dataclasses.replace(scen, solver=SolverSettings(gamma=0.0))
+    scen = dataclasses.replace(scen, solver=dataclasses.replace(scen.solver, gamma=0.0))
     with pytest.raises(ValueError):
         solve(net, ps, scen)
 

@@ -5,10 +5,13 @@ field below the mass bound, and speed limits or none.  One map evaluation
 must then agree bit for bit with the per-pair reference loops, the value
 tables must equal the exhaustive enumeration, and the conservation audit
 must pass.  A solve, with Anderson history or without, must report the
-residual of the mass it returns.
+residual of the mass it returns, and parsing the scenario echo again must
+give the same echo.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from hypothesis import strategies as st
 
 import mfroute.equilibrium as equilibrium
 from mfroute import (MassField, MFRouteError, apply_psi, build_network,
-                     compute_flows, enumerate_paths, path_costs, residual, solve)
+                     compute_flows, enumerate_paths, path_costs, residual,
+                     scenario_to_dict, solve)
 from mfroute.network import edge_totals
 from mfroute.oracle import audit_conservation, check_value_tables
 
@@ -93,6 +97,17 @@ def test_psi_stages_match_references_and_oracles(case):
     floor = psi.arrival.floor_idx if psi.arrival is not None else None
     assert check_value_tables(net, ps, scen, cong, psi.value, policy, floor) == []
     assert audit_conservation(ps, scen, psi, scen.rho0).ok
+
+
+@DERANDOMIZED
+@given(scenario_docs())
+def test_scenario_echo_is_a_fixed_point(case):
+    doc, _ = case
+    net, ps, scen, grid = build(doc)
+    echo = json.dumps(scenario_to_dict(net, scen), sort_keys=True)
+    net2, ps2, scen2, grid2 = build(json.loads(echo))
+    assert json.dumps(scenario_to_dict(net2, scen2), sort_keys=True) == echo
+    assert scen2.constrained == scen.constrained
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None,

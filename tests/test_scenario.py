@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from mfroute import (ParseError, ValidationError, apply_psi, load_scenario,
                      make_grid, prefix_integral, scenario_checks,
                      scenario_from_dict, scenario_to_dict)
 
-from conftest import admissible_mass, build, diamond_dict, zero_mass
+from conftest import ROOT, WORKLOADS, admissible_mass, build, diamond_dict, zero_mass
 
 
 def test_default_scenario_valid():
@@ -100,6 +101,8 @@ MALFORMED_SPECS = {
                               constrained={"enabled": True}),
     "u-default-number-disabled": _with(("constrained", "u"), {"default": 5},
                                        constrained={"enabled": False}),
+    "u-unknown-family-disabled": _with(("constrained", "u"), {"default": {"family": "nope"}},
+                                       constrained={"enabled": False}),
     "u-per-edge-string": _with(("constrained", "u"), {
         "default": RECIPROCAL, "per_edge": {"e1": "fast"}}, constrained={"enabled": True}),
     "u-table-masses": _with(("constrained", "u"), {"default": {
@@ -130,6 +133,57 @@ def test_malformed_nested_specs_raise_parse_error(doc):
     # validate reports the same error rather than a list of checks
     with pytest.raises(ParseError):
         scenario_checks(doc)
+
+
+# (path to an object of the document, a key it does not know, how the error names it)
+UNKNOWN_KEYS = [
+    ((), "extra", "scenario.extra"),
+    (("network",), "vertex", "network.vertex"),
+    (("network", "edges", 0), "len", "network.edges[0].len"),
+    (("model",), "rho_mx", "model.rho_mx"),
+    (("model", "lambda"), "phase", "model.lambda.phase"),  # constant takes only value
+    (("model", "phi"), "defaults", "model.phi.defaults"),
+    (("model", "phi", "default"), "coef", "model.phi.default.coef"),
+    (("model", "z0"), "values", "model.z0.values"),  # uniform takes no values
+    (("model", "rho0"), "value", "model.rho0.value"),
+    (("solver",), "max_iters", "solver.max_iters"),
+    (("constrained",), "enable", "constrained.enable"),
+    (("constrained", "u"), "defaults", "constrained.u.defaults"),
+    (("constrained", "u", "default"), "coef", "constrained.u.default.coef"),
+]
+
+
+@pytest.mark.parametrize("path, key, where", UNKNOWN_KEYS,
+                         ids=[where for _, _, where in UNKNOWN_KEYS])
+def test_unknown_key_is_parse_error(path, key, where):
+    doc = diamond_dict(steps=20, model={"z0": {"rule": "uniform"}, "rho0": {"rule": "zero"}},
+                       constrained={"enabled": False, "u": {"default": dict(RECIPROCAL)}})
+    build(doc)
+    node = doc
+    for step in path:
+        node = node[step]
+    node[key] = 3
+    with pytest.raises(ParseError, match=rf"^unknown key {re.escape(where)}$"):
+        scenario_from_dict(doc)
+
+
+def test_omitted_keys_take_their_defaults():
+    doc = diamond_dict(steps=20)
+    del doc["model"]["phi"]
+    doc["solver"] = {}
+    net, ps, scen, grid = build(doc)
+    echo = scenario_to_dict(net, scen)
+    assert echo["model"]["phi"] == {"per_edge": {e.id: {"family": "linear", "coeff": 0.0}
+                                                 for e in net.edges}}
+    assert (echo["model"]["z0"], echo["model"]["rho0"]) == ({"rule": "uniform"},
+                                                             {"rule": "zero"})
+    assert echo["solver"] == {"gamma": 0.5, "tol": None, "max_iter": 500, "eps_tie": 1e-9,
+                              "path_limit": 10000}
+    assert echo["constrained"] == {"enabled": False, "u": {"per_edge": {}},
+                                   "eps_rho_rel": 1e-6, "cap_frac": 0.5}
+    doc["model"]["lambda"] = {"family": "sinusoidal", "base": 1.0, "amplitude": 0.1,
+                              "period": 5.0}
+    assert build(doc)[2].lambda_spec.params["phase"] == 0.0
 
 
 def test_load_from_file(write_scenario):
@@ -252,6 +306,56 @@ def test_scenario_round_trips_through_serialization():
     assert scen2.phi == scen.phi
 
 
+ECHO_DOCS = {
+    "sinusoidal-explicit-rho0": diamond_dict(steps=30, model={
+        "rho_max": 30.0,
+        "lambda": {"family": "sinusoidal", "base": 1.0, "amplitude": 0.5, "period": 4.0,
+                   "phase": 0.3},
+        "rho0": {"rule": "explicit", "values": [0.5, 0.0, 0.25, 0.0, 0.0, 0.0, 0.0]}}),
+    "piecewise-linear": diamond_dict(steps=30, model={
+        "lambda": {"family": "piecewise_linear", "points": [[0.0, 1.0], [4.0, 1.5],
+                                                            [10.0, 0.5]]}}),
+    "table-limits-disabled": diamond_dict(steps=30, constrained={
+        "enabled": False, "cap_frac": 0.25,
+        "u": {"per_edge": {"e2": {"family": "table", "masses": [0.0, 1.5, 20.0],
+                                  "speeds": [3.0, 1.0, 0.25]}}}}),
+    "table-limits-enabled": diamond_dict(steps=30, solver={"tol": 0.5, "eps_tie": 0.0},
+                                         constrained={
+        "enabled": True,
+        "u": {"default": RECIPROCAL,
+              "per_edge": {"e3": {"family": "table", "masses": [0.5, 2.0],
+                                  "speeds": [2.0, 0.125]}}}}),
+}
+
+
+@pytest.mark.parametrize("doc", ECHO_DOCS.values(), ids=ECHO_DOCS.keys())
+def test_echo_is_a_fixed_point(doc):
+    net, ps, scen, grid = build(doc)
+    echo = json.dumps(scenario_to_dict(net, scen), sort_keys=True)
+    net2, ps2, scen2, grid2 = build(json.loads(echo))
+    assert json.dumps(scenario_to_dict(net2, scen2), sort_keys=True) == echo
+    assert scen2.constrained == scen.constrained and scen2.lambda_spec == scen.lambda_spec
+    for attr in ("lam", "z0", "rho0"):
+        assert getattr(scen2, attr).tobytes() == getattr(scen, attr).tobytes()
+
+
+ECHO_GOLDEN = json.loads((ROOT / "tests" / "data" / "scenario_echo.json").read_text())
+
+
+def echo_golden_doc(name: str) -> dict:
+    """The shipped scenario ``name``, or the benchmark workload ``name`` at seed 1."""
+    if name in WORKLOADS.WORKLOADS:
+        return WORKLOADS.WORKLOADS[name](ROOT, 1)
+    return json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_GOLDEN))
+def test_echo_equals_the_pinned_echo(name):
+    net, ps, scen, grid = build(echo_golden_doc(name))
+    assert (json.dumps(scenario_to_dict(net, scen), sort_keys=True)
+            == json.dumps(ECHO_GOLDEN[name], sort_keys=True))
+
+
 @pytest.mark.parametrize("name", ["diamond_coarse", "diamond_default",
                                   "diamond_constrained"])
 def test_shipped_scenario_round_trips_exactly(name):
@@ -318,7 +422,7 @@ def test_affine_saturating_phi():
     cost = scen.phi[0]
     assert cost(10.0) == pytest.approx(3.0)
     assert cost(25.0) == pytest.approx(0.3 * 20.0)  # saturates at rho_max
-    assert cost.bound() == pytest.approx(6.0)
+    assert cost(scen.rho_max) == pytest.approx(6.0)  # its bound on [0, rho_max]
 
 
 def test_gamma_out_of_range_rejected():

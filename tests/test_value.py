@@ -124,7 +124,7 @@ def test_moving_speed_bounded_below(diamond):
 def test_values_bounded_by_stay_envelope(diamond):
     net, ps, scen, grid = diamond
     rng = np.random.default_rng(15)
-    phi_bar = max(c.bound() for c in scen.phi)
+    phi_bar = max(c.coeff for c in scen.phi) * scen.rho_max
     for _ in range(3):
         _, table, _ = value_stage(net, ps, scen, admissible_mass(rng, ps, scen))
         for r in range(ps.pair_count):
@@ -141,7 +141,7 @@ def test_equi_lipschitz_in_time_across_masses(diamond):
     # envelope: kinetic slope at the shortest admissible time-to-go plus
     # twice the congestion ceiling, doubled per nesting level
     h = float(net.lengths.min()) / (2.0 * scen.alpha)
-    phi_bar = max(c.bound() for c in scen.phi)
+    phi_bar = max(c.coeff for c in scen.phi) * scen.rho_max
     bound = 4.0 * (float(net.lengths.max()) ** 2 / (2.0 * h * h) + 2.0 * phi_bar)
     for _ in range(3):
         _, table, _ = value_stage(net, ps, scen, admissible_mass(rng, ps, scen))
@@ -154,7 +154,7 @@ def test_value_continuity_in_mass(diamond):
     rng = np.random.default_rng(13)
     base = admissible_mass(rng, ps, scen)
     _, table0, _ = value_stage(net, ps, scen, base)
-    lip = max(c.lipschitz() for c in scen.phi)
+    lip = max(c.coeff for c in scen.phi)
     max_legs = max(len(p) for p in ps.paths)
     c_bound = lip * scen.horizon * max_legs
     for scale in (1e-3, 1e-2, 1e-1):

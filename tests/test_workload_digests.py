@@ -11,7 +11,6 @@ the default depth they must equal the ones pinned in
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
@@ -20,20 +19,10 @@ import pytest
 import mfroute.equilibrium as equilibrium
 from mfroute import scenario_from_dict, solve
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, WORKLOADS
+
 BASELINE = json.loads((ROOT / "perfbench" / "baseline.json").read_text())["end_to_end"]
 ANDERSON = json.loads((ROOT / "tests" / "data" / "anderson_digests.json").read_text())
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _workloads()
 
 
 def mass_digest(name: str, tmp_path: Path) -> str:
