@@ -344,11 +344,15 @@ def _per_edge(raw, where: str, net: Network, build: Callable[[Any, str], Any]) -
 
     ``build(spec, where)`` turns one spec into its object.  Every spec given
     is built, also one that no edge uses; edges with neither a ``per_edge``
-    entry nor a ``default`` are left out.
+    entry nor a ``default`` are left out.  A ``per_edge`` key that is no edge
+    id is a parse error, so a misspelt id never falls back to the default.
     """
     f = _fields(raw, where, _PER_EDGE_KEYS)
     if not isinstance(f["per_edge"], dict):
         raise ParseError(f"{where}.per_edge must be an object")
+    for eid in f["per_edge"]:
+        if eid not in net.edge_index:
+            raise ParseError(f"{where}.per_edge.{eid} names no edge")
     default = None if f["default"] is None else build(f["default"], f"{where}.default")
     given = {eid: build(spec, f"{where}.per_edge.{eid}") for eid, spec in f["per_edge"].items()}
     built = {e.id: given.get(e.id, default) for e in net.edges}

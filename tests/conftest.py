@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -116,11 +117,13 @@ def detour_parallel_dict(steps, constrained=None):
     return doc
 
 
-# Speed limits whose per-edge flow delays differ on the documents below.
-VARIED_LIMITS = {"enabled": True,
-                 "u": {"default": {"family": "reciprocal", "coeff": 0.4},
-                       "per_edge": {"e1": {"family": "reciprocal", "coeff": 0.15},
-                                    "r00": {"family": "reciprocal", "coeff": 0.15}}}}
+def varied_limits(edge_id: str) -> dict:
+    """Speed limits under which edge ``edge_id`` is slower than the others,
+    so the per-edge flow delays differ."""
+    return {"enabled": True,
+            "u": {"default": {"family": "reciprocal", "coeff": 0.4},
+                  "per_edge": {edge_id: {"family": "reciprocal", "coeff": 0.15}}}}
+
 
 # Documents on which the stages evaluated by path position or by edge
 # occurrence are compared with the per-pair reference loops below: paths of
@@ -130,9 +133,24 @@ STAGE_DOCS = {
     "diamond": diamond_dict(steps=24),
     "detour-parallel": detour_parallel_dict(24),
     "lattice-3x3": lattice_dict(3, steps=24),
-    "diamond-constrained": diamond_dict(steps=24, constrained=VARIED_LIMITS),
-    "lattice-3x3-constrained": lattice_dict(3, steps=24, constrained=VARIED_LIMITS),
+    "diamond-constrained": diamond_dict(steps=24, constrained=varied_limits("e1")),
+    "lattice-3x3-constrained": lattice_dict(3, steps=24, constrained=varied_limits("r00")),
 }
+
+
+def per_cell_csv(grid, headers, tables) -> str:
+    """The CSV exporter as first written, one formatted cell at a time: the
+    reference for ``cli._write_csv``, which takes the same arguments."""
+    def fmt(x):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return f"{x:.17g}"
+
+    columns = [column for table in tables for column in table]
+    lines = ["t," + ",".join(headers)]
+    for i, t in enumerate(grid.nodes):
+        lines.append(",".join([fmt(float(t))] + [fmt(float(c[i])) for c in columns]))
+    return "\n".join(lines) + "\n"
 
 
 def build(doc: dict):

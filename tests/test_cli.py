@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
-import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mfroute.cli as cli
 from mfroute import MassField, ParseError, Policy, load_scenario, solve
 from mfroute.cli import main, read_mass_csv, write_mass_csv
 
-from conftest import arrival_times, build, chain_dict, diamond_dict
+from conftest import (STAGE_DOCS, arrival_times, build, chain_dict, diamond_dict,
+                      per_cell_csv)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -82,19 +86,6 @@ def test_solve_mass_csv_round_trips(write_scenario, tmp_path, capsys):
     assert np.array_equal(mass.values, report.mass.values)
 
 
-def per_cell_csv(grid, headers, columns) -> str:
-    """The exporter as it was, one formatted cell at a time: the reference."""
-    def fmt(x):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
-
-    lines = ["t," + ",".join(headers)]
-    for i, t in enumerate(grid.nodes):
-        lines.append(",".join([fmt(float(t))] + [fmt(float(c[i])) for c in columns]))
-    return "\n".join(lines) + "\n"
-
-
 def test_mass_csv_matches_per_cell_formatting(tmp_path):
     net, ps, scen, grid = build(diamond_dict(steps=9))
     values = np.random.default_rng(3).uniform(-1e3, 1e3, (ps.pair_count, grid.steps + 1))
@@ -105,7 +96,7 @@ def test_mass_csv_matches_per_cell_formatting(tmp_path):
     path = tmp_path / "masses.csv"
     write_mass_csv(path, grid, ps, MassField(values=values))
     headers = [f"rho[{label}]" for label in ps.pair_labels()]
-    assert path.read_bytes() == per_cell_csv(grid, headers, list(values)).encode()
+    assert path.read_bytes() == per_cell_csv(grid, headers, [values]).encode()
     # the reader takes only masses in psi's domain, and those round-trip,
     # -0.0 and the subnormals included
     with pytest.raises(ParseError, match="non-finite"):
@@ -115,6 +106,75 @@ def test_mass_csv_matches_per_cell_formatting(tmp_path):
     write_mass_csv(path, grid, ps, MassField(values=domain))
     back = read_mass_csv(path, ps, grid)
     assert back.values.tobytes() == domain.tobytes()
+
+
+# Bit patterns the exporter must print as "%.17g" does: NaNs of either sign
+# and several payloads (all print "nan"), both zeros, both infinities, the
+# least and greatest subnormals, the least normal and the greatest doubles.
+SPECIAL_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                0xFFF4000000000123, 0x7FFFFFFFFFFFFFFF, 0x0000000000000000,
+                0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x0000000000000001, 0x8000000000000001, 0x000FFFFFFFFFFFFF,
+                0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF)
+BLOCK = cli._BLOCK_CELLS
+# (rows, columns with t): one row; one column after t; cells one below, at and
+# one above a block's; rows one below, at and one above a block's; one row
+# wider than a block.
+CSV_SHAPES = ((1, 2), (1, 9), (5, 2), (40, 2), (63, 65), (64, 64), (17, 241), (241, 17),
+              (BLOCK // 2 - 1, 2), (BLOCK // 2, 2), (BLOCK // 2 + 1, 2), (2, BLOCK + 3))
+
+
+@st.composite
+def csv_tables(draw):
+    """Node times and tables of random float64 bit patterns, with heavy
+    repetition: each cell is drawn from a small pool of special and random
+    patterns, or is fresh random bits."""
+    rows, width = draw(st.sampled_from(CSV_SHAPES))
+    specials = draw(st.permutations(SPECIAL_BITS))[:draw(st.integers(0, len(SPECIAL_BITS)))]
+    randoms = draw(st.lists(st.integers(0, 2**64 - 1), min_size=0 if specials else 1,
+                            max_size=6))
+    pool = np.array(specials + randoms, dtype=np.uint64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = pool[rng.integers(len(pool), size=(width, rows))]
+    fresh = rng.random((width, rows)) < draw(st.sampled_from((0.0, 0.1, 1.0)))
+    bits[fresh] = rng.integers(0, 2**64, size=int(fresh.sum()), dtype=np.uint64)
+    values = bits.view(np.float64)
+    split = draw(st.integers(1, width - 1))  # a file may take more than one table
+    return values[0], [values[1:split], values[split:]]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(csv_tables())
+def test_write_csv_matches_per_cell_formatting(tmp_path_factory, drawn):
+    nodes, tables = drawn
+    grid = SimpleNamespace(nodes=nodes)
+    headers = [f"c{i}" for i in range(sum(len(table) for table in tables))]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    cli._write_csv(path, grid, headers, tables)
+    assert path.read_bytes() == per_cell_csv(grid, headers, tables).encode()
+
+
+@pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
+def test_stage_files_match_per_cell_formatting(doc, write_scenario, tmp_path, capsys,
+                                               monkeypatch):
+    written = {}
+    real = cli._write_csv
+
+    def recording(path, grid, headers, tables):
+        real(path, grid, headers, tables)
+        written[path] = per_cell_csv(grid, headers, tables).encode()
+
+    monkeypatch.setattr(cli, "_write_csv", recording)
+    scenario = write_scenario(doc)
+    solve_dir, psi_dir = tmp_path / "solve", tmp_path / "psi"
+    assert main(["solve", str(scenario), "--out", str(solve_dir)]) in (0, 3)
+    assert main(["psi-once", str(scenario), "--out", str(psi_dir),
+                 "--mass", str(solve_dir / "masses.csv")]) == 0
+    assert sorted(p.name for p in written) == sorted(2 * [
+        "masses.csv", "flows.csv", "values.csv", "policy.csv", "preferences.csv",
+        "costs.csv"])
+    for path, want in written.items():
+        assert path.read_bytes() == want, path
 
 
 def test_solve_exit_three_on_iteration_cap(write_scenario, tmp_path, capsys):

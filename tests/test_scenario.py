@@ -167,6 +167,23 @@ def test_unknown_key_is_parse_error(path, key, where):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("section, key", [("model", "phi"), ("constrained", "u")])
+def test_per_edge_key_that_is_no_edge_is_parse_error(section, key):
+    # a misspelt edge id must not leave its edge on the default spec
+    doc = diamond_dict(steps=20, constrained={"enabled": False,
+                                              "u": {"default": dict(RECIPROCAL)}})
+    spec = {"family": "linear", "coeff": 5.0} if key == "phi" else dict(RECIPROCAL)
+    doc[section][key]["per_edge"] = {"e3": spec, "e9": spec}
+    where = f"{section}.{key}.per_edge.e9"
+    with pytest.raises(ParseError, match=rf"^{re.escape(where)} names no edge$"):
+        scenario_from_dict(doc)
+    with pytest.raises(ParseError, match=re.escape(where)):
+        scenario_checks(doc)
+    del doc[section][key]["per_edge"]["e9"]
+    net, ps, scen, grid = build(doc)
+    assert scenario_to_dict(net, scen)[section][key]["per_edge"]["e3"] == spec
+
+
 def test_omitted_keys_take_their_defaults():
     doc = diamond_dict(steps=20)
     del doc["model"]["phi"]
