@@ -7,8 +7,9 @@ Subcommands::
     mfroute psi-once SCENARIO --out DIR  evaluate the mass map once, export stages
     mfroute oracle SCENARIO [--max-N K]  exhaustive verification on a coarse grid
 
-Exit codes: 0 success, 1 validation failure or verification mismatch,
-2 parse error, 3 solver did not converge (outputs still written).
+Exit codes: 0 success, 1 validation failure, verification mismatch or an
+unusable output directory, 2 parse error, 3 solver did not converge (outputs
+still written).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def read_mass_csv(path: Path, ps: PathSet, grid: TimeGrid) -> MassField:
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise ParseError(f"cannot read mass file: {exc}") from exc
     if not lines:
         raise ShapeMismatch("mass file is empty")
@@ -151,14 +152,14 @@ def _diagnostics(scen: Scenario, psi: PsiResult, member: XMembership) -> dict:
     return diag
 
 
-def _manifest(command: str, scenario_path: str, net, scen, duration: float,
-              exit_status: int, error: str | None = None) -> dict:
+def _manifest(args, net, scen, start: float, exit_status: int,
+              error: str | None = None) -> dict:
     doc = {
-        "command": command,
-        "scenario": str(scenario_path),
+        "command": args.command,
+        "scenario": args.scenario,
         "parameters": scenario_to_dict(net, scen) if net is not None else None,
         "tool_version": __version__,
-        "duration_seconds": duration,
+        "duration_seconds": time.monotonic() - start,
         "exit_status": exit_status,
     }
     if error is not None:
@@ -171,12 +172,8 @@ def _write_json_file(path: Path, doc: dict) -> None:
 
 
 def _exit_status(exc: MFRouteError) -> int:
-    """Print a package error; its exit status is 2 for a parse error, else 1."""
-    if isinstance(exc, ParseError):
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    print(f"error: {exc}", file=sys.stderr)
-    return 1
+    """A package error's exit status: 2 for a parse error, else 1."""
+    return 2 if isinstance(exc, ParseError) else 1
 
 
 def _load(args) -> tuple[Network, PathSet, Scenario, TimeGrid]:
@@ -197,29 +194,29 @@ def _load(args) -> tuple[Network, PathSet, Scenario, TimeGrid]:
     return scenario_from_dict(doc)
 
 
-def _run(args, command: str, body) -> int:
+def _run(args) -> int:
     """Frame shared by the commands that write an output directory.
 
-    ``body(args, out, net, ps, scen, grid)`` writes the stage files and
+    ``args.body(args, out, net, ps, scen, grid)`` writes the stage files and
     returns the exit status, the report document and a one-line summary.
     The frame writes ``manifest.json`` and ``report.json``, which echoes the
-    same manifest; on a package error it writes only ``manifest.json``, with
-    the error and no parameters.
+    same manifest.  On a package error it writes only ``manifest.json``, with
+    the error and no parameters, and passes the error on to ``main``.
     """
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise MFRouteError(f"cannot create output directory: {exc}") from None
     start = time.monotonic()
     try:
         net, ps, scen, grid = _load(args)
-        code, doc, summary = body(args, out, net, ps, scen, grid)
+        code, doc, summary = args.body(args, out, net, ps, scen, grid)
     except MFRouteError as exc:
-        code = _exit_status(exc)
         _write_json_file(out / "manifest.json",
-                         _manifest(command, args.scenario, None, None,
-                                   time.monotonic() - start, code, str(exc)))
-        return code
-    doc["manifest"] = _manifest(command, args.scenario, net, scen,
-                                time.monotonic() - start, code)
+                         _manifest(args, None, None, start, _exit_status(exc), str(exc)))
+        raise
+    doc["manifest"] = _manifest(args, net, scen, start, code)
     _write_json_file(out / "report.json", doc)
     _write_json_file(out / "manifest.json", doc["manifest"])
     print(summary)
@@ -227,12 +224,8 @@ def _run(args, command: str, body) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        checks = scenario_checks(_read_json(args.scenario))
-    except MFRouteError as exc:
-        return _exit_status(exc)
     failed = False
-    for check in checks:
+    for check in scenario_checks(_read_json(args.scenario)):
         status = "PASS" if check.passed else "FAIL"
         print(f"{check.name}: {status} ({check.detail})")
         failed = failed or not check.passed
@@ -261,10 +254,6 @@ def _solve_body(args, out: Path, net: Network, ps: PathSet, scen: Scenario,
                     f"final residual {report.final_residual:g}")
 
 
-def cmd_solve(args) -> int:
-    return _run(args, "solve", _solve_body)
-
-
 def _psi_once_body(args, out: Path, net: Network, ps: PathSet,
                    scen: Scenario, grid: TimeGrid):
     if args.zero:
@@ -282,15 +271,8 @@ def _psi_once_body(args, out: Path, net: Network, ps: PathSet,
     return 0, doc, f"psi evaluated; residual vs input {r:g}"
 
 
-def cmd_psi_once(args) -> int:
-    return _run(args, "psi-once", _psi_once_body)
-
-
 def cmd_oracle(args) -> int:
-    try:
-        net, ps, scen, grid = _load(args)
-    except MFRouteError as exc:
-        return _exit_status(exc)
+    net, ps, scen, grid = _load(args)
     if grid.steps > args.max_n:
         print(f"refusing to enumerate: steps {grid.steps} exceeds --max-N {args.max_n}")
         return 1
@@ -331,41 +313,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mean-field route-choice equilibria on acyclic networks")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Arguments shared by several commands, each declared once: every command
+    # reads a scenario, all but validate may force the speed-limited mode,
+    # and solve and psi-once write an output directory.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("scenario")
+    constrained = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    constrained.add_argument("--constrained", action="store_true",
+                             help="force the speed-limited mode")
+    output = argparse.ArgumentParser(add_help=False, parents=[constrained])
+    output.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("validate", help="check a scenario file")
-    p.add_argument("scenario")
-    p.set_defaults(func=cmd_validate)
+    sub.add_parser("validate", parents=[scenario],
+                   help="check a scenario file").set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", help="compute an equilibrium")
-    p.add_argument("scenario")
-    p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("solve", parents=[output], help="compute an equilibrium")
     p.add_argument("--gamma", type=float, default=None, help="damping factor")
     p.add_argument("--tol", type=float, default=None, help="absolute residual tolerance")
     p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--constrained", action="store_true",
-                   help="force the speed-limited mode")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=_run, body=_solve_body)
 
-    p = sub.add_parser("psi-once", help="evaluate the mass map once")
-    p.add_argument("scenario")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("psi-once", parents=[output], help="evaluate the mass map once")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mass", help="input mass trajectory CSV")
     group.add_argument("--zero", action="store_true", help="start from zero mass")
-    p.add_argument("--constrained", action="store_true")
-    p.set_defaults(func=cmd_psi_once)
+    p.set_defaults(func=_run, body=_psi_once_body)
 
-    p = sub.add_parser("oracle", help="exhaustive verification on a coarse grid")
-    p.add_argument("scenario")
+    p = sub.add_parser("oracle", parents=[constrained],
+                       help="exhaustive verification on a coarse grid")
     p.add_argument("--max-N", "--max-n", dest="max_n", type=int, default=16)
-    p.add_argument("--constrained", action="store_true")
     p.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  A package error, from any command, is printed here
+    and mapped to its exit status by :func:`_exit_status`."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MFRouteError as exc:
+        code = _exit_status(exc)
+        print(f"{'parse error' if code == 2 else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

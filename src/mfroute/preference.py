@@ -49,8 +49,9 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
 
     A traversed edge costs the kinetic term plus its congestion integral up
     to the arrival node; a stopped-on edge costs the congestion integral to
-    the horizon plus alpha times the shortest remaining distance from its
-    tail; edges never reached cost nothing.
+    the horizon plus alpha times the distance left: its length on a path's
+    last edge, else the shortest distance from its tail to the destination,
+    as :func:`value_backward` charges it; edges never reached cost nothing.
     """
     n = scen.grid.steps
     t = scen.grid.nodes
@@ -77,7 +78,8 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
         with np.errstate(divide="ignore", invalid="ignore"):
             move_cost = (length * length) / (2.0 * (t[tau_safe] - t[s_safe])) \
                 + (phi_flat[edge_off + tau_safe] - phi_s)
-        stop_cost = (scen.alpha * net.dist_tail[e][:, None]) + (phi_n - phi_s)
+        left = np.where(ps.last_mask[rows], net.lengths[e], net.dist_tail[e])
+        stop_cost = (scen.alpha * left[:, None]) + (phi_n - phi_s)
         contrib = np.where(moved, move_cost, np.where(stopped, stop_cost, 0.0))
         acc[:rows.size] += contrib
         # the next edge is entered at this edge's arrival node

@@ -292,10 +292,15 @@ def _list(value, where: str) -> list:
 def _num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where} must be a number")
-    # NaN slips through the "<= 0" range checks, and JSON has no NaN or inf
+    # NaN slips through the "<= 0" range checks, JSON has no NaN or inf, and
+    # an integer beyond float range has no float to stand for it
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise ParseError(f"{where} must be a finite number")
-    return float(value)
+    return value
 
 
 def _positive(value, where: str) -> float:
@@ -479,7 +484,7 @@ def _read_json(path: str | Path) -> dict:
         data = json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8, or an integer of too many digits
         raise ParseError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("scenario document must be a JSON object")

@@ -18,16 +18,18 @@ from mfroute.flow import FlowField, local_decision
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _perfbench_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-# The benchmark's scenario generators (perfbench is not a package).
-WORKLOADS = _perfbench_workloads()
+# The benchmark's scenario generators and its stage tracer (perfbench is not
+# a package).
+WORKLOADS = _perfbench("workloads")
+SPANS = _perfbench("spans")
 
 DIAMOND_EDGES = [
     {"id": "e1", "tail": "o", "head": "v1", "length": 1.0, "capacity": 2.0},
@@ -225,7 +227,8 @@ def reference_path_costs(net, ps, scen, cong, policy):
             with np.errstate(divide="ignore", invalid="ignore"):
                 move_cost = (length * length) / (2.0 * (t[tau_safe] - t[s_safe])) \
                     + (phi[tau_safe] - phi[s_safe])
-            stop_cost = (scen.alpha * float(net.dist_tail[e])) + (phi[n] - phi[s_safe])
+            left = length if ps.last_mask[r] else float(net.dist_tail[e])
+            stop_cost = (scen.alpha * left) + (phi[n] - phi[s_safe])
             contrib = np.where(moved, move_cost, np.where(stopped, stop_cost, 0.0))
             total = total + contrib
         costs[p] = total

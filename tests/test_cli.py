@@ -233,6 +233,7 @@ MALFORMED_SPECS = {
     "u-disabled-unknown-family": {"constrained": {"enabled": False,
                                                   "u": {"default": {"family": "nope"}}}},
     "vertex-null": {"network": {"vertices": ["o", "v1", "v2", None]}},
+    "horizon-beyond-float-range": {"model": {"horizon": 10**400}},
 }
 
 
@@ -282,6 +283,42 @@ def test_non_string_edge_id_is_parse_error(write_scenario, tmp_path, capsys, key
     err = capsys.readouterr().err
     assert "Traceback" not in err and f"edge {key} must be a non-empty string" in err
     assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("horizon", [b"1" + b"0" * 5000, b"1\xff"],
+                         ids=["too-many-digits", "not-utf-8"])
+def test_scenario_json_cannot_read_is_parse_error(write_scenario, tmp_path, capsys,
+                                                  horizon):
+    # 5001 digits are more than Python reads as an int, and a byte that is
+    # not UTF-8 makes no JSON text
+    scenario = write_scenario(diamond_dict(steps=50))
+    text = scenario.read_bytes()
+    scenario.write_bytes(text.replace(b'"horizon": 10.0', b'"horizon": ' + horizon))
+    assert scenario.read_bytes() != text
+    assert main(["validate", str(scenario)]) == 2
+    out_dir = tmp_path / "run"
+    assert main(["solve", str(scenario), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("parse error: scenario file is not valid JSON") == 2
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command, extra", [("solve", []), ("psi-once", ["--zero"])])
+def test_out_that_cannot_be_a_directory_is_an_error(write_scenario, tmp_path, capsys,
+                                                    command, extra):
+    scenario = write_scenario(diamond_dict(steps=20))
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    for out in (taken, taken / "run"):
+        assert main([command, str(scenario), "--out", str(out), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: cannot create output directory: ")
+        assert captured.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+    assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_solve_deterministic_outputs(write_scenario, tmp_path, capsys):
@@ -420,6 +457,19 @@ def test_psi_once_non_numeric_mass_field_is_parse_error(write_scenario, tmp_path
     assert sorted(p.name for p in out_b.iterdir()) == ["manifest.json"]
     manifest = json.loads((out_b / "manifest.json").read_text())
     assert manifest["exit_status"] == 2 and "row 3" in manifest["error"]
+
+
+def test_psi_once_mass_file_not_utf8_is_parse_error(write_scenario, tmp_path, capsys):
+    scenario = write_scenario(diamond_dict(steps=20))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,\xff\n")
+    out_dir = tmp_path / "run"
+    code, _ = run(capsys, "psi-once", str(scenario), "--out", str(out_dir),
+                  "--mass", str(bad))
+    assert code == 2
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert "cannot read mass file" in manifest["error"]
 
 
 @pytest.mark.parametrize("field, code", [("nan", 2), ("inf", 2), ("-inf", 2), ("-5", 1)])

@@ -10,8 +10,9 @@ import pytest
 from mfroute import (SimplexViolation, apply_psi, logit_response, path_costs,
                      preference_evolution)
 
-from conftest import (STAGE_DOCS, build, diamond_dict, reference_path_costs, row,
-                      stage_inputs, value_stage, zero_mass)
+from conftest import (DIAMOND_EDGES, STAGE_DOCS, build, detour_parallel_dict,
+                      diamond_dict, reference_path_costs, row, stage_inputs,
+                      value_stage, zero_mass)
 
 
 def entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
@@ -153,6 +154,32 @@ def test_path_cost_equals_first_edge_value_on_default(diamond):
         first_rows = np.flatnonzero(ps.first_mask)
         gap = np.max(np.abs(psi.costs.costs - psi.value.values[first_rows]))
         assert gap <= 1e-9
+        mass = psi.mass
+
+
+UNEQUAL_DIAMOND_EDGES = [{**edge, "length": length}
+                         for edge, length in zip(DIAMOND_EDGES, (2.0, 3.0, 1.0, 2.0, 0.5))]
+
+
+# Networks with a path whose last edge is longer than its tail's distance to
+# the destination: e3 (length 1.2, o is 1.0 from d) on the detour, and e4
+# (length 2, v1 is 1.5 from d) on the unequal diamond.
+@pytest.mark.parametrize("doc", [
+    detour_parallel_dict(24),
+    diamond_dict(steps=24, model={"alpha": 3.0}, edges=UNEQUAL_DIAMOND_EDGES),
+], ids=["detour-parallel", "unequal-diamond"])
+def test_path_cost_equals_first_pair_value_without_tie_band(doc):
+    # With no tie band the policy attains the value table's minimum, so
+    # following it from a path's first edge costs the first pair's value:
+    # both charge a stop on a last edge alpha times that edge's length.
+    doc["solver"]["eps_tie"] = 0.0
+    net, ps, scen, grid = build(doc)
+    first_rows = np.flatnonzero(ps.first_mask)
+    mass = zero_mass(ps, grid)
+    for _ in range(2):
+        psi = apply_psi(net, ps, scen, mass)
+        np.testing.assert_allclose(psi.costs.costs, psi.value.values[first_rows],
+                                   rtol=1e-12, atol=0.0)
         mass = psi.mass
 
 

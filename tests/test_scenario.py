@@ -111,6 +111,8 @@ MALFORMED_SPECS = {
     "z0-number": _with(("model", "z0"), 5),
     "rho0-values-number": _with(("model", "rho0"), {"rule": "explicit", "values": 0.0}),
     "edge-length-not-a-number": _with(("network", "edges", 0, "length"), "abc"),
+    "horizon-beyond-float-range": _with(("model", "horizon"), 10**400),
+    "edge-length-beyond-float-range": _with(("network", "edges", 0, "length"), -10**400),
     "edge-not-an-object": _with(("network", "edges", 0), 5),
     "origin-list": _with(("network", "origin"), []),
     "origin-empty": _with(("network", "origin"), ""),
