@@ -82,7 +82,9 @@ def write_mass_csv(path: Path, grid: TimeGrid, ps: PathSet, mass: MassField) -> 
 def read_mass_csv(path: Path, ps: PathSet, grid: TimeGrid) -> MassField:
     """Parse a masses.csv produced by this tool back into a mass field.
 
-    Every mass must be a finite number (else :class:`ParseError`) and
+    The ``t`` column must equal the grid's nodes bit for bit, else
+    :class:`ShapeMismatch`; the tool writes them round-trip exact.  Every
+    mass must be a finite number (else :class:`ParseError`) and
     nonnegative (else :class:`ValidationError`), as psi's domain requires.
     """
     try:
@@ -99,16 +101,22 @@ def read_mass_csv(path: Path, ps: PathSet, grid: TimeGrid) -> MassField:
     rows = lines[1:]
     if len(rows) != grid.steps + 1:
         raise ShapeMismatch(f"mass file has {len(rows)} rows, grid needs {grid.steps + 1}")
-    data = np.empty((ps.pair_count, grid.steps + 1))
+    data = np.empty((ps.pair_count + 1, grid.steps + 1))
     for i, line in enumerate(rows):
         parts = line.split(",")
         if len(parts) != ps.pair_count + 1:
             raise ShapeMismatch(f"row {i} has {len(parts)} fields")
         try:
-            data[:, i] = [float(v) for v in parts[1:]]
+            data[:, i] = [float(v) for v in parts]
         except ValueError as exc:
             raise ParseError(f"row {i} of the mass file: {exc}") from None
-    # data holds the file's rows as columns; -0.0 is not negative
+    # data holds the file's rows as columns, t first; -0.0 is not negative
+    t, data = data[0], data[1:]
+    off_grid = t.view(np.uint64) != grid.nodes.view(np.uint64)
+    if off_grid.any():
+        i = int(np.argmax(off_grid))
+        raise ShapeMismatch(f"row {i} of the mass file has t = {float(t[i])!r}, "
+                            f"grid node {i} is {float(grid.nodes[i])!r}")
     finite = np.isfinite(data).all(axis=0)
     if not finite.all():
         raise ParseError(f"row {int(np.argmin(finite))} of the mass file holds a "
@@ -125,15 +133,15 @@ def _export_stages(out: Path, grid: TimeGrid, ps: PathSet, psi: PsiResult,
     # masses.csv carries the field of record: the equilibrium for a solve,
     # the map's output for a single evaluation
     write_mass_csv(out / "masses.csv", grid, ps, mass if mass is not None else psi.mass)
-    _write_csv(out / "flows.csv", grid, _pair_columns(ps, "f"), [psi.flows.values])
-    _write_csv(out / "values.csv", grid, _pair_columns(ps, "V"), [psi.value.values])
+    _write_csv(out / "flows.csv", grid, _pair_columns(ps, "f"), [psi.flows])
+    _write_csv(out / "values.csv", grid, _pair_columns(ps, "V"), [psi.value])
     # exported as arrival times: tau_idx -1 (stay) picks the appended inf
     tau_time = np.append(grid.nodes, np.inf)[psi.policy.tau_idx]
     _write_csv(out / "policy.csv", grid, _pair_columns(ps, "tau"), [tau_time])
     _write_csv(out / "preferences.csv", grid,
                _path_columns(ps, "z") + _path_columns(ps, "F_beta"),
-               [psi.preference.z, psi.preference.response])
-    _write_csv(out / "costs.csv", grid, _path_columns(ps, "J"), [psi.costs.costs])
+               [psi.z, psi.response])
+    _write_csv(out / "costs.csv", grid, _path_columns(ps, "J"), [psi.costs])
 
 
 def _diagnostics(scen: Scenario, psi: PsiResult, member: XMembership) -> dict:
@@ -148,7 +156,7 @@ def _diagnostics(scen: Scenario, psi: PsiResult, member: XMembership) -> dict:
     }
     if psi.arrival is not None:
         diag["mean_traverse_time"] = [float(v) for v in psi.arrival.tau_bar]
-        diag["ktilde"] = [float(v) for v in psi.arrival.ktilde]
+        diag["ktilde"] = [float(v) for v in psi.k_idx_edges * scen.grid.dt]
     return diag
 
 

@@ -39,12 +39,12 @@ class ArrivalConstraint:
     (values past the last node mean the edge cannot be finished in time and
     the moving branch is infeasible).  ``tau_bar`` is the mean constrained
     traverse time and ``k_idx`` the per-edge flow delay in grid steps after
-    combining it with the a-priori constant.
+    combining it with the a-priori constant; the delay in time, ktilde, is
+    ``k_idx * grid.dt``.
     """
 
     floor_idx: np.ndarray = field(repr=False)  # (n_edges, nodes), int
     tau_bar: np.ndarray = field(repr=False)    # (n_edges,)
-    ktilde: np.ndarray = field(repr=False)     # (n_edges,)
     k_idx: np.ndarray = field(repr=False)      # (n_edges,), int
 
 
@@ -106,6 +106,5 @@ def arrival_tables(net: Network, scen: Scenario, cong: EdgeCongestion,
     # Snap to the grid: earliest node not before tau, with a small slack so a
     # value landing on a node up to rounding does not get pushed one step out.
     floor_idx = np.ceil(tau / grid.dt - 1e-9).astype(np.int64)
-    tau_bar, ktilde, k_idx = mean_traverse_and_ktilde(tau, scen)
-    return ArrivalConstraint(floor_idx=floor_idx, tau_bar=tau_bar, ktilde=ktilde,
-                             k_idx=k_idx)
+    tau_bar, _, k_idx = mean_traverse_and_ktilde(tau, scen)
+    return ArrivalConstraint(floor_idx=floor_idx, tau_bar=tau_bar, k_idx=k_idx)

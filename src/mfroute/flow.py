@@ -27,16 +27,9 @@ import numpy as np
 from .errors import DegenerateSimplex, MassBoundExceeded, ShapeMismatch
 from .network import Network, PathSet, edge_totals
 from .scenario import Scenario
-from .value import (EdgeCongestion, MassField, Policy, ValueTable,
-                    congestion_total, value_backward)
-from .preference import (PathCostTable, PreferenceTrajectory, build_preferences)
-
-
-@dataclass(frozen=True)
-class FlowField:
-    """Outgoing flow per (edge, path) pair, zero before the traverse delay."""
-
-    values: np.ndarray
+from .value import (EdgeCongestion, MassField, Policy, congestion_total,
+                    value_backward)
+from .preference import build_preferences
 
 
 @dataclass(frozen=True)
@@ -57,15 +50,21 @@ class IntegrationResult:
 @dataclass(frozen=True)
 class PsiResult:
     """One evaluation of the mass-to-mass map: its image and the stage outputs
-    that the solver, the export and the conservation audit read."""
+    that the solver, the export and the conservation audit read.
+
+    Per (edge, path) pair: ``value``, the remaining cost, and ``flows``, the
+    outgoing flow; per path: ``costs``, of following the policy, the logit
+    ``response`` and the preferences ``z``.  Each has one column per grid node.
+    """
 
     mass: MassField
     congestion: EdgeCongestion
-    value: ValueTable
+    value: np.ndarray
     policy: Policy
-    costs: PathCostTable
-    preference: PreferenceTrajectory
-    flows: FlowField
+    costs: np.ndarray
+    response: np.ndarray
+    z: np.ndarray
+    flows: np.ndarray
     integration: IntegrationResult
     k_idx_edges: np.ndarray = field(repr=False)
     arrival: object = None  # ArrivalConstraint in constrained mode
@@ -82,14 +81,15 @@ def local_decision(z: np.ndarray) -> np.ndarray:
 
 
 def compute_flows(ps: PathSet, policy: Policy, z: np.ndarray, lam: np.ndarray,
-                  k_idx_edges: np.ndarray) -> FlowField:
-    """Delayed outgoing flows, evaluated by path position.
+                  k_idx_edges: np.ndarray) -> np.ndarray:
+    """Delayed outgoing flow per (edge, path) pair, evaluated by path position.
 
     A first edge replays the origin inflow from ``k`` steps earlier; any
     other edge replays its predecessor's outflow.  Both are gated by the
     sign of the control chosen at the replayed entry time, so stopped
     traffic emits no flow.  The pairs at one path position that share a
-    delay are evaluated together, after the position before them.
+    delay are evaluated together, after the position before them.  A pair's
+    flow is zero before its delay.
     """
     n_nodes = lam.shape[0]
     shares = local_decision(z)
@@ -106,7 +106,7 @@ def compute_flows(ps: PathSet, policy: Policy, z: np.ndarray, lam: np.ndarray,
         for ke in set(row_delays.tolist()):
             sel = row_delays == ke
             f[rows[sel], ke:] = out[sel, :n_nodes - ke]
-    return FlowField(values=f)
+    return f
 
 
 def injection_terms(z_cols: np.ndarray, lam_cols: np.ndarray, dt: float) -> np.ndarray:
@@ -145,7 +145,7 @@ def injection_terms(z_cols: np.ndarray, lam_cols: np.ndarray, dt: float) -> np.n
     return inj
 
 
-def integrate_mass(ps: PathSet, scen: Scenario, flows: FlowField, z: np.ndarray,
+def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, z: np.ndarray,
                    lam: np.ndarray, rho0: np.ndarray) -> IntegrationResult:
     """Explicit Euler integration of the conservation law.
 
@@ -165,11 +165,10 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: FlowField, z: np.ndarray,
     """
     grid = scen.grid
     n = grid.steps
-    f = flows.values
-    if f.shape != (ps.pair_count, n + 1) or z.shape[1] != n + 1:
+    if flows.shape != (ps.pair_count, n + 1) or z.shape[1] != n + 1:
         raise ShapeMismatch("flow/preference arrays do not match the grid")
     inj = injection_terms(z[:, :n], lam[:n], grid.dt)
-    mov = grid.dt * f[:, :n]
+    mov = grid.dt * flows[:, :n]
     plus = np.empty_like(mov)
     first_rows = np.flatnonzero(ps.first_mask)
     nonfirst = np.flatnonzero(~ps.first_mask)
@@ -238,21 +237,21 @@ def _check_mass_bound(ps: PathSet, scen: Scenario, mass: np.ndarray) -> None:
 
 def apply_psi(net: Network, ps: PathSet, scen: Scenario, mass: MassField) -> PsiResult:
     """Full pipeline: mass -> values/policy -> costs -> preferences -> flows -> mass."""
-    cong = congestion_total(net, ps, scen, mass)
+    cong = congestion_total(ps, scen, mass)
     arrival = None
     if scen.constrained.enabled:
         from .constrained import arrival_tables, build_speed_limits
 
         limits = build_speed_limits(net, scen)
         arrival = arrival_tables(net, scen, cong, limits)
-        table, policy = value_backward(net, ps, scen, cong, arrival.floor_idx)
+        values, policy = value_backward(net, ps, scen, cong, arrival.floor_idx)
         k_idx_edges = arrival.k_idx
     else:
-        table, policy = value_backward(net, ps, scen, cong)
+        values, policy = value_backward(net, ps, scen, cong)
         k_idx_edges = np.full(len(net.edges), scen.k_idx, dtype=np.int64)
-    costs, pref = build_preferences(net, ps, scen, cong, policy)
-    flows = compute_flows(ps, policy, pref.z, scen.lam, k_idx_edges)
-    integ = integrate_mass(ps, scen, flows, pref.z, scen.lam, scen.rho0)
-    return PsiResult(mass=integ.mass, congestion=cong, value=table, policy=policy,
-                     costs=costs, preference=pref, flows=flows,
+    costs, response, z = build_preferences(net, ps, scen, cong, policy)
+    flows = compute_flows(ps, policy, z, scen.lam, k_idx_edges)
+    integ = integrate_mass(ps, scen, flows, z, scen.lam, scen.rho0)
+    return PsiResult(mass=integ.mass, congestion=cong, value=values, policy=policy,
+                     costs=costs, response=response, z=z, flows=flows,
                      integration=integ, k_idx_edges=k_idx_edges, arrival=arrival)

@@ -24,7 +24,7 @@ import numpy as np
 from .flow import PsiResult
 from .network import Network, PathSet
 from .scenario import Scenario
-from .value import EdgeCongestion, Policy, ValueTable
+from .value import EdgeCongestion, Policy
 
 # check_value_tables stops after this many mismatches.
 MAX_REPORTED_MISMATCHES = 10
@@ -139,12 +139,13 @@ class ValueMismatch:
 
 
 def check_value_tables(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
-                       table: ValueTable, policy: Policy,
+                       values: np.ndarray, policy: Policy,
                        arrival_floor: np.ndarray | None = None) -> list[ValueMismatch]:
     """Compare value tables and policies against the exhaustive enumeration.
 
-    ``cong`` and ``arrival_floor`` are the tables' inputs.  Any deviation at
-    all is a defect: the comparison is exact equality.
+    ``values`` has one row per (edge, path) pair, as :func:`value_backward`
+    returns it; ``cong`` and ``arrival_floor`` are the tables' inputs.  Any
+    deviation at all is a defect: the comparison is exact equality.
     """
     mismatches: list[ValueMismatch] = []
     for p in range(ps.n_paths):
@@ -153,7 +154,7 @@ def check_value_tables(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCong
             edge_id = ps.paths[p][pos]
             for i in range(ctx.n + 1):
                 expected = oracle_value(ctx, pos, i)
-                got = float(table.values[r, i])
+                got = float(values[r, i])
                 if got != expected:
                     mismatches.append(ValueMismatch(p, edge_id, i, "value",
                                                     got, expected))
@@ -204,9 +205,9 @@ def audit_conservation(ps: PathSet, scen: Scenario, psi: PsiResult,
     grid = scen.grid
     n = grid.steps
     dt = grid.dt
-    z = psi.preference.z
+    z = psi.z
     lam = scen.lam
-    f = psi.flows.values
+    f = psi.flows
     n_paths = ps.n_paths
 
     first_rows = [int(r) for r in np.flatnonzero(ps.first_mask)]

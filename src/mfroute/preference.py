@@ -18,8 +18,6 @@ ever taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import SimplexViolation
@@ -28,30 +26,16 @@ from .scenario import Z0_SUM_TOL, Scenario
 from .value import EdgeCongestion, Policy
 
 
-@dataclass(frozen=True)
-class PathCostTable:
-    """Cost per path and start node of following the policy along the path."""
-
-    costs: np.ndarray = field(repr=False)  # (n_paths, nodes)
-
-
-@dataclass(frozen=True)
-class PreferenceTrajectory:
-    """Noisy response and the resulting path-preference trajectory."""
-
-    response: np.ndarray = field(repr=False)  # (n_paths, nodes)
-    z: np.ndarray = field(repr=False)
-
-
 def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
-               policy: Policy) -> PathCostTable:
+               policy: Policy) -> np.ndarray:
     """Accumulate edge costs along the policy for every path and start node.
 
-    A traversed edge costs the kinetic term plus its congestion integral up
-    to the arrival node; a stopped-on edge costs the congestion integral to
-    the horizon plus alpha times the distance left: its length on a path's
-    last edge, else the shortest distance from its tail to the destination,
-    as :func:`value_backward` charges it; edges never reached cost nothing.
+    Returns one row per path and one column per start node.  A traversed
+    edge costs the kinetic term plus its congestion integral up to the
+    arrival node; a stopped-on edge costs the congestion integral to the
+    horizon plus alpha times the distance left: its length on a path's last
+    edge, else the shortest distance from its tail to the destination, as
+    :func:`value_backward` charges it; edges never reached cost nothing.
     """
     n = scen.grid.steps
     t = scen.grid.nodes
@@ -86,7 +70,7 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
         s = tau
     costs = np.empty_like(acc)
     costs[ps.pair_path_idx[ps.rows_by_position[0]]] = acc
-    return PathCostTable(costs=costs)
+    return costs
 
 
 def logit_response(costs: np.ndarray, lam: np.ndarray, beta: float) -> np.ndarray:
@@ -123,10 +107,11 @@ def preference_evolution(response: np.ndarray, z0: np.ndarray, eta: float,
 
 def build_preferences(net: Network, ps: PathSet, scen: Scenario,
                       cong: EdgeCongestion, policy: Policy
-                      ) -> tuple[PathCostTable, PreferenceTrajectory]:
-    """Pipeline stage: costs, logit response, and preference trajectory."""
-    table = path_costs(net, ps, scen, cong, policy)
-    response = logit_response(table.costs, scen.lam, scen.beta)
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pipeline stage: path costs, logit response and preference trajectory
+    ``z``, each one row per path and one column per grid node."""
+    costs = path_costs(net, ps, scen, cong, policy)
+    response = logit_response(costs, scen.lam, scen.beta)
     z = preference_evolution(response, scen.z0, scen.eta, scen.grid.nodes,
                              float(scen.lam[0]))
-    return table, PreferenceTrajectory(response=response, z=z)
+    return costs, response, z

@@ -160,14 +160,6 @@ class Scenario:
     k_idx: int
 
     @property
-    def horizon(self) -> float:
-        return self.grid.horizon
-
-    @property
-    def steps(self) -> int:
-        return self.grid.steps
-
-    @property
     def lam_max(self) -> float:
         return float(self.lam.max())
 
@@ -558,15 +550,15 @@ def _assumption_checks(net: Network, scen: Scenario) -> list[Check]:
         passed=True,
         detail="congestion costs are nonnegative and Lipschitz in total edge mass"))
     lam_bar = scen.lam_max
-    mass_margin = scen.rho_max > lam_bar * scen.horizon
+    mass_margin = scen.rho_max > lam_bar * scen.grid.horizon
     slack_edges = net.capacities > lam_bar
     cap_margin = bool(slack_edges.all())
     if mass_margin and cap_margin:
         detail = (f"rho_max {scen.rho_max:g} > max(lambda)*horizon "
-                  f"{lam_bar * scen.horizon:g} and every capacity > {lam_bar:g}")
+                  f"{lam_bar * scen.grid.horizon:g} and every capacity > {lam_bar:g}")
     elif not mass_margin:
         detail = (f"rho_max {scen.rho_max:g} <= max(lambda)*horizon "
-                  f"{lam_bar * scen.horizon:g}")
+                  f"{lam_bar * scen.grid.horizon:g}")
     else:
         bad = [net.edges[i].id for i in np.flatnonzero(~slack_edges)]
         detail = f"edge capacity must exceed max(lambda) {lam_bar:g}; violated by {bad}"
@@ -605,8 +597,8 @@ def scenario_to_dict(net: Network, scen: Scenario) -> dict:
             "destination": net.destination,
         },
         "model": {
-            "horizon": scen.horizon,
-            "steps": scen.steps,
+            "horizon": scen.grid.horizon,
+            "steps": scen.grid.steps,
             "alpha": scen.alpha,
             "beta": scen.beta,
             "eta": scen.eta,

@@ -79,17 +79,6 @@ class MassField:
 
     values: np.ndarray
 
-    @property
-    def shape(self):
-        return self.values.shape
-
-
-@dataclass(frozen=True)
-class ValueTable:
-    """Minimal remaining cost per (edge, path) pair and grid node."""
-
-    values: np.ndarray
-
 
 @dataclass(frozen=True)
 class Policy:
@@ -112,8 +101,7 @@ class EdgeCongestion:
     phi_prefix: np.ndarray  # cumulative integral of phi_e(totals)
 
 
-def congestion_total(net: Network, ps: PathSet, scen: Scenario,
-                     mass: MassField) -> EdgeCongestion:
+def congestion_total(ps: PathSet, scen: Scenario, mass: MassField) -> EdgeCongestion:
     """Sum pair masses into per-edge totals and integrate the congestion cost."""
     n_nodes = scen.grid.steps + 1
     if mass.values.shape != (ps.pair_count, n_nodes):
@@ -130,8 +118,11 @@ def congestion_total(net: Network, ps: PathSet, scen: Scenario,
 
 def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
                    arrival_floor: np.ndarray | None = None
-                   ) -> tuple[ValueTable, Policy]:
+                   ) -> tuple[np.ndarray, Policy]:
     """Compute value tables and the arrival-time policy under given congestion.
+
+    Returns the minimal remaining cost per (edge, path) pair and grid node,
+    one row per pair, and the policy.
 
     ``cong`` is the mass field's congestion, from :func:`congestion_total`.
     ``arrival_floor``, when given, is an integer (n_edges, nodes) table of the
@@ -177,8 +168,7 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongesti
     finally:
         np.setbufsize(bufsize)
 
-    return (ValueTable(values=values[pair_suffix]),
-            Policy(tau_idx=tau_idx[pair_suffix]))
+    return values[pair_suffix], Policy(tau_idx=tau_idx[pair_suffix])
 
 
 def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],

@@ -13,7 +13,7 @@ import pytest
 
 from mfroute import (MassField, apply_psi, congestion_total, scenario_from_dict,
                      value_backward)
-from mfroute.flow import FlowField, local_decision
+from mfroute.flow import local_decision
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -235,7 +235,7 @@ def reference_path_costs(net, ps, scen, cong, policy):
     return costs, entry
 
 
-def reference_flows(ps, policy, z, lam, k_idx_edges) -> FlowField:
+def reference_flows(ps, policy, z, lam, k_idx_edges) -> np.ndarray:
     """Delayed flows by the per-pair loop, path after path."""
     n_nodes = lam.shape[0]
     shares = local_decision(z)
@@ -251,7 +251,7 @@ def reference_flows(ps, policy, z, lam, k_idx_edges) -> FlowField:
                 f[r, ke:] = (lam[:m] * shares[ps.pair_path_idx[r], :m]) * gate
             else:
                 f[r, ke:] = f[r - 1, :m] * gate
-    return FlowField(values=f)
+    return f
 
 
 def reference_edge_totals(ps, pair_values):
@@ -263,7 +263,7 @@ def reference_edge_totals(ps, pair_values):
 
 def value_stage(net, ps, scen, mass, arrival_floor=None):
     """A mass field's congestion, and the value tables and policy under it."""
-    cong = congestion_total(net, ps, scen, mass)
+    cong = congestion_total(ps, scen, mass)
     table, policy = value_backward(net, ps, scen, cong, arrival_floor)
     return cong, table, policy
 

@@ -92,12 +92,12 @@ def test_criterion_2_last_edge_closed_form():
         e = int(ps.pair_edge_idx[r])
         length = float(net.lengths[e])
         with np.errstate(divide="ignore"):
-            moving = (length * length) / (2.0 * (scen.horizon - t))
+            moving = (length * length) / (2.0 * (scen.grid.horizon - t))
         closed = np.minimum(scen.alpha * length, moving)
-        rel = np.max(np.abs(table.values[r] - closed) / np.abs(closed))
+        rel = np.max(np.abs(table[r] - closed) / np.abs(closed))
         ok &= rel <= 1e-12
         # switch node: first grid node past horizon - length / (2 alpha)
-        threshold = scen.horizon - length / (2.0 * scen.alpha)
+        threshold = scen.grid.horizon - length / (2.0 * scen.alpha)
         switch = int(np.searchsorted(t, threshold, side="right"))
         ok &= np.all(speed[r, :switch] > 0.0)
         ok &= np.all(speed[r, switch:] == 0.0)
@@ -108,8 +108,8 @@ def test_criterion_2_last_edge_closed_form():
 
 def test_criterion_3_simplex_and_logit(default_solve, beta_small_solve):
     (net, ps, scen, grid), rep, _ = default_solve
-    z = rep.psi.preference.z
-    f = rep.psi.preference.response
+    z = rep.psi.z
+    f = rep.psi.response
     rel_z = np.max(np.abs(z.sum(axis=0) - scen.lam) / scen.lam)
     rel_f = np.max(np.abs(f.sum(axis=0) - scen.lam) / scen.lam)
 
@@ -120,7 +120,7 @@ def test_criterion_3_simplex_and_logit(default_solve, beta_small_solve):
                   for c in (1.0, 64.0, -8.0, 0.03125))
 
     (net_b, ps_b, scen_b, _), rep_b = beta_small_solve
-    flat = float(np.max(np.abs(rep_b.psi.preference.z
+    flat = float(np.max(np.abs(rep_b.psi.z
                                - scen_b.lam / ps_b.n_paths)))
     ok = (rel_z <= 1e-12 and rel_f <= 1e-12 and bitwise
           and rep_b.converged and flat <= 1e-4 * scen_b.lam_max)
@@ -133,14 +133,14 @@ def test_criterion_4_preference_ode_convergence():
     for steps in (250, 500, 1000):
         net, ps, scen, grid = build(diamond_dict(steps=steps))
         psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-        response = psi.preference.response
+        response = psi.response
         z_euler = np.empty_like(response)
         z_euler[:, 0] = scen.z0
         for i in range(steps):
             z_euler[:, i + 1] = (z_euler[:, i]
                                  + (response[:, i + 1] - response[:, i])
                                  - grid.dt * scen.eta * (z_euler[:, i] - response[:, i]))
-        errors[steps] = float(np.max(np.abs(z_euler - psi.preference.z)))
+        errors[steps] = float(np.max(np.abs(z_euler - psi.z)))
     r1 = errors[250] / errors[500]
     r2 = errors[500] / errors[1000]
     ok = 1.6 <= r1 <= 2.4 and 1.6 <= r2 <= 2.4
@@ -250,7 +250,7 @@ def test_criterion_9_constrained_mode(constrained_solve):
     for mass in (zero_mass(ps, grid), admissible_mass(rng, ps, scen)):
         tc = apply_psi(net, ps, scen, mass).value
         _, tu, _ = value_stage(netu, psu, scenu, mass)
-        ok &= bool(np.all(tc.values >= tu.values))
+        ok &= bool(np.all(tc >= tu))
 
     # (c) reciprocal family with constant mass has the analytic arrival time
     grid_c = make_grid(10.0, 500)

@@ -436,6 +436,40 @@ def test_psi_once_shape_mismatch_exit_one(write_scenario, tmp_path, capsys):
     assert manifest["exit_status"] == 1 and "rows" in manifest["error"]
 
 
+# (horizon of the scenario that wrote the mass file, an edit of its lines, the
+# error's text): a file that does not fit the scenario's pairs or grid
+MASS_FILE_MISFITS = {
+    "empty": (10.0, lambda lines: [], "mass file is empty"),
+    "header": (10.0, lambda lines: [lines[0].replace("rho[", "mu[", 1)] + lines[1:],
+               "columns"),
+    "field-count": (10.0, lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]]
+                    + lines[5:], "row 3 has 7 fields"),
+    # same step count, other horizon: only the t column tells the grids apart
+    "t-other-grid": (5.0, lambda lines: lines, "row 1 of the mass file has t = 0.25, "
+                     "grid node 1 is 0.5"),
+}
+
+
+@pytest.mark.parametrize("horizon, edit, message", MASS_FILE_MISFITS.values(),
+                         ids=MASS_FILE_MISFITS.keys())
+def test_psi_once_mass_file_that_misfits_is_rejected(write_scenario, tmp_path, capsys,
+                                                     horizon, edit, message):
+    scenario = write_scenario(diamond_dict(steps=20))
+    source = write_scenario(diamond_dict(steps=20, model={"horizon": horizon}),
+                            name="source.json")
+    out_a = tmp_path / "a"
+    run(capsys, "psi-once", str(source), "--out", str(out_a), "--zero")
+    lines = edit((out_a / "masses.csv").read_text().splitlines())
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out_b = tmp_path / "b"
+    code = main(["psi-once", str(scenario), "--out", str(out_b), "--mass", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert sorted(p.name for p in out_b.iterdir()) == ["manifest.json"]
+
+
 def test_psi_once_non_numeric_mass_field_is_parse_error(write_scenario, tmp_path,
                                                         capsys):
     scenario = write_scenario(diamond_dict(steps=20))

@@ -128,7 +128,7 @@ def test_slack_limits_reproduce_unconstrained_bitwise():
     for mass in (zero_mass(ps, grid), admissible_mass(rng, ps, scen)):
         cpsi = apply_psi(net, ps, scen, mass)
         upsi = apply_psi(netu, psu, scenu, mass)
-        assert np.array_equal(cpsi.value.values, upsi.value.values)
+        assert np.array_equal(cpsi.value, upsi.value)
         assert np.array_equal(cpsi.policy.tau_idx, upsi.policy.tau_idx)
         assert np.array_equal(cpsi.mass.values, upsi.mass.values)
 
@@ -151,7 +151,7 @@ def test_blocked_edge_forces_stay():
     cong = psi.congestion
     stay = scen.alpha * net.dist_tail[e3] + (cong.phi_prefix[e3, -1]
                                              - cong.phi_prefix[e3])
-    assert np.allclose(table.values[r], stay, rtol=0, atol=1e-15)
+    assert np.allclose(table[r], stay, rtol=0, atol=1e-15)
 
 
 def test_tightened_limits_dominate_unconstrained():
@@ -161,14 +161,14 @@ def test_tightened_limits_dominate_unconstrained():
     for mass in (zero_mass(ps, grid), admissible_mass(rng, ps, scen)):
         tc = apply_psi(net, ps, scen, mass).value
         _, tu, _ = value_stage(netu, psu, scenu, mass)
-        assert np.all(tc.values >= tu.values)
+        assert np.all(tc >= tu)
 
 
 def test_constrained_tables_match_enumeration():
     net, ps, scen, grid = build(diamond_dict(steps=10, constrained=TIGHT))
     rng = np.random.default_rng(47)
     mass = admissible_mass(rng, ps, scen)
-    cong = congestion_total(net, ps, scen, mass)
+    cong = congestion_total(ps, scen, mass)
     limits = build_speed_limits(net, scen)
     arr = arrival_tables(net, scen, cong, limits)
     table, policy = value_backward(net, ps, scen, cong, arr.floor_idx)
@@ -207,7 +207,7 @@ def test_constrained_solve_end_to_end():
     report = solve(net, ps, scen)
     assert report.converged
     assert report.membership.mass_ok and report.membership.lipschitz_ok
-    sums = report.psi.preference.z.sum(axis=0)
+    sums = report.psi.z.sum(axis=0)
     assert np.allclose(sums, scen.lam, rtol=1e-12, atol=0.0)
     # tighter speeds slow traffic down: delays at least the a-priori constant
     assert np.all(report.psi.k_idx_edges >= scen.k_idx)

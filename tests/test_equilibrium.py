@@ -111,7 +111,7 @@ def test_solution_has_consistent_stages(monkeypatch):
         assert residual(report.mass, psi.mass) == report.final_residual
         assert report.membership == verify_X_membership(report.mass, scen, ps)
         assert report.membership.mass_ok and report.membership.lipschitz_ok
-        sums = report.psi.preference.z.sum(axis=0)
+        sums = report.psi.z.sum(axis=0)
         assert np.allclose(sums, scen.lam, rtol=1e-12, atol=0.0)
 
 
@@ -173,7 +173,7 @@ def test_near_flat_response_for_tiny_beta():
     net, ps, scen, grid = build(diamond_dict(steps=200, model={"beta": 1e-6}))
     report = solve(net, ps, scen)
     assert report.converged
-    z = report.psi.preference.z
+    z = report.psi.z
     assert np.max(np.abs(z - scen.lam / ps.n_paths)) <= 1e-4 * scen.lam_max
 
 
@@ -250,9 +250,9 @@ def test_shipped_scenarios_converge_with_anderson(name):
     assert report.converged
     again = apply_psi(net, ps, scen, report.mass)
     for got, want in ((again.mass.values, report.psi.mass.values),
-                      (again.value.values, report.psi.value.values),
+                      (again.value, report.psi.value),
                       (again.policy.tau_idx, report.psi.policy.tau_idx),
-                      (again.flows.values, report.psi.flows.values)):
+                      (again.flows, report.psi.flows)):
         assert got.tobytes() == want.tobytes()
     assert residual(report.mass, again.mass) == report.final_residual <= report.tol
     assert audit_conservation(ps, scen, report.psi, scen.rho0).ok

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from mfroute import (DegenerateSimplex, FlowField, MassBoundExceeded, MassField,
+from mfroute import (DegenerateSimplex, MassBoundExceeded, MassField,
                      Policy, apply_psi, compute_flows, integrate_mass,
                      local_decision)
 from mfroute.flow import injection_terms
@@ -51,9 +51,9 @@ def test_local_decision_degenerate():
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
 def test_flows_match_per_pair_reference(doc):
     net, ps, scen, mass, psi = stage_inputs(doc)
-    flows = compute_flows(ps, psi.policy, psi.preference.z, scen.lam, psi.k_idx_edges)
-    ref = reference_flows(ps, psi.policy, psi.preference.z, scen.lam, psi.k_idx_edges)
-    assert flows.values.tobytes() == ref.values.tobytes()
+    flows = compute_flows(ps, psi.policy, psi.z, scen.lam, psi.k_idx_edges)
+    ref = reference_flows(ps, psi.policy, psi.z, scen.lam, psi.k_idx_edges)
+    assert flows.tobytes() == ref.tobytes()
     if scen.constrained.enabled:
         # pairs at one path position with different delays
         delays = psi.k_idx_edges[ps.pair_edge_idx]
@@ -66,8 +66,8 @@ def test_flows_zero_before_delay(diamond):
     z = np.ones((3, n_nodes))
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
     f = compute_flows(ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
-    assert np.all(f.values[:, :scen.k_idx] == 0.0)
-    assert np.any(f.values[:, scen.k_idx:] > 0.0)
+    assert np.all(f[:, :scen.k_idx] == 0.0)
+    assert np.any(f[:, scen.k_idx:] > 0.0)
 
 
 def test_flow_two_stage_unroll(diamond):
@@ -80,9 +80,9 @@ def test_flow_two_stage_unroll(diamond):
     r_first = row(ps, "e1", p)
     r_last = row(ps, "e4", p)
     # after one delay the origin edge emits lambda/3; the next edge one delay later
-    assert np.allclose(f.values[r_first, scen.k_idx:], 1.0 / 3.0, rtol=1e-15)
-    assert np.all(f.values[r_last, :2 * scen.k_idx] == 0.0)
-    assert np.allclose(f.values[r_last, 2 * scen.k_idx:], 1.0 / 3.0, rtol=1e-15)
+    assert np.allclose(f[r_first, scen.k_idx:], 1.0 / 3.0, rtol=1e-15)
+    assert np.all(f[r_last, :2 * scen.k_idx] == 0.0)
+    assert np.allclose(f[r_last, 2 * scen.k_idx:], 1.0 / 3.0, rtol=1e-15)
 
 
 def test_stopped_edge_emits_nothing(diamond):
@@ -95,17 +95,17 @@ def test_stopped_edge_emits_nothing(diamond):
     pol.tau_idx[r, :] = -1
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
     f = compute_flows(ps, pol, z, scen.lam, k_idx)
-    assert np.all(f.values[r] == 0.0)
+    assert np.all(f[r] == 0.0)
     # downstream of the stopped edge nothing arrives either
-    assert np.all(f.values[row(ps, "e5", p)] == 0.0)
+    assert np.all(f[row(ps, "e5", p)] == 0.0)
 
 
 def test_flows_respect_capacity_margin(diamond):
     net, ps, scen, grid = diamond
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
     caps = net.capacities[ps.pair_edge_idx][:, None]
-    assert np.all(psi.flows.values <= scen.lam_max + 1e-12)
-    assert np.all(psi.flows.values < caps)
+    assert np.all(psi.flows <= scen.lam_max + 1e-12)
+    assert np.all(psi.flows < caps)
 
 
 def test_delay_causality(diamond):
@@ -120,13 +120,13 @@ def test_delay_causality(diamond):
     z2 = z.copy()
     z2[:, cut:] = rng.uniform(0.1, 1.0, size=(3, n_nodes - cut))
     f2 = compute_flows(ps, pol, z2, scen.lam, k_idx)
-    assert np.array_equal(f1.values[:, :cut + scen.k_idx],
-                          f2.values[:, :cut + scen.k_idx])
+    assert np.array_equal(f1[:, :cut + scen.k_idx],
+                          f2[:, :cut + scen.k_idx])
 
 
 def moved_terms(grid, flows):
     """Mass leaving each pair per step."""
-    return grid.dt * flows.values[:, :grid.steps]
+    return grid.dt * flows[:, :grid.steps]
 
 
 def increments(ps, grid, flows, z, lam):
@@ -160,9 +160,9 @@ def test_increments_before_delay_are_pure_inflow(diamond):
 def test_increments_telescope_to_boundary_terms(diamond):
     net, ps, scen, grid = diamond
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-    h = increments(ps, grid, psi.flows, psi.preference.z, scen.lam)
+    h = increments(ps, grid, psi.flows, psi.z, scen.lam)
     last_rows = np.flatnonzero(ps.last_mask)
-    outflow = psi.flows.values[last_rows, :grid.steps].sum(axis=0)
+    outflow = psi.flows[last_rows, :grid.steps].sum(axis=0)
     assert np.allclose(h.sum(axis=0), grid.dt * scen.lam[:grid.steps] - grid.dt * outflow,
                        rtol=0, atol=1e-14)
 
@@ -172,7 +172,7 @@ def test_increments_route_concentrated_preference(diamond):
     n_nodes = grid.steps + 1
     z = np.zeros((3, n_nodes))
     z[0] = 1.0  # everything on the long path (e1, e3, e5)
-    f = FlowField(values=np.zeros((ps.pair_count, n_nodes)))
+    f = np.zeros((ps.pair_count, n_nodes))
     integ = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
     h = increments(ps, grid, f, z, scen.lam)
     r = row(ps, "e1", 0)
@@ -202,7 +202,7 @@ def test_injection_terms_sum_exactly_to_budget(diamond):
 def test_integrate_zero_rhs_keeps_initial_mass(diamond):
     net, ps, scen, grid = diamond
     n_nodes = grid.steps + 1
-    f = FlowField(values=np.zeros((ps.pair_count, n_nodes)))
+    f = np.zeros((ps.pair_count, n_nodes))
     z = np.ones((3, n_nodes))
     lam = np.zeros(n_nodes)
     rho0 = np.linspace(0.0, 1.0, ps.pair_count)
@@ -223,7 +223,7 @@ def test_integrate_constant_rhs_is_exact():
     }
     net, ps, scen, grid = build(doc)
     n_nodes = grid.steps + 1
-    f = FlowField(values=np.zeros((1, n_nodes)))
+    f = np.zeros((1, n_nodes))
     z = np.ones((1, n_nodes))
     res = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(1))
     # dyadic rate and step: Euler accumulation is exact
@@ -236,7 +236,7 @@ def test_integrate_clips_and_reports(diamond):
     f = np.zeros((ps.pair_count, n_nodes))
     f[0] = 0.6  # drains faster than the edge fills
     z = np.ones((3, n_nodes))
-    res = integrate_mass(ps, scen, FlowField(values=f), z, scen.lam, np.zeros(ps.pair_count))
+    res = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
     assert res.clip_total > 0.0
     assert res.clip_count > 0
     assert np.all(res.mass.values >= 0.0)
@@ -245,7 +245,7 @@ def test_integrate_clips_and_reports(diamond):
 def test_integrate_detects_mass_bound_violation(diamond):
     net, ps, scen, grid = diamond
     n_nodes = grid.steps + 1
-    f = FlowField(values=np.zeros((ps.pair_count, n_nodes)))
+    f = np.zeros((ps.pair_count, n_nodes))
     z = np.ones((3, n_nodes))
     lam = np.full(n_nodes, 12.0)  # pours far beyond rho_max onto first edges
     with pytest.raises(MassBoundExceeded):
@@ -257,7 +257,7 @@ def test_fast_path_matches_stepwise_loop(diamond):
     rng = np.random.default_rng(17)
     n_nodes = grid.steps + 1
     z = rng.uniform(0.2, 1.5, size=(3, n_nodes))
-    f = FlowField(values=np.zeros((ps.pair_count, n_nodes)))
+    f = np.zeros((ps.pair_count, n_nodes))
     res = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
     # manual stepwise replay
     inj = injection_terms(z[:, :-1], scen.lam[:-1], grid.dt)
@@ -332,9 +332,8 @@ def test_integrate_matches_stepwise_loop_when_clipping(name):
     net, ps, scen, grid = build(doc)
     z = np.random.default_rng(53).uniform(0.2, 1.5, size=(ps.n_paths, grid.steps + 1))
     f, rho0 = _clipping_case(name, ps, grid)
-    flows = FlowField(values=f)
-    res = integrate_mass(ps, scen, flows, z, scen.lam, rho0)
-    delta = increments(ps, grid, flows, z, scen.lam)
+    res = integrate_mass(ps, scen, f, z, scen.lam, rho0)
+    delta = increments(ps, grid, f, z, scen.lam)
     mass, clip_total, clip_max, clip_count = stepwise_integration(delta, rho0)
     # tobytes: signed zeros must match too
     assert res.mass.values.tobytes() == mass.tobytes()
@@ -366,8 +365,8 @@ def test_integrate_detects_mass_bound_violation_after_clipping(diamond):
     z = np.ones((3, n_nodes))
     lam = np.full(n_nodes, 12.0)  # pours far beyond rho_max onto first edges
     with pytest.raises(MassBoundExceeded):
-        integrate_mass(ps, scen, FlowField(values=f), z, lam, np.zeros(ps.pair_count))
-    integ = integrate_mass(ps, scen, FlowField(values=f), z, scen.lam,
+        integrate_mass(ps, scen, f, z, lam, np.zeros(ps.pair_count))
+    integ = integrate_mass(ps, scen, f, z, scen.lam,
                            np.zeros(ps.pair_count))
     assert integ.clip_count > 0
 
@@ -421,5 +420,5 @@ def test_psi_bitwise_deterministic(diamond):
     a = apply_psi(net, ps, scen, mass)
     b = apply_psi(net, ps, scen, mass)
     assert np.array_equal(a.mass.values, b.mass.values)
-    assert np.array_equal(a.flows.values, b.flows.values)
-    assert np.array_equal(a.preference.z, b.preference.z)
+    assert np.array_equal(a.flows, b.flows)
+    assert np.array_equal(a.z, b.z)

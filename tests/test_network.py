@@ -63,6 +63,16 @@ def test_bad_edges_rejected(bad):
         build_network(VERTS, DIAMOND_EDGES + [bad], "o", "d")
 
 
+@pytest.mark.parametrize("vertices, origin, destination, message", [
+    (VERTS + ["v1"], "o", "d", "duplicate vertex ids"),
+    (VERTS, "w", "d", "origin or destination is not a declared vertex"),
+    (VERTS, "o", "w", "origin or destination is not a declared vertex"),
+], ids=["duplicate-vertex", "undeclared-origin", "undeclared-destination"])
+def test_bad_vertices_rejected(vertices, origin, destination, message):
+    with pytest.raises(BadEdge, match=f"^{message}$"):
+        build_network(vertices, DIAMOND_EDGES, origin, destination)
+
+
 def test_unreachable_vertex_rejected():
     with pytest.raises(Unreachable, match=r"^not reachable from origin 'o': \['w'\]$"):
         build_network(VERTS + ["w"], DIAMOND_EDGES, "o", "d")

@@ -29,10 +29,9 @@ def test_audit_detects_tampered_mass():
 def test_audit_detects_tampered_flow():
     net, ps, scen, grid = build(diamond_dict(steps=20))
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-    flows = psi.flows.values.copy()
+    flows = psi.flows.copy()
     flows[1, 12] += 1e-6
-    bad_psi = dataclasses.replace(psi, flows=dataclasses.replace(psi.flows,
-                                                                 values=flows))
+    bad_psi = dataclasses.replace(psi, flows=flows)
     bad = audit_conservation(ps, scen, bad_psi, scen.rho0)
     # telescoping still holds for any flow values; the mass replay does not
     assert bad.telescope_exact
@@ -42,9 +41,8 @@ def test_audit_detects_tampered_flow():
 def test_value_check_detects_tampered_table():
     net, ps, scen, grid = build(diamond_dict(steps=8))
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-    values = psi.value.values.copy()
+    values = psi.value.copy()
     values[0, 2] += 1e-12
-    tampered = dataclasses.replace(psi.value, values=values)
-    mismatches = check_value_tables(net, ps, scen, psi.congestion, tampered,
+    mismatches = check_value_tables(net, ps, scen, psi.congestion, values,
                                     psi.policy)
     assert any(m.kind == "value" and m.node == 2 for m in mismatches)

@@ -61,7 +61,7 @@ def test_entry_times_follow_policy(diamond_policy):
     assert 0 < entries[1] < tau
     expected = 0.0 + leg_cost(net, scen, cong, "e1", 0, entries[1])
     expected += leg_cost(net, scen, cong, "e4", entries[1], tau)
-    assert path_costs(net, ps, scen, cong, policy).costs[p, 0] == expected
+    assert path_costs(net, ps, scen, cong, policy)[p, 0] == expected
 
 
 def test_entry_times_propagate_stop(diamond_policy):
@@ -69,7 +69,7 @@ def test_entry_times_propagate_stop(diamond_policy):
     p = ps.paths.index(("e1", "e3", "e5"))
     # near the horizon the whole path stays put: the later edges cost nothing
     assert entry_times(ps, policy, p, grid.steps) == [grid.steps, -1, -1]
-    cost = path_costs(net, ps, scen, cong, policy).costs[p, grid.steps]
+    cost = path_costs(net, ps, scen, cong, policy)[p, grid.steps]
     assert cost == 0.0 + stop_cost(net, scen, cong, "e1", grid.steps)
 
 
@@ -98,7 +98,7 @@ def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
     assert entry_times(ps, policy, p, i) == [i, grid.steps]
     expected = 0.0 + leg_cost(net, scen, cong, "e1", i, grid.steps)
     expected += stop_cost(net, scen, cong, "e4", grid.steps)
-    assert path_costs(net, ps, scen, cong, policy).costs[p, i] == expected
+    assert path_costs(net, ps, scen, cong, policy)[p, i] == expected
 
 
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
@@ -106,7 +106,7 @@ def test_path_costs_match_per_pair_reference(doc):
     net, ps, scen, mass, psi = stage_inputs(doc)
     table = path_costs(net, ps, scen, psi.congestion, psi.policy)
     costs, entry = reference_path_costs(net, ps, scen, psi.congestion, psi.policy)
-    assert table.costs.tobytes() == costs.tobytes()
+    assert table.tobytes() == costs.tobytes()
     # agents stop on some edges, so later edges are never entered
     assert np.any(entry < 0)
 
@@ -127,9 +127,9 @@ def test_single_edge_path_cost_is_kinetic_term():
     table = path_costs(net, ps, scen, cong, policy)
     # while moving is optimal the cost is l^2 / (2 (T - t))
     for i in range(0, 6):
-        assert table.costs[0, i] == pytest.approx(1.0 / (2.0 * (1.0 - grid.nodes[i])))
+        assert table[0, i] == pytest.approx(1.0 / (2.0 * (1.0 - grid.nodes[i])))
     # once stopped it is the congestion-free distance penalty
-    assert table.costs[0, 8] == pytest.approx(1.0)
+    assert table[0, 8] == pytest.approx(1.0)
 
 
 def test_stopped_first_edge_contributes_distance_and_tail_integral(diamond):
@@ -143,7 +143,7 @@ def test_stopped_first_edge_contributes_distance_and_tail_integral(diamond):
     e = net.edge_index["e1"]
     expected = scen.alpha * net.dist_tail[e] + (cong.phi_prefix[e, -1]
                                                 - cong.phi_prefix[e, i])
-    assert table.costs[p, i] == pytest.approx(expected, rel=1e-12)
+    assert table[p, i] == pytest.approx(expected, rel=1e-12)
 
 
 def test_path_cost_equals_first_edge_value_on_default(diamond):
@@ -152,7 +152,7 @@ def test_path_cost_equals_first_edge_value_on_default(diamond):
     for _ in range(2):
         psi = apply_psi(net, ps, scen, mass)
         first_rows = np.flatnonzero(ps.first_mask)
-        gap = np.max(np.abs(psi.costs.costs - psi.value.values[first_rows]))
+        gap = np.max(np.abs(psi.costs - psi.value[first_rows]))
         assert gap <= 1e-9
         mass = psi.mass
 
@@ -178,7 +178,7 @@ def test_path_cost_equals_first_pair_value_without_tie_band(doc):
     mass = zero_mass(ps, grid)
     for _ in range(2):
         psi = apply_psi(net, ps, scen, mass)
-        np.testing.assert_allclose(psi.costs.costs, psi.value.values[first_rows],
+        np.testing.assert_allclose(psi.costs, psi.value[first_rows],
                                    rtol=1e-12, atol=0.0)
         mass = psi.mass
 
@@ -245,9 +245,9 @@ def test_preference_offset_decays_exponentially():
 def test_preference_simplex_preserved(diamond):
     net, ps, scen, grid = diamond
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-    sums = psi.preference.z.sum(axis=0)
+    sums = psi.z.sum(axis=0)
     assert np.allclose(sums, scen.lam, rtol=1e-12, atol=0.0)
-    rsums = psi.preference.response.sum(axis=0)
+    rsums = psi.response.sum(axis=0)
     assert np.allclose(rsums, scen.lam, rtol=1e-12, atol=0.0)
 
 
@@ -263,14 +263,14 @@ def test_euler_integration_converges_to_closed_form():
     for steps in (250, 500, 1000):
         net, ps, scen, grid = build(diamond_dict(steps=steps))
         psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-        response = psi.preference.response
+        response = psi.response
         z_euler = np.empty_like(response)
         z_euler[:, 0] = scen.z0
         for i in range(steps):
             z_euler[:, i + 1] = (z_euler[:, i]
                                  + (response[:, i + 1] - response[:, i])
                                  - grid.dt * scen.eta * (z_euler[:, i] - response[:, i]))
-        errors[steps] = float(np.max(np.abs(z_euler - psi.preference.z)))
+        errors[steps] = float(np.max(np.abs(z_euler - psi.z)))
     assert errors[250] > errors[500] > errors[1000] > 0.0
     assert errors[250] / errors[500] == pytest.approx(2.0, abs=0.4)
     assert errors[500] / errors[1000] == pytest.approx(2.0, abs=0.4)
@@ -279,8 +279,8 @@ def test_euler_integration_converges_to_closed_form():
 def test_response_equi_lipschitz_on_default(diamond):
     net, ps, scen, grid = diamond
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-    costs = psi.costs.costs
+    costs = psi.costs
     l_cost = np.max(np.abs(np.diff(costs, axis=1))) / grid.dt
     bound = 2.0 * scen.beta * scen.lam_max * l_cost + 1e-9
-    quot = np.max(np.abs(np.diff(psi.preference.response, axis=1))) / grid.dt
+    quot = np.max(np.abs(np.diff(psi.response, axis=1))) / grid.dt
     assert quot <= bound

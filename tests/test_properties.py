@@ -89,10 +89,10 @@ def test_psi_stages_match_references_and_oracles(case):
         assert edge_totals(ps, values).tobytes() == reference_edge_totals(ps, values).tobytes()
     table = path_costs(net, ps, scen, cong, policy)
     costs, _ = reference_path_costs(net, ps, scen, cong, policy)
-    assert table.costs.tobytes() == costs.tobytes()
-    flows = compute_flows(ps, policy, psi.preference.z, scen.lam, psi.k_idx_edges)
-    ref = reference_flows(ps, policy, psi.preference.z, scen.lam, psi.k_idx_edges)
-    assert flows.values.tobytes() == ref.values.tobytes()
+    assert table.tobytes() == costs.tobytes()
+    flows = compute_flows(ps, policy, psi.z, scen.lam, psi.k_idx_edges)
+    ref = reference_flows(ps, policy, psi.z, scen.lam, psi.k_idx_edges)
+    assert flows.tobytes() == ref.tobytes()
 
     floor = psi.arrival.floor_idx if psi.arrival is not None else None
     assert check_value_tables(net, ps, scen, cong, psi.value, policy, floor) == []

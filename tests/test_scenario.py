@@ -19,7 +19,7 @@ from conftest import ROOT, WORKLOADS, admissible_mass, build, diamond_dict, zero
 
 def test_default_scenario_valid():
     net, ps, scen, grid = build(diamond_dict(steps=100))
-    assert scen.horizon == 10.0 and scen.steps == 100
+    assert scen.grid.horizon == 10.0 and scen.grid.steps == 100
     assert scen.lam_max == 1.0 and scen.lam_min == 1.0
     assert scen.rho_max == 20.0
     assert scen.tol == pytest.approx(0.02)
@@ -95,6 +95,15 @@ MALFORMED_SPECS = {
         "family": "piecewise_linear", "points": [[0.0, 1.0], [10.0, "x"]]}),
     "lambda-points-not-pairs": _with(("model", "lambda"), {
         "family": "piecewise_linear", "points": [0.0, 10.0]}),
+    "lambda-sinusoidal-period-zero": _with(("model", "lambda"), {
+        "family": "sinusoidal", "base": 1.0, "amplitude": 0.1, "period": 0.0}),
+    "lambda-points-not-increasing": _with(("model", "lambda"), {
+        "family": "piecewise_linear", "points": [[0.0, 1.0], [5.0, 1.2], [5.0, 1.0]]}),
+    "lambda-points-single": _with(("model", "lambda"), {
+        "family": "piecewise_linear", "points": [[0.0, 1.0]]}),
+    "lambda-family-missing": _with(("model", "lambda"), {"value": 1.0}),
+    "phi-per-edge-only": _with(("model", "phi"), {
+        "per_edge": {"e1": {"family": "linear", "coeff": 0.1}}}),
     "phi-default-number": _with(("model", "phi"), {"default": 5}),
     "phi-per-edge-number": _with(("model", "phi", "per_edge"), 5),
     "u-default-number": _with(("constrained", "u"), {"default": 5},
@@ -108,6 +117,11 @@ MALFORMED_SPECS = {
     "u-table-masses": _with(("constrained", "u"), {"default": {
         "family": "table", "masses": ["a", "b"], "speeds": [2.0, 1.0]}},
         constrained={"enabled": True}),
+    "u-table-lengths-differ": _with(("constrained", "u"), {"default": {
+        "family": "table", "masses": [0.1, 1.0, 5.0], "speeds": [2.0, 1.0]}},
+        constrained={"enabled": True}),
+    "constrained-enabled-not-boolean": _with(("constrained", "enabled"), 1,
+                                             constrained={"enabled": False}),
     "z0-number": _with(("model", "z0"), 5),
     "rho0-values-number": _with(("model", "rho0"), {"rule": "explicit", "values": 0.0}),
     "edge-length-not-a-number": _with(("network", "edges", 0, "length"), "abc"),
@@ -208,7 +222,7 @@ def test_omitted_keys_take_their_defaults():
 def test_load_from_file(write_scenario):
     path = write_scenario(diamond_dict(steps=50))
     net, ps, scen, grid = load_scenario(path)
-    assert scen.steps == 50
+    assert scen.grid.steps == 50
 
 
 def test_lambda_families():
@@ -391,7 +405,7 @@ def test_shipped_scenario_round_trips_exactly(name):
     psi = apply_psi(net, ps, scen, mass)
     psi2 = apply_psi(net2, ps2, scen2, mass)
     assert psi2.mass.values.tobytes() == psi.mass.values.tobytes()
-    assert psi2.value.values.tobytes() == psi.value.values.tobytes()
+    assert psi2.value.tobytes() == psi.value.tobytes()
 
 
 def test_explicit_z0_must_match_path_count():
@@ -444,8 +458,21 @@ def test_affine_saturating_phi():
     assert cost(scen.rho_max) == pytest.approx(6.0)  # its bound on [0, rho_max]
 
 
-def test_gamma_out_of_range_rejected():
-    with pytest.raises(ValidationError):
-        build(diamond_dict(solver={"gamma": 0.0}))
-    with pytest.raises(ValidationError):
-        build(diamond_dict(solver={"gamma": 1.5}))
+# (document with a setting out of its range, how the error names it)
+OUT_OF_RANGE = {
+    "gamma-0": (_with(("solver", "gamma"), 0.0), "solver.gamma"),
+    "gamma-1.5": (_with(("solver", "gamma"), 1.5), "solver.gamma"),
+    "phi-coeff-negative": (_with(("model", "phi", "default", "coeff"), -0.1),
+                           "assumption 2.1.3"),
+    "eps-tie-negative": (_with(("solver", "eps_tie"), -1e-9), "solver.eps_tie"),
+    "cap-frac-0": (_with(("constrained", "cap_frac"), 0.0, constrained={"enabled": False}),
+                   "constrained.cap_frac"),
+    "cap-frac-1.5": (_with(("constrained", "cap_frac"), 1.5,
+                           constrained={"enabled": False}), "constrained.cap_frac"),
+}
+
+
+@pytest.mark.parametrize("doc, where", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_setting_out_of_range_is_validation_error(doc, where):
+    with pytest.raises(ValidationError, match=re.escape(where)):
+        scenario_from_dict(doc)

@@ -33,7 +33,7 @@ def unit_chain_dict(steps, horizon=1.0, alpha=1.0, coeff=0.0, n_edges=1,
 
 def test_congestion_total_zero_mass(diamond):
     net, ps, scen, grid = diamond
-    cong = congestion_total(net, ps, scen, zero_mass(ps, grid))
+    cong = congestion_total(ps, scen, zero_mass(ps, grid))
     assert np.array_equal(cong.totals, np.zeros_like(cong.totals))
     assert np.array_equal(cong.phi_prefix, np.zeros_like(cong.phi_prefix))
 
@@ -45,7 +45,7 @@ def test_congestion_total_sums_sharing_paths(diamond):
     r2 = row(ps, "e5", ps.paths.index(("e2", "e5")))
     mass.values[r1] = 0.3
     mass.values[r2] = 0.7
-    cong = congestion_total(net, ps, scen, mass)
+    cong = congestion_total(ps, scen, mass)
     e5 = net.edge_index["e5"]
     assert np.allclose(cong.totals[e5], 1.0, rtol=0, atol=1e-15)
     others = [e for e in range(5) if e != e5 and net.edges[e].id not in ("e5",)]
@@ -56,7 +56,7 @@ def test_congestion_total_sums_sharing_paths(diamond):
 def test_congestion_shape_checked(diamond):
     net, ps, scen, grid = diamond
     with pytest.raises(ShapeMismatch):
-        congestion_total(net, ps, scen, MassField(values=np.zeros((2, 3))))
+        congestion_total(ps, scen, MassField(values=np.zeros((2, 3))))
 
 
 def test_last_edge_closed_form_no_congestion():
@@ -64,11 +64,11 @@ def test_last_edge_closed_form_no_congestion():
     _, table, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
     speed = speeds(net, ps, grid, policy)
     # analytic: min(alpha * l, l^2 / (2 (T - t))) with the moving branch only before T
-    assert table.values[0, 0] == pytest.approx(0.5)   # 1/(2*1)
+    assert table[0, 0] == pytest.approx(0.5)   # 1/(2*1)
     assert policy.tau_idx[0, 0] == 10
     assert speed[0, 0] == pytest.approx(1.0)
     i9 = 9  # t = 0.9: moving costs 5, staying costs 1
-    assert table.values[0, i9] == pytest.approx(1.0)
+    assert table[0, i9] == pytest.approx(1.0)
     assert policy.tau_idx[0, i9] == -1
     assert speed[0, i9] == 0.0
 
@@ -90,7 +90,7 @@ def test_value_at_horizon_is_distance_penalty(diamond):
             expected = scen.alpha * net.lengths[e]
         else:
             expected = scen.alpha * net.dist_tail[e]
-        assert table.values[r, -1] == expected
+        assert table[r, -1] == expected
         assert policy.tau_idx[r, -1] == -1
 
 
@@ -117,7 +117,7 @@ def test_moving_speed_bounded_below(diamond):
     speed = speeds(net, ps, grid, policy)
     moving = policy.tau_idx >= 0
     lengths = net.lengths[ps.pair_edge_idx][:, None]
-    floor = (lengths / scen.horizon) * np.ones_like(speed)
+    floor = (lengths / scen.grid.horizon) * np.ones_like(speed)
     assert np.all(speed[moving] >= floor[moving] - 1e-12)
 
 
@@ -130,9 +130,9 @@ def test_values_bounded_by_stay_envelope(diamond):
         for r in range(ps.pair_count):
             e = int(ps.pair_edge_idx[r])
             tail = net.lengths[e] if ps.last_mask[r] else net.dist_tail[e]
-            bound = scen.alpha * tail + phi_bar * scen.horizon
-            assert np.all(table.values[r] >= 0.0)
-            assert np.all(table.values[r] <= bound + 1e-12)
+            bound = scen.alpha * tail + phi_bar * scen.grid.horizon
+            assert np.all(table[r] >= 0.0)
+            assert np.all(table[r] <= bound + 1e-12)
 
 
 def test_equi_lipschitz_in_time_across_masses(diamond):
@@ -145,7 +145,7 @@ def test_equi_lipschitz_in_time_across_masses(diamond):
     bound = 4.0 * (float(net.lengths.max()) ** 2 / (2.0 * h * h) + 2.0 * phi_bar)
     for _ in range(3):
         _, table, _ = value_stage(net, ps, scen, admissible_mass(rng, ps, scen))
-        quot = np.max(np.abs(np.diff(table.values, axis=1))) / grid.dt
+        quot = np.max(np.abs(np.diff(table, axis=1))) / grid.dt
         assert quot <= bound
 
 
@@ -156,12 +156,12 @@ def test_value_continuity_in_mass(diamond):
     _, table0, _ = value_stage(net, ps, scen, base)
     lip = max(c.coeff for c in scen.phi)
     max_legs = max(len(p) for p in ps.paths)
-    c_bound = lip * scen.horizon * max_legs
+    c_bound = lip * scen.grid.horizon * max_legs
     for scale in (1e-3, 1e-2, 1e-1):
         delta = rng.uniform(0.0, scale, size=base.values.shape)
         pert = MassField(values=np.clip(base.values + delta, 0.0, None))
         _, table1, _ = value_stage(net, ps, scen, pert)
-        gap = float(np.max(np.abs(table1.values - table0.values)))
+        gap = float(np.max(np.abs(table1 - table0)))
         actual = float(np.max(np.abs(pert.values - base.values)))
         assert gap <= c_bound * actual + 1e-12
 
@@ -186,10 +186,10 @@ def test_policy_monotone_and_absorbing_on_pipeline_mass(diamond):
 def test_value_backward_bitwise_deterministic(diamond):
     net, ps, scen, grid = diamond
     rng = np.random.default_rng(21)
-    cong = congestion_total(net, ps, scen, admissible_mass(rng, ps, scen))
+    cong = congestion_total(ps, scen, admissible_mass(rng, ps, scen))
     t1, p1 = value_backward(net, ps, scen, cong)
     t2, p2 = value_backward(net, ps, scen, cong)
-    assert np.array_equal(t1.values, t2.values)
+    assert np.array_equal(t1, t2)
     assert np.array_equal(p1.tau_idx, p2.tau_idx)
 
 
@@ -199,7 +199,7 @@ TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4
 def _value_inputs(doc, seed):
     net, ps, scen, grid = build(doc)
     mass = admissible_mass(np.random.default_rng(seed), ps, scen)
-    cong = congestion_total(net, ps, scen, mass)
+    cong = congestion_total(ps, scen, mass)
     floor = None
     if scen.constrained.enabled:
         floor = arrival_tables(net, scen, cong, build_speed_limits(net, scen)).floor_idx
@@ -283,7 +283,7 @@ def test_block_size_does_not_change_results(monkeypatch, doc):
         results.append(value_backward(net, ps, scen, cong, floor))
     (t0, p0), *others = results
     for table, policy in others:
-        assert np.array_equal(table.values, t0.values)
+        assert np.array_equal(table, t0)
         assert np.array_equal(policy.tau_idx, p0.tau_idx)
 
 
@@ -299,7 +299,7 @@ def test_pairs_sharing_a_suffix_get_equal_rows(doc):
             r0 = first_row.setdefault(ps.paths[p][pos:], r)
             if r0 != r:
                 shared += 1
-                assert np.array_equal(table.values[r], table.values[r0])
+                assert np.array_equal(table[r], table[r0])
                 assert np.array_equal(policy.tau_idx[r], policy.tau_idx[r0])
     assert shared > 0
 
@@ -307,7 +307,7 @@ def test_pairs_sharing_a_suffix_get_equal_rows(doc):
 def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
     net, ps, scen, grid = diamond
     mass = admissible_mass(np.random.default_rng(47), ps, scen)
-    cong = congestion_total(net, ps, scen, mass)
+    cong = congestion_total(ps, scen, mass)
     seen = []
 
     def failing_argmax(*args, **kwargs):
