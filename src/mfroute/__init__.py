@@ -8,7 +8,7 @@ estimates reproduce the very congestion pattern the agents planned against.
 
 from .constrained import (ArrivalConstraint, ReciprocalSpeedLimit,
                           TabulatedSpeedLimit, arrival_tables,
-                          build_speed_limits, mean_traverse_and_ktilde,
+                          build_speed_limits, mean_traverse_and_delay,
                           min_arrival)
 from .equilibrium import (EquilibriumReport, XMembership, residual, solve,
                           verify_X_membership)

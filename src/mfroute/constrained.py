@@ -74,14 +74,15 @@ def min_arrival(grid: TimeGrid, length: float, edge_mass: np.ndarray,
     return np.where(inside, tau_inside, tau_beyond)
 
 
-def mean_traverse_and_ktilde(tau: np.ndarray, scen: Scenario
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mean_traverse_and_delay(tau: np.ndarray, scen: Scenario
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """Mean constrained traverse time per edge and the resulting flow delays.
 
     The mean is the time average of (arrival - entry) over the horizon,
     extrapolated values included.  Each edge's delay is the larger of the
     a-priori constant and that mean, capped at ``cap_frac`` of the horizon
-    and rounded to a grid multiple.
+    and rounded to a grid multiple; it is returned in grid steps, ``k_idx``,
+    and is ``k_idx * grid.dt`` in time.
     """
     grid = scen.grid
     excess = tau - grid.nodes[None, :]
@@ -90,7 +91,7 @@ def mean_traverse_and_ktilde(tau: np.ndarray, scen: Scenario
     ktilde = np.minimum(np.maximum(scen.k, tau_bar), cap)
     k_idx = np.floor(ktilde / grid.dt + 0.5).astype(np.int64)
     k_idx = np.clip(k_idx, 1, grid.steps)
-    return tau_bar, k_idx * grid.dt, k_idx
+    return tau_bar, k_idx
 
 
 def arrival_tables(net: Network, scen: Scenario, cong: EdgeCongestion,
@@ -106,5 +107,5 @@ def arrival_tables(net: Network, scen: Scenario, cong: EdgeCongestion,
     # Snap to the grid: earliest node not before tau, with a small slack so a
     # value landing on a node up to rounding does not get pushed one step out.
     floor_idx = np.ceil(tau / grid.dt - 1e-9).astype(np.int64)
-    tau_bar, _, k_idx = mean_traverse_and_ktilde(tau, scen)
+    tau_bar, k_idx = mean_traverse_and_delay(tau, scen)
     return ArrivalConstraint(floor_idx=floor_idx, tau_bar=tau_bar, k_idx=k_idx)

@@ -34,15 +34,27 @@ Block columns run from the last arrival node down: column c is node N - c.
 a forward ``argmax``; the continuation is one contiguous copy of the
 successor's row, reversed, with entry 0 (the final node) set to the cheaper
 of the stay penalty and the successor's final value; and the arrivals not
-after the entry node, and those before an arrival floor, are trailing
-columns.  Block rows are shorter than numpy's default 8192-element ufunc
-buffer, and with it the broadcasts of the block loop go through the buffered
-iterator at two to four times the cost of a contiguous operation, so the
-loop runs under a small buffer, restored on every exit.  The loop has only
+after the entry node are trailing columns, +inf in the kinetic block.
+Block rows are shorter than numpy's default 8192-element ufunc buffer, and
+with it the broadcasts of the block loop go through the buffered iterator
+at two to four times the cost of a contiguous operation, so the loop runs
+under a small buffer, restored on every exit.  The loop has only
 elementwise operations, ``min`` and ``argmax``, whose results do not depend
 on the buffer size.  Stages that sum (mass integration, the logit response,
 the local decision) stay outside it: the buffer size can change the order
 in which a sum adds.
+
+Under arrival floors a suffix's block is evaluated only where an admissible
+arrival can lie.  The trailing rows whose floor is past node N are never
+evaluated, nor is the block when no row has a floor within the grid: such
+a row keeps the stay cost and the policy -1 it started with.  Nor are the
+columns before the lowest floor of the rows kept, and +inf is set only in
+the columns between the lowest and the highest floor, so a row with no
+admissible arrival between kept rows is still all +inf.  Every cell left
+out would be +inf, and with a finite stay cost such a cell decides nothing:
+it is never a row's minimum, the first column in a finite minimum's tie
+band lies at or before the minimum's column, and a row of +inf keeps its
+stay cost and the policy -1.
 
 Float expressions here are deliberately fixed:  a moving candidate costs
 ``(l*l)/(2*(t[j]-t[i])) + (Phi[j]-Phi[i])`` plus the continuation, grouped
@@ -50,8 +62,9 @@ exactly in that order (the kernel adds the kinetic block to the congestion
 difference, which IEEE addition gives the same bits).  The exhaustive
 enumeration in :mod:`mfroute.oracle` evaluates the same expressions, which
 is what makes the oracle comparison exact rather than tolerance-based;
-neither the suffix sharing, the row blocks, the shared kinetic block nor
-the column order change a single rounding step.
+neither the suffix sharing, the row blocks, the shared kinetic block, the
+column order nor the cells left out under arrival floors change a single
+rounding step.
 """
 
 from __future__ import annotations
@@ -231,46 +244,65 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
         # Arrivals before i0 + 1 are inadmissible for every row here.
         m = n - i0
         shape = (i1 - i0, m)
-        kin = kin_buf[:shape[0] * m].reshape(shape)
-        move = move_buf[:kin.size].reshape(shape)
-        mask = mask_buf[:kin.size].reshape(shape)
+        kin_block = kin_buf[:shape[0] * m].reshape(shape)
+        move_block = move_buf[:kin_block.size].reshape(shape)
+        mask_block = mask_buf[:kin_block.size].reshape(shape)
         # Row r is entry node i0 + r and column c arrival node n - c, so
         # arrivals not after the entry lie in the last w columns.
         w = min(shape)
         kin_length = None
         for s in interior:
             e, succ = suffixes[s]
+            rows, width = shape
+            kin, move, mask = kin_block, move_block, mask_block
+            if arrival_floor is not None:
+                # Only the rows up to the last one with a floor within the
+                # grid, and the columns down to their lowest floor, can hold
+                # an admissible arrival; every cell left out would be +inf.
+                floor = arrival_floor[e, i0:i1]
+                feasible = floor <= n
+                rows = shape[0] - int(feasible[::-1].argmax())
+                if not feasible[rows - 1]:
+                    # No row is feasible: the stay cost and tau -1 are final.
+                    continue
+                floor = floor[:rows]
+                width = min(m, n + 1 - int(floor.min()))
+                kin = kin_block[:rows, :width]
+                move = move_buf[:rows * width].reshape(rows, width)
+                mask = mask_buf[:move.size].reshape(rows, width)
             length = float(net.lengths[e])
             if length != kin_length:
-                np.subtract(t_rev[None, :m], t[i0:i1, None], out=kin)
-                kin *= 2.0
+                np.subtract(t_rev[None, :m], t[i0:i1, None], out=kin_block)
+                kin_block *= 2.0
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(length * length, kin, out=kin)
-                tri = mask[:, m - w:]
+                    np.divide(length * length, kin_block, out=kin_block)
+                tri = mask_block[:, m - w:]
                 np.less_equal(ids_rev[None, m - w:m], node_ids[i0:i1, None], out=tri)
-                np.copyto(kin[:, m - w:], np.inf, where=tri)
+                np.copyto(kin_block[:, m - w:], np.inf, where=tri)
                 kin_length = length
+            r1 = i0 + rows
             # In place, move = ((phi[j]-phi[i]) + kin) + cont[j]: the same
             # rounding steps as the oracle's (kin + (phi[j]-phi[i])) + cont[j].
             phi = phi_prefix[e]
-            np.subtract(phi_rev[e, None, :m], phi[i0:i1, None], out=move)
+            np.subtract(phi_rev[e, None, :width], phi[i0:r1, None], out=move)
             move += kin
             # Arriving at node n continues with cont_n, not values[succ, n].
-            np.copyto(cont[:m], values[succ, n:i0:-1])
+            np.copyto(cont[:width], values[succ, n:n - width:-1])
             cont[0] = cont_n[s]
-            move += cont[None, :m]
+            move += cont[None, :width]
             if arrival_floor is not None:
-                floor = arrival_floor[e, i0:i1]
-                wf = min(int(floor.max()), n + 1) - (i0 + 1)
-                if wf > 0:
-                    below = mask[:, m - wf:]
-                    np.less(ids_rev[None, m - wf:m], floor[:, None], out=below)
-                    np.copyto(move[:, m - wf:], np.inf, where=below)
+                # Only arrivals before the highest floor, columns lo on, can
+                # lie before a row's floor; a row with no admissible arrival
+                # is all +inf.
+                lo = n + 1 - min(int(floor.max()), n + 1)
+                if lo < width:
+                    below = mask[:, lo:]
+                    np.less(ids_rev[None, lo:width], floor[:, None], out=below)
+                    np.copyto(move[:, lo:], np.inf, where=below)
             best = move.min(axis=1)
             threshold = best + eps_tie * np.maximum(1.0, np.abs(best))
             np.less_equal(move, threshold[:, None], out=mask)
             latest = n - np.argmax(mask, axis=1)
-            stay = values[s, i0:i1]
-            tau_idx[s, i0:i1] = np.where(best <= stay, latest, -1)
+            stay = values[s, i0:r1]
+            tau_idx[s, i0:r1] = np.where(best <= stay, latest, -1)
             np.minimum(stay, best, out=stay)
-

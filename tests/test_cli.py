@@ -424,38 +424,29 @@ def test_psi_once_reproduces_solve_residual(write_scenario, tmp_path, capsys):
     assert psi_report["residual_vs_input"] == report["residuals"][-1]
 
 
-def test_psi_once_shape_mismatch_exit_one(write_scenario, tmp_path, capsys):
-    scenario = write_scenario(diamond_dict(steps=60))
-    other = write_scenario(diamond_dict(steps=40), name="other.json")
-    out_a = tmp_path / "a"
-    run(capsys, "psi-once", str(other), "--out", str(out_a), "--zero")
-    code, _ = run(capsys, "psi-once", str(scenario), "--out", str(tmp_path / "b"),
-                  "--mass", str(out_a / "masses.csv"))
-    assert code == 1
-    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-    assert manifest["exit_status"] == 1 and "rows" in manifest["error"]
-
-
-# (horizon of the scenario that wrote the mass file, an edit of its lines, the
-# error's text): a file that does not fit the scenario's pairs or grid
+# (steps of the scenario that reads the mass file, model settings of the one
+# that wrote it, an edit of its lines, the error's text): a file that does not
+# fit the scenario's pairs or grid
 MASS_FILE_MISFITS = {
-    "empty": (10.0, lambda lines: [], "mass file is empty"),
-    "header": (10.0, lambda lines: [lines[0].replace("rho[", "mu[", 1)] + lines[1:],
+    "empty": (20, {}, lambda lines: [], "mass file is empty"),
+    "header": (20, {}, lambda lines: [lines[0].replace("rho[", "mu[", 1)] + lines[1:],
                "columns"),
-    "field-count": (10.0, lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]]
+    "field-count": (20, {}, lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]]
                     + lines[5:], "row 3 has 7 fields"),
     # same step count, other horizon: only the t column tells the grids apart
-    "t-other-grid": (5.0, lambda lines: lines, "row 1 of the mass file has t = 0.25, "
-                     "grid node 1 is 0.5"),
+    "t-other-grid": (20, {"horizon": 5.0}, lambda lines: lines,
+                     "row 1 of the mass file has t = 0.25, grid node 1 is 0.5"),
+    "row-count": (60, {"steps": 40}, lambda lines: lines,
+                  "mass file has 41 rows, grid needs 61"),
 }
 
 
-@pytest.mark.parametrize("horizon, edit, message", MASS_FILE_MISFITS.values(),
+@pytest.mark.parametrize("steps, source_model, edit, message", MASS_FILE_MISFITS.values(),
                          ids=MASS_FILE_MISFITS.keys())
 def test_psi_once_mass_file_that_misfits_is_rejected(write_scenario, tmp_path, capsys,
-                                                     horizon, edit, message):
-    scenario = write_scenario(diamond_dict(steps=20))
-    source = write_scenario(diamond_dict(steps=20, model={"horizon": horizon}),
+                                                     steps, source_model, edit, message):
+    scenario = write_scenario(diamond_dict(steps=steps))
+    source = write_scenario(diamond_dict(steps=20, model=source_model),
                             name="source.json")
     out_a = tmp_path / "a"
     run(capsys, "psi-once", str(source), "--out", str(out_a), "--zero")
@@ -468,6 +459,8 @@ def test_psi_once_mass_file_that_misfits_is_rejected(write_scenario, tmp_path, c
     assert code == 1
     assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert sorted(p.name for p in out_b.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out_b / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1 and message in manifest["error"]
 
 
 def test_psi_once_non_numeric_mass_field_is_parse_error(write_scenario, tmp_path,

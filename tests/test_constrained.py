@@ -8,7 +8,7 @@ import pytest
 from mfroute import (MassField, ParseError, ReciprocalSpeedLimit, TabulatedSpeedLimit,
                      ValidationError, apply_psi, arrival_tables,
                      build_speed_limits, congestion_total, make_grid,
-                     mean_traverse_and_ktilde, min_arrival, solve,
+                     mean_traverse_and_delay, min_arrival, solve,
                      value_backward)
 from mfroute.oracle import check_value_tables
 
@@ -179,9 +179,9 @@ def test_mean_traverse_constant_excess():
     net, ps, scen, grid = build(diamond_dict(steps=100))
     tau = grid.nodes[None, :] + 0.8  # constant excess on one edge row
     tau = np.tile(tau, (5, 1))
-    tau_bar, ktilde, k_idx = mean_traverse_and_ktilde(tau, scen)
+    tau_bar, k_idx = mean_traverse_and_delay(tau, scen)
     assert np.allclose(tau_bar, 0.8, rtol=1e-12)
-    assert np.allclose(ktilde, 0.8, rtol=1e-12)  # exceeds k = 0.5
+    assert np.allclose(k_idx * grid.dt, 0.8, rtol=1e-12)  # exceeds k = 0.5
     assert np.all(k_idx == 8)
 
 
@@ -197,8 +197,8 @@ def test_ktilde_capped_at_half_horizon():
     net, ps, scen, grid = build(diamond_dict(steps=100))
     tau = grid.nodes[None, :] + 8.0
     tau = np.tile(tau, (5, 1))
-    tau_bar, ktilde, k_idx = mean_traverse_and_ktilde(tau, scen)
-    assert np.allclose(ktilde, 5.0)  # horizon / 2
+    tau_bar, k_idx = mean_traverse_and_delay(tau, scen)
+    assert np.allclose(k_idx * grid.dt, 5.0)  # horizon / 2
     assert np.all(k_idx == 50)
 
 

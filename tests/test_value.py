@@ -274,11 +274,13 @@ def test_final_node_continues_with_stay_penalty(monkeypatch):
                                  lattice_dict(3, steps=400, constrained=TIGHT)],
                          ids=["free", "constrained", "lattice-3x3-constrained"])
 def test_block_size_does_not_change_results(monkeypatch, doc):
-    steps = doc["model"]["steps"]
-    net, ps, scen, cong, floor = _value_inputs(doc, seed=37)
+    _check_block_sizes_agree(monkeypatch, *_value_inputs(doc, seed=37))
+
+
+def _check_block_sizes_agree(monkeypatch, net, ps, scen, cong, floor):
     results = []
     # default blocks, one entry node per block, one block for all entry nodes
-    for cells in (value_module.BLOCK_CELLS, 1, (steps + 1) ** 2):
+    for cells in (value_module.BLOCK_CELLS, 1, (scen.grid.steps + 1) ** 2):
         monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
         results.append(value_backward(net, ps, scen, cong, floor))
     (t0, p0), *others = results
@@ -326,3 +328,55 @@ def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
             assert np.getbufsize() == 4096
         finally:
             np.setbufsize(caller)
+
+
+def hand_floors(n, n_edges):
+    """Arrival floors made by hand, one table per shape of admissible region.
+
+    At N = 16 and three entry nodes a block, the blocks start at nodes 15,
+    12, 9, 6, 3 and 0; at the default block size one block holds them all.
+    Every edge gets the same floors.
+    """
+    i = np.arange(n + 1)
+    block_past_n = i + 1
+    block_past_n[6:9] = n + 1                  # no entry node of a block can move
+    between = np.minimum(i + 1 + (7 * i) % 5, n)  # not monotone in the entry node
+    between[[3, 10]] = n + 3                   # infeasible rows before and between
+    below = i - i % 3                          # at or below the entry node
+    beyond = i + 2
+    beyond[[0, 5]] = 10**12                    # far past n + 1, and the last rows
+    beyond[12:] = 10**9                        # of the table have no arrival
+    late = i + 1
+    late[:9] = n - i[:9] % 2                   # feasible rows arrive at n - 1 or n only
+    late[7] = n + 1
+    tables = {"block-past-n": block_past_n, "infeasible-between": between,
+              "at-or-below-entry": below, "far-beyond-n": beyond, "late-floors": late}
+    return {name: np.tile(f, (n_edges, 1)) for name, f in tables.items()}
+
+
+HAND_FLOOR_DOCS = {"diamond": diamond_dict(steps=16), "lattice-3x3": lattice_dict(3, steps=16)}
+HAND_FLOOR_CASES = [(doc, case) for doc in HAND_FLOOR_DOCS
+                    for case in hand_floors(16, 1)]
+
+
+def _hand_floor_inputs(doc, case):
+    net, ps, scen, cong, _ = _value_inputs(HAND_FLOOR_DOCS[doc], seed=53)
+    floor = hand_floors(scen.grid.steps, len(net.edges))[case]
+    return net, ps, scen, cong, floor
+
+
+@pytest.mark.parametrize("cells", [3 * 17, value_module.BLOCK_CELLS],
+                         ids=["three-rows", "default"])
+@pytest.mark.parametrize("doc, case", HAND_FLOOR_CASES,
+                         ids=[f"{d}-{c}" for d, c in HAND_FLOOR_CASES])
+def test_hand_made_floors_match_enumeration(monkeypatch, doc, case, cells):
+    monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
+    net, ps, scen, cong, floor = _hand_floor_inputs(doc, case)
+    table, policy = value_backward(net, ps, scen, cong, floor)
+    assert check_value_tables(net, ps, scen, cong, table, policy, floor) == []
+
+
+@pytest.mark.parametrize("doc, case", HAND_FLOOR_CASES,
+                         ids=[f"{d}-{c}" for d, c in HAND_FLOOR_CASES])
+def test_hand_made_floors_do_not_depend_on_block_size(monkeypatch, doc, case):
+    _check_block_sizes_agree(monkeypatch, *_hand_floor_inputs(doc, case))
