@@ -12,7 +12,11 @@ entry node; the continuous minimization is approximated to first order in
 the grid step, consistent with the Euler mass integration.  The minimization
 runs over blocks of entry nodes and, within a block, only over arrival nodes
 after the block's first entry node, so its temporaries take O(B * N) memory
-for B = BLOCK_CELLS // (N + 1) rows rather than (N + 1)^2.
+rather than (N + 1)^2.  The first block spans B = BLOCK_CELLS // (N + 1)
+entry nodes over all N arrival columns, and its B * N cells are the budget
+of every block: the block starting at entry node i0 is N - i0 columns wide
+and takes budget // (N - i0) rows, so later, narrower blocks hold more rows
+and there are fewer of them (38 instead of 72 at N = 1500).
 
 Every suffix's row starts as its stay cost, and last-edge suffixes, which
 have a single moving candidate, are finished first, all of them over all
@@ -24,14 +28,24 @@ blocks are finished already, and those in the same block were finished just
 before, since the successor is one edge shallower.  The kinetic block
 ``(l*l)/(2*(t[j]-t[i]))``, with +inf where j <= i, depends on the block and
 the edge length only, so within a block it is rebuilt only when the length
-changes from one suffix to the next.  The temporaries stay three block-sized
-arrays: the kinetic block, the candidates and a mask (17 bytes a cell), plus
-reversed copies of the grid, the node ids and the congestion integrals
-(O(N) per edge), freed before the tables are copied to the pairs.
+changes from one suffix to the next.  It is built as ``(l*l)/(2t[j]-2t[i])``
+from a doubled copy of the grid, without a pass that doubles the block:
+doubling is exact and commutes with rounding the difference, so the
+denominator has the bits of ``2*(t[j]-t[i])`` for every horizon below half
+the largest double (above it, 2t overflows).  The temporaries stay three
+block-sized arrays: the kinetic block, the candidates and a mask (17 bytes
+a cell), plus reversed copies of the grid, the node ids and the congestion
+integrals (O(N) per edge), freed before the tables are copied to the pairs.
 
 Block columns run from the last arrival node down: column c is node N - c.
 "Latest arrival within the tie band" is then the first column in the band,
-a forward ``argmax``; the continuation is one contiguous copy of the
+a forward ``argmax``.  Each row's best cost is read at its ``argmin``, the
+row's first minimum, which lies in its band, so the band starts at or
+before it: the band test reads only the columns up to the block's latest
+first minimum, the same first column as a scan of the whole width.  At
+``eps_tie`` 0 the band is the minimum itself, so the threshold is the
+minimum, also for a row with no admissible arrival, whose minimum is +inf
+(``0 * inf`` would be NaN).  The continuation is one contiguous copy of the
 successor's row, reversed, with entry 0 (the final node) set to the cheaper
 of the stay penalty and the successor's final value; and the arrivals not
 after the entry node are trailing columns, +inf in the kinetic block.
@@ -39,10 +53,10 @@ Block rows are shorter than numpy's default 8192-element ufunc buffer, and
 with it the broadcasts of the block loop go through the buffered iterator
 at two to four times the cost of a contiguous operation, so the loop runs
 under a small buffer, restored on every exit.  The loop has only
-elementwise operations, ``min`` and ``argmax``, whose results do not depend
-on the buffer size.  Stages that sum (mass integration, the logit response,
-the local decision) stay outside it: the buffer size can change the order
-in which a sum adds.
+elementwise operations, gathers, ``argmin`` and ``argmax``, whose results do
+not depend on the buffer size.  Stages that sum (mass integration, the
+logit response, the local decision) stay outside it: the buffer size can
+change the order in which a sum adds.
 
 Under arrival floors a suffix's block is evaluated only where an admissible
 arrival can lie.  The trailing rows whose floor is past node N are never
@@ -63,8 +77,8 @@ difference, which IEEE addition gives the same bits).  The exhaustive
 enumeration in :mod:`mfroute.oracle` evaluates the same expressions, which
 is what makes the oracle comparison exact rather than tolerance-based;
 neither the suffix sharing, the row blocks, the shared kinetic block, the
-column order nor the cells left out under arrival floors change a single
-rounding step.
+doubled times, the column order, the cut band scan nor the cells left out
+under arrival floors change a single rounding step.
 """
 
 from __future__ import annotations
@@ -77,9 +91,9 @@ from .errors import ShapeMismatch
 from .network import Network, PathSet, edge_totals
 from .scenario import Scenario, prefix_integral
 
-# Candidate cells per row block of the value kernel: a block spans
-# BLOCK_CELLS // (steps + 1) entry nodes, so its temporaries take O(B * N)
-# memory instead of (N + 1)^2 per table.
+# Sets the cells per row block of the value kernel: the first block spans
+# B = BLOCK_CELLS // (steps + 1) entry nodes, and every block fits its B * N
+# cells, so the temporaries take O(B * N) memory instead of (N + 1)^2.
 BLOCK_CELLS = 1 << 15
 
 # Ufunc buffer size (elements) inside the block loop, see the module docstring.
@@ -172,8 +186,8 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongesti
     # equal lengths come together so the kinetic block is built once for them.
     interior.sort(key=lambda s: (depth[s], net.lengths[suffixes[s][0]]))
 
-    # Only elementwise operations, min and argmax run under the small
-    # buffer, so it changes no result; stages that sum stay outside it.
+    # Only elementwise operations, gathers, argmin and argmax run under the
+    # small buffer, so it changes no result; stages that sum stay outside it.
     bufsize = np.setbufsize(_BLOCK_BUFSIZE)
     try:
         _minimize_interior(net, suffixes, interior, cong.phi_prefix, t, values,
@@ -218,6 +232,25 @@ def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],
     return values, tau_idx, tail_cost
 
 
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Blocks ``(i0, i1)`` of entry nodes for the value kernel, first to last.
+
+    The first block spans ``BLOCK_CELLS // (n + 1)`` entry nodes (at least
+    one) over all n arrival columns, and its cells are the budget of every
+    block: a block starting at entry node i0 is n - i0 columns wide and takes
+    as many rows as fit the budget at that width, up to the last entry node.
+    """
+    budget = max(1, BLOCK_CELLS // (n + 1)) * n
+    blocks = []
+    i0 = 0
+    while i0 < n:
+        # budget >= n >= n - i0, so every block has a row.
+        i1 = min(n, i0 + budget // (n - i0))
+        blocks.append((i0, i1))
+        i0 = i1
+    return blocks
+
+
 def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
                        interior: list[int], phi_prefix: np.ndarray, t: np.ndarray,
                        values: np.ndarray, tau_idx: np.ndarray, cont_n: np.ndarray,
@@ -230,17 +263,18 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
     """
     n = t.size - 1
     node_ids = np.arange(n + 1)
-    rows_per_block = max(1, BLOCK_CELLS // (n + 1))
-    kin_buf = np.empty(rows_per_block * n)
+    blocks = _row_blocks(n)
+    # The first block is the widest and fills the budget.
+    kin_buf = np.empty(blocks[0][1] * n)
     move_buf = np.empty_like(kin_buf)
     mask_buf = np.empty(kin_buf.size, dtype=bool)
-    # Block column c is arrival node n - c, read from reversed copies.
-    t_rev = t[::-1].copy()
+    # Block column c is arrival node n - c, read from reversed copies; the
+    # kinetic block subtracts doubled times, 2t[j] - 2t[i] == 2(t[j] - t[i]).
+    t2_rev = t[::-1] * 2.0
     ids_rev = node_ids[::-1].copy()
     phi_rev = phi_prefix[:, ::-1].copy()
     cont = np.empty(n)
-    for i0 in reversed(range(0, n, rows_per_block)):
-        i1 = min(i0 + rows_per_block, n)
+    for i0, i1 in reversed(blocks):
         # Arrivals before i0 + 1 are inadmissible for every row here.
         m = n - i0
         shape = (i1 - i0, m)
@@ -254,7 +288,7 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
         for s in interior:
             e, succ = suffixes[s]
             rows, width = shape
-            kin, move, mask = kin_block, move_block, mask_block
+            kin, move = kin_block, move_block
             if arrival_floor is not None:
                 # Only the rows up to the last one with a floor within the
                 # grid, and the columns down to their lowest floor, can hold
@@ -269,11 +303,11 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
                 width = min(m, n + 1 - int(floor.min()))
                 kin = kin_block[:rows, :width]
                 move = move_buf[:rows * width].reshape(rows, width)
-                mask = mask_buf[:move.size].reshape(rows, width)
             length = float(net.lengths[e])
             if length != kin_length:
-                np.subtract(t_rev[None, :m], t[i0:i1, None], out=kin_block)
-                kin_block *= 2.0
+                # Rows are entry nodes i0, ..., i1 - 1, read backwards.
+                rows_t2 = t2_rev[n - i0:n - i1:-1, None]
+                np.subtract(t2_rev[None, :m], rows_t2, out=kin_block)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     np.divide(length * length, kin_block, out=kin_block)
                 tri = mask_block[:, m - w:]
@@ -296,13 +330,22 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
                 # is all +inf.
                 lo = n + 1 - min(int(floor.max()), n + 1)
                 if lo < width:
-                    below = mask[:, lo:]
+                    below = mask_buf[:rows * (width - lo)].reshape(rows, width - lo)
                     np.less(ids_rev[None, lo:width], floor[:, None], out=below)
                     np.copyto(move[:, lo:], np.inf, where=below)
-            best = move.min(axis=1)
-            threshold = best + eps_tie * np.maximum(1.0, np.abs(best))
-            np.less_equal(move, threshold[:, None], out=mask)
-            latest = n - np.argmax(mask, axis=1)
+            first = move.argmin(axis=1)
+            best = move[node_ids[:rows], first]
+            # At eps_tie 0 the band is the minimum itself, also for a row
+            # with no admissible arrival, where 0 * inf would be NaN.
+            threshold = best
+            if eps_tie:
+                threshold = best + eps_tie * np.maximum(1.0, np.abs(best))
+            # A row's first minimum is in its band, so the band starts at or
+            # before it: only the columns up to the latest one are scanned.
+            scan = int(first.max()) + 1
+            band = mask_buf[:rows * scan].reshape(rows, scan)
+            np.less_equal(move[:, :scan], threshold[:, None], out=band)
+            latest = n - np.argmax(band, axis=1)
             stay = values[s, i0:r1]
             tau_idx[s, i0:r1] = np.where(best <= stay, latest, -1)
             np.minimum(stay, best, out=stay)

@@ -1,12 +1,12 @@
 """Property tests on random small networks, scenarios and mass fields.
 
-Each example draws a small acyclic multigraph, a short grid, a random mass
-field below the mass bound, and speed limits or none.  One map evaluation
-must then agree bit for bit with the per-pair reference loops, the value
-tables must equal the exhaustive enumeration, and the conservation audit
-must pass.  A solve, with Anderson history or without, must report the
-residual of the mass it returns, and parsing the scenario echo again must
-give the same echo.
+Each example draws a small acyclic multigraph, a short grid, a tie band, a
+random mass field below the mass bound, and speed limits or none.  One map
+evaluation must then agree bit for bit with the per-pair reference loops,
+the value tables must equal the exhaustive enumeration and be the same at
+other row-block budgets, and the conservation audit must pass.  A solve,
+with Anderson history or without, must report the residual of the mass it
+returns, and parsing the scenario echo again must give the same echo.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mfroute.equilibrium as equilibrium
+import mfroute.value as value_module
 from mfroute import (MassField, MFRouteError, apply_psi, build_network,
                      compute_flows, enumerate_paths, path_costs, residual,
-                     scenario_to_dict, solve)
+                     scenario_to_dict, solve, value_backward)
 from mfroute.network import edge_totals
 from mfroute.oracle import audit_conservation, check_value_tables
 
@@ -34,6 +35,8 @@ DERANDOMIZED = settings(derandomize=True, max_examples=60, deadline=None,
                         database=None, suppress_health_check=[HealthCheck.too_slow])
 
 LENGTHS = (0.5, 0.8, 1.0, 1.3, 2.0)
+# No band, the default, a band of several arrival nodes and a wide one.
+EPS_TIES = (0.0, 1e-9, 1e-2, 0.3)
 
 
 @st.composite
@@ -57,6 +60,7 @@ def scenario_docs(draw):
             for e in edges}}}
     doc = diamond_dict(steps=draw(st.integers(1, 8)), edges=edges,
                        constrained=constrained,
+                       solver={"eps_tie": draw(st.sampled_from(EPS_TIES))},
                        model={"horizon": draw(st.sampled_from((2.0, 5.0, 10.0))),
                               "beta": draw(st.sampled_from((0.5, 1.0, 4.0)))})
     doc["network"].update(vertices=[f"v{i}" for i in range(k)],
@@ -96,6 +100,13 @@ def test_psi_stages_match_references_and_oracles(case):
 
     floor = psi.arrival.floor_idx if psi.arrival is not None else None
     assert check_value_tables(net, ps, scen, cong, psi.value, policy, floor) == []
+    # one-row blocks first, then blocks of a few rows
+    for cells in (1, 3 * (scen.grid.steps + 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(value_module, "BLOCK_CELLS", cells)
+            table, other = value_backward(net, ps, scen, cong, floor)
+        assert table.tobytes() == psi.value.tobytes()
+        assert other.tau_idx.tobytes() == policy.tau_idx.tobytes()
     assert audit_conservation(ps, scen, psi, scen.rho0).ok
 
 

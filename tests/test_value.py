@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 import mfroute.value as value_module
-from mfroute import (MassField, ShapeMismatch, arrival_tables,
+from mfroute import (EdgeCongestion, MassField, ShapeMismatch, arrival_tables,
                      build_speed_limits, congestion_total, value_backward)
 from mfroute.oracle import check_value_tables
 
 from conftest import (admissible_mass, build, diamond_dict, lattice_dict, row,
                       speeds, value_stage, zero_mass)
+
+# The shipped budget, also while a test patches it.
+BLOCK_CELLS = value_module.BLOCK_CELLS
 
 
 def unit_chain_dict(steps, horizon=1.0, alpha=1.0, coeff=0.0, n_edges=1,
@@ -224,21 +227,82 @@ ROW_BLOCK_DOCS = {"diamond": diamond_dict(steps=16), "lattice-3x3": lattice_dict
                   "lattice-3x3-constrained": lattice_dict(3, steps=16, constrained=TIGHT)}
 
 
-def _check_row_blocks(monkeypatch, doc):
-    # three entry nodes per block: N = 16 spans six blocks
-    monkeypatch.setattr(value_module, "BLOCK_CELLS", 3 * 17)
+# Blocks at N = 16 under small cell budgets: one-row blocks narrower than
+# their width (1), and uneven row counts ending in a square block (2 * 17:
+# 3 x 3; 3 * 17: 6 x 6).
+ROW_BLOCK_LAYOUTS = {
+    1: [(i, i + 1) for i in range(8)] + [(8, 10), (10, 12), (12, 16)],
+    2 * 17: [(0, 2), (2, 4), (4, 6), (6, 9), (9, 13), (13, 16)],
+    3 * 17: [(0, 3), (3, 6), (6, 10), (10, 16)],
+}
+
+
+@pytest.mark.parametrize("cells, blocks", ROW_BLOCK_LAYOUTS.items(),
+                         ids=["one-row", "two-rows", "three-rows"])
+def test_row_blocks_fill_the_budget_at_their_own_width(monkeypatch, cells, blocks):
+    monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
+    assert value_module._row_blocks(16) == blocks
+
+
+@pytest.mark.parametrize("n, count", [(250, 2), (500, 5), (1500, 38)])
+def test_default_row_blocks_fill_the_budget(n, count):
+    # The first block keeps the fixed-row buffer, BLOCK_CELLS // (n + 1) rows
+    # at width n; every block fits it, and each but the last is one row
+    # short of overflowing it at its own width.
+    budget = (BLOCK_CELLS // (n + 1)) * n
+    blocks = value_module._row_blocks(n)
+    assert len(blocks) == count
+    assert blocks[0] == (0, BLOCK_CELLS // (n + 1))
+    assert [i0 for i0, _ in blocks[1:]] == [i1 for _, i1 in blocks[:-1]]
+    assert blocks[-1][1] == n
+    for i0, i1 in blocks:
+        assert (i1 - i0) * (n - i0) <= budget
+        assert i1 == n or (i1 - i0 + 1) * (n - i0) > budget
+
+
+def _check_row_blocks(monkeypatch, doc, cells=3 * 17):
+    monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
     net, ps, scen, cong, floor = _value_inputs(doc, seed=31)
     if floor is not None:
         # rows with no admissible arrival are part of what is checked
         assert np.any(floor > scen.grid.steps)
     table, policy = value_backward(net, ps, scen, cong, floor)
     assert check_value_tables(net, ps, scen, cong, table, policy, floor) == []
+    monkeypatch.setattr(value_module, "BLOCK_CELLS", BLOCK_CELLS)
+    default_table, default_policy = value_backward(net, ps, scen, cong, floor)
+    assert table.tobytes() == default_table.tobytes()
+    assert policy.tau_idx.tobytes() == default_policy.tau_idx.tobytes()
     return policy
 
 
 @pytest.mark.parametrize("doc", ROW_BLOCK_DOCS.values(), ids=ROW_BLOCK_DOCS.keys())
 def test_row_blocks_match_enumeration(monkeypatch, doc):
     _check_row_blocks(monkeypatch, doc)
+
+
+@pytest.mark.parametrize("cells", [1, 2 * 17], ids=["one-row", "two-rows"])
+@pytest.mark.parametrize("doc", ROW_BLOCK_DOCS.values(), ids=ROW_BLOCK_DOCS.keys())
+def test_uneven_row_blocks_match_enumeration(monkeypatch, doc, cells):
+    _check_row_blocks(monkeypatch, doc, cells)
+
+
+@pytest.mark.parametrize("eps_tie", [0.0, 1e-2, 0.3])
+def test_tie_band_of_rows_with_far_apart_first_minima(eps_tie):
+    # The first edge's congestion integral jumps by 100 between nodes 8 and
+    # 9, so in the one block of N = 16 the rows entering before node 8
+    # arrive at node 8 (block column 8), the later rows at nodes 12-16
+    # (columns 4-0): each band must be scanned up to column 8, inclusive.
+    doc = unit_chain_dict(steps=16, horizon=2.0, alpha=50.0, n_edges=2, rho_max=5.0)
+    doc["solver"]["eps_tie"] = eps_tie
+    net, ps, scen, grid = build(doc)
+    phi_prefix = np.zeros((2, 17))
+    phi_prefix[0, 9:] = 100.0
+    cong = EdgeCongestion(totals=np.zeros_like(phi_prefix), phi_prefix=phi_prefix)
+    assert value_module._row_blocks(16) == [(0, 16)]
+    table, policy = value_backward(net, ps, scen, cong)
+    assert check_value_tables(net, ps, scen, cong, table, policy) == []
+    tau = policy.tau_idx[row(ps, "e1", 0)]
+    assert np.all(tau[:8] == 8) and np.all(tau[8:16] >= 12) and tau[15] == 16
 
 
 @pytest.mark.parametrize("doc", ROW_BLOCK_DOCS.values(), ids=ROW_BLOCK_DOCS.keys())
@@ -279,8 +343,10 @@ def test_block_size_does_not_change_results(monkeypatch, doc):
 
 def _check_block_sizes_agree(monkeypatch, net, ps, scen, cong, floor):
     results = []
-    # default blocks, one entry node per block, one block for all entry nodes
-    for cells in (value_module.BLOCK_CELLS, 1, (scen.grid.steps + 1) ** 2):
+    # default blocks, one-row blocks first, blocks of a few rows first, one
+    # block for all entry nodes
+    n_nodes = scen.grid.steps + 1
+    for cells in (BLOCK_CELLS, 1, 3 * n_nodes, n_nodes ** 2):
         monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
         results.append(value_backward(net, ps, scen, cong, floor))
     (t0, p0), *others = results
@@ -333,13 +399,13 @@ def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
 def hand_floors(n, n_edges):
     """Arrival floors made by hand, one table per shape of admissible region.
 
-    At N = 16 and three entry nodes a block, the blocks start at nodes 15,
-    12, 9, 6, 3 and 0; at the default block size one block holds them all.
-    Every edge gets the same floors.
+    At N = 16 and a budget of three rows of 17 cells, the blocks are entry
+    nodes 0-2, 3-5, 6-9 and 10-15; at the default block size one block holds
+    them all.  Every edge gets the same floors.
     """
     i = np.arange(n + 1)
     block_past_n = i + 1
-    block_past_n[6:9] = n + 1                  # no entry node of a block can move
+    block_past_n[6:10] = n + 1                 # no entry node of a block can move
     between = np.minimum(i + 1 + (7 * i) % 5, n)  # not monotone in the entry node
     between[[3, 10]] = n + 3                   # infeasible rows before and between
     below = i - i % 3                          # at or below the entry node
@@ -359,19 +425,25 @@ HAND_FLOOR_CASES = [(doc, case) for doc in HAND_FLOOR_DOCS
                     for case in hand_floors(16, 1)]
 
 
-def _hand_floor_inputs(doc, case):
-    net, ps, scen, cong, _ = _value_inputs(HAND_FLOOR_DOCS[doc], seed=53)
+def _hand_floor_inputs(doc, case, eps_tie=None):
+    doc = HAND_FLOOR_DOCS[doc]
+    if eps_tie is not None:
+        doc = {**doc, "solver": {**doc["solver"], "eps_tie": eps_tie}}
+    net, ps, scen, cong, _ = _value_inputs(doc, seed=53)
     floor = hand_floors(scen.grid.steps, len(net.edges))[case]
     return net, ps, scen, cong, floor
 
 
-@pytest.mark.parametrize("cells", [3 * 17, value_module.BLOCK_CELLS],
-                         ids=["three-rows", "default"])
+# At eps_tie 0 the band is the minimum itself, also for a row with no
+# admissible arrival before a feasible row, whose minimum is +inf.
+@pytest.mark.parametrize("cells, eps_tie", [(3 * 17, None), (BLOCK_CELLS, None),
+                                            (3 * 17, 0.0), (BLOCK_CELLS, 0.0)],
+                         ids=["three-rows", "default", "three-rows-eps-0", "default-eps-0"])
 @pytest.mark.parametrize("doc, case", HAND_FLOOR_CASES,
                          ids=[f"{d}-{c}" for d, c in HAND_FLOOR_CASES])
-def test_hand_made_floors_match_enumeration(monkeypatch, doc, case, cells):
+def test_hand_made_floors_match_enumeration(monkeypatch, doc, case, cells, eps_tie):
     monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
-    net, ps, scen, cong, floor = _hand_floor_inputs(doc, case)
+    net, ps, scen, cong, floor = _hand_floor_inputs(doc, case, eps_tie)
     table, policy = value_backward(net, ps, scen, cong, floor)
     assert check_value_tables(net, ps, scen, cong, table, policy, floor) == []
 
