@@ -6,7 +6,11 @@ prices each plan directly from the congestion integrals, and takes the
 minimum.  No backward recursion, no memoization: on coarse grids this is
 the ground truth the dynamic program must reproduce exactly, since both
 sides evaluate the same per-leg float expressions and a minimum over
-right-associated sums commutes with IEEE addition.
+right-associated sums commutes with IEEE addition.  One pass per (pair,
+node) gives both the value and the tie-rule arrival: the plans are grouped
+by their first arrival j, and because rounding ``leg + rest`` is monotone
+in ``rest``, the least ``leg + rest`` over j's plans is exactly ``leg`` plus
+the least continuation, the candidate the tie rule compares.
 
 The conservation audit re-integrates the mass trajectory step by step from
 the recorded flows and preferences and checks the telescoped balance: the
@@ -90,42 +94,39 @@ def _plan_costs(ctx: _PathContext, pos: int, i: int) -> list[float]:
     return costs
 
 
-def oracle_value(ctx: _PathContext, pos: int, i: int) -> float:
-    return min(_plan_costs(ctx, pos, i))
+def oracle_choice(ctx: _PathContext, pos: int, i: int) -> tuple[float, int]:
+    """Value and tie-rule arrival node (-1: stay) on edge ``pos`` at node ``i``.
 
-
-def oracle_policy(ctx: _PathContext, pos: int, i: int) -> int:
-    """Arrival node selected by the tie rule, from enumerated plan costs (-1: stay)."""
+    Each admissible first arrival j is priced as its leg plus the least cost
+    over every enumerated continuation plan, settling at the tail penalty
+    being one more continuation at j = N.  The value is the least of these
+    candidates and the cost of staying.
+    """
     phi = ctx.phi[pos]
-    length = ctx.lengths[pos]
     tail = ctx.tails[pos]
-    t = ctx.t
     n = ctx.n
-    stay = tail + (phi[n] - phi[i])
-    last = pos == len(ctx.rows) - 1
-    arrivals: list[int] = []
-    move_costs: list[float] = []
-    if last:
-        if i < n and (ctx.floors is None or ctx.floors[pos][i] <= n):
-            arrivals.append(n)
-            move_costs.append((length * length) / (2.0 * (t[n] - t[i]))
-                              + (phi[n] - phi[i]))
+    if pos == len(ctx.rows) - 1:  # the last edge can only arrive at the horizon
+        stay, *final = _plan_costs(ctx, pos, i)
+        moves = {n: c for c in final}
     else:
+        stay = tail + (phi[n] - phi[i])
+        length = ctx.lengths[pos]
+        t = ctx.t
+        moves = {}
         j_min = i + 1 if ctx.floors is None else max(i + 1, ctx.floors[pos][i])
         for j in range(j_min, n + 1):
             leg = (length * length) / (2.0 * (t[j] - t[i])) + (phi[j] - phi[i])
-            cont = oracle_value(ctx, pos + 1, j)
+            rests = _plan_costs(ctx, pos + 1, j)
             if j == n:
-                cont = min(tail, cont)
-            arrivals.append(j)
-            move_costs.append(leg + cont)
-    if not move_costs:
-        return -1
-    best = min(move_costs)
+                rests.append(tail)
+            moves[j] = leg + min(rests)
+    if not moves:
+        return stay, -1
+    best = min(moves.values())
     if not best <= stay:
-        return -1
+        return stay, -1
     threshold = best + ctx.eps_tie * max(1.0, abs(best))
-    return max(j for j, c in zip(arrivals, move_costs) if c <= threshold)
+    return best, max(j for j, c in moves.items() if c <= threshold)
 
 
 @dataclass(frozen=True)
@@ -153,21 +154,14 @@ def check_value_tables(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCong
         for pos, r in enumerate(ctx.rows):
             edge_id = ps.paths[p][pos]
             for i in range(ctx.n + 1):
-                expected = oracle_value(ctx, pos, i)
-                got = float(values[r, i])
-                if got != expected:
-                    mismatches.append(ValueMismatch(p, edge_id, i, "value",
-                                                    got, expected))
-                    if len(mismatches) >= MAX_REPORTED_MISMATCHES:
-                        return mismatches
-                tau_expected = oracle_policy(ctx, pos, i)
-                tau_got = int(policy.tau_idx[r, i])
-                if tau_got != tau_expected:
-                    mismatches.append(ValueMismatch(p, edge_id, i, "policy",
-                                                    float(tau_got),
-                                                    float(tau_expected)))
-                    if len(mismatches) >= MAX_REPORTED_MISMATCHES:
-                        return mismatches
+                value, tau = oracle_choice(ctx, pos, i)
+                for kind, got, expected in (
+                        ("value", float(values[r, i]), value),
+                        ("policy", float(policy.tau_idx[r, i]), float(tau))):
+                    if got != expected:
+                        mismatches.append(ValueMismatch(p, edge_id, i, kind, got, expected))
+                        if len(mismatches) >= MAX_REPORTED_MISMATCHES:
+                            return mismatches
     return mismatches
 
 
@@ -232,19 +226,16 @@ def audit_conservation(ps: PathSet, scen: Scenario, psi: PsiResult,
             total = total + float(z[p, i])
         budget = dt * float(lam[i])
         inj = [0.0] * n_paths
-        if n_paths == 1:
-            inj[0] = budget
-        else:
-            partial = 0.0
-            for p in range(n_paths - 1):
-                inj[p] = budget * (float(z[p, i]) / total)
-                partial = partial + inj[p]
-            last = budget - partial
-            for _ in range(4):
-                if partial + last == budget:
-                    break
-                last = last + (budget - (partial + last))
-            inj[n_paths - 1] = last
+        partial = 0.0
+        for p in range(n_paths - 1):
+            inj[p] = budget * (float(z[p, i]) / total)
+            partial = partial + inj[p]
+        last = budget - partial
+        for _ in range(4):
+            if partial + last == budget:
+                break
+            last = last + (budget - (partial + last))
+        inj[n_paths - 1] = last
         running = inj[0]
         for p in range(1, n_paths):
             running = running + inj[p]

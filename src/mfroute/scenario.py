@@ -494,6 +494,9 @@ def _build(data: dict) -> tuple[tuple[Network, PathSet, Scenario, TimeGrid], lis
     horizon, alpha, beta, eta, rho_max = (
         _positive(model[name], f"model.{name}")
         for name in ("horizon", "alpha", "beta", "eta", "rho_max"))
+    half_max = float(np.finfo(float).max) / 2  # twice a grid time must stay finite
+    if horizon > half_max:
+        raise ValidationError(f"model.horizon must be at most {half_max!r}")
     grid = make_grid(horizon, _positive_int(model["steps"], "model.steps"))
 
     lambda_spec = _parse_lambda(model["lambda"])

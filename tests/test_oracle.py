@@ -7,9 +7,10 @@ import dataclasses
 import numpy as np
 
 from mfroute import MassField, apply_psi
-from mfroute.oracle import audit_conservation, check_value_tables
+from mfroute.oracle import (MAX_REPORTED_MISMATCHES, audit_conservation,
+                            check_value_tables)
 
-from conftest import build, diamond_dict, zero_mass
+from conftest import build, chain_dict, diamond_dict, zero_mass
 
 
 def test_audit_detects_tampered_mass():
@@ -46,3 +47,40 @@ def test_value_check_detects_tampered_table():
     mismatches = check_value_tables(net, ps, scen, psi.congestion, values,
                                     psi.policy)
     assert any(m.kind == "value" and m.node == 2 for m in mismatches)
+
+
+def test_value_check_reports_one_tampered_policy_entry():
+    net, ps, scen, grid = build(diamond_dict(steps=8))
+    psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
+    r = int(ps.path_rows[1][0])
+    tau = psi.policy.tau_idx.copy()
+    assert tau[r, 3] != -1
+    tau[r, 3] = -1
+    policy = dataclasses.replace(psi.policy, tau_idx=tau)
+    mismatches = check_value_tables(net, ps, scen, psi.congestion, psi.value, policy)
+    assert [(m.path_idx, m.edge_id, m.node, m.kind, m.computed) for m in mismatches] == [
+        (1, ps.paths[1][0], 3, "policy", -1.0)]
+    assert mismatches[0].expected == float(psi.policy.tau_idx[r, 3])
+
+
+def test_value_check_stops_at_the_cap_value_before_policy():
+    net, ps, scen, grid = build(diamond_dict(steps=8))
+    psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
+    r = int(ps.path_rows[0][0])
+    tau = psi.policy.tau_idx.copy()
+    tau[r, 0] = -1 if tau[r, 0] != -1 else 1
+    policy = dataclasses.replace(psi.policy, tau_idx=tau)
+    mismatches = check_value_tables(net, ps, scen, psi.congestion, psi.value + 1.0,
+                                    policy)
+    assert len(mismatches) == MAX_REPORTED_MISMATCHES
+    assert [(m.node, m.kind) for m in mismatches[:3]] == [
+        (0, "value"), (0, "policy"), (1, "value")]
+    assert all(m.path_idx == 0 for m in mismatches)
+
+
+def test_audit_of_a_single_route_injects_the_whole_budget():
+    net, ps, scen, grid = build(chain_dict(3, steps=20))
+    assert ps.n_paths == 1
+    psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
+    audit = audit_conservation(ps, scen, psi, scen.rho0)
+    assert audit.ok and audit.injection_max_ulp == 0.0

@@ -4,7 +4,8 @@ Each example draws a small acyclic multigraph, a short grid, a tie band, a
 random mass field below the mass bound, and speed limits or none.  One map
 evaluation must then agree bit for bit with the per-pair reference loops,
 the value tables must equal the exhaustive enumeration and be the same at
-other row-block budgets, and the conservation audit must pass.  A solve,
+other row-block budgets, each path's cost along the policy must follow its
+first pair's value, and the conservation audit must pass.  A solve,
 with Anderson history or without, must report the residual of the mass it
 returns, and parsing the scenario echo again must give the same echo.
 """
@@ -26,8 +27,8 @@ from mfroute import (MassField, MFRouteError, apply_psi, build_network,
 from mfroute.network import edge_totals
 from mfroute.oracle import audit_conservation, check_value_tables
 
-from conftest import (build, diamond_dict, reference_edge_totals, reference_flows,
-                      reference_path_costs, reference_paths)
+from conftest import (build, detour_parallel_dict, diamond_dict, reference_edge_totals,
+                      reference_flows, reference_path_costs, reference_paths, zero_mass)
 
 # Derandomized, so every run checks the same examples; the example count
 # keeps the test to a few seconds.
@@ -79,6 +80,25 @@ def random_mass(ps, scen, seed):
     return values
 
 
+def assert_costs_follow_values(ps, scen, costs, values, entry):
+    """A path's cost along the policy is at least its first row's value and
+    exceeds it by at most the tie band per edge, up to a few ulps per edge.
+
+    The upper bound does not hold where the walk reaches the horizon before
+    the path's last edge: there the value settles at the tail penalty if
+    that is cheaper, while the walk pays the next edge's stop cost.
+    """
+    n = scen.grid.steps
+    for p, rows in enumerate(ps.path_rows):
+        m = len(rows)
+        w = np.maximum(1.0, np.abs(costs[p]))
+        tiny = 4 * m * np.spacing(w)
+        gap = costs[p] - values[rows[0]]
+        early = np.any(entry[rows[1:]] == n, axis=0)
+        assert np.all(gap >= -tiny), p
+        assert np.all((gap <= m * scen.solver.eps_tie * w + tiny) | early), p
+
+
 @DERANDOMIZED
 @given(scenario_docs())
 def test_psi_stages_match_references_and_oracles(case):
@@ -92,8 +112,9 @@ def test_psi_stages_match_references_and_oracles(case):
     for values in (mass.values, psi.mass.values):
         assert edge_totals(ps, values).tobytes() == reference_edge_totals(ps, values).tobytes()
     table = path_costs(net, ps, scen, cong, policy)
-    costs, _ = reference_path_costs(net, ps, scen, cong, policy)
+    costs, entry = reference_path_costs(net, ps, scen, cong, policy)
     assert table.tobytes() == costs.tobytes()
+    assert_costs_follow_values(ps, scen, table, psi.value, entry)
     flows = compute_flows(ps, policy, psi.z, scen.lam, psi.k_idx_edges)
     ref = reference_flows(ps, policy, psi.z, scen.lam, psi.k_idx_edges)
     assert flows.tobytes() == ref.tobytes()
@@ -108,6 +129,24 @@ def test_psi_stages_match_references_and_oracles(case):
         assert table.tobytes() == psi.value.tobytes()
         assert other.tau_idx.tobytes() == policy.tau_idx.tobytes()
     assert audit_conservation(ps, scen, psi, scen.rho0).ok
+
+
+def test_policy_walk_through_a_detour_at_the_horizon_costs_more_than_its_value():
+    # Path (e1, e2) from node 0 arrives at e2's tail at the horizon, the
+    # latest arrival within the tie band.  Its value continues with e1's
+    # tail penalty alpha * dist_tail(e1) = 1, its walk with e2's stop cost
+    # alpha * length(e2) = 3.
+    doc = detour_parallel_dict(24)
+    doc["solver"]["eps_tie"] = 0.3
+    net, ps, scen, grid = build(doc)
+    psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
+    costs = path_costs(net, ps, scen, psi.congestion, psi.policy)
+    _, entry = reference_path_costs(net, ps, scen, psi.congestion, psi.policy)
+    e1, e2 = ps.path_rows[1]
+    assert ps.paths[1] == ("e1", "e2") and entry[e2, 0] == grid.steps
+    gap = costs[1, 0] - psi.value[e1, 0]
+    assert gap == 2.25 and gap > 2 * 0.3 * costs[1, 0]
+    assert_costs_follow_values(ps, scen, costs, psi.value, entry)
 
 
 @DERANDOMIZED

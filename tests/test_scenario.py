@@ -469,6 +469,10 @@ OUT_OF_RANGE = {
                    "constrained.cap_frac"),
     "cap-frac-1.5": (_with(("constrained", "cap_frac"), 1.5,
                            constrained={"enabled": False}), "constrained.cap_frac"),
+    # every other check passes: the throughput keeps the mass margin
+    "horizon-beyond-half-max": (diamond_dict(steps=50, model={
+        "horizon": 1.7e308, "lambda": {"family": "constant", "value": 1e-308}}),
+        "model.horizon"),
 }
 
 
@@ -476,3 +480,14 @@ OUT_OF_RANGE = {
 def test_setting_out_of_range_is_validation_error(doc, where):
     with pytest.raises(ValidationError, match=re.escape(where)):
         scenario_from_dict(doc)
+
+
+def test_horizon_of_half_the_largest_float_loads_and_maps():
+    # the largest horizon whose doubled grid times stay finite; the test
+    # settings turn an overflow warning in psi into an error
+    half_max = float(np.finfo(float).max) / 2
+    net, ps, scen, grid = build(diamond_dict(steps=50, model={
+        "horizon": half_max, "lambda": {"family": "constant", "value": 1e-308}}))
+    assert grid.horizon == half_max
+    psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
+    assert np.all(np.isfinite(psi.value))
