@@ -87,7 +87,8 @@ def residual(mass_a: MassField, mass_b: MassField) -> float:
     a, b = mass_a.values, mass_b.values
     if a.shape != b.shape:
         raise ShapeMismatch(f"mass fields differ in shape: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(b - a)))
+    diff = np.subtract(b, a)
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet) -> XMembership:
@@ -96,7 +97,8 @@ def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet) -> XMember
     totals = edge_totals(ps, values)
     max_total = float(totals.max()) if totals.size else 0.0
     if values.shape[1] > 1:
-        quotient = float(np.max(np.abs(np.diff(values, axis=1))) / scen.grid.dt)
+        diff = np.diff(values, axis=1)
+        quotient = float(np.max(np.abs(diff, out=diff)) / scen.grid.dt)
     else:
         quotient = 0.0
     bound = scen.lipschitz_bound
@@ -220,6 +222,7 @@ def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
             x_prev = f_prev = None
             history.clear()
             restarts += 1
+    del x_prev, f_prev, history  # the membership check needs none of them
     membership = verify_X_membership(current, scen, ps)
     return EquilibriumReport(mass=current, psi=psi, residuals=residuals,
                              converged=converged, tol=tol, gamma=gamma,

@@ -7,9 +7,11 @@ They are evaluated by path position, the pairs of one position that share a
 delay at once, each position after the one that feeds it; every entry is
 the same product as in a pair-by-pair loop.
 Mass is integrated by explicit Euler with negative undershoot clipped at
-zero and recorded, never silently discarded.  The recurrence runs as a row
-cumulative sum that restarts from +0.0 wherever a clip falls, which performs
-the same additions as stepping node by node, so it gives the same bits.
+zero and recorded, never silently discarded.  The increments are built in
+the mass array itself, and the recurrence runs as a row cumulative sum that
+restarts from +0.0 wherever a clip falls, from the row's increments rebuilt
+by the same expressions; it performs the same additions as stepping node by
+node, so it gives the same bits.
 
 The integrator keeps the discrete balance auditable: per-step injections are
 normalized so that their running sum telescopes to dt * throughput exactly,
@@ -52,15 +54,19 @@ class PsiResult:
     """One evaluation of the mass-to-mass map: its image and the stage outputs
     that the solver, the export and the conservation audit read.
 
-    Per (edge, path) pair: ``value``, the remaining cost, and ``flows``, the
-    outgoing flow; per path: ``costs``, of following the policy, the logit
-    ``response`` and the preferences ``z``.  Each has one column per grid node.
+    Per distinct path suffix, the rows of ``PathSet.suffix_table``:
+    ``suffix_value``, the remaining cost, and ``suffix_policy``.  Per (edge,
+    path) pair: ``flows``, the outgoing flow, and ``value`` and ``policy``,
+    which gather the suffix rows through ``pair_suffix`` on every access.
+    Per path: ``costs``, of following the policy, the logit ``response`` and
+    the preferences ``z``.  Each has one column per grid node.
     """
 
     mass: MassField
     congestion: EdgeCongestion
-    value: np.ndarray
-    policy: Policy
+    suffix_value: np.ndarray
+    suffix_policy: Policy
+    pair_suffix: np.ndarray = field(repr=False)
     costs: np.ndarray
     response: np.ndarray
     z: np.ndarray
@@ -68,6 +74,14 @@ class PsiResult:
     integration: IntegrationResult
     k_idx_edges: np.ndarray = field(repr=False)
     arrival: object = None  # ArrivalConstraint in constrained mode
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.suffix_value[self.pair_suffix]
+
+    @property
+    def policy(self) -> Policy:
+        return Policy(tau_idx=self.suffix_policy.tau_idx[self.pair_suffix])
 
 
 def local_decision(z: np.ndarray) -> np.ndarray:
@@ -84,8 +98,9 @@ def compute_flows(ps: PathSet, policy: Policy, z: np.ndarray, lam: np.ndarray,
                   k_idx_edges: np.ndarray) -> np.ndarray:
     """Delayed outgoing flow per (edge, path) pair, evaluated by path position.
 
-    A first edge replays the origin inflow from ``k`` steps earlier; any
-    other edge replays its predecessor's outflow.  Both are gated by the
+    ``policy`` has one row per path suffix, as :func:`value_backward`
+    returns it.  A first edge replays the origin inflow from ``k`` steps
+    earlier; any other edge replays its predecessor's outflow.  Both are gated by the
     sign of the control chosen at the replayed entry time, so stopped
     traffic emits no flow.  The pairs at one path position that share a
     delay are evaluated together, after the position before them.  A pair's
@@ -94,12 +109,13 @@ def compute_flows(ps: PathSet, policy: Policy, z: np.ndarray, lam: np.ndarray,
     n_nodes = lam.shape[0]
     shares = local_decision(z)
     moving = policy.tau_idx >= 0
+    pair_suffix = ps.suffix_table[1]
     f = np.zeros((ps.pair_count, n_nodes))
     delays = k_idx_edges[ps.pair_edge_idx]
     for pos, rows in enumerate(ps.rows_by_position):
         # Gated over the full width; a pair with delay k keeps the first
         # n_nodes - k entries, shifted k nodes right.
-        gate = moving[rows].astype(float)
+        gate = moving[pair_suffix[rows]].astype(float)
         out = ((lam * shares[ps.pair_path_idx[rows]]) * gate if pos == 0
                else f[rows - 1] * gate)
         row_delays = delays[rows]
@@ -167,30 +183,35 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, z: np.ndarray
     n = grid.steps
     if flows.shape != (ps.pair_count, n + 1) or z.shape[1] != n + 1:
         raise ShapeMismatch("flow/preference arrays do not match the grid")
-    inj = injection_terms(z[:, :n], lam[:n], grid.dt)
-    mov = grid.dt * flows[:, :n]
-    plus = np.empty_like(mov)
-    first_rows = np.flatnonzero(ps.first_mask)
-    nonfirst = np.flatnonzero(~ps.first_mask)
-    plus[first_rows] = inj[ps.pair_path_idx[first_rows]]
-    plus[nonfirst] = mov[nonfirst - 1]
-    # In place: plus is not read again, and the mass check at the end of
-    # this stage is where a solve's memory peaks.
-    delta = np.subtract(plus, mov, out=plus)
-    del inj, mov
+    dt = grid.dt
+    inj = injection_terms(z[:, :n], lam[:n], dt)
+    # The increments are built inside the mass array: column i + 1 of row r
+    # takes moved[r, i] = dt * flows[r, i], then plus[r, i] - moved[r, i].
+    # Positions run from the last, so a predecessor row still holds its
+    # moved term when its successor reads it.
+    mass = np.empty((ps.pair_count, n + 1))
+    delta = mass[:, 1:]
+    np.multiply(dt, flows[:, :n], out=delta)
+    for rows in reversed(ps.rows_by_position[1:]):
+        own = delta[rows]
+        delta[rows] = np.subtract(delta[rows - 1], own, out=own)
+    first = ps.rows_by_position[0]
+    own = delta[first]
+    delta[first] = np.subtract(inj[ps.pair_path_idx[first]], own, out=own)
+    del delta, own
 
     # Left-to-right cumsum performs the stepwise recurrence's additions.
-    mass = np.empty((ps.pair_count, n + 1))
     mass[:, 0] = rho0
-    mass[:, 1:] = delta
     np.cumsum(mass, axis=1, out=mass)
     # A row needs a fix at its first later node that is negative or -0.0,
     # where the stepwise np.maximum(pre, 0.0) would have stored +0.0; the
-    # rest of the row is then re-accumulated from that +0.0.
+    # rest of the row is then re-accumulated from that +0.0, with the
+    # row's increments rebuilt once.
     clips: dict[int, list[tuple[int, float]]] = {}
     for r in np.flatnonzero(_needs_fix(mass[:, 1:]).any(axis=1)):
         row = mass[r]
         bad = _needs_fix(row[1:])
+        increments = None
         c = 0
         while True:
             c += 1 + int(np.argmax(bad))  # bad[k] flags node c + 1 + k
@@ -200,7 +221,12 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, z: np.ndarray
             row[c] = 0.0
             if c == n:
                 break
-            row[c + 1:] = delta[r, c:]
+            if increments is None:
+                # the row's increments again, by the same expressions
+                plus = (inj[ps.pair_path_idx[r]] if ps.first_mask[r]
+                        else dt * flows[r - 1, :n])
+                increments = plus - dt * flows[r, :n]
+            row[c + 1:] = increments[c:]
             np.cumsum(row[c:], out=row[c:])
             bad = _needs_fix(row[c + 1:])
             if not bad.any():
@@ -252,6 +278,7 @@ def apply_psi(net: Network, ps: PathSet, scen: Scenario, mass: MassField) -> Psi
     costs, response, z = build_preferences(net, ps, scen, cong, policy)
     flows = compute_flows(ps, policy, z, scen.lam, k_idx_edges)
     integ = integrate_mass(ps, scen, flows, z, scen.lam, scen.rho0)
-    return PsiResult(mass=integ.mass, congestion=cong, value=values, policy=policy,
+    return PsiResult(mass=integ.mass, congestion=cong, suffix_value=values,
+                     suffix_policy=policy, pair_suffix=ps.suffix_table[1],
                      costs=costs, response=response, z=z, flows=flows,
                      integration=integ, k_idx_edges=k_idx_edges, arrival=arrival)

@@ -5,10 +5,11 @@ the entry time of the next edge is the optimal arrival time of the current
 one, and an agent that stops pays the remaining congestion integral plus the
 distance penalty.  The pairs are evaluated by path position, the k-th pair
 of every path with more than k edges at once, with flat gathers from the
-policy and the congestion integrals; each path still adds its edges' costs
-left to right from +0.0, and a path drops out once its edges run out, so
-the costs have the bits of walking the paths one pair at a time.  The entry
-nodes of position k + 1 are the arrival nodes found at position k.
+per-suffix policy and the congestion integrals; each path still adds its
+edges' costs left to right from +0.0, and a path drops out once its edges
+run out, so the costs have the bits of walking the paths one pair at a
+time.  The entry nodes of position k + 1 are the arrival nodes found at
+position k.
 
 The noisy response splits the throughput across paths by a softmax of the
 negated costs, and the preference trajectory solves the proportional-
@@ -30,15 +31,17 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
                policy: Policy) -> np.ndarray:
     """Accumulate edge costs along the policy for every path and start node.
 
-    Returns one row per path and one column per start node.  A traversed
-    edge costs the kinetic term plus its congestion integral up to the
-    arrival node; a stopped-on edge costs the congestion integral to the
-    horizon plus alpha times the distance left: its length on a path's last
-    edge, else the shortest distance from its tail to the destination, as
-    :func:`value_backward` charges it; edges never reached cost nothing.
+    ``policy`` has one row per path suffix, as :func:`value_backward`
+    returns it.  Returns one row per path and one column per start node.
+    A traversed edge costs the kinetic term plus its congestion integral up
+    to the arrival node; a stopped-on edge costs the congestion integral to
+    the horizon plus alpha times the distance left: its length on a path's
+    last edge, else the shortest distance from its tail to the destination,
+    as :func:`value_backward` charges it; edges never reached cost nothing.
     """
     n = scen.grid.steps
     t = scen.grid.nodes
+    pair_suffix = ps.suffix_table[1]
     tau_flat = policy.tau_idx.ravel()
     phi_flat = cong.phi_prefix.ravel()
     # Accumulators in the longest-first path order of ps.rows_by_position:
@@ -47,7 +50,7 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
     s = np.arange(n + 1)[None, :]
     for rows in ps.rows_by_position:
         e = ps.pair_edge_idx[rows]
-        row_off = (rows * (n + 1))[:, None]
+        row_off = (pair_suffix[rows] * (n + 1))[:, None]
         edge_off = (e * (n + 1))[:, None]
         length = net.lengths[e][:, None]
         phi_n = cong.phi_prefix[e, n][:, None]

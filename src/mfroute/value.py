@@ -4,8 +4,8 @@ Given a mass field, each (edge, path) pair gets a value table over the grid
 and a policy: the optimal head-arrival node tau (or "stay put"), which fixes
 the constant traversal speed length / (tau - t).  A pair's table depends only on
 the path suffix that starts at its edge, so each distinct suffix is computed
-once, after the suffix that follows it, and its rows are copied to every
-pair that shares it.
+once, after the suffix that follows it, and the tables keep one row per
+suffix: pair r reads row ``ps.suffix_table[1][r]``.
 
 Candidate arrival times are restricted to grid nodes strictly after the
 entry node; the continuous minimization is approximated to first order in
@@ -35,7 +35,7 @@ denominator has the bits of ``2*(t[j]-t[i])`` for every horizon below half
 the largest double (above it, 2t overflows).  The temporaries stay three
 block-sized arrays: the kinetic block, the candidates and a mask (17 bytes
 a cell), plus reversed copies of the grid, the node ids and the congestion
-integrals (O(N) per edge), freed before the tables are copied to the pairs.
+integrals (O(N) per edge), freed when the kernel returns.
 
 Block columns run from the last arrival node down: column c is node N - c.
 "Latest arrival within the tie band" is then the first column in the band,
@@ -111,10 +111,12 @@ class MassField:
 class Policy:
     """Optimal constant-speed controls extracted from the value tables.
 
-    ``tau_idx[r, i]`` is the grid node at which an agent entering pair r's
+    ``tau_idx[r, i]`` is the grid node at which an agent entering row r's
     edge at node i arrives at its head, or -1 when it stays at the edge tail
-    for the rest of the horizon.  Its speed is the edge length over the
-    travel time, and 0 when it stays.
+    for the rest of the horizon; a row is a path suffix as
+    :func:`value_backward` returns it, or a pair as ``PsiResult.policy``
+    gathers it.  Its speed is the edge length over the travel time, and 0
+    when it stays.
     """
 
     tau_idx: np.ndarray = field(repr=False)
@@ -148,8 +150,9 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongesti
                    ) -> tuple[np.ndarray, Policy]:
     """Compute value tables and the arrival-time policy under given congestion.
 
-    Returns the minimal remaining cost per (edge, path) pair and grid node,
-    one row per pair, and the policy.
+    Returns the minimal remaining cost per distinct path suffix and grid
+    node, and the policy, one row per entry of ``ps.suffix_table``: pair r's
+    rows are those of its suffix, ``ps.suffix_table[1][r]``.
 
     ``cong`` is the mass field's congestion, from :func:`congestion_total`.
     ``arrival_floor``, when given, is an integer (n_edges, nodes) table of the
@@ -171,7 +174,7 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongesti
     eps_tie = scen.solver.eps_tie
     alpha = scen.alpha
 
-    suffixes, pair_suffix = ps.suffix_table
+    suffixes = ps.suffix_table[0]
     values, tau_idx, tail_cost = _initial_rows(net, suffixes, cong.phi_prefix, t,
                                                alpha, arrival_floor)
     depth = np.zeros(len(suffixes), dtype=np.int64)
@@ -195,7 +198,7 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongesti
     finally:
         np.setbufsize(bufsize)
 
-    return values[pair_suffix], Policy(tau_idx=tau_idx[pair_suffix])
+    return values, Policy(tau_idx=tau_idx)
 
 
 def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],
@@ -259,7 +262,7 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
 
     On entry their ``values`` rows hold the stay cost; ``interior`` lists
     them in the order they run within a block.  The block buffers live only
-    here, so they are freed before the tables are copied to the pairs.
+    here, so they are freed when the minimization returns.
     """
     n = t.size - 1
     node_ids = np.arange(n + 1)

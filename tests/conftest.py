@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfroute import (MassField, apply_psi, congestion_total, scenario_from_dict,
-                     value_backward)
+from mfroute import (MassField, Policy, apply_psi, congestion_total,
+                     scenario_from_dict, value_backward)
 from mfroute.flow import local_decision
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -261,10 +261,18 @@ def reference_edge_totals(ps, pair_values):
     return totals
 
 
+def by_pair(ps, table, policy):
+    """Value table and policy with one row per path suffix, as
+    :func:`mfroute.value_backward` returns them, gathered to one row per pair."""
+    pair_suffix = ps.suffix_table[1]
+    return table[pair_suffix], Policy(tau_idx=policy.tau_idx[pair_suffix])
+
+
 def value_stage(net, ps, scen, mass, arrival_floor=None):
-    """A mass field's congestion, and the value tables and policy under it."""
+    """A mass field's congestion, and the value tables and policy under it,
+    one row per pair."""
     cong = congestion_total(ps, scen, mass)
-    table, policy = value_backward(net, ps, scen, cong, arrival_floor)
+    table, policy = by_pair(ps, *value_backward(net, ps, scen, cong, arrival_floor))
     return cong, table, policy
 
 

@@ -12,8 +12,8 @@ from mfroute import (MassField, ParseError, ReciprocalSpeedLimit, TabulatedSpeed
                      value_backward)
 from mfroute.oracle import check_value_tables
 
-from conftest import (admissible_mass, build, diamond_dict, row, speeds, value_stage,
-                      zero_mass)
+from conftest import (admissible_mass, build, by_pair, diamond_dict, row, speeds,
+                      value_stage, zero_mass)
 
 SLACK = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 1000.0}}}
 TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
@@ -171,7 +171,7 @@ def test_constrained_tables_match_enumeration():
     cong = congestion_total(ps, scen, mass)
     limits = build_speed_limits(net, scen)
     arr = arrival_tables(net, scen, cong, limits)
-    table, policy = value_backward(net, ps, scen, cong, arr.floor_idx)
+    table, policy = by_pair(ps, *value_backward(net, ps, scen, cong, arr.floor_idx))
     assert check_value_tables(net, ps, scen, cong, table, policy, arr.floor_idx) == []
 
 

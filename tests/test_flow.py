@@ -18,8 +18,9 @@ from conftest import (STAGE_DOCS, admissible_mass, build, diamond_dict, lattice_
 
 
 def all_moving_policy(ps, n_nodes):
+    """Every suffix moves on at the next node: one row per path suffix."""
     tau = np.minimum(np.arange(n_nodes) + 1, n_nodes - 1)
-    return Policy(tau_idx=np.tile(tau, (ps.pair_count, 1)))
+    return Policy(tau_idx=np.tile(tau, (len(ps.suffix_table[0]), 1)))
 
 
 def test_local_decision_uniform():
@@ -51,7 +52,7 @@ def test_local_decision_degenerate():
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
 def test_flows_match_per_pair_reference(doc):
     net, ps, scen, mass, psi = stage_inputs(doc)
-    flows = compute_flows(ps, psi.policy, psi.z, scen.lam, psi.k_idx_edges)
+    flows = compute_flows(ps, psi.suffix_policy, psi.z, scen.lam, psi.k_idx_edges)
     ref = reference_flows(ps, psi.policy, psi.z, scen.lam, psi.k_idx_edges)
     assert flows.tobytes() == ref.tobytes()
     if scen.constrained.enabled:
@@ -92,7 +93,7 @@ def test_stopped_edge_emits_nothing(diamond):
     pol = all_moving_policy(ps, n_nodes)
     p = ps.paths.index(("e1", "e3", "e5"))
     r = row(ps, "e3", p)
-    pol.tau_idx[r, :] = -1
+    pol.tau_idx[ps.suffix_table[1][r], :] = -1
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
     f = compute_flows(ps, pol, z, scen.lam, k_idx)
     assert np.all(f[r] == 0.0)
@@ -313,6 +314,16 @@ def _clipping_case(name, ps, grid):
         f[1, 0] = 0.7
         f[1, 30:40] = 0.5
         rho0[1] = grid.dt * f[1, 0]  # drained to exactly +0.0, later clipped
+    elif name == "lattice-first-row-clips":
+        # the first row of path 2, whose increments start from its injection
+        f[ps.path_rows[2][0]] = pulses
+    elif name == "lattice-last-row-clips":
+        # the last row of path 2, whose increments start from its
+        # predecessor's moved mass: a steady outflow that never runs dry
+        rows = ps.path_rows[2]
+        rho0[rows[-2]] = 2.0
+        f[rows[-2]] = 0.1
+        f[rows[-1]] = pulses
     elif name in ("random", "random-lattice"):
         # on the lattice, seed 45 gives a clip_total that summing each step's
         # clips in another order than numpy's .sum() would change
@@ -324,11 +335,12 @@ def _clipping_case(name, ps, grid):
 
 @pytest.mark.parametrize("name", ["one-row-many-clips", "rows-clip-together",
                                   "rho0-negative-zero", "exact-zero-pre", "random",
-                                  "random-lattice"])
+                                  "random-lattice", "lattice-first-row-clips",
+                                  "lattice-last-row-clips"])
 def test_integrate_matches_stepwise_loop_when_clipping(name):
     # 7 pairs on the diamond; 24 on the 3x3 lattice, where numpy's .sum() of
     # a step's clipped vector adds in eight partial sums, not left to right
-    doc = lattice_dict(3, steps=100) if name == "random-lattice" else diamond_dict(steps=100)
+    doc = lattice_dict(3, steps=100) if "lattice" in name else diamond_dict(steps=100)
     net, ps, scen, grid = build(doc)
     z = np.random.default_rng(53).uniform(0.2, 1.5, size=(ps.n_paths, grid.steps + 1))
     f, rho0 = _clipping_case(name, ps, grid)
@@ -348,6 +360,12 @@ def test_integrate_matches_stepwise_loop_when_clipping(name):
         assert np.any(clips.sum(axis=0) > 1)
     elif name == "random-lattice":
         assert ps.pair_count > 8 and np.any(clips.sum(axis=0) > 2)
+    elif name in ("lattice-first-row-clips", "lattice-last-row-clips"):
+        # one row clips, more than once, so it restarts before node N
+        r = ps.path_rows[2][0 if name == "lattice-first-row-clips" else -1]
+        assert ps.first_mask[r] != ps.last_mask[r]
+        assert clips[r].sum() > 1 and clips[r].sum() == clips.sum()
+        assert np.flatnonzero(clips[r])[0] < grid.steps - 1
     elif name == "rho0-negative-zero":
         assert np.signbit(mass[4, 0]) and mass[4, 0] + delta[4, 0] == 0.0
         assert np.signbit(mass[4, 0] + delta[4, 0]) and not np.signbit(mass[4, 1])
@@ -411,6 +429,20 @@ def test_psi_outputs_stay_admissible(diamond):
         assert totals.max() <= scen.rho_max
         quot = np.max(np.abs(np.diff(values, axis=1))) / grid.dt
         assert quot <= scen.lipschitz_bound + 1e-9
+
+
+@pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
+def test_psi_result_gathers_suffix_rows_to_pairs(doc):
+    net, ps, scen, mass, psi = stage_inputs(doc)
+    suffixes, pair_suffix = ps.suffix_table
+    n_nodes = scen.grid.steps + 1
+    assert psi.suffix_value.shape == (len(suffixes), n_nodes)
+    assert psi.suffix_policy.tau_idx.shape == (len(suffixes), n_nodes)
+    value, tau = psi.value, psi.policy.tau_idx
+    assert value.shape == tau.shape == (ps.pair_count, n_nodes)
+    assert value.dtype == np.float64 and tau.dtype == np.int64
+    assert value.tobytes() == psi.suffix_value[pair_suffix].tobytes()
+    assert tau.tobytes() == psi.suffix_policy.tau_idx[pair_suffix].tobytes()
 
 
 def test_psi_bitwise_deterministic(diamond):

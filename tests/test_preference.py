@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from mfroute import (SimplexViolation, apply_psi, logit_response, path_costs,
-                     preference_evolution)
+from mfroute import (SimplexViolation, apply_psi, congestion_total, logit_response,
+                     path_costs, preference_evolution, value_backward)
 
-from conftest import (DIAMOND_EDGES, STAGE_DOCS, build, detour_parallel_dict,
+from conftest import (DIAMOND_EDGES, STAGE_DOCS, build, by_pair, detour_parallel_dict,
                       diamond_dict, reference_path_costs, row, stage_inputs,
-                      value_stage, zero_mass)
+                      zero_mass)
 
 
 def entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
@@ -44,37 +44,44 @@ def stop_cost(net, scen, cong, edge_id, entry):
                                               - cong.phi_prefix[e, entry])
 
 
+def costs_and_policy(net, ps, scen, mass):
+    """Congestion, path costs along the policy, and the policy by pair."""
+    cong = congestion_total(ps, scen, mass)
+    table, policy = value_backward(net, ps, scen, cong)
+    costs = path_costs(net, ps, scen, cong, policy)
+    return cong, costs, by_pair(ps, table, policy)[1]
+
+
 @pytest.fixture
 def diamond_policy(diamond):
     net, ps, scen, grid = diamond
-    cong, table, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
-    return net, ps, scen, grid, cong, table, policy
+    cong, costs, policy = costs_and_policy(net, ps, scen, zero_mass(ps, grid))
+    return net, ps, scen, grid, cong, costs, policy
 
 
 def test_entry_times_follow_policy(diamond_policy):
     # the second edge is entered at the first edge's arrival node, and the
     # path cost adds the two legs from +0.0
-    net, ps, scen, grid, cong, table, policy = diamond_policy
+    net, ps, scen, grid, cong, costs, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
     entries = entry_times(ps, policy, p, 0)
     tau = int(policy.tau_idx[row(ps, "e4", p), entries[1]])
     assert 0 < entries[1] < tau
     expected = 0.0 + leg_cost(net, scen, cong, "e1", 0, entries[1])
     expected += leg_cost(net, scen, cong, "e4", entries[1], tau)
-    assert path_costs(net, ps, scen, cong, policy)[p, 0] == expected
+    assert costs[p, 0] == expected
 
 
 def test_entry_times_propagate_stop(diamond_policy):
-    net, ps, scen, grid, cong, table, policy = diamond_policy
+    net, ps, scen, grid, cong, costs, policy = diamond_policy
     p = ps.paths.index(("e1", "e3", "e5"))
     # near the horizon the whole path stays put: the later edges cost nothing
     assert entry_times(ps, policy, p, grid.steps) == [grid.steps, -1, -1]
-    cost = path_costs(net, ps, scen, cong, policy)[p, grid.steps]
-    assert cost == 0.0 + stop_cost(net, scen, cong, "e1", grid.steps)
+    assert costs[p, grid.steps] == 0.0 + stop_cost(net, scen, cong, "e1", grid.steps)
 
 
 def test_entry_times_strictly_increase_while_finite(diamond_policy):
-    net, ps, scen, grid, cong, table, policy = diamond_policy
+    net, ps, scen, grid, cong, costs, policy = diamond_policy
     for p in range(ps.n_paths):
         for i in range(grid.steps + 1):
             seq = entry_times(ps, policy, p, i)
@@ -89,7 +96,7 @@ def test_entry_times_strictly_increase_while_finite(diamond_policy):
 def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
     # arriving at the final node enters the next edge there, which then
     # stays and pays its distance penalty
-    net, ps, scen, grid, cong, table, policy = diamond_policy
+    net, ps, scen, grid, cong, costs, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
     r = row(ps, "e1", p)
     hits = np.flatnonzero(policy.tau_idx[r] == grid.steps)
@@ -98,13 +105,13 @@ def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
     assert entry_times(ps, policy, p, i) == [i, grid.steps]
     expected = 0.0 + leg_cost(net, scen, cong, "e1", i, grid.steps)
     expected += stop_cost(net, scen, cong, "e4", grid.steps)
-    assert path_costs(net, ps, scen, cong, policy)[p, i] == expected
+    assert costs[p, i] == expected
 
 
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
 def test_path_costs_match_per_pair_reference(doc):
     net, ps, scen, mass, psi = stage_inputs(doc)
-    table = path_costs(net, ps, scen, psi.congestion, psi.policy)
+    table = path_costs(net, ps, scen, psi.congestion, psi.suffix_policy)
     costs, entry = reference_path_costs(net, ps, scen, psi.congestion, psi.policy)
     assert table.tobytes() == costs.tobytes()
     # agents stop on some edges, so later edges are never entered
@@ -123,8 +130,7 @@ def test_single_edge_path_cost_is_kinetic_term():
                   "phi": {"default": {"family": "linear", "coeff": 0.0}}},
     }
     net, ps, scen, grid = build(doc)
-    cong, _, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
-    table = path_costs(net, ps, scen, cong, policy)
+    _, table, _ = costs_and_policy(net, ps, scen, zero_mass(ps, grid))
     # while moving is optimal the cost is l^2 / (2 (T - t))
     for i in range(0, 6):
         assert table[0, i] == pytest.approx(1.0 / (2.0 * (1.0 - grid.nodes[i])))
@@ -134,8 +140,7 @@ def test_single_edge_path_cost_is_kinetic_term():
 
 def test_stopped_first_edge_contributes_distance_and_tail_integral(diamond):
     net, ps, scen, grid = diamond
-    cong, _, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
-    table = path_costs(net, ps, scen, cong, policy)
+    cong, table, policy = costs_and_policy(net, ps, scen, zero_mass(ps, grid))
     p = ps.paths.index(("e1", "e4"))
     r = row(ps, "e1", p)
     stopped = np.flatnonzero(policy.tau_idx[r] < 0)

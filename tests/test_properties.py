@@ -27,8 +27,9 @@ from mfroute import (MassField, MFRouteError, apply_psi, build_network,
 from mfroute.network import edge_totals
 from mfroute.oracle import audit_conservation, check_value_tables
 
-from conftest import (build, detour_parallel_dict, diamond_dict, reference_edge_totals,
-                      reference_flows, reference_path_costs, reference_paths, zero_mass)
+from conftest import (build, by_pair, detour_parallel_dict, diamond_dict,
+                      reference_edge_totals, reference_flows, reference_path_costs,
+                      reference_paths, zero_mass)
 
 # Derandomized, so every run checks the same examples; the example count
 # keeps the test to a few seconds.
@@ -111,11 +112,11 @@ def test_psi_stages_match_references_and_oracles(case):
     assert list(ps.paths) == reference_paths(net)
     for values in (mass.values, psi.mass.values):
         assert edge_totals(ps, values).tobytes() == reference_edge_totals(ps, values).tobytes()
-    table = path_costs(net, ps, scen, cong, policy)
+    table = path_costs(net, ps, scen, cong, psi.suffix_policy)
     costs, entry = reference_path_costs(net, ps, scen, cong, policy)
     assert table.tobytes() == costs.tobytes()
     assert_costs_follow_values(ps, scen, table, psi.value, entry)
-    flows = compute_flows(ps, policy, psi.z, scen.lam, psi.k_idx_edges)
+    flows = compute_flows(ps, psi.suffix_policy, psi.z, scen.lam, psi.k_idx_edges)
     ref = reference_flows(ps, policy, psi.z, scen.lam, psi.k_idx_edges)
     assert flows.tobytes() == ref.tobytes()
 
@@ -125,7 +126,7 @@ def test_psi_stages_match_references_and_oracles(case):
     for cells in (1, 3 * (scen.grid.steps + 1)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(value_module, "BLOCK_CELLS", cells)
-            table, other = value_backward(net, ps, scen, cong, floor)
+            table, other = by_pair(ps, *value_backward(net, ps, scen, cong, floor))
         assert table.tobytes() == psi.value.tobytes()
         assert other.tau_idx.tobytes() == policy.tau_idx.tobytes()
     assert audit_conservation(ps, scen, psi, scen.rho0).ok
@@ -140,7 +141,7 @@ def test_policy_walk_through_a_detour_at_the_horizon_costs_more_than_its_value()
     doc["solver"]["eps_tie"] = 0.3
     net, ps, scen, grid = build(doc)
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-    costs = path_costs(net, ps, scen, psi.congestion, psi.policy)
+    costs = path_costs(net, ps, scen, psi.congestion, psi.suffix_policy)
     _, entry = reference_path_costs(net, ps, scen, psi.congestion, psi.policy)
     e1, e2 = ps.path_rows[1]
     assert ps.paths[1] == ("e1", "e2") and entry[e2, 0] == grid.steps

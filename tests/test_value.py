@@ -10,8 +10,8 @@ from mfroute import (EdgeCongestion, MassField, ShapeMismatch, arrival_tables,
                      build_speed_limits, congestion_total, value_backward)
 from mfroute.oracle import check_value_tables
 
-from conftest import (admissible_mass, build, diamond_dict, lattice_dict, row,
-                      speeds, value_stage, zero_mass)
+from conftest import (admissible_mass, build, by_pair, diamond_dict, lattice_dict,
+                      row, speeds, value_stage, zero_mass)
 
 # The shipped budget, also while a test patches it.
 BLOCK_CELLS = value_module.BLOCK_CELLS
@@ -266,10 +266,11 @@ def _check_row_blocks(monkeypatch, doc, cells=3 * 17):
     if floor is not None:
         # rows with no admissible arrival are part of what is checked
         assert np.any(floor > scen.grid.steps)
-    table, policy = value_backward(net, ps, scen, cong, floor)
+    table, policy = by_pair(ps, *value_backward(net, ps, scen, cong, floor))
     assert check_value_tables(net, ps, scen, cong, table, policy, floor) == []
     monkeypatch.setattr(value_module, "BLOCK_CELLS", BLOCK_CELLS)
-    default_table, default_policy = value_backward(net, ps, scen, cong, floor)
+    default_table, default_policy = by_pair(ps, *value_backward(net, ps, scen, cong,
+                                                                floor))
     assert table.tobytes() == default_table.tobytes()
     assert policy.tau_idx.tobytes() == default_policy.tau_idx.tobytes()
     return policy
@@ -299,7 +300,7 @@ def test_tie_band_of_rows_with_far_apart_first_minima(eps_tie):
     phi_prefix[0, 9:] = 100.0
     cong = EdgeCongestion(totals=np.zeros_like(phi_prefix), phi_prefix=phi_prefix)
     assert value_module._row_blocks(16) == [(0, 16)]
-    table, policy = value_backward(net, ps, scen, cong)
+    table, policy = by_pair(ps, *value_backward(net, ps, scen, cong))
     assert check_value_tables(net, ps, scen, cong, table, policy) == []
     tau = policy.tau_idx[row(ps, "e1", 0)]
     assert np.all(tau[:8] == 8) and np.all(tau[8:16] >= 12) and tau[15] == 16
@@ -359,7 +360,12 @@ def _check_block_sizes_agree(monkeypatch, net, ps, scen, cong, floor):
                          ids=["diamond", "lattice-3x3"])
 def test_pairs_sharing_a_suffix_get_equal_rows(doc):
     net, ps, scen, cong, _ = _value_inputs(doc, seed=41)
-    table, policy = value_backward(net, ps, scen, cong)
+    suffix_table, suffix_policy = value_backward(net, ps, scen, cong)
+    # one row per distinct suffix, which every pair on it reads
+    assert suffix_table.shape == (len(ps.suffix_table[0]), scen.grid.steps + 1)
+    assert suffix_policy.tau_idx.shape == suffix_table.shape
+    assert len(ps.suffix_table[0]) < ps.pair_count
+    table, policy = by_pair(ps, suffix_table, suffix_policy)
     first_row = {}
     shared = 0
     for p, rows in enumerate(ps.path_rows):
@@ -444,7 +450,7 @@ def _hand_floor_inputs(doc, case, eps_tie=None):
 def test_hand_made_floors_match_enumeration(monkeypatch, doc, case, cells, eps_tie):
     monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
     net, ps, scen, cong, floor = _hand_floor_inputs(doc, case, eps_tie)
-    table, policy = value_backward(net, ps, scen, cong, floor)
+    table, policy = by_pair(ps, *value_backward(net, ps, scen, cong, floor))
     assert check_value_tables(net, ps, scen, cong, table, policy, floor) == []
 
 
