@@ -3,11 +3,12 @@ equilibrium report.
 
 Existence of a fixed point follows from compactness and continuity of the
 mass-to-mass map, not from a contraction, which guarantees nothing about
-plain Picard iteration.  Each step is the damped Picard step minus an
-Anderson correction over a short history of iterate and residual
-differences (Walker & Ni 2011); any rise of the residual empties the
-history, and with an empty history the step is damped Picard exactly.  A
-non-converged outcome is reported rather than raised.
+plain Picard iteration.  Each step is Anderson acceleration over a short
+history of iterate and residual differences (Walker & Ni 2011): undamped,
+from the image itself, until the first restart, and mixed with the damping
+from then on.  Any rise of the residual empties the history, and with an
+empty history the step is damped Picard exactly.  A non-converged outcome
+is reported rather than raised.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ MEMBERSHIP_SLACK = 1e-9
 
 # (iterate, residual) difference pairs one Anderson step combines.  Map
 # evaluations to converge on the benchmark workloads (diamond at 1500 steps,
-# seeded 4x4 lattice, speed-limited diamond) at depths 1-5: 9/6/59, 10/6/58,
-# 7/6/59, 9/6/61 and 9/6/62; damped Picard takes 20/17/76.  Depth 0 keeps no
+# seeded 4x4 lattice, speed-limited diamond) at depths 1-5: 6/4/56, 6/4/57,
+# 6/4/59, 6/4/59 and 6/4/68; damped Picard takes 20/17/76.  Depth 0 keeps no
 # history: every step is damped Picard, bit for bit the solver before Anderson.
 ANDERSON_DEPTH = 3
 
@@ -83,12 +84,21 @@ class EquilibriumReport:
 
 
 def residual(mass_a: MassField, mass_b: MassField) -> float:
-    """Sup-norm distance between two mass fields of identical layout."""
+    """Sup-norm distance between two mass fields of identical layout.
+
+    Taken over blocks of rows of at most 4096 cells (32 KiB), or of one
+    row if a row is longer, so the temporary stays that small on any
+    field; the maximum of ``|b - a|`` is exact in any order.
+    """
     a, b = mass_a.values, mass_b.values
     if a.shape != b.shape:
         raise ShapeMismatch(f"mass fields differ in shape: {a.shape} vs {b.shape}")
-    diff = np.subtract(b, a)
-    return float(np.max(np.abs(diff, out=diff)))
+    rows = max(1, 4096 // max(1, a.shape[-1]))
+    block_max = []
+    for i in range(0, len(a), rows):
+        diff = np.subtract(b[i:i + rows], a[i:i + rows])
+        block_max.append(np.max(np.abs(diff, out=diff)))
+    return float(np.max(block_max))
 
 
 def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet) -> XMembership:
@@ -110,15 +120,16 @@ def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet) -> XMember
 
 def anderson_correction(step: np.ndarray, f: np.ndarray,
                         history: list[tuple[np.ndarray, np.ndarray]],
-                        gamma: float) -> bool:
+                        beta: float) -> bool:
     """Subtract the Anderson correction from ``step`` in place.
 
     The coefficients c minimise ``||f - sum_i c_i df_i||_2`` over the
     ``(dx_i, df_i)`` pairs of ``history``; ``step`` loses
-    ``sum_i c_i (dx_i + gamma * df_i)`` and is clipped at zero.  The normal
-    equations are summed by numpy, one elementwise product at a time, and
-    solved by elimination in Python floats, so the result does not depend
-    on a BLAS library's summation order.  Returns False, leaving ``step``
+    ``sum_i c_i (dx_i + beta * df_i)`` and is clipped at zero, where
+    ``beta`` is the weight of the image in ``step``.  The normal equations
+    are summed by numpy, one elementwise product at a time, and solved by
+    elimination in Python floats, so the result does not depend on a BLAS
+    library's summation order.  Returns False, leaving ``step``
     alone, when a pivot is at most :data:`PIVOT_RTOL` times its diagonal
     entry before elimination: the residual differences are then linearly
     dependent to working precision, and the coefficients would be noise.
@@ -147,7 +158,7 @@ def anderson_correction(step: np.ndarray, f: np.ndarray,
             acc -= a[i][j] * coeffs[j]
         coeffs[i] = acc / a[i][i]
     for c, (dx, df) in zip(coeffs, history):
-        term = np.multiply(df, gamma)
+        term = np.multiply(df, beta)
         term += dx
         term *= c
         step -= term
@@ -164,13 +175,16 @@ def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
     sup-norm of f drops to the tolerance, and the reported equilibrium is
     that pre-image together with every stage of its map evaluation.
 
-    Otherwise the next pre-image is the damped Picard step
-    ``(1 - gamma) * x + gamma * g`` minus the Anderson correction over the
-    history of pre-image and residual differences
-    (:func:`anderson_correction`), which combines up to
-    :data:`ANDERSON_DEPTH` difference pairs.  A residual above the one
-    before, or residual differences dependent to working precision, empty
-    the history, so the step after it is damped Picard exactly.
+    Otherwise the next pre-image is Anderson's step over the history of
+    pre-image and residual differences (:func:`anderson_correction`),
+    which combines up to :data:`ANDERSON_DEPTH` difference pairs.  A
+    residual above the one before, or residual differences dependent to
+    working precision, restart it: they empty the history, so the step
+    after it is the damped Picard step ``(1 - gamma) * x + gamma * g``
+    exactly, as is the first step.  Before the first restart the Anderson
+    step is undamped, ``g - sum_i c_i (dx_i + df_i)``; from the first
+    restart on it is the damped Picard step minus
+    ``sum_i c_i (dx_i + gamma * df_i)``.  Both are clipped at zero.
     Non-convergence is an outcome, not an error: the report carries the
     full residual history either way, and its mass is then the last
     evaluated pre-image.
@@ -199,12 +213,23 @@ def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
         if psi is not None:
             x, g = current.values, psi.mass.values
             psi = None  # the stage outputs are not needed past this point
-            step = (1.0 - gamma) * x + gamma * g
-            f = np.subtract(g, x, out=g)
+            # before the first restart an Anderson step mixes undamped: it
+            # starts from the image itself, so the residual takes its own array
+            undamped = f_prev is not None and not restarts
+            if undamped:
+                step, f = g, np.subtract(g, x)
+            else:
+                step = (1.0 - gamma) * x + gamma * g
+                f = np.subtract(g, x, out=g)
             if f_prev is not None:
                 history.append((np.subtract(x, x_prev, out=x_prev),
                                 np.subtract(f, f_prev, out=f_prev)))
-                if not anderson_correction(step, f, history, gamma):
+                if not anderson_correction(step, f, history, 1.0 if undamped else gamma):
+                    if undamped:
+                        # damped Picard from the untouched image, in place;
+                        # the same bits as above, as addition commutes
+                        step *= gamma
+                        step += (1.0 - gamma) * x
                     history.clear()
                     restarts += 1
                 if len(history) == depth:

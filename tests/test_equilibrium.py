@@ -14,7 +14,9 @@ from mfroute import (MassField, ShapeMismatch, apply_psi,
                      load_scenario, residual, solve, verify_X_membership)
 from mfroute.oracle import audit_conservation
 
-from conftest import admissible_mass, build, diamond_dict, lattice_dict, zero_mass
+from conftest import (ROOT, WORKLOADS, admissible_mass, build, diamond_dict,
+                      lattice_dict, zero_mass)
+from test_acceptance import TIGHT
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -33,6 +35,17 @@ def test_residual_basics(diamond):
     assert residual(b, a) == 0.3
     with pytest.raises(ShapeMismatch):
         residual(a, MassField(values=np.zeros((1, 2))))
+
+
+@pytest.mark.parametrize("shape", [(300, 251), (3, 5000), (7, 501)])
+def test_residual_over_row_blocks_is_exact(shape):
+    # many row blocks, one row per block, and a single block
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(size=shape), rng.uniform(size=shape)
+    for row in (0, shape[0] - 1):
+        b[row, -1] = a[row, -1] + 2.0 + row
+        want = float(np.max(np.abs(b - a)))
+        assert residual(MassField(values=a), MassField(values=b)) == want
 
 
 def test_membership_zero_mass(diamond):
@@ -141,7 +154,7 @@ def test_solver_flags_residual_increases():
 
 
 def oscillating_lattice():
-    """A lightly damped lattice whose residual rises often in 25 steps (nine
+    """A lightly damped lattice whose residual rises often in 25 steps (ten
     times by Anderson)."""
     doc = lattice_dict(3, steps=40)
     doc["solver"].update(gamma=0.9, max_iter=25, tol=1e-12)
@@ -205,7 +218,7 @@ def test_picard_is_the_empty_history_step(monkeypatch):
     # the first step, and the step after every residual rise, is damped
     # Picard bit for bit; the others are not
     picard = {0} | set(report.residual_increases)
-    assert len(picard) == 10
+    assert len(picard) == 11
     for k in range(len(calls) - 1):
         same = calls[k + 1][0].tobytes() == picard_step(calls[k], gamma).tobytes()
         assert same == (k in picard), k
@@ -216,7 +229,7 @@ def test_residual_rise_empties_the_history(monkeypatch):
     net, ps, scen, grid = oscillating_lattice()
     report = solve(net, ps, scen)
     rises = report.residual_increases
-    assert report.restarts == len(rises) == 9
+    assert report.restarts == len(rises) == 10
     gamma = scen.solver.gamma
     checked = 0
     for k in rises:
@@ -231,6 +244,73 @@ def test_residual_rise_empties_the_history(monkeypatch):
         np.testing.assert_allclose(calls[k + 2][0], want, rtol=1e-12, atol=1e-15)
         checked += 1
     assert checked >= 3
+
+
+def lattice_4x4(steps: int = 250, tol: float | None = None):
+    """The benchmark's seeded 4x4 lattice, optionally on another grid or
+    tolerance."""
+    doc = WORKLOADS.WORKLOADS["lattice-4x4"](ROOT, 1)
+    doc["model"]["steps"] = steps
+    if tol is not None:
+        doc["solver"]["tol"] = tol
+    return build(doc)
+
+
+def test_anderson_is_undamped_until_the_first_restart(monkeypatch):
+    calls = record_psi(monkeypatch)
+    net, ps, scen, grid = lattice_4x4()
+    report = solve(net, ps, scen)
+    assert report.converged and report.restarts == 0
+    assert report.iterations == len(calls) == 4
+    gamma = scen.solver.gamma
+    # the first step is damped Picard, every later one the image minus the
+    # Anderson correction, unmixed
+    assert calls[1][0].tobytes() == picard_step(calls[0], gamma).tobytes()
+    xs = [x for x, _ in calls]
+    fs = [g - x for x, g in calls]
+    for k in range(1, len(calls) - 1):
+        lo = max(1, k + 1 - equilibrium.ANDERSON_DEPTH)
+        dxs = [xs[j] - xs[j - 1] for j in range(lo, k + 1)]
+        dfs = [fs[j] - fs[j - 1] for j in range(lo, k + 1)]
+        gram = np.array([[float((a * b).sum()) for b in dfs] for a in dfs])
+        c = np.linalg.solve(gram, [float((a * fs[k]).sum()) for a in dfs])
+        correction = sum(ci * (dx + df) for ci, dx, df in zip(c, dxs, dfs))
+        want = np.maximum(calls[k][1] - correction, 0.0)
+        np.testing.assert_allclose(calls[k + 1][0], want, rtol=1e-12, atol=0.0)
+        mixed = sum(ci * (dx + gamma * df) for ci, dx, df in zip(c, dxs, dfs))
+        damped = np.maximum(picard_step(calls[k], gamma) - mixed, 0.0)
+        assert not np.allclose(calls[k + 1][0], damped, rtol=1e-6, atol=0.0)
+
+
+def test_failed_pivot_falls_back_to_picard(monkeypatch):
+    # no pivot passes, so every Anderson step, the undamped first one
+    # included, falls back to damped Picard: the solve is Picard's bit for bit
+    monkeypatch.setattr(equilibrium, "PIVOT_RTOL", 2.0)
+    net, ps, scen, grid = lattice_4x4()
+    report = solve(net, ps, scen)
+    assert report.restarts == report.iterations - 2
+    monkeypatch.setattr(equilibrium, "ANDERSON_DEPTH", 0)
+    picard = solve(net, ps, scen)
+    assert report.residuals == picard.residuals
+    assert report.mass.values.tobytes() == picard.mass.values.tobytes()
+
+
+def test_undamped_steps_speed_up_the_slow_lattice():
+    # 39 map evaluations when every Anderson step was damped
+    report = solve(*lattice_4x4(steps=500, tol=1e-9)[:3])
+    assert report.converged and report.iterations <= 8
+
+
+def test_tight_speed_limited_sweep_converges():
+    # coarse speed-limited grids, where policies switch between evaluations:
+    # 1105 map evaluations in all when every Anderson step was damped
+    counts = {}
+    for steps in range(30, 161, 10):
+        doc = diamond_dict(steps=steps, constrained=TIGHT, solver={"tol": 0.02})
+        report = solve(*build(doc)[:3])
+        assert report.converged, steps
+        counts[steps] = report.iterations
+    assert sum(counts.values()) <= 1105, counts
 
 
 def test_depth_zero_has_no_history(monkeypatch, picard):

@@ -15,9 +15,10 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # Across a map evaluation the solver holds 3 + 2 * (ANDERSON_DEPTH - 1) = 7
 # pair-sized arrays: the pre-image, the previous pre-image and its residual,
 # and two difference pairs.  psi adds its flows, its image and its per-suffix
-# value and policy tables, and a stage a temporary or two.  The bound leaves
-# room for one more stage temporary, not for a second copy of the tables.
-PEAK_PAIR_ARRAYS = 12.5
+# value and policy tables, and a stage a temporary or two; the residual takes
+# none.  The solve peaks at 10.9 in integrate_mass; the bound leaves no room
+# for a full-size temporary in the residual (11.4) or a copy of the tables.
+PEAK_PAIR_ARRAYS = 11.25
 
 
 def test_lattice_solve_peaks_below_bound():
