@@ -15,14 +15,13 @@ from .equilibrium import (EquilibriumReport, XMembership, residual, solve,
 from .errors import (BadEdge, CycleDetected, DegenerateSimplex, MassBoundExceeded,
                      MFRouteError, ParseError, ShapeMismatch, SimplexViolation,
                      TooManyPaths, Unreachable, ValidationError)
-from .flow import (IntegrationResult, PsiResult, apply_psi, compute_flows,
-                   integrate_mass, local_decision)
+from .flow import (IntegrationResult, MassField, Policy, PsiResult, apply_psi,
+                   compute_flows, integrate_mass, local_decision)
 from .network import Edge, Network, PathSet, build_network, enumerate_paths
 from .preference import logit_response, path_costs, preference_evolution
 from .scenario import (CongestionCost, LambdaSpec, Scenario, SolverSettings,
                        TimeGrid, load_scenario, make_grid, prefix_integral,
                        scenario_checks, scenario_from_dict, scenario_to_dict)
-from .value import (EdgeCongestion, MassField, Policy, congestion_total,
-                    value_backward)
+from .value import EdgeCongestion, congestion_total, value_backward
 
 __version__ = "0.1.0"

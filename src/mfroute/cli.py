@@ -26,12 +26,11 @@ import numpy as np
 from . import __version__
 from .equilibrium import XMembership, residual, solve, verify_X_membership
 from .errors import MFRouteError, ParseError, ShapeMismatch, ValidationError
-from .flow import PsiResult, apply_psi
+from .flow import MassField, PsiResult, apply_psi
 from .network import Network, PathSet
 from .oracle import audit_conservation, check_value_tables
 from .scenario import (Scenario, TimeGrid, load_scenario, scenario_checks,
                        scenario_from_dict, scenario_to_dict, _read_json)
-from .value import MassField
 
 
 # Cells per row block of a CSV export.  On the widest benchmark table
@@ -291,7 +290,7 @@ def cmd_oracle(args) -> int:
         psi = apply_psi(net, ps, scen, mass)
         floor = psi.arrival.floor_idx if psi.arrival is not None else None
         mismatches = check_value_tables(net, ps, scen, psi.congestion, psi.value,
-                                        psi.policy, floor)
+                                        psi.policy.tau_idx, floor)
         if mismatches:
             ok = False
             for m in mismatches:

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .flow import PsiResult, apply_psi
+from .flow import MassField, PsiResult, apply_psi
 from .network import Network, PathSet, edge_totals
 from .scenario import Scenario
-from .value import MassField
 
 # Absolute slack on the mass and difference-quotient bounds of X membership.
 MEMBERSHIP_SLACK = 1e-9

@@ -13,11 +13,13 @@ restarts from +0.0 wherever a clip falls, from the row's increments rebuilt
 by the same expressions; it performs the same additions as stepping node by
 node, so it gives the same bits.
 
-The integrator keeps the discrete balance auditable: per-step injections are
-normalized so that their running sum telescopes to dt * throughput exactly,
-and the moved-mass terms are computed once per pair so that every unit that
-leaves a row is bit-identical to the unit entering its successor row.  The
-terms are not kept: :func:`mfroute.oracle.audit_conservation` re-derives them.
+The integrator keeps the discrete balance auditable: per-step injections
+split the budget by the path shares the flows read, normalized so that their
+running sum telescopes to dt * throughput exactly, and the moved-mass terms
+are computed once per pair so that every unit that leaves a row is
+bit-identical to the unit entering its successor row.  The terms are not
+kept: :func:`mfroute.oracle.audit_conservation` re-derives them.  The
+stages hand over plain arrays; the records live at psi's boundary.
 """
 
 from __future__ import annotations
@@ -26,27 +28,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import constrained
 from .errors import DegenerateSimplex, MassBoundExceeded, ShapeMismatch
 from .network import Network, PathSet, edge_totals
 from .scenario import Scenario
-from .value import (EdgeCongestion, MassField, Policy, congestion_total,
-                    value_backward)
+from .value import EdgeCongestion, congestion_total, value_backward
 from .preference import build_preferences
 
 
 @dataclass(frozen=True)
-class IntegrationResult:
-    """Euler-integrated mass and the sum, maximum and count of clipped amounts.
+class MassField:
+    """Per-(edge, path) mass trajectories, one row per pair, path-major: the
+    input and image of :func:`apply_psi` and the solver's iterate."""
 
-    The pre-clip update is rho[r, i+1] = rho[r, i] + (plus[r, i] - moved[r, i])
-    with ``moved = dt * flows`` and plus the row's :func:`injection_terms`
-    share or its predecessor's moved term.
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class Policy:
+    """The arrival-time policy gathered to pairs, as ``PsiResult.policy``.
+
+    ``tau_idx[r, i]`` is the grid node at which an agent entering pair r's
+    edge at node i arrives at its head, or -1 when it stays at the edge tail
+    for the rest of the horizon.
     """
 
-    mass: MassField
-    clip_total: float = 0.0
-    clip_max: float = 0.0
-    clip_count: int = 0
+    tau_idx: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True)
+class IntegrationResult:
+    """The sum, maximum and count of the amounts :func:`integrate_mass` clipped."""
+
+    clip_total: float
+    clip_max: float
+    clip_count: int
 
 
 @dataclass(frozen=True)
@@ -55,9 +71,10 @@ class PsiResult:
     that the solver, the export and the conservation audit read.
 
     Per distinct path suffix, the rows of ``PathSet.suffix_table``:
-    ``suffix_value``, the remaining cost, and ``suffix_policy``.  Per (edge,
-    path) pair: ``flows``, the outgoing flow, and ``value`` and ``policy``,
-    which gather the suffix rows through ``pair_suffix`` on every access.
+    ``suffix_value``, the remaining cost, and ``suffix_tau_idx``, the
+    arrival node (-1: stay).  Per (edge, path) pair: ``flows``, the outgoing
+    flow, and ``value`` and ``policy``, which gather the suffix rows through
+    ``pair_suffix`` on every access.
     Per path: ``costs``, of following the policy, the logit ``response`` and
     the preferences ``z``.  Each has one column per grid node.
     """
@@ -65,7 +82,7 @@ class PsiResult:
     mass: MassField
     congestion: EdgeCongestion
     suffix_value: np.ndarray
-    suffix_policy: Policy
+    suffix_tau_idx: np.ndarray = field(repr=False)
     pair_suffix: np.ndarray = field(repr=False)
     costs: np.ndarray
     response: np.ndarray
@@ -81,12 +98,14 @@ class PsiResult:
 
     @property
     def policy(self) -> Policy:
-        return Policy(tau_idx=self.suffix_policy.tau_idx[self.pair_suffix])
+        return Policy(tau_idx=self.suffix_tau_idx[self.pair_suffix])
 
 
 def local_decision(z: np.ndarray) -> np.ndarray:
     """Fraction of entering agents that choose each path: the path's share
-    of the current preference total, per node."""
+    of the current preference total, per node.  With two or more columns
+    numpy sums axis 0 of a C-ordered array one row at a time, left to right,
+    as the conservation audit does; one column it would sum pairwise."""
     z = np.asarray(z, dtype=float)
     totals = z.sum(axis=0)
     if np.any(totals <= 0.0):
@@ -94,21 +113,21 @@ def local_decision(z: np.ndarray) -> np.ndarray:
     return z / totals
 
 
-def compute_flows(ps: PathSet, policy: Policy, z: np.ndarray, lam: np.ndarray,
-                  k_idx_edges: np.ndarray) -> np.ndarray:
+def compute_flows(ps: PathSet, tau_idx: np.ndarray, shares: np.ndarray,
+                  lam: np.ndarray, k_idx_edges: np.ndarray) -> np.ndarray:
     """Delayed outgoing flow per (edge, path) pair, evaluated by path position.
 
-    ``policy`` has one row per path suffix, as :func:`value_backward`
-    returns it.  A first edge replays the origin inflow from ``k`` steps
-    earlier; any other edge replays its predecessor's outflow.  Both are gated by the
-    sign of the control chosen at the replayed entry time, so stopped
-    traffic emits no flow.  The pairs at one path position that share a
-    delay are evaluated together, after the position before them.  A pair's
-    flow is zero before its delay.
+    ``tau_idx`` has one row per path suffix, as :func:`value_backward`
+    returns it, and ``shares`` are those of :func:`local_decision`.  A first
+    edge replays the origin inflow from ``k`` steps earlier; any other edge
+    replays its predecessor's outflow.  Both are gated by the sign of the
+    control chosen at the replayed entry time, so stopped traffic emits no
+    flow.  The pairs at one path position that share a delay are evaluated
+    together, after the position before them.  A pair's flow is zero before
+    its delay.
     """
     n_nodes = lam.shape[0]
-    shares = local_decision(z)
-    moving = policy.tau_idx >= 0
+    moving = tau_idx >= 0
     pair_suffix = ps.suffix_table[1]
     f = np.zeros((ps.pair_count, n_nodes))
     delays = k_idx_edges[ps.pair_edge_idx]
@@ -125,24 +144,16 @@ def compute_flows(ps: PathSet, policy: Policy, z: np.ndarray, lam: np.ndarray,
     return f
 
 
-def injection_terms(z_cols: np.ndarray, lam_cols: np.ndarray, dt: float) -> np.ndarray:
+def injection_terms(shares: np.ndarray, lam_cols: np.ndarray, dt: float) -> np.ndarray:
     """Per-path injected mass for each step, summing exactly to dt * throughput.
 
-    The last path's share is computed as the residual of the step budget so
-    the ascending-path running sum reproduces dt * lam bitwise; each share
-    still equals budget * z_p / sum(z) up to one rounding.
+    ``shares`` are the step columns of :func:`local_decision`.  The last
+    path's share is computed as the residual of the step budget so the
+    ascending-path running sum reproduces dt * lam bitwise; each share still
+    equals budget * z_p / sum(z) up to one rounding.
     """
     budget = dt * lam_cols
-    # Left-associated accumulation in ascending path order; the conservation
-    # audit recomputes these shares with the same order and expects bit
-    # equality, and numpy's pairwise axis sum would differ for many paths.
-    totals = np.array(z_cols[0], dtype=float)
-    for p in range(1, z_cols.shape[0]):
-        totals = totals + z_cols[p]
-    if np.any(totals <= 0.0):
-        raise DegenerateSimplex("preference vector sums to a nonpositive value")
-    shares = z_cols / totals
-    n_paths = z_cols.shape[0]
+    n_paths = shares.shape[0]
     inj = np.empty_like(shares)
     partial = np.zeros_like(budget)
     for p in range(n_paths - 1):
@@ -161,14 +172,18 @@ def injection_terms(z_cols: np.ndarray, lam_cols: np.ndarray, dt: float) -> np.n
     return inj
 
 
-def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, z: np.ndarray,
-                   lam: np.ndarray, rho0: np.ndarray) -> IntegrationResult:
+def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, inj: np.ndarray,
+                   rho0: np.ndarray) -> tuple[np.ndarray, IntegrationResult]:
     """Explicit Euler integration of the conservation law.
 
-    Negative undershoot (possible at Euler order with delayed flows) is
-    clipped at zero and its magnitude reported.  Raises
-    :class:`MassBoundExceeded` if any total edge mass exceeds the configured
-    maximum, which a validated scenario should make impossible.
+    Returns the mass, one row per pair, and the clip statistics.  The
+    pre-clip update is rho[r, i+1] = rho[r, i] + (plus[r, i] - moved[r, i])
+    with ``moved = dt * flows`` and plus the row's path's ``inj``, from
+    :func:`injection_terms`, or its predecessor's moved term.  Negative
+    undershoot (possible at Euler order with delayed flows) is clipped at
+    zero and its magnitude reported.  Raises :class:`MassBoundExceeded` if
+    any total edge mass exceeds the configured maximum, which a validated
+    scenario should make impossible.
 
     The result is bitwise that of the stepwise recurrence
     ``state = np.maximum(state + delta[:, i], 0.0)`` from ``rho0``: each row
@@ -181,10 +196,9 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, z: np.ndarray
     """
     grid = scen.grid
     n = grid.steps
-    if flows.shape != (ps.pair_count, n + 1) or z.shape[1] != n + 1:
-        raise ShapeMismatch("flow/preference arrays do not match the grid")
+    if flows.shape != (ps.pair_count, n + 1) or inj.shape[1] != n:
+        raise ShapeMismatch("flow/injection arrays do not match the grid")
     dt = grid.dt
-    inj = injection_terms(z[:, :n], lam[:n], dt)
     # The increments are built inside the mass array: column i + 1 of row r
     # takes moved[r, i] = dt * flows[r, i], then plus[r, i] - moved[r, i].
     # Positions run from the last, so a predecessor row still holds its
@@ -245,8 +259,8 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, z: np.ndarray
         clip_max = max(clip_max, float(clipped.max()))
         clip_count += len(clips[i])
     _check_mass_bound(ps, scen, mass)
-    return IntegrationResult(mass=MassField(values=mass), clip_total=clip_total,
-                             clip_max=clip_max, clip_count=clip_count)
+    return mass, IntegrationResult(clip_total=clip_total, clip_max=clip_max,
+                                   clip_count=clip_count)
 
 
 def _needs_fix(values: np.ndarray) -> np.ndarray:
@@ -263,22 +277,24 @@ def _check_mass_bound(ps: PathSet, scen: Scenario, mass: np.ndarray) -> None:
 
 def apply_psi(net: Network, ps: PathSet, scen: Scenario, mass: MassField) -> PsiResult:
     """Full pipeline: mass -> values/policy -> costs -> preferences -> flows -> mass."""
-    cong = congestion_total(ps, scen, mass)
+    cong = congestion_total(ps, scen, mass.values)
     arrival = None
     if scen.constrained.enabled:
-        from .constrained import arrival_tables, build_speed_limits
-
-        limits = build_speed_limits(net, scen)
-        arrival = arrival_tables(net, scen, cong, limits)
-        values, policy = value_backward(net, ps, scen, cong, arrival.floor_idx)
+        limits = constrained.build_speed_limits(net, scen)
+        arrival = constrained.arrival_tables(net, scen, cong, limits)
+        values, tau_idx = value_backward(net, ps, scen, cong, arrival.floor_idx)
         k_idx_edges = arrival.k_idx
     else:
-        values, policy = value_backward(net, ps, scen, cong)
+        values, tau_idx = value_backward(net, ps, scen, cong)
         k_idx_edges = np.full(len(net.edges), scen.k_idx, dtype=np.int64)
-    costs, response, z = build_preferences(net, ps, scen, cong, policy)
-    flows = compute_flows(ps, policy, z, scen.lam, k_idx_edges)
-    integ = integrate_mass(ps, scen, flows, z, scen.lam, scen.rho0)
-    return PsiResult(mass=integ.mass, congestion=cong, suffix_value=values,
-                     suffix_policy=policy, pair_suffix=ps.suffix_table[1],
-                     costs=costs, response=response, z=z, flows=flows,
-                     integration=integ, k_idx_edges=k_idx_edges, arrival=arrival)
+    costs, response, z = build_preferences(net, ps, scen, cong, tau_idx)
+    shares = local_decision(z)
+    flows = compute_flows(ps, tau_idx, shares, scen.lam, k_idx_edges)
+    inj = injection_terms(shares[:, :-1], scen.lam[:-1], scen.grid.dt)
+    del shares  # not alive when integrate_mass allocates the mass
+    new_mass, integ = integrate_mass(ps, scen, flows, inj, scen.rho0)
+    return PsiResult(mass=MassField(values=new_mass), congestion=cong,
+                     suffix_value=values, suffix_tau_idx=tau_idx,
+                     pair_suffix=ps.suffix_table[1], costs=costs, response=response,
+                     z=z, flows=flows, integration=integ, k_idx_edges=k_idx_edges,
+                     arrival=arrival)

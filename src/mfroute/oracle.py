@@ -28,7 +28,7 @@ import numpy as np
 from .flow import PsiResult
 from .network import Network, PathSet
 from .scenario import Scenario
-from .value import EdgeCongestion, Policy
+from .value import EdgeCongestion
 
 # check_value_tables stops after this many mismatches.
 MAX_REPORTED_MISMATCHES = 10
@@ -140,13 +140,15 @@ class ValueMismatch:
 
 
 def check_value_tables(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
-                       values: np.ndarray, policy: Policy,
+                       values: np.ndarray, tau_idx: np.ndarray,
                        arrival_floor: np.ndarray | None = None) -> list[ValueMismatch]:
     """Compare value tables and policies against the exhaustive enumeration.
 
-    ``values`` has one row per (edge, path) pair, as :func:`value_backward`
-    returns it; ``cong`` and ``arrival_floor`` are the tables' inputs.  Any
-    deviation at all is a defect: the comparison is exact equality.
+    ``values`` and ``tau_idx`` have one row per (edge, path) pair, as
+    ``PsiResult.value`` and ``.policy`` gather them from the per-suffix rows
+    of :func:`value_backward`; ``cong`` and ``arrival_floor`` are the
+    tables' inputs.  Any deviation at all is a defect: the comparison is
+    exact equality.
     """
     mismatches: list[ValueMismatch] = []
     for p in range(ps.n_paths):
@@ -157,7 +159,7 @@ def check_value_tables(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCong
                 value, tau = oracle_choice(ctx, pos, i)
                 for kind, got, expected in (
                         ("value", float(values[r, i]), value),
-                        ("policy", float(policy.tau_idx[r, i]), float(tau))):
+                        ("policy", float(tau_idx[r, i]), float(tau))):
                     if got != expected:
                         mismatches.append(ValueMismatch(p, edge_id, i, kind, got, expected))
                         if len(mismatches) >= MAX_REPORTED_MISMATCHES:

@@ -83,7 +83,7 @@ under arrival floors change a single rounding step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,28 +101,6 @@ _BLOCK_BUFSIZE = 256
 
 
 @dataclass(frozen=True)
-class MassField:
-    """Per-(edge, path) mass trajectories, one row per pair, path-major."""
-
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class Policy:
-    """Optimal constant-speed controls extracted from the value tables.
-
-    ``tau_idx[r, i]`` is the grid node at which an agent entering row r's
-    edge at node i arrives at its head, or -1 when it stays at the edge tail
-    for the rest of the horizon; a row is a path suffix as
-    :func:`value_backward` returns it, or a pair as ``PsiResult.policy``
-    gathers it.  Its speed is the edge length over the travel time, and 0
-    when it stays.
-    """
-
-    tau_idx: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class EdgeCongestion:
     """Total mass per edge plus the congestion-cost prefix integrals."""
 
@@ -130,14 +108,14 @@ class EdgeCongestion:
     phi_prefix: np.ndarray  # cumulative integral of phi_e(totals)
 
 
-def congestion_total(ps: PathSet, scen: Scenario, mass: MassField) -> EdgeCongestion:
+def congestion_total(ps: PathSet, scen: Scenario, mass: np.ndarray) -> EdgeCongestion:
     """Sum pair masses into per-edge totals and integrate the congestion cost."""
     n_nodes = scen.grid.steps + 1
-    if mass.values.shape != (ps.pair_count, n_nodes):
+    if mass.shape != (ps.pair_count, n_nodes):
         raise ShapeMismatch(
             f"mass field must have shape {(ps.pair_count, n_nodes)}, "
-            f"got {mass.values.shape}")
-    totals = edge_totals(ps, mass.values)
+            f"got {mass.shape}")
+    totals = edge_totals(ps, mass)
     phi_values = np.empty_like(totals)
     for e, cost in enumerate(scen.phi):
         phi_values[e] = cost(totals[e])
@@ -147,12 +125,14 @@ def congestion_total(ps: PathSet, scen: Scenario, mass: MassField) -> EdgeConges
 
 def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
                    arrival_floor: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, Policy]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Compute value tables and the arrival-time policy under given congestion.
 
-    Returns the minimal remaining cost per distinct path suffix and grid
-    node, and the policy, one row per entry of ``ps.suffix_table``: pair r's
-    rows are those of its suffix, ``ps.suffix_table[1][r]``.
+    Returns ``(values, tau_idx)``, one row per entry of ``ps.suffix_table``
+    (pair r's rows are those of its suffix, ``ps.suffix_table[1][r]``) and
+    one column per grid node: the minimal remaining cost, and the node at
+    which an agent entering the edge at node i arrives at its head, or -1
+    when it stays at the edge tail for the rest of the horizon.
 
     ``cong`` is the mass field's congestion, from :func:`congestion_total`.
     ``arrival_floor``, when given, is an integer (n_edges, nodes) table of the
@@ -198,7 +178,7 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongesti
     finally:
         np.setbufsize(bufsize)
 
-    return values, Policy(tau_idx=tau_idx)
+    return values, tau_idx
 
 
 def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],

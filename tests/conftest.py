@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfroute import (MassField, Policy, apply_psi, congestion_total,
-                     scenario_from_dict, value_backward)
-from mfroute.flow import local_decision
+from mfroute import (MassField, apply_psi, congestion_total, scenario_from_dict,
+                     value_backward)
 
 ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def _perfbench(name: str):
@@ -119,6 +119,12 @@ def detour_parallel_dict(steps, constrained=None):
     return doc
 
 
+# Speed-limit presets: limits so loose that the arrival floors never bind,
+# and limits that bind on the diamond's congested edges.
+SLACK = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 1000.0}}}
+TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
+
+
 def varied_limits(edge_id: str) -> dict:
     """Speed limits under which edge ``edge_id`` is slower than the others,
     so the per-edge flow delays differ."""
@@ -193,8 +199,9 @@ def stage_inputs(doc: dict, seed: int = 5):
     return net, ps, scen, mass, apply_psi(net, ps, scen, mass)
 
 
-def reference_path_costs(net, ps, scen, cong, policy):
-    """Path costs and entry nodes by the per-pair loops, path after path.
+def reference_path_costs(net, ps, scen, cong, tau_idx):
+    """Path costs and entry nodes by the per-pair loops, path after path,
+    from the policy ``tau_idx`` with one row per pair.
 
     Returns ``(costs, entry)``: :func:`mfroute.path_costs` must give the same
     bits as ``costs``, and ``entry[r, i]`` is the node at which an agent that
@@ -208,7 +215,7 @@ def reference_path_costs(net, ps, scen, cong, policy):
         cur = np.arange(n + 1)
         for r in rows:
             entry[int(r)] = cur
-            nxt = policy.tau_idx[int(r), np.maximum(cur, 0)]
+            nxt = tau_idx[int(r), np.maximum(cur, 0)]
             cur = np.where(cur >= 0, nxt, -1)
     costs = np.zeros((ps.n_paths, n + 1))
     for p, rows in enumerate(ps.path_rows):
@@ -220,7 +227,7 @@ def reference_path_costs(net, ps, scen, cong, policy):
             phi = cong.phi_prefix[e]
             s = entry[r]
             s_safe = np.maximum(s, 0)
-            tau = np.where(s >= 0, policy.tau_idx[r, s_safe], -1)
+            tau = np.where(s >= 0, tau_idx[r, s_safe], -1)
             tau_safe = np.maximum(tau, 0)
             moved = (s >= 0) & (tau >= 0)
             stopped = (s >= 0) & (tau < 0)
@@ -235,11 +242,11 @@ def reference_path_costs(net, ps, scen, cong, policy):
     return costs, entry
 
 
-def reference_flows(ps, policy, z, lam, k_idx_edges) -> np.ndarray:
-    """Delayed flows by the per-pair loop, path after path."""
+def reference_flows(ps, tau_idx, shares, lam, k_idx_edges) -> np.ndarray:
+    """Delayed flows by the per-pair loop, path after path, from the policy
+    ``tau_idx`` with one row per pair."""
     n_nodes = lam.shape[0]
-    shares = local_decision(z)
-    moving = policy.tau_idx >= 0
+    moving = tau_idx >= 0
     f = np.zeros((ps.pair_count, n_nodes))
     for rows in ps.path_rows:
         for pos, r in enumerate(rows):
@@ -261,33 +268,32 @@ def reference_edge_totals(ps, pair_values):
     return totals
 
 
-def by_pair(ps, table, policy):
+def by_pair(ps, table, tau_idx):
     """Value table and policy with one row per path suffix, as
     :func:`mfroute.value_backward` returns them, gathered to one row per pair."""
     pair_suffix = ps.suffix_table[1]
-    return table[pair_suffix], Policy(tau_idx=policy.tau_idx[pair_suffix])
+    return table[pair_suffix], tau_idx[pair_suffix]
 
 
 def value_stage(net, ps, scen, mass, arrival_floor=None):
-    """A mass field's congestion, and the value tables and policy under it,
-    one row per pair."""
-    cong = congestion_total(ps, scen, mass)
-    table, policy = by_pair(ps, *value_backward(net, ps, scen, cong, arrival_floor))
-    return cong, table, policy
+    """A mass field's congestion, and the value tables and policy ``tau_idx``
+    under it, one row per pair."""
+    cong = congestion_total(ps, scen, mass.values)
+    table, tau_idx = by_pair(ps, *value_backward(net, ps, scen, cong, arrival_floor))
+    return cong, table, tau_idx
 
 
-def arrival_times(grid, policy):
+def arrival_times(grid, tau_idx):
     """Arrival time per pair and entry node, +inf where the policy stays."""
-    tau = policy.tau_idx
-    return np.where(tau >= 0, grid.nodes[np.maximum(tau, 0)], np.inf)
+    return np.where(tau_idx >= 0, grid.nodes[np.maximum(tau_idx, 0)], np.inf)
 
 
-def speeds(net, ps, grid, policy):
+def speeds(net, ps, grid, tau_idx):
     """Constant traversal speed per pair and entry node, 0 where the policy
     stays: the edge length over the travel time."""
     lengths = net.lengths[ps.pair_edge_idx][:, None]
-    return np.where(policy.tau_idx >= 0,
-                    lengths / (arrival_times(grid, policy) - grid.nodes[None, :]), 0.0)
+    return np.where(tau_idx >= 0,
+                    lengths / (arrival_times(grid, tau_idx) - grid.nodes[None, :]), 0.0)
 
 
 def zero_mass(ps, grid) -> MassField:

@@ -13,17 +13,14 @@ import numpy as np
 import pytest
 
 import mfroute.equilibrium as equilibrium
-from mfroute import (ReciprocalSpeedLimit, apply_psi, make_grid,
-                     min_arrival, residual, solve, verify_X_membership)
+from mfroute import (ReciprocalSpeedLimit, apply_psi, make_grid, min_arrival, solve,
+                     verify_X_membership)
 from mfroute.cli import main as cli_main
 from mfroute.oracle import audit_conservation, check_value_tables
 from mfroute.preference import logit_response
 
-from conftest import (admissible_mass, build, diamond_dict, speeds, value_stage,
-                      zero_mass)
-
-SLACK = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 1000.0}}}
-TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
+from conftest import (SLACK, TIGHT, admissible_mass, build, diamond_dict, speeds,
+                      value_stage, zero_mass)
 
 
 def report(num: int, ok: bool, detail: str) -> None:

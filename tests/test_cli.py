@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfroute.cli as cli
-from mfroute import MassField, ParseError, Policy, load_scenario, solve
+from mfroute import MassField, ParseError, load_scenario, solve
 from mfroute.cli import main, read_mass_csv, write_mass_csv
 
-from conftest import (STAGE_DOCS, arrival_times, build, chain_dict, diamond_dict,
-                      per_cell_csv)
+from conftest import (SLACK, STAGE_DOCS, TIGHT, arrival_times, build, chain_dict,
+                      diamond_dict, per_cell_csv)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -529,7 +529,7 @@ def test_policy_csv_uses_inf_token(write_scenario, tmp_path, capsys):
     assert float(last.split(",")[1]) == float("inf")
     # one column per pair: the arrival times of the equilibrium's policy
     net, ps, scen, grid = load_scenario(scenario)
-    tau = arrival_times(grid, solve(net, ps, scen).psi.policy)
+    tau = arrival_times(grid, solve(net, ps, scen).psi.policy.tau_idx)
     table = np.loadtxt(out_dir / "policy.csv", delimiter=",", skiprows=1)
     assert table[:, 1:].T.tobytes() == tau.tobytes()
 
@@ -537,8 +537,7 @@ def test_policy_csv_uses_inf_token(write_scenario, tmp_path, capsys):
 def test_solve_constrained_flag_with_slack_limits_matches_plain(write_scenario,
                                                                 tmp_path, capsys):
     doc = diamond_dict(steps=80)
-    doc["constrained"] = {"enabled": False,
-                          "u": {"default": {"family": "reciprocal", "coeff": 1000.0}}}
+    doc["constrained"] = {**SLACK, "enabled": False}
     scenario = write_scenario(doc)
     plain = tmp_path / "plain"
     limited = tmp_path / "limited"
@@ -568,8 +567,7 @@ def test_oracle_passes_on_coarse_grid(write_scenario, capsys):
 
 
 def test_oracle_constrained_mode(write_scenario, capsys):
-    doc = diamond_dict(steps=8, constrained={
-        "enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}})
+    doc = diamond_dict(steps=8, constrained=TIGHT)
     scenario = write_scenario(doc)
     code, out = run(capsys, "oracle", str(scenario))
     assert code == 0
@@ -587,11 +585,9 @@ def test_oracle_detects_injected_policy_fault(write_scenario, capsys, monkeypatc
     real = flow_mod.value_backward
 
     def crooked(net, ps, scen, cong, *args):
-        table, policy = real(net, ps, scen, cong, *args)
+        table, tau = real(net, ps, scen, cong, *args)
         n = scen.grid.steps
-        shifted = np.where((policy.tau_idx >= 0) & (policy.tau_idx < n),
-                           policy.tau_idx + 1, policy.tau_idx)
-        return table, Policy(tau_idx=shifted)
+        return table, np.where((tau >= 0) & (tau < n), tau + 1, tau)
 
     monkeypatch.setattr(flow_mod, "value_backward", crooked)
     scenario = write_scenario(diamond_dict(steps=8))

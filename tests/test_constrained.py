@@ -12,11 +12,8 @@ from mfroute import (MassField, ParseError, ReciprocalSpeedLimit, TabulatedSpeed
                      value_backward)
 from mfroute.oracle import check_value_tables
 
-from conftest import (admissible_mass, build, by_pair, diamond_dict, row, speeds,
-                      value_stage, zero_mass)
-
-SLACK = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 1000.0}}}
-TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
+from conftest import (SLACK, TIGHT, admissible_mass, build, by_pair, diamond_dict, row,
+                      speeds, value_stage, zero_mass)
 
 
 def speed_limits(spec, enabled=True):
@@ -143,9 +140,9 @@ def test_blocked_edge_forces_stay():
     net, ps, scen, grid = build(doc)
     mass = MassField(values=np.tile(scen.rho0[:, None], (1, grid.steps + 1)))
     psi = apply_psi(net, ps, scen, mass)
-    table, policy = psi.value, psi.policy
+    table, policy = psi.value, psi.policy.tau_idx
     r = row(ps, "e3", ps.paths.index(("e1", "e3", "e5")))
-    assert np.all(policy.tau_idx[r] == -1)
+    assert np.all(policy[r] == -1)
     assert np.all(speeds(net, ps, grid, policy)[r] == 0.0)
     e3 = net.edge_index["e3"]
     cong = psi.congestion
@@ -168,7 +165,7 @@ def test_constrained_tables_match_enumeration():
     net, ps, scen, grid = build(diamond_dict(steps=10, constrained=TIGHT))
     rng = np.random.default_rng(47)
     mass = admissible_mass(rng, ps, scen)
-    cong = congestion_total(ps, scen, mass)
+    cong = congestion_total(ps, scen, mass.values)
     limits = build_speed_limits(net, scen)
     arr = arrival_tables(net, scen, cong, limits)
     table, policy = by_pair(ps, *value_backward(net, ps, scen, cong, arr.floor_idx))

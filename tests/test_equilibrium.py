@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +13,8 @@ from mfroute import (MassField, ShapeMismatch, apply_psi,
                      load_scenario, residual, solve, verify_X_membership)
 from mfroute.oracle import audit_conservation
 
-from conftest import (ROOT, WORKLOADS, admissible_mass, build, diamond_dict,
+from conftest import (ROOT, SCENARIOS, TIGHT, WORKLOADS, build, diamond_dict,
                       lattice_dict, zero_mass)
-from test_acceptance import TIGHT
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN_RESIDUALS_500 = [0.611642397957458, 0.29752430428880045,
                         0.14716729696282627, 0.06783532419631133,

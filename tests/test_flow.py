@@ -2,25 +2,34 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
-from mfroute import (DegenerateSimplex, MassBoundExceeded, MassField,
-                     Policy, apply_psi, compute_flows, integrate_mass,
-                     local_decision)
+from mfroute import (DegenerateSimplex, MassBoundExceeded, apply_psi, compute_flows,
+                     integrate_mass, local_decision)
 from mfroute.flow import injection_terms
 from mfroute.oracle import audit_conservation
 
-from conftest import (STAGE_DOCS, admissible_mass, build, diamond_dict, lattice_dict,
-                      reference_flows, row, stage_inputs, zero_mass)
+from conftest import (STAGE_DOCS, TIGHT, admissible_mass, build, diamond_dict,
+                      lattice_dict, reference_flows, row, stage_inputs, zero_mass)
 
 
 def all_moving_policy(ps, n_nodes):
-    """Every suffix moves on at the next node: one row per path suffix."""
+    """Every suffix moves on at the next node: ``tau_idx`` with one row per
+    path suffix."""
     tau = np.minimum(np.arange(n_nodes) + 1, n_nodes - 1)
-    return Policy(tau_idx=np.tile(tau, (len(ps.suffix_table[0]), 1)))
+    return np.tile(tau, (len(ps.suffix_table[0]), 1))
+
+
+def injections(grid, z, lam):
+    """The injections psi hands to integrate_mass for preferences ``z``."""
+    n = grid.steps
+    return injection_terms(local_decision(z)[:, :n], lam[:n], grid.dt)
+
+
+def integrate(ps, scen, flows, z, lam, rho0):
+    """integrate_mass with the injections of ``z`` and ``lam``."""
+    return integrate_mass(ps, scen, flows, injections(scen.grid, z, lam), rho0)
 
 
 def test_local_decision_uniform():
@@ -52,8 +61,9 @@ def test_local_decision_degenerate():
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
 def test_flows_match_per_pair_reference(doc):
     net, ps, scen, mass, psi = stage_inputs(doc)
-    flows = compute_flows(ps, psi.suffix_policy, psi.z, scen.lam, psi.k_idx_edges)
-    ref = reference_flows(ps, psi.policy, psi.z, scen.lam, psi.k_idx_edges)
+    shares = local_decision(psi.z)
+    flows = compute_flows(ps, psi.suffix_tau_idx, shares, scen.lam, psi.k_idx_edges)
+    ref = reference_flows(ps, psi.policy.tau_idx, shares, scen.lam, psi.k_idx_edges)
     assert flows.tobytes() == ref.tobytes()
     if scen.constrained.enabled:
         # pairs at one path position with different delays
@@ -66,7 +76,8 @@ def test_flows_zero_before_delay(diamond):
     n_nodes = grid.steps + 1
     z = np.ones((3, n_nodes))
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
-    f = compute_flows(ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
+    f = compute_flows(ps, all_moving_policy(ps, n_nodes), local_decision(z), scen.lam,
+                      k_idx)
     assert np.all(f[:, :scen.k_idx] == 0.0)
     assert np.any(f[:, scen.k_idx:] > 0.0)
 
@@ -76,7 +87,8 @@ def test_flow_two_stage_unroll(diamond):
     n_nodes = grid.steps + 1
     z = np.ones((3, n_nodes))
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
-    f = compute_flows(ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
+    f = compute_flows(ps, all_moving_policy(ps, n_nodes), local_decision(z), scen.lam,
+                      k_idx)
     p = ps.paths.index(("e1", "e4"))
     r_first = row(ps, "e1", p)
     r_last = row(ps, "e4", p)
@@ -93,9 +105,9 @@ def test_stopped_edge_emits_nothing(diamond):
     pol = all_moving_policy(ps, n_nodes)
     p = ps.paths.index(("e1", "e3", "e5"))
     r = row(ps, "e3", p)
-    pol.tau_idx[ps.suffix_table[1][r], :] = -1
+    pol[ps.suffix_table[1][r], :] = -1
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
-    f = compute_flows(ps, pol, z, scen.lam, k_idx)
+    f = compute_flows(ps, pol, local_decision(z), scen.lam, k_idx)
     assert np.all(f[r] == 0.0)
     # downstream of the stopped edge nothing arrives either
     assert np.all(f[row(ps, "e5", p)] == 0.0)
@@ -116,11 +128,11 @@ def test_delay_causality(diamond):
     z = rng.uniform(0.1, 1.0, size=(3, n_nodes))
     pol = all_moving_policy(ps, n_nodes)
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
-    f1 = compute_flows(ps, pol, z, scen.lam, k_idx)
+    f1 = compute_flows(ps, pol, local_decision(z), scen.lam, k_idx)
     cut = 40
     z2 = z.copy()
     z2[:, cut:] = rng.uniform(0.1, 1.0, size=(3, n_nodes - cut))
-    f2 = compute_flows(ps, pol, z2, scen.lam, k_idx)
+    f2 = compute_flows(ps, pol, local_decision(z2), scen.lam, k_idx)
     assert np.array_equal(f1[:, :cut + scen.k_idx],
                           f2[:, :cut + scen.k_idx])
 
@@ -135,7 +147,7 @@ def increments(ps, grid, flows, z, lam):
     documents: the row's injection or its predecessor's moved mass, minus
     its own."""
     mov = moved_terms(grid, flows)
-    inj = injection_terms(z[:, :grid.steps], lam[:grid.steps], grid.dt)
+    inj = injections(grid, z, lam)
     plus = np.empty_like(mov)
     first_rows = np.flatnonzero(ps.first_mask)
     nonfirst = np.flatnonzero(~ps.first_mask)
@@ -149,7 +161,8 @@ def test_increments_before_delay_are_pure_inflow(diamond):
     n_nodes = grid.steps + 1
     z = np.ones((3, n_nodes))
     k_idx = np.full(5, scen.k_idx, dtype=np.int64)
-    f = compute_flows(ps, all_moving_policy(ps, n_nodes), z, scen.lam, k_idx)
+    f = compute_flows(ps, all_moving_policy(ps, n_nodes), local_decision(z), scen.lam,
+                      k_idx)
     h = increments(ps, grid, f, z, scen.lam)[:, :scen.k_idx]
     first_rows = np.flatnonzero(ps.first_mask)
     assert np.allclose(h[first_rows], grid.dt / 3.0, rtol=1e-15)
@@ -174,14 +187,14 @@ def test_increments_route_concentrated_preference(diamond):
     z = np.zeros((3, n_nodes))
     z[0] = 1.0  # everything on the long path (e1, e3, e5)
     f = np.zeros((ps.pair_count, n_nodes))
-    integ = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
+    mass, _ = integrate(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
     h = increments(ps, grid, f, z, scen.lam)
     r = row(ps, "e1", 0)
     assert np.allclose(h[r], grid.dt * scen.lam[:grid.steps], rtol=1e-15)
     assert np.all(h[row(ps, "e2", 2)] == 0.0)
     # the routed increments are what the mass accumulates
-    assert np.array_equal(integ.mass.values[r, 1:], np.cumsum(h[r]))
-    assert np.all(integ.mass.values[row(ps, "e2", 2)] == 0.0)
+    assert np.array_equal(mass[r, 1:], np.cumsum(h[r]))
+    assert np.all(mass[row(ps, "e2", 2)] == 0.0)
 
 
 def test_injection_terms_sum_exactly_to_budget(diamond):
@@ -189,14 +202,14 @@ def test_injection_terms_sum_exactly_to_budget(diamond):
     rng = np.random.default_rng(12)
     z = rng.uniform(0.05, 2.0, size=(3, 32))
     lam = rng.uniform(0.5, 2.0, size=32)
-    inj = injection_terms(z, lam, grid.dt)
+    inj = injection_terms(local_decision(z), lam, grid.dt)
     budget = grid.dt * lam
     total = inj[0].copy()
     for p in range(1, 3):
         total = total + inj[p]
     assert np.array_equal(total, budget)
     # a single path receives the whole budget, bit for bit
-    one = injection_terms(z[:1], lam, grid.dt)
+    one = injection_terms(local_decision(z[:1]), lam, grid.dt)
     assert one.shape == (1, 32) and one[0].tobytes() == budget.tobytes()
 
 
@@ -207,8 +220,8 @@ def test_integrate_zero_rhs_keeps_initial_mass(diamond):
     z = np.ones((3, n_nodes))
     lam = np.zeros(n_nodes)
     rho0 = np.linspace(0.0, 1.0, ps.pair_count)
-    res = integrate_mass(ps, scen, f, z, lam, rho0)
-    assert np.array_equal(res.mass.values, np.tile(rho0[:, None], (1, n_nodes)))
+    mass, _ = integrate(ps, scen, f, z, lam, rho0)
+    assert np.array_equal(mass, np.tile(rho0[:, None], (1, n_nodes)))
 
 
 def test_integrate_constant_rhs_is_exact():
@@ -226,9 +239,9 @@ def test_integrate_constant_rhs_is_exact():
     n_nodes = grid.steps + 1
     f = np.zeros((1, n_nodes))
     z = np.ones((1, n_nodes))
-    res = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(1))
+    mass, _ = integrate(ps, scen, f, z, scen.lam, np.zeros(1))
     # dyadic rate and step: Euler accumulation is exact
-    assert np.array_equal(res.mass.values[0], 0.25 * grid.nodes)
+    assert np.array_equal(mass[0], 0.25 * grid.nodes)
 
 
 def test_integrate_clips_and_reports(diamond):
@@ -237,10 +250,10 @@ def test_integrate_clips_and_reports(diamond):
     f = np.zeros((ps.pair_count, n_nodes))
     f[0] = 0.6  # drains faster than the edge fills
     z = np.ones((3, n_nodes))
-    res = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
+    mass, res = integrate(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
     assert res.clip_total > 0.0
     assert res.clip_count > 0
-    assert np.all(res.mass.values >= 0.0)
+    assert np.all(mass >= 0.0)
 
 
 def test_integrate_detects_mass_bound_violation(diamond):
@@ -250,7 +263,7 @@ def test_integrate_detects_mass_bound_violation(diamond):
     z = np.ones((3, n_nodes))
     lam = np.full(n_nodes, 12.0)  # pours far beyond rho_max onto first edges
     with pytest.raises(MassBoundExceeded):
-        integrate_mass(ps, scen, f, z, lam, np.zeros(ps.pair_count))
+        integrate(ps, scen, f, z, lam, np.zeros(ps.pair_count))
 
 
 def test_fast_path_matches_stepwise_loop(diamond):
@@ -259,16 +272,16 @@ def test_fast_path_matches_stepwise_loop(diamond):
     n_nodes = grid.steps + 1
     z = rng.uniform(0.2, 1.5, size=(3, n_nodes))
     f = np.zeros((ps.pair_count, n_nodes))
-    res = integrate_mass(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
+    mass, _ = integrate(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
     # manual stepwise replay
-    inj = injection_terms(z[:, :-1], scen.lam[:-1], grid.dt)
+    inj = injections(grid, z, scen.lam)
     state = np.zeros(ps.pair_count)
     first_rows = np.flatnonzero(ps.first_mask)
     for i in range(grid.steps):
         plus = np.zeros(ps.pair_count)
         plus[first_rows] = inj[ps.pair_path_idx[first_rows], i]
         state = np.maximum(state + (plus - 0.0), 0.0)
-        assert np.array_equal(res.mass.values[:, i + 1], state)
+        assert np.array_equal(mass[:, i + 1], state)
 
 
 def stepwise_integration(delta, rho0):
@@ -344,11 +357,11 @@ def test_integrate_matches_stepwise_loop_when_clipping(name):
     net, ps, scen, grid = build(doc)
     z = np.random.default_rng(53).uniform(0.2, 1.5, size=(ps.n_paths, grid.steps + 1))
     f, rho0 = _clipping_case(name, ps, grid)
-    res = integrate_mass(ps, scen, f, z, scen.lam, rho0)
+    got, res = integrate(ps, scen, f, z, scen.lam, rho0)
     delta = increments(ps, grid, f, z, scen.lam)
     mass, clip_total, clip_max, clip_count = stepwise_integration(delta, rho0)
     # tobytes: signed zeros must match too
-    assert res.mass.values.tobytes() == mass.tobytes()
+    assert got.tobytes() == mass.tobytes()
     assert (res.clip_total, res.clip_max, res.clip_count) == (clip_total, clip_max,
                                                               clip_count)
     # the case clips where it was built to
@@ -383,9 +396,8 @@ def test_integrate_detects_mass_bound_violation_after_clipping(diamond):
     z = np.ones((3, n_nodes))
     lam = np.full(n_nodes, 12.0)  # pours far beyond rho_max onto first edges
     with pytest.raises(MassBoundExceeded):
-        integrate_mass(ps, scen, f, z, lam, np.zeros(ps.pair_count))
-    integ = integrate_mass(ps, scen, f, z, scen.lam,
-                           np.zeros(ps.pair_count))
+        integrate(ps, scen, f, z, lam, np.zeros(ps.pair_count))
+    _, integ = integrate(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
     assert integ.clip_count > 0
 
 
@@ -393,9 +405,7 @@ def test_clip_magnitude_negligible_under_refinement():
     # flows replay delayed inflows scaled by a 0/1 gate, so pre-clip
     # negativity can only be rounding dust; it must not grow as the grid
     # refines, in either solver mode
-    tight = {"enabled": True,
-             "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
-    for constrained in (None, tight):
+    for constrained in (None, TIGHT):
         totals = []
         for steps in (100, 200, 400):
             net, ps, scen, grid = build(diamond_dict(steps=steps,
@@ -437,12 +447,12 @@ def test_psi_result_gathers_suffix_rows_to_pairs(doc):
     suffixes, pair_suffix = ps.suffix_table
     n_nodes = scen.grid.steps + 1
     assert psi.suffix_value.shape == (len(suffixes), n_nodes)
-    assert psi.suffix_policy.tau_idx.shape == (len(suffixes), n_nodes)
+    assert psi.suffix_tau_idx.shape == (len(suffixes), n_nodes)
     value, tau = psi.value, psi.policy.tau_idx
     assert value.shape == tau.shape == (ps.pair_count, n_nodes)
     assert value.dtype == np.float64 and tau.dtype == np.int64
     assert value.tobytes() == psi.suffix_value[pair_suffix].tobytes()
-    assert tau.tobytes() == psi.suffix_policy.tau_idx[pair_suffix].tobytes()
+    assert tau.tobytes() == psi.suffix_tau_idx[pair_suffix].tobytes()
 
 
 def test_psi_bitwise_deterministic(diamond):
@@ -454,3 +464,17 @@ def test_psi_bitwise_deterministic(diamond):
     assert np.array_equal(a.mass.values, b.mass.values)
     assert np.array_equal(a.flows, b.flows)
     assert np.array_equal(a.z, b.z)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_shares_computed_once_give_the_audited_injections(steps):
+    # psi derives the path shares once, for the flows and the injections, from
+    # totals that numpy sums over axis 0 of z one path at a time, as the
+    # conservation audit does; with 252 paths a pairwise sum would differ.
+    # At one step z has two columns, the fewest it can have.
+    net, ps, scen, grid = build(lattice_dict(6, steps=steps))
+    assert ps.n_paths == 252
+    rng = np.random.default_rng(59)
+    for mass in (zero_mass(ps, grid), admissible_mass(rng, ps, scen)):
+        psi = apply_psi(net, ps, scen, mass)
+        assert audit_conservation(ps, scen, psi, scen.rho0).ok

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import json
 import tracemalloc
-from pathlib import Path
 
 from mfroute import scenario_from_dict, solve
 
-from conftest import WORKLOADS
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from conftest import SCENARIOS, WORKLOADS
 
 # Across a map evaluation the solver holds 3 + 2 * (ANDERSON_DEPTH - 1) = 7
 # pair-sized arrays: the pre-image, the previous pre-image and its residual,

@@ -24,7 +24,7 @@ def entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
         entries.append(cur)
         if cur < 0:
             continue
-        cur = int(policy.tau_idx[int(r), cur])
+        cur = int(policy[int(r), cur])
     return entries
 
 
@@ -46,7 +46,7 @@ def stop_cost(net, scen, cong, edge_id, entry):
 
 def costs_and_policy(net, ps, scen, mass):
     """Congestion, path costs along the policy, and the policy by pair."""
-    cong = congestion_total(ps, scen, mass)
+    cong = congestion_total(ps, scen, mass.values)
     table, policy = value_backward(net, ps, scen, cong)
     costs = path_costs(net, ps, scen, cong, policy)
     return cong, costs, by_pair(ps, table, policy)[1]
@@ -65,7 +65,7 @@ def test_entry_times_follow_policy(diamond_policy):
     net, ps, scen, grid, cong, costs, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
     entries = entry_times(ps, policy, p, 0)
-    tau = int(policy.tau_idx[row(ps, "e4", p), entries[1]])
+    tau = int(policy[row(ps, "e4", p), entries[1]])
     assert 0 < entries[1] < tau
     expected = 0.0 + leg_cost(net, scen, cong, "e1", 0, entries[1])
     expected += leg_cost(net, scen, cong, "e4", entries[1], tau)
@@ -99,7 +99,7 @@ def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
     net, ps, scen, grid, cong, costs, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
     r = row(ps, "e1", p)
-    hits = np.flatnonzero(policy.tau_idx[r] == grid.steps)
+    hits = np.flatnonzero(policy[r] == grid.steps)
     assert hits.size
     i = int(hits[0])
     assert entry_times(ps, policy, p, i) == [i, grid.steps]
@@ -111,8 +111,9 @@ def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
 def test_path_costs_match_per_pair_reference(doc):
     net, ps, scen, mass, psi = stage_inputs(doc)
-    table = path_costs(net, ps, scen, psi.congestion, psi.suffix_policy)
-    costs, entry = reference_path_costs(net, ps, scen, psi.congestion, psi.policy)
+    table = path_costs(net, ps, scen, psi.congestion, psi.suffix_tau_idx)
+    costs, entry = reference_path_costs(net, ps, scen, psi.congestion,
+                                        psi.policy.tau_idx)
     assert table.tobytes() == costs.tobytes()
     # agents stop on some edges, so later edges are never entered
     assert np.any(entry < 0)
@@ -143,7 +144,7 @@ def test_stopped_first_edge_contributes_distance_and_tail_integral(diamond):
     cong, table, policy = costs_and_policy(net, ps, scen, zero_mass(ps, grid))
     p = ps.paths.index(("e1", "e4"))
     r = row(ps, "e1", p)
-    stopped = np.flatnonzero(policy.tau_idx[r] < 0)
+    stopped = np.flatnonzero(policy[r] < 0)
     i = int(stopped[0])
     e = net.edge_index["e1"]
     expected = scen.alpha * net.dist_tail[e] + (cong.phi_prefix[e, -1]

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import mfroute.equilibrium as equilibrium
 import mfroute.value as value_module
 from mfroute import (MassField, MFRouteError, apply_psi, build_network,
-                     compute_flows, enumerate_paths, path_costs, residual,
-                     scenario_to_dict, solve, value_backward)
+                     compute_flows, enumerate_paths, local_decision, path_costs,
+                     residual, scenario_to_dict, solve, value_backward)
 from mfroute.network import edge_totals
 from mfroute.oracle import audit_conservation, check_value_tables
 
@@ -107,17 +107,18 @@ def test_psi_stages_match_references_and_oracles(case):
     net, ps, scen, grid = build(doc)
     mass = MassField(values=random_mass(ps, scen, seed))
     psi = apply_psi(net, ps, scen, mass)
-    cong, policy = psi.congestion, psi.policy
+    cong, policy = psi.congestion, psi.policy.tau_idx
 
     assert list(ps.paths) == reference_paths(net)
     for values in (mass.values, psi.mass.values):
         assert edge_totals(ps, values).tobytes() == reference_edge_totals(ps, values).tobytes()
-    table = path_costs(net, ps, scen, cong, psi.suffix_policy)
+    table = path_costs(net, ps, scen, cong, psi.suffix_tau_idx)
     costs, entry = reference_path_costs(net, ps, scen, cong, policy)
     assert table.tobytes() == costs.tobytes()
     assert_costs_follow_values(ps, scen, table, psi.value, entry)
-    flows = compute_flows(ps, psi.suffix_policy, psi.z, scen.lam, psi.k_idx_edges)
-    ref = reference_flows(ps, policy, psi.z, scen.lam, psi.k_idx_edges)
+    shares = local_decision(psi.z)
+    flows = compute_flows(ps, psi.suffix_tau_idx, shares, scen.lam, psi.k_idx_edges)
+    ref = reference_flows(ps, policy, shares, scen.lam, psi.k_idx_edges)
     assert flows.tobytes() == ref.tobytes()
 
     floor = psi.arrival.floor_idx if psi.arrival is not None else None
@@ -128,7 +129,7 @@ def test_psi_stages_match_references_and_oracles(case):
             mp.setattr(value_module, "BLOCK_CELLS", cells)
             table, other = by_pair(ps, *value_backward(net, ps, scen, cong, floor))
         assert table.tobytes() == psi.value.tobytes()
-        assert other.tau_idx.tobytes() == policy.tau_idx.tobytes()
+        assert other.tobytes() == policy.tobytes()
     assert audit_conservation(ps, scen, psi, scen.rho0).ok
 
 
@@ -141,8 +142,8 @@ def test_policy_walk_through_a_detour_at_the_horizon_costs_more_than_its_value()
     doc["solver"]["eps_tie"] = 0.3
     net, ps, scen, grid = build(doc)
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-    costs = path_costs(net, ps, scen, psi.congestion, psi.suffix_policy)
-    _, entry = reference_path_costs(net, ps, scen, psi.congestion, psi.policy)
+    costs = path_costs(net, ps, scen, psi.congestion, psi.suffix_tau_idx)
+    _, entry = reference_path_costs(net, ps, scen, psi.congestion, psi.policy.tau_idx)
     e1, e2 = ps.path_rows[1]
     assert ps.paths[1] == ("e1", "e2") and entry[e2, 0] == grid.steps
     gap = costs[1, 0] - psi.value[e1, 0]

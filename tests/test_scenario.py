@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +12,8 @@ from mfroute import (ParseError, ValidationError, apply_psi, load_scenario,
                      make_grid, prefix_integral, scenario_checks,
                      scenario_from_dict, scenario_to_dict)
 
-from conftest import ROOT, WORKLOADS, admissible_mass, build, diamond_dict, zero_mass
+from conftest import (ROOT, SCENARIOS, WORKLOADS, admissible_mass, build, diamond_dict,
+                      zero_mass)
 
 
 def test_default_scenario_valid():
@@ -379,7 +378,7 @@ def echo_golden_doc(name: str) -> dict:
     """The shipped scenario ``name``, or the benchmark workload ``name`` at seed 1."""
     if name in WORKLOADS.WORKLOADS:
         return WORKLOADS.WORKLOADS[name](ROOT, 1)
-    return json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(ECHO_GOLDEN))
@@ -394,8 +393,7 @@ def test_echo_equals_the_pinned_echo(name):
 def test_shipped_scenario_round_trips_exactly(name):
     # CLI flags are applied by parsing the echo again, so it must rebuild
     # the same settings, samples and map bit for bit
-    path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
-    net, ps, scen, grid = load_scenario(path)
+    net, ps, scen, grid = load_scenario(SCENARIOS / f"{name}.json")
     net2, ps2, scen2, grid2 = scenario_from_dict(scenario_to_dict(net, scen))
     assert scenario_to_dict(net2, scen2) == scenario_to_dict(net, scen)
     assert scen2.solver == scen.solver and scen2.constrained == scen.constrained

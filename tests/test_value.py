@@ -10,7 +10,7 @@ from mfroute import (EdgeCongestion, MassField, ShapeMismatch, arrival_tables,
                      build_speed_limits, congestion_total, value_backward)
 from mfroute.oracle import check_value_tables
 
-from conftest import (admissible_mass, build, by_pair, diamond_dict, lattice_dict,
+from conftest import (TIGHT, admissible_mass, build, by_pair, diamond_dict, lattice_dict,
                       row, speeds, value_stage, zero_mass)
 
 # The shipped budget, also while a test patches it.
@@ -36,18 +36,18 @@ def unit_chain_dict(steps, horizon=1.0, alpha=1.0, coeff=0.0, n_edges=1,
 
 def test_congestion_total_zero_mass(diamond):
     net, ps, scen, grid = diamond
-    cong = congestion_total(ps, scen, zero_mass(ps, grid))
+    cong = congestion_total(ps, scen, zero_mass(ps, grid).values)
     assert np.array_equal(cong.totals, np.zeros_like(cong.totals))
     assert np.array_equal(cong.phi_prefix, np.zeros_like(cong.phi_prefix))
 
 
 def test_congestion_total_sums_sharing_paths(diamond):
     net, ps, scen, grid = diamond
-    mass = zero_mass(ps, grid)
+    mass = zero_mass(ps, grid).values
     r1 = row(ps, "e5", ps.paths.index(("e1", "e3", "e5")))
     r2 = row(ps, "e5", ps.paths.index(("e2", "e5")))
-    mass.values[r1] = 0.3
-    mass.values[r2] = 0.7
+    mass[r1] = 0.3
+    mass[r2] = 0.7
     cong = congestion_total(ps, scen, mass)
     e5 = net.edge_index["e5"]
     assert np.allclose(cong.totals[e5], 1.0, rtol=0, atol=1e-15)
@@ -59,7 +59,7 @@ def test_congestion_total_sums_sharing_paths(diamond):
 def test_congestion_shape_checked(diamond):
     net, ps, scen, grid = diamond
     with pytest.raises(ShapeMismatch):
-        congestion_total(ps, scen, MassField(values=np.zeros((2, 3))))
+        congestion_total(ps, scen, np.zeros((2, 3)))
 
 
 def test_last_edge_closed_form_no_congestion():
@@ -68,11 +68,11 @@ def test_last_edge_closed_form_no_congestion():
     speed = speeds(net, ps, grid, policy)
     # analytic: min(alpha * l, l^2 / (2 (T - t))) with the moving branch only before T
     assert table[0, 0] == pytest.approx(0.5)   # 1/(2*1)
-    assert policy.tau_idx[0, 0] == 10
+    assert policy[0, 0] == 10
     assert speed[0, 0] == pytest.approx(1.0)
     i9 = 9  # t = 0.9: moving costs 5, staying costs 1
     assert table[0, i9] == pytest.approx(1.0)
-    assert policy.tau_idx[0, i9] == -1
+    assert policy[0, i9] == -1
     assert speed[0, i9] == 0.0
 
 
@@ -80,8 +80,8 @@ def test_switch_node_is_first_past_threshold():
     # threshold at horizon - l/(2 alpha) = 0.5; with 10 steps that is node 5
     net, ps, scen, grid = build(unit_chain_dict(steps=10))
     _, table, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
-    assert policy.tau_idx[0, 5] == 10   # exact tie resolves to moving
-    assert policy.tau_idx[0, 6] == -1
+    assert policy[0, 5] == 10   # exact tie resolves to moving
+    assert policy[0, 6] == -1
 
 
 def test_value_at_horizon_is_distance_penalty(diamond):
@@ -94,7 +94,7 @@ def test_value_at_horizon_is_distance_penalty(diamond):
         else:
             expected = scen.alpha * net.dist_tail[e]
         assert table[r, -1] == expected
-        assert policy.tau_idx[r, -1] == -1
+        assert policy[r, -1] == -1
 
 
 def test_two_edge_chain_matches_enumeration_exactly():
@@ -118,7 +118,7 @@ def test_moving_speed_bounded_below(diamond):
     rng = np.random.default_rng(5)
     _, _, policy = value_stage(net, ps, scen, admissible_mass(rng, ps, scen))
     speed = speeds(net, ps, grid, policy)
-    moving = policy.tau_idx >= 0
+    moving = policy >= 0
     lengths = net.lengths[ps.pair_edge_idx][:, None]
     floor = (lengths / scen.grid.horizon) * np.ones_like(speed)
     assert np.all(speed[moving] >= floor[moving] - 1e-12)
@@ -189,20 +189,17 @@ def test_policy_monotone_and_absorbing_on_pipeline_mass(diamond):
 def test_value_backward_bitwise_deterministic(diamond):
     net, ps, scen, grid = diamond
     rng = np.random.default_rng(21)
-    cong = congestion_total(ps, scen, admissible_mass(rng, ps, scen))
+    cong = congestion_total(ps, scen, admissible_mass(rng, ps, scen).values)
     t1, p1 = value_backward(net, ps, scen, cong)
     t2, p2 = value_backward(net, ps, scen, cong)
     assert np.array_equal(t1, t2)
-    assert np.array_equal(p1.tau_idx, p2.tau_idx)
-
-
-TIGHT = {"enabled": True, "u": {"default": {"family": "reciprocal", "coeff": 0.4}}}
+    assert np.array_equal(p1, p2)
 
 
 def _value_inputs(doc, seed):
     net, ps, scen, grid = build(doc)
     mass = admissible_mass(np.random.default_rng(seed), ps, scen)
-    cong = congestion_total(ps, scen, mass)
+    cong = congestion_total(ps, scen, mass.values)
     floor = None
     if scen.constrained.enabled:
         floor = arrival_tables(net, scen, cong, build_speed_limits(net, scen)).floor_idx
@@ -272,7 +269,7 @@ def _check_row_blocks(monkeypatch, doc, cells=3 * 17):
     default_table, default_policy = by_pair(ps, *value_backward(net, ps, scen, cong,
                                                                 floor))
     assert table.tobytes() == default_table.tobytes()
-    assert policy.tau_idx.tobytes() == default_policy.tau_idx.tobytes()
+    assert policy.tobytes() == default_policy.tobytes()
     return policy
 
 
@@ -302,7 +299,7 @@ def test_tie_band_of_rows_with_far_apart_first_minima(eps_tie):
     assert value_module._row_blocks(16) == [(0, 16)]
     table, policy = by_pair(ps, *value_backward(net, ps, scen, cong))
     assert check_value_tables(net, ps, scen, cong, table, policy) == []
-    tau = policy.tau_idx[row(ps, "e1", 0)]
+    tau = policy[row(ps, "e1", 0)]
     assert np.all(tau[:8] == 8) and np.all(tau[8:16] >= 12) and tau[15] == 16
 
 
@@ -312,7 +309,7 @@ def test_row_blocks_match_enumeration_with_wide_tie_band(monkeypatch, doc):
     # several, so "latest within the band" decides the policy.
     narrow = _check_row_blocks(monkeypatch, doc)
     wide = _check_row_blocks(monkeypatch, {**doc, "solver": {**doc["solver"], "eps_tie": 1e-2}})
-    assert not np.array_equal(wide.tau_idx, narrow.tau_idx)
+    assert not np.array_equal(wide, narrow)
 
 
 def test_final_node_continues_with_stay_penalty(monkeypatch):
@@ -330,7 +327,7 @@ def test_final_node_continues_with_stay_penalty(monkeypatch):
     for mass in (zero_mass(ps, grid), admissible_mass(np.random.default_rng(43), ps, scen)):
         cong, table, policy = value_stage(net, ps, scen, mass)
         assert check_value_tables(net, ps, scen, cong, table, policy) == []
-        first_tau.append(policy.tau_idx[r, 0])
+        first_tau.append(policy[r, 0])
     assert first_tau[0] == n
 
 
@@ -353,19 +350,19 @@ def _check_block_sizes_agree(monkeypatch, net, ps, scen, cong, floor):
     (t0, p0), *others = results
     for table, policy in others:
         assert np.array_equal(table, t0)
-        assert np.array_equal(policy.tau_idx, p0.tau_idx)
+        assert np.array_equal(policy, p0)
 
 
 @pytest.mark.parametrize("doc", [diamond_dict(steps=60), lattice_dict(3, steps=60)],
                          ids=["diamond", "lattice-3x3"])
 def test_pairs_sharing_a_suffix_get_equal_rows(doc):
     net, ps, scen, cong, _ = _value_inputs(doc, seed=41)
-    suffix_table, suffix_policy = value_backward(net, ps, scen, cong)
+    suffix_table, suffix_tau = value_backward(net, ps, scen, cong)
     # one row per distinct suffix, which every pair on it reads
     assert suffix_table.shape == (len(ps.suffix_table[0]), scen.grid.steps + 1)
-    assert suffix_policy.tau_idx.shape == suffix_table.shape
+    assert suffix_tau.shape == suffix_table.shape
     assert len(ps.suffix_table[0]) < ps.pair_count
-    table, policy = by_pair(ps, suffix_table, suffix_policy)
+    table, policy = by_pair(ps, suffix_table, suffix_tau)
     first_row = {}
     shared = 0
     for p, rows in enumerate(ps.path_rows):
@@ -374,14 +371,14 @@ def test_pairs_sharing_a_suffix_get_equal_rows(doc):
             if r0 != r:
                 shared += 1
                 assert np.array_equal(table[r], table[r0])
-                assert np.array_equal(policy.tau_idx[r], policy.tau_idx[r0])
+                assert np.array_equal(policy[r], policy[r0])
     assert shared > 0
 
 
 def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
     net, ps, scen, grid = diamond
     mass = admissible_mass(np.random.default_rng(47), ps, scen)
-    cong = congestion_total(ps, scen, mass)
+    cong = congestion_total(ps, scen, mass.values)
     seen = []
 
     def failing_argmax(*args, **kwargs):
