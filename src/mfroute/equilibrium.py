@@ -103,13 +103,12 @@ def residual(mass_a: MassField, mass_b: MassField) -> float:
 def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet) -> XMembership:
     """Check a trajectory's mass and difference-quotient bounds, up to the slack."""
     values = mass.values
-    totals = edge_totals(ps, values)
-    max_total = float(totals.max()) if totals.size else 0.0
-    if values.shape[1] > 1:
-        diff = np.diff(values, axis=1)
-        quotient = float(np.max(np.abs(diff, out=diff)) / scen.grid.dt)
-    else:
-        quotient = 0.0
+    shape = (ps.pair_count, scen.grid.steps + 1)
+    if values.shape != shape:
+        raise ShapeMismatch(f"mass field must have shape {shape}, got {values.shape}")
+    max_total = float(edge_totals(ps, values).max())
+    diff = np.diff(values, axis=1)
+    quotient = float(np.max(np.abs(diff, out=diff)) / scen.grid.dt)
     bound = scen.lipschitz_bound
     return XMembership(max_total_edge_mass=max_total, rho_max=scen.rho_max,
                        mass_ok=max_total <= scen.rho_max + MEMBERSHIP_SLACK,

@@ -40,10 +40,16 @@ def test_validate_names_failed_assumption(write_scenario, capsys):
 
 
 def test_validate_parse_error(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{", encoding="utf-8")
-    code, out = run(capsys, "validate", str(path))
-    assert code == 2
+    (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+    (tmp_path / "list.json").write_text("[]", encoding="utf-8")
+    for name, message in [("bad.json", "scenario file is not valid JSON"),
+                          ("missing.json", "cannot read scenario file"),
+                          ("list.json", "scenario document must be a JSON object")]:
+        path = tmp_path / name
+        with pytest.raises(ParseError, match=message):
+            load_scenario(path)
+        assert main(["validate", str(path)]) == 2
+        assert f"parse error: {message}" in capsys.readouterr().err
 
 
 def test_long_chain_validates_and_solves(write_scenario, tmp_path, capsys):
@@ -595,6 +601,24 @@ def test_oracle_detects_injected_policy_fault(write_scenario, capsys, monkeypatc
     assert code == 1
     assert "mismatch" in out
     assert "node" in out  # offending location printed
+
+
+def test_oracle_detects_injected_mass_fault(write_scenario, capsys, monkeypatch):
+    import mfroute.flow as flow_mod
+    real = flow_mod.integrate_mass
+
+    def leaky(*args):
+        mass, integ = real(*args)
+        mass[0, -1] += 1e-9
+        return mass, integ
+
+    monkeypatch.setattr(flow_mod, "integrate_mass", leaky)
+    scenario = write_scenario(diamond_dict(steps=8))
+    code, out = run(capsys, "oracle", str(scenario))
+    assert code == 1
+    assert "value tables match enumeration exactly [empty mass field]" in out
+    assert "conservation audit FAILED [empty mass field]: mass_match=False at (0, 8)" in out
+    assert out.rstrip().endswith("oracle: MISMATCH")
 
 
 def test_version_flag(capsys):

@@ -78,6 +78,19 @@ def test_membership_sawtooth_fails_lipschitz(diamond):
     assert d.max_diff_quotient == pytest.approx(slope)
 
 
+@pytest.mark.parametrize("shape", [lambda pairs, n: (pairs, 1),
+                                   lambda pairs, n: (pairs, n + 2),
+                                   lambda pairs, n: (pairs + 1, n + 1)],
+                         ids=["one-node", "node-too-many", "row-too-many"])
+def test_membership_refuses_a_mass_off_the_grid(diamond, shape):
+    # a single node has no difference quotient to bound, and a row too many
+    # is left out of the edge totals: none of them is a trajectory to judge
+    net, ps, scen, grid = diamond
+    mass = MassField(values=np.zeros(shape(ps.pair_count, grid.steps)))
+    with pytest.raises(ShapeMismatch, match="mass field must have shape"):
+        verify_X_membership(mass, scen, ps)
+
+
 def test_immediate_convergence_with_loose_tolerance():
     net, ps, scen, grid = build(diamond_dict(steps=100, solver={"tol": 1e9}))
     report = solve(net, ps, scen)

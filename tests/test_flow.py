@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mfroute import (DegenerateSimplex, MassBoundExceeded, apply_psi, compute_flows,
-                     integrate_mass, local_decision)
+from mfroute import (DegenerateSimplex, MassBoundExceeded, ShapeMismatch, apply_psi,
+                     compute_flows, integrate_mass, local_decision)
 from mfroute.flow import injection_terms
 from mfroute.oracle import audit_conservation
 
@@ -399,6 +399,18 @@ def test_integrate_detects_mass_bound_violation_after_clipping(diamond):
         integrate(ps, scen, f, z, lam, np.zeros(ps.pair_count))
     _, integ = integrate(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
     assert integ.clip_count > 0
+
+
+@pytest.mark.parametrize("flow_nodes, inj_nodes", [(0, 0), (1, 1)],
+                         ids=["flows-a-node-short", "injections-a-node-long"])
+def test_integrate_refuses_arrays_off_the_grid(diamond, flow_nodes, inj_nodes):
+    # flows take one column per node, injections one per step
+    net, ps, scen, grid = diamond
+    n = grid.steps
+    flows = np.zeros((ps.pair_count, n + flow_nodes))
+    inj = np.zeros((ps.n_paths, n + inj_nodes))
+    with pytest.raises(ShapeMismatch, match="do not match the grid"):
+        integrate_mass(ps, scen, flows, inj, scen.rho0)
 
 
 def test_clip_magnitude_negligible_under_refinement():

@@ -24,6 +24,14 @@ def test_audit_detects_tampered_mass():
     assert not bad.mass_match
     assert bad.first_mass_mismatch == (3, 7)
 
+    # a start that is not rho0 ends the audit at node 0, with nothing replayed
+    tampered = psi.mass.values.copy()
+    tampered[2, 0] = 0.5
+    bad_psi = dataclasses.replace(psi, mass=MassField(values=tampered))
+    bad = audit_conservation(ps, scen, bad_psi, scen.rho0)
+    assert not bad.ok and not bad.mass_match and not bad.telescope_exact
+    assert bad.first_mass_mismatch == (2, 0)
+
 
 def test_audit_detects_tampered_flow():
     net, ps, scen, grid = build(diamond_dict(steps=20))
@@ -32,9 +40,13 @@ def test_audit_detects_tampered_flow():
     flows[1, 12] += 1e-6
     bad_psi = dataclasses.replace(psi, flows=flows)
     bad = audit_conservation(ps, scen, bad_psi, scen.rho0)
-    # telescoping still holds for any flow values; the mass replay does not
+    # telescoping still holds for any finite flows; the mass replay does not
     assert bad.telescope_exact
     assert not bad.mass_match
+    # a NaN moved term has no exact sum, so the two sides cannot agree
+    flows[1, 12] = float("nan")
+    bad = audit_conservation(ps, scen, dataclasses.replace(psi, flows=flows), scen.rho0)
+    assert not bad.ok and not bad.telescope_exact
 
 
 def test_value_check_detects_tampered_table():

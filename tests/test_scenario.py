@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from mfroute import (ParseError, ValidationError, apply_psi, load_scenario,
-                     make_grid, prefix_integral, scenario_checks,
+from mfroute import (ParseError, ShapeMismatch, ValidationError, apply_psi,
+                     load_scenario, make_grid, prefix_integral, scenario_checks,
                      scenario_from_dict, scenario_to_dict)
 
 from conftest import (ROOT, SCENARIOS, WORKLOADS, admissible_mass, build, diamond_dict,
@@ -277,6 +277,12 @@ def test_prefix_integral_monotone_for_nonnegative():
     g = rng.uniform(0.0, 5.0, size=65)
     phi = prefix_integral(g, grid)
     assert np.all(np.diff(phi) >= 0.0)
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 10)], ids=["a-node-short", "a-node-long"])
+def test_prefix_integral_refuses_samples_off_the_grid(shape):
+    with pytest.raises(ShapeMismatch, match="does not match the grid"):
+        prefix_integral(np.ones(shape), make_grid(1.0, 8))
 
 
 def test_integral_difference_matches_subinterval():
