@@ -86,16 +86,19 @@ def residual(mass_a: MassField, mass_b: MassField) -> float:
     """Sup-norm distance between two mass fields of identical layout.
 
     Taken over blocks of rows of at most 4096 cells (32 KiB), or of one
-    row if a row is longer, so the temporary stays that small on any
-    field; the maximum of ``|b - a|`` is exact in any order.
+    row if a row is longer, in one reused buffer, so the temporary stays
+    that small on any field; the maximum of ``|b - a|`` is exact in any
+    order.
     """
     a, b = mass_a.values, mass_b.values
     if a.shape != b.shape:
         raise ShapeMismatch(f"mass fields differ in shape: {a.shape} vs {b.shape}")
     rows = max(1, 4096 // max(1, a.shape[-1]))
+    buf = np.empty((min(rows, len(a)),) + a.shape[1:])
     block_max = []
     for i in range(0, len(a), rows):
-        diff = np.subtract(b[i:i + rows], a[i:i + rows])
+        diff = buf[:len(a) - i]
+        np.subtract(b[i:i + rows], a[i:i + rows], out=diff)
         block_max.append(np.max(np.abs(diff, out=diff)))
     return float(np.max(block_max))
 

@@ -8,18 +8,21 @@ delay at once, each position after the one that feeds it; every entry is
 the same product as in a pair-by-pair loop.
 Mass is integrated by explicit Euler with negative undershoot clipped at
 zero and recorded, never silently discarded.  The increments are built in
-the mass array itself, and the recurrence runs as a row cumulative sum that
-restarts from +0.0 wherever a clip falls, from the row's increments rebuilt
-by the same expressions; it performs the same additions as stepping node by
-node, so it gives the same bits.
+the mass array itself, by contiguous operations on the flattened arrays
+(the moved terms in blocks of at most 4096 cells), and the recurrence runs
+as a row cumulative sum that restarts from +0.0 wherever a clip falls,
+from the row's increments rebuilt by the same expressions; it performs the
+same additions as stepping node by node, so it gives the same bits.  The
+rows that need a clip are found in blocks of rows of the same size, so the
+stage allocates nothing of its result's size beside it.
 
 The integrator keeps the discrete balance auditable: per-step injections
 split the budget by the path shares the flows read, normalized so that their
-running sum telescopes to dt * throughput exactly, and the moved-mass terms
-are computed once per pair so that every unit that leaves a row is
-bit-identical to the unit entering its successor row.  The terms are not
-kept: :func:`mfroute.oracle.audit_conservation` re-derives them.  The
-stages hand over plain arrays; the records live at psi's boundary.
+running sum telescopes to dt * throughput exactly, and a pair's moved-mass
+term is the same product, dt * flows, where it leaves a row and where it
+enters the successor row, so the two units are bit-identical.  The terms
+are not kept: :func:`mfroute.oracle.audit_conservation` re-derives them.
+The stages hand over plain arrays; the records live at psi's boundary.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ class MassField:
 class Policy:
     """The arrival-time policy gathered to pairs, as ``PsiResult.policy``.
 
-    ``tau_idx[r, i]`` is the grid node at which an agent entering pair r's
-    edge at node i arrives at its head, or -1 when it stays at the edge tail
-    for the rest of the horizon.
+    ``tau_idx[r, i]``, an int32, is the grid node at which an agent
+    entering pair r's edge at node i arrives at its head, or -1 when it
+    stays at the edge tail for the rest of the horizon.
     """
 
     tau_idx: np.ndarray = field(repr=False)
@@ -72,9 +75,9 @@ class PsiResult:
 
     Per distinct path suffix, the rows of ``PathSet.suffix_table``:
     ``suffix_value``, the remaining cost, and ``suffix_tau_idx``, the
-    arrival node (-1: stay).  Per (edge, path) pair: ``flows``, the outgoing
-    flow, and ``value`` and ``policy``, which gather the suffix rows through
-    ``pair_suffix`` on every access.
+    arrival node (-1: stay) as an int32.  Per (edge, path) pair:
+    ``flows``, the outgoing flow, and ``value`` and ``policy``, which
+    gather the suffix rows through ``pair_suffix`` on every access.
     Per path: ``costs``, of following the policy, the logit ``response`` and
     the preferences ``z``.  Each has one column per grid node.
     """
@@ -185,6 +188,13 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, inj: np.ndarr
     any total edge mass exceeds the configured maximum, which a validated
     scenario should make impossible.
 
+    The increments are built in the mass array itself, by contiguous
+    operations on the flattened arrays: every row takes its predecessor's
+    moved term in one multiply, a path's first row then its injections,
+    and every row loses its own moved term in blocks of at most 4096 cells.
+    Beside its result the function holds one such block, or the edge
+    totals of the mass bound check.
+
     The result is bitwise that of the stepwise recurrence
     ``state = np.maximum(state + delta[:, i], 0.0)`` from ``rho0``: each row
     is a left-to-right cumulative sum, and at each later node that holds a
@@ -199,20 +209,23 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, inj: np.ndarr
     if flows.shape != (ps.pair_count, n + 1) or inj.shape[1] != n:
         raise ShapeMismatch("flow/injection arrays do not match the grid")
     dt = grid.dt
-    # The increments are built inside the mass array: column i + 1 of row r
-    # takes moved[r, i] = dt * flows[r, i], then plus[r, i] - moved[r, i].
-    # Positions run from the last, so a predecessor row still holds its
-    # moved term when its successor reads it.
+    # Flattened, mass[r, i + 1] lies one cell after flows[r, i] and n + 2
+    # cells after flows[r - 1, i], so every operation here is contiguous;
+    # what lands in column 0 is overwritten by rho0.
     mass = np.empty((ps.pair_count, n + 1))
-    delta = mass[:, 1:]
-    np.multiply(dt, flows[:, :n], out=delta)
-    for rows in reversed(ps.rows_by_position[1:]):
-        own = delta[rows]
-        delta[rows] = np.subtract(delta[rows - 1], own, out=own)
-    first = ps.rows_by_position[0]
-    own = delta[first]
-    delta[first] = np.subtract(inj[ps.pair_path_idx[first]], own, out=own)
-    del delta, own
+    cells = mass.reshape(-1)
+    flat = flows.reshape(-1)
+    # plus terms: the predecessor's dt * flows, on a path's first row inj
+    np.multiply(dt, flat[:-(n + 2)], out=cells[n + 2:])
+    mass[ps.first_mask, 1:] = inj
+    # less each row's own moved term dt * flows[r, :n], block by block
+    moved = np.empty(min(4096, flat.size - 1))
+    for k in range(0, flat.size - 1, moved.size):
+        block = moved[:flat.size - 1 - k]
+        np.multiply(dt, flat[k:k + block.size], out=block)
+        own = cells[k + 1:k + 1 + block.size]
+        np.subtract(own, block, out=own)
+    del moved, block  # not alive when the mass bound is checked
 
     # Left-to-right cumsum performs the stepwise recurrence's additions.
     mass[:, 0] = rho0
@@ -220,9 +233,13 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, inj: np.ndarr
     # A row needs a fix at its first later node that is negative or -0.0,
     # where the stepwise np.maximum(pre, 0.0) would have stored +0.0; the
     # rest of the row is then re-accumulated from that +0.0, with the
-    # row's increments rebuilt once.
+    # row's increments rebuilt once.  The rows are scanned in blocks of at
+    # most 4096 cells, or of one row if a row is longer.
     clips: dict[int, list[tuple[int, float]]] = {}
-    for r in np.flatnonzero(_needs_fix(mass[:, 1:]).any(axis=1)):
+    scan = max(1, 4096 // (n + 1))
+    fix_rows = [i + np.flatnonzero(_needs_fix(mass[i:i + scan])[:, 1:].any(axis=1))
+                for i in range(0, ps.pair_count, scan)]
+    for r in np.concatenate(fix_rows).tolist():
         row = mass[r]
         bad = _needs_fix(row[1:])
         increments = None

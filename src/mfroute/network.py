@@ -104,25 +104,6 @@ class PathSet:
                      for k in range(len(rows[0])))
 
     @cached_property
-    def rows_by_occurrence(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(edges, rows) of the j-th pair in row order of every edge, per j.
-
-        Group j lists each edge on more than j pairs once, with the row of
-        its j-th pair.
-        """
-        groups: list[tuple[list[int], list[int]]] = []
-        seen: dict[int, int] = {}
-        for r, e in enumerate(self.pair_edge_idx.tolist()):
-            j = seen.get(e, 0)
-            seen[e] = j + 1
-            if j == len(groups):
-                groups.append(([], []))
-            groups[j][0].append(e)
-            groups[j][1].append(r)
-        return tuple((np.array(edges, dtype=np.int64), np.array(rows, dtype=np.int64))
-                     for edges, rows in groups)
-
-    @cached_property
     def suffix_table(self) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
         """Distinct path suffixes in dependency order, and each pair's suffix.
 
@@ -146,12 +127,13 @@ def edge_totals(ps: PathSet, pair_values: np.ndarray) -> np.ndarray:
     """Sum per-pair rows into one row per edge, adding pairs in row order.
 
     Each edge's total starts from +0.0 and adds its pairs' rows one at a
-    time in row order, one gather-add per occurrence group, so the result
-    has the bits of adding pair by pair.
+    time in row order, each in place into the edge's row, so the function
+    allocates nothing beside its result.
     """
     totals = np.zeros((int(ps.pair_edge_idx.max()) + 1, pair_values.shape[1]))
-    for edges, rows in ps.rows_by_occurrence:
-        totals[edges] += pair_values[rows]
+    for e, row in zip(ps.pair_edge_idx.tolist(), pair_values):
+        total = totals[e]
+        total += row
     return totals
 
 

@@ -58,7 +58,8 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
         s = s[:rows.size]
         entered = s >= 0
         s_safe = np.maximum(s, 0)
-        tau = np.where(entered, tau_flat[row_off + s_safe], -1)
+        # widened from the int32 policy once here, not cast at every use below
+        tau = np.where(entered, tau_flat[row_off + s_safe], np.intp(-1))
         tau_safe = np.maximum(tau, 0)
         moved = entered & (tau >= 0)
         stopped = entered & (tau < 0)

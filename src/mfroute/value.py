@@ -132,7 +132,7 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongesti
     (pair r's rows are those of its suffix, ``ps.suffix_table[1][r]``) and
     one column per grid node: the minimal remaining cost, and the node at
     which an agent entering the edge at node i arrives at its head, or -1
-    when it stays at the edge tail for the rest of the horizon.
+    when it stays at the edge tail for the rest of the horizon, as int32.
 
     ``cong`` is the mass field's congestion, from :func:`congestion_total`.
     ``arrival_floor``, when given, is an integer (n_edges, nodes) table of the
@@ -199,7 +199,7 @@ def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],
     tail_cost = alpha * np.where(is_last, net.lengths[edges], net.dist_tail[edges])
     phi = phi_prefix[edges]
     values = tail_cost[:, None] + (phi[:, n:] - phi)
-    tau_idx = np.full(values.shape, -1, dtype=np.int64)
+    tau_idx = np.full(values.shape, -1, dtype=np.int32)
     last = np.flatnonzero(is_last)
     phi = phi[last]
     length = net.lengths[edges[last]][:, None]

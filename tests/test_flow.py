@@ -462,7 +462,7 @@ def test_psi_result_gathers_suffix_rows_to_pairs(doc):
     assert psi.suffix_tau_idx.shape == (len(suffixes), n_nodes)
     value, tau = psi.value, psi.policy.tau_idx
     assert value.shape == tau.shape == (ps.pair_count, n_nodes)
-    assert value.dtype == np.float64 and tau.dtype == np.int64
+    assert value.dtype == np.float64 and tau.dtype == np.int32
     assert value.tobytes() == psi.suffix_value[pair_suffix].tobytes()
     assert tau.tobytes() == psi.suffix_tau_idx[pair_suffix].tobytes()
 

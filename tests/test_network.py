@@ -222,13 +222,10 @@ def test_pairs_are_path_major():
 
 def test_path_groupings_are_derived_on_first_use():
     ps = enumerate_paths(diamond_net())
-    groupings = ("rows_by_position", "rows_by_occurrence", "suffix_table")
+    groupings = ("rows_by_position", "suffix_table")
     assert not any(name in vars(ps) for name in groupings)
     # longest path first; the two-edge paths keep their order
     assert [rows.tolist() for rows in ps.rows_by_position] == [[0, 3, 5], [1, 4, 6], [2]]
-    # e1 and e5 (indices 0 and 4) occur twice, in rows 0, 3 and 2, 6
-    assert [(edges.tolist(), rows.tolist()) for edges, rows in ps.rows_by_occurrence] == [
-        ([0, 2, 4, 3, 1], [0, 1, 2, 4, 5]), ([0, 4], [3, 6])]
     # (edge, successor suffix), each after its successor; e5 ends paths 0
     # and 2, so rows 2 and 6 share suffix 0, and every other suffix is unique
     suffixes, pair_suffix = ps.suffix_table
