@@ -22,6 +22,6 @@ from .preference import logit_response, path_costs, preference_evolution
 from .scenario import (CongestionCost, LambdaSpec, Scenario, SolverSettings,
                        TimeGrid, load_scenario, make_grid, prefix_integral,
                        scenario_checks, scenario_from_dict, scenario_to_dict)
-from .value import EdgeCongestion, congestion_total, value_backward
+from .value import congestion_total, value_backward
 
 __version__ = "0.1.0"

@@ -289,7 +289,7 @@ def cmd_oracle(args) -> int:
     for label in ("empty mass field", "one pipeline iterate"):
         psi = apply_psi(net, ps, scen, mass)
         floor = psi.arrival.floor_idx if psi.arrival is not None else None
-        mismatches = check_value_tables(net, ps, scen, psi.congestion, psi.value,
+        mismatches = check_value_tables(net, ps, scen, psi.phi_prefix, psi.value,
                                         psi.policy.tau_idx, floor)
         if mismatches:
             ok = False

@@ -22,7 +22,6 @@ import numpy as np
 from .network import Network
 from .scenario import (ReciprocalSpeedLimit, Scenario, SpeedLimit,
                        TabulatedSpeedLimit, TimeGrid, prefix_integral)
-from .value import EdgeCongestion
 
 
 def build_speed_limits(net: Network, scen: Scenario) -> tuple[SpeedLimit, ...]:
@@ -94,15 +93,15 @@ def mean_traverse_and_delay(tau: np.ndarray, scen: Scenario
     return tau_bar, k_idx
 
 
-def arrival_tables(net: Network, scen: Scenario, cong: EdgeCongestion,
+def arrival_tables(net: Network, scen: Scenario, totals: np.ndarray,
                    limits: tuple[SpeedLimit, ...]) -> ArrivalConstraint:
-    """Minimal-arrival tables for every edge under the given congestion."""
+    """Minimal-arrival tables for every edge under its edge totals' row."""
     grid = scen.grid
     eps_rho = scen.constrained.eps_rho_rel * scen.rho_max
     n_edges = len(net.edges)
     tau = np.empty((n_edges, grid.steps + 1))
     for e in range(n_edges):
-        tau[e] = min_arrival(grid, float(net.lengths[e]), cong.totals[e],
+        tau[e] = min_arrival(grid, float(net.lengths[e]), totals[e],
                              limits[e], eps_rho)
     # Snap to the grid: earliest node not before tau, with a small slack so a
     # value landing on a node up to rounding does not get pushed one step out.

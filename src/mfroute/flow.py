@@ -35,7 +35,7 @@ from . import constrained
 from .errors import DegenerateSimplex, MassBoundExceeded, ShapeMismatch
 from .network import Network, PathSet, edge_totals
 from .scenario import Scenario
-from .value import EdgeCongestion, congestion_total, value_backward
+from .value import congestion_total, value_backward
 from .preference import build_preferences
 
 
@@ -73,17 +73,17 @@ class PsiResult:
     """One evaluation of the mass-to-mass map: its image and the stage outputs
     that the solver, the export and the conservation audit read.
 
-    Per distinct path suffix, the rows of ``PathSet.suffix_table``:
-    ``suffix_value``, the remaining cost, and ``suffix_tau_idx``, the
-    arrival node (-1: stay) as an int32.  Per (edge, path) pair:
-    ``flows``, the outgoing flow, and ``value`` and ``policy``, which
-    gather the suffix rows through ``pair_suffix`` on every access.
-    Per path: ``costs``, of following the policy, the logit ``response`` and
+    Per edge: ``phi_prefix``, the congestion integrals.  Per distinct path
+    suffix, the rows of ``PathSet.suffix_table``: ``suffix_value``, the
+    remaining cost, and ``suffix_tau_idx``, the arrival node (-1: stay) as an
+    int32.  Per (edge, path) pair: ``flows``, the outgoing flow, and
+    ``value`` and ``policy``, which gather the suffix rows through
+    ``pair_suffix`` on every access.  Per path: ``costs``, of following the policy, the logit ``response`` and
     the preferences ``z``.  Each has one column per grid node.
     """
 
     mass: MassField
-    congestion: EdgeCongestion
+    phi_prefix: np.ndarray
     suffix_value: np.ndarray
     suffix_tau_idx: np.ndarray = field(repr=False)
     pair_suffix: np.ndarray = field(repr=False)
@@ -294,23 +294,24 @@ def _check_mass_bound(ps: PathSet, scen: Scenario, mass: np.ndarray) -> None:
 
 def apply_psi(net: Network, ps: PathSet, scen: Scenario, mass: MassField) -> PsiResult:
     """Full pipeline: mass -> values/policy -> costs -> preferences -> flows -> mass."""
-    cong = congestion_total(ps, scen, mass.values)
-    arrival = None
+    totals, phi_prefix = congestion_total(ps, scen, mass.values)
+    arrival = floor_idx = None
     if scen.constrained.enabled:
         limits = constrained.build_speed_limits(net, scen)
-        arrival = constrained.arrival_tables(net, scen, cong, limits)
-        values, tau_idx = value_backward(net, ps, scen, cong, arrival.floor_idx)
+        arrival = constrained.arrival_tables(net, scen, totals, limits)
+        floor_idx = arrival.floor_idx
         k_idx_edges = arrival.k_idx
     else:
-        values, tau_idx = value_backward(net, ps, scen, cong)
         k_idx_edges = np.full(len(net.edges), scen.k_idx, dtype=np.int64)
-    costs, response, z = build_preferences(net, ps, scen, cong, tau_idx)
+    del totals  # read only by the arrival tables, not alive in the value stage
+    values, tau_idx = value_backward(net, ps, scen, phi_prefix, floor_idx)
+    costs, response, z = build_preferences(net, ps, scen, phi_prefix, tau_idx)
     shares = local_decision(z)
     flows = compute_flows(ps, tau_idx, shares, scen.lam, k_idx_edges)
     inj = injection_terms(shares[:, :-1], scen.lam[:-1], scen.grid.dt)
     del shares  # not alive when integrate_mass allocates the mass
     new_mass, integ = integrate_mass(ps, scen, flows, inj, scen.rho0)
-    return PsiResult(mass=MassField(values=new_mass), congestion=cong,
+    return PsiResult(mass=MassField(values=new_mass), phi_prefix=phi_prefix,
                      suffix_value=values, suffix_tau_idx=tau_idx,
                      pair_suffix=ps.suffix_table[1], costs=costs, response=response,
                      z=z, flows=flows, integration=integ, k_idx_edges=k_idx_edges,

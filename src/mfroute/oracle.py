@@ -28,7 +28,6 @@ import numpy as np
 from .flow import PsiResult
 from .network import Network, PathSet
 from .scenario import Scenario
-from .value import EdgeCongestion
 
 # check_value_tables stops after this many mismatches.
 MAX_REPORTED_MISMATCHES = 10
@@ -46,7 +45,7 @@ class _PathContext:
     eps_tie: float
 
 
-def _context(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
+def _context(net: Network, ps: PathSet, scen: Scenario, phi_prefix: np.ndarray,
              path_idx: int, arrival_floor: np.ndarray | None) -> _PathContext:
     rows = [int(r) for r in ps.path_rows[path_idx]]
     lengths, tails, phi, floors = [], [], [], []
@@ -56,7 +55,7 @@ def _context(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
         lengths.append(length)
         last = pos == len(rows) - 1
         tails.append(scen.alpha * (length if last else float(net.dist_tail[e])))
-        phi.append([float(x) for x in cong.phi_prefix[e]])
+        phi.append([float(x) for x in phi_prefix[e]])
         if arrival_floor is not None:
             floors.append([int(x) for x in arrival_floor[e]])
     return _PathContext(rows=rows, lengths=lengths, tails=tails, phi=phi,
@@ -139,20 +138,20 @@ class ValueMismatch:
     expected: float
 
 
-def check_value_tables(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
+def check_value_tables(net: Network, ps: PathSet, scen: Scenario, phi_prefix: np.ndarray,
                        values: np.ndarray, tau_idx: np.ndarray,
                        arrival_floor: np.ndarray | None = None) -> list[ValueMismatch]:
     """Compare value tables and policies against the exhaustive enumeration.
 
     ``values`` and ``tau_idx`` have one row per (edge, path) pair, as
     ``PsiResult.value`` and ``.policy`` gather them from the per-suffix rows
-    of :func:`value_backward`; ``cong`` and ``arrival_floor`` are the
+    of :func:`value_backward`; ``phi_prefix`` and ``arrival_floor`` are the
     tables' inputs.  Any deviation at all is a defect: the comparison is
     exact equality.
     """
     mismatches: list[ValueMismatch] = []
     for p in range(ps.n_paths):
-        ctx = _context(net, ps, scen, cong, p, arrival_floor)
+        ctx = _context(net, ps, scen, phi_prefix, p, arrival_floor)
         for pos, r in enumerate(ctx.rows):
             edge_id = ps.paths[p][pos]
             for i in range(ctx.n + 1):

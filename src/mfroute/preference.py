@@ -24,27 +24,26 @@ import numpy as np
 from .errors import SimplexViolation
 from .network import Network, PathSet
 from .scenario import Z0_SUM_TOL, Scenario
-from .value import EdgeCongestion
 
 
-def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
+def path_costs(net: Network, ps: PathSet, scen: Scenario, phi_prefix: np.ndarray,
                tau_idx: np.ndarray) -> np.ndarray:
     """Accumulate edge costs along the policy for every path and start node.
 
     ``tau_idx`` is the policy, one row per path suffix, as
-    :func:`value_backward` returns it.  Returns one row per path and one
-    column per start node.  A traversed edge costs the kinetic term plus its
-    congestion integral up to the arrival node; a stopped-on edge costs the
-    congestion integral to the horizon plus alpha times the distance left:
-    its length on a path's last edge, else the shortest distance from its
-    tail to the destination, as :func:`value_backward` charges it; edges
-    never reached cost nothing.
+    :func:`value_backward` returns it under the congestion integrals
+    ``phi_prefix``.  Returns one row per path and one column per start node.
+    A traversed edge costs the kinetic term plus its congestion integral up
+    to the arrival node; a stopped-on edge costs the congestion integral to
+    the horizon plus alpha times the distance left: its length on a path's
+    last edge, else the shortest distance from its tail to the destination,
+    as :func:`value_backward` charges it; edges never reached cost nothing.
     """
     n = scen.grid.steps
     t = scen.grid.nodes
     pair_suffix = ps.suffix_table[1]
     tau_flat = tau_idx.ravel()
-    phi_flat = cong.phi_prefix.ravel()
+    phi_flat = phi_prefix.ravel()
     # Accumulators in the longest-first path order of ps.rows_by_position:
     # the paths still present at a position are a leading block of rows.
     acc = np.zeros((ps.n_paths, n + 1))
@@ -54,7 +53,7 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
         row_off = (pair_suffix[rows] * (n + 1))[:, None]
         edge_off = (e * (n + 1))[:, None]
         length = net.lengths[e][:, None]
-        phi_n = cong.phi_prefix[e, n][:, None]
+        phi_n = phi_prefix[e, n][:, None]
         s = s[:rows.size]
         entered = s >= 0
         s_safe = np.maximum(s, 0)
@@ -111,11 +110,11 @@ def preference_evolution(response: np.ndarray, z0: np.ndarray, eta: float,
 
 
 def build_preferences(net: Network, ps: PathSet, scen: Scenario,
-                      cong: EdgeCongestion, tau_idx: np.ndarray
+                      phi_prefix: np.ndarray, tau_idx: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pipeline stage: path costs, logit response and preference trajectory
     ``z``, each one row per path and one column per grid node."""
-    costs = path_costs(net, ps, scen, cong, tau_idx)
+    costs = path_costs(net, ps, scen, phi_prefix, tau_idx)
     response = logit_response(costs, scen.lam, scen.beta)
     z = preference_evolution(response, scen.z0, scen.eta, scen.grid.nodes,
                              float(scen.lam[0]))

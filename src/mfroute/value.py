@@ -34,8 +34,9 @@ doubling is exact and commutes with rounding the difference, so the
 denominator has the bits of ``2*(t[j]-t[i])`` for every horizon below half
 the largest double (above it, 2t overflows).  The temporaries stay three
 block-sized arrays: the kinetic block, the candidates and a mask (17 bytes
-a cell), plus reversed copies of the grid, the node ids and the congestion
-integrals (O(N) per edge), freed when the kernel returns.
+a cell), plus reversed copies of the grid and of the congestion integrals
+of the edges that start an interior suffix (O(N) each), freed when the
+kernel returns, and not made when every path is one edge long.
 
 Block columns run from the last arrival node down: column c is node N - c.
 "Latest arrival within the tie band" is then the first column in the band,
@@ -83,8 +84,6 @@ under arrival floors change a single rounding step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeMismatch
@@ -100,16 +99,14 @@ BLOCK_CELLS = 1 << 15
 _BLOCK_BUFSIZE = 256
 
 
-@dataclass(frozen=True)
-class EdgeCongestion:
-    """Total mass per edge plus the congestion-cost prefix integrals."""
+def congestion_total(ps: PathSet, scen: Scenario, mass: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Sum pair masses into per-edge totals and integrate the congestion cost.
 
-    totals: np.ndarray      # (n_edges, nodes)
-    phi_prefix: np.ndarray  # cumulative integral of phi_e(totals)
-
-
-def congestion_total(ps: PathSet, scen: Scenario, mass: np.ndarray) -> EdgeCongestion:
-    """Sum pair masses into per-edge totals and integrate the congestion cost."""
+    Returns ``(totals, phi_prefix)``, one row per edge and one column per
+    node: the total mass, which only the speed-limited arrival tables read,
+    and the prefix integral of the edge's congestion cost at that total.
+    """
     n_nodes = scen.grid.steps + 1
     if mass.shape != (ps.pair_count, n_nodes):
         raise ShapeMismatch(
@@ -119,11 +116,10 @@ def congestion_total(ps: PathSet, scen: Scenario, mass: np.ndarray) -> EdgeConge
     phi_values = np.empty_like(totals)
     for e, cost in enumerate(scen.phi):
         phi_values[e] = cost(totals[e])
-    return EdgeCongestion(totals=totals,
-                          phi_prefix=prefix_integral(phi_values, scen.grid))
+    return totals, prefix_integral(phi_values, scen.grid)
 
 
-def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongestion,
+def value_backward(net: Network, ps: PathSet, scen: Scenario, phi_prefix: np.ndarray,
                    arrival_floor: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Compute value tables and the arrival-time policy under given congestion.
@@ -134,7 +130,7 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongesti
     which an agent entering the edge at node i arrives at its head, or -1
     when it stays at the edge tail for the rest of the horizon, as int32.
 
-    ``cong`` is the mass field's congestion, from :func:`congestion_total`.
+    ``phi_prefix`` are the congestion integrals from :func:`congestion_total`.
     ``arrival_floor``, when given, is an integer (n_edges, nodes) table of the
     earliest admissible arrival index per edge and entry node (values past the
     last node mark the moving branch as infeasible).  Without it every node
@@ -155,7 +151,7 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongesti
     alpha = scen.alpha
 
     suffixes = ps.suffix_table[0]
-    values, tau_idx, tail_cost = _initial_rows(net, suffixes, cong.phi_prefix, t,
+    values, tau_idx, tail_cost = _initial_rows(net, suffixes, phi_prefix, t,
                                                alpha, arrival_floor)
     depth = np.zeros(len(suffixes), dtype=np.int64)
     cont_n = np.empty(len(suffixes))
@@ -173,7 +169,7 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, cong: EdgeCongesti
     # small buffer, so it changes no result; stages that sum stay outside it.
     bufsize = np.setbufsize(_BLOCK_BUFSIZE)
     try:
-        _minimize_interior(net, suffixes, interior, cong.phi_prefix, t, values,
+        _minimize_interior(net, suffixes, interior, phi_prefix, t, values,
                            tau_idx, cont_n, arrival_floor, eps_tie)
     finally:
         np.setbufsize(bufsize)
@@ -242,8 +238,10 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
 
     On entry their ``values`` rows hold the stay cost; ``interior`` lists
     them in the order they run within a block.  The block buffers live only
-    here, so they are freed when the minimization returns.
+    here, so they are freed when the minimization returns, or never made.
     """
+    if not interior:
+        return
     n = t.size - 1
     node_ids = np.arange(n + 1)
     blocks = _row_blocks(n)
@@ -251,11 +249,11 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
     kin_buf = np.empty(blocks[0][1] * n)
     move_buf = np.empty_like(kin_buf)
     mask_buf = np.empty(kin_buf.size, dtype=bool)
-    # Block column c is arrival node n - c, read from reversed copies; the
+    # Block column c is arrival node n - c, read from reversed copies of the
+    # grid and of the congestion rows the interior suffixes start on; the
     # kinetic block subtracts doubled times, 2t[j] - 2t[i] == 2(t[j] - t[i]).
     t2_rev = t[::-1] * 2.0
-    ids_rev = node_ids[::-1].copy()
-    phi_rev = phi_prefix[:, ::-1].copy()
+    phi_rev = {e: phi_prefix[e, ::-1].copy() for e in {suffixes[s][0] for s in interior}}
     cont = np.empty(n)
     for i0, i1 in reversed(blocks):
         # Arrivals before i0 + 1 are inadmissible for every row here.
@@ -293,15 +291,16 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
                 np.subtract(t2_rev[None, :m], rows_t2, out=kin_block)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     np.divide(length * length, kin_block, out=kin_block)
+                # node n - c is not after entry node i where c >= n - i
                 tri = mask_block[:, m - w:]
-                np.less_equal(ids_rev[None, m - w:m], node_ids[i0:i1, None], out=tri)
+                np.greater_equal(node_ids[None, m - w:m], n - node_ids[i0:i1, None], out=tri)
                 np.copyto(kin_block[:, m - w:], np.inf, where=tri)
                 kin_length = length
             r1 = i0 + rows
             # In place, move = ((phi[j]-phi[i]) + kin) + cont[j]: the same
             # rounding steps as the oracle's (kin + (phi[j]-phi[i])) + cont[j].
             phi = phi_prefix[e]
-            np.subtract(phi_rev[e, None, :width], phi[i0:r1, None], out=move)
+            np.subtract(phi_rev[e][None, :width], phi[i0:r1, None], out=move)
             move += kin
             # Arriving at node n continues with cont_n, not values[succ, n].
             np.copyto(cont[:width], values[succ, n:n - width:-1])
@@ -314,7 +313,8 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
                 lo = n + 1 - min(int(floor.max()), n + 1)
                 if lo < width:
                     below = mask_buf[:rows * (width - lo)].reshape(rows, width - lo)
-                    np.less(ids_rev[None, lo:width], floor[:, None], out=below)
+                    # node n - c < floor where c > n - floor
+                    np.greater(node_ids[None, lo:width], n - floor[:, None], out=below)
                     np.copyto(move[:, lo:], np.inf, where=below)
             first = move.argmin(axis=1)
             best = move[node_ids[:rows], first]

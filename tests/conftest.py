@@ -199,7 +199,7 @@ def stage_inputs(doc: dict, seed: int = 5):
     return net, ps, scen, mass, apply_psi(net, ps, scen, mass)
 
 
-def reference_path_costs(net, ps, scen, cong, tau_idx):
+def reference_path_costs(net, ps, scen, phi_prefix, tau_idx):
     """Path costs and entry nodes by the per-pair loops, path after path,
     from the policy ``tau_idx`` with one row per pair.
 
@@ -224,7 +224,7 @@ def reference_path_costs(net, ps, scen, cong, tau_idx):
             r = int(r)
             e = int(ps.pair_edge_idx[r])
             length = float(net.lengths[e])
-            phi = cong.phi_prefix[e]
+            phi = phi_prefix[e]
             s = entry[r]
             s_safe = np.maximum(s, 0)
             tau = np.where(s >= 0, tau_idx[r, s_safe], -1)
@@ -276,11 +276,11 @@ def by_pair(ps, table, tau_idx):
 
 
 def value_stage(net, ps, scen, mass, arrival_floor=None):
-    """A mass field's congestion, and the value tables and policy ``tau_idx``
-    under it, one row per pair."""
-    cong = congestion_total(ps, scen, mass.values)
-    table, tau_idx = by_pair(ps, *value_backward(net, ps, scen, cong, arrival_floor))
-    return cong, table, tau_idx
+    """A mass field's congestion integrals, and the value tables and policy
+    ``tau_idx`` under them, one row per pair."""
+    _, phi_prefix = congestion_total(ps, scen, mass.values)
+    table, tau_idx = by_pair(ps, *value_backward(net, ps, scen, phi_prefix, arrival_floor))
+    return phi_prefix, table, tau_idx
 
 
 def arrival_times(grid, tau_idx):

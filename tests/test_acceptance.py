@@ -69,8 +69,8 @@ def test_criterion_1_oracle_equivalence():
         fields.append(apply_psi(net, ps, scen, fields[0]).mass)
         fields.append(admissible_mass(rng, ps, scen))
         for mass in fields:
-            cong, table, policy = value_stage(net, ps, scen, mass)
-            mismatches = check_value_tables(net, ps, scen, cong, table, policy)
+            phi_prefix, table, policy = value_stage(net, ps, scen, mass)
+            mismatches = check_value_tables(net, ps, scen, phi_prefix, table, policy)
             worst = max(worst, len(mismatches))
     elapsed = time.monotonic() - start
     report(1, worst == 0 and elapsed < 5.0,

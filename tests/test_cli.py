@@ -590,8 +590,8 @@ def test_oracle_detects_injected_policy_fault(write_scenario, capsys, monkeypatc
     import mfroute.flow as flow_mod
     real = flow_mod.value_backward
 
-    def crooked(net, ps, scen, cong, *args):
-        table, tau = real(net, ps, scen, cong, *args)
+    def crooked(net, ps, scen, phi_prefix, *args):
+        table, tau = real(net, ps, scen, phi_prefix, *args)
         n = scen.grid.steps
         return table, np.where((tau >= 0) & (tau < n), tau + 1, tau)
 

@@ -145,9 +145,8 @@ def test_blocked_edge_forces_stay():
     assert np.all(policy[r] == -1)
     assert np.all(speeds(net, ps, grid, policy)[r] == 0.0)
     e3 = net.edge_index["e3"]
-    cong = psi.congestion
-    stay = scen.alpha * net.dist_tail[e3] + (cong.phi_prefix[e3, -1]
-                                             - cong.phi_prefix[e3])
+    stay = scen.alpha * net.dist_tail[e3] + (psi.phi_prefix[e3, -1]
+                                             - psi.phi_prefix[e3])
     assert np.allclose(table[r], stay, rtol=0, atol=1e-15)
 
 
@@ -165,11 +164,11 @@ def test_constrained_tables_match_enumeration():
     net, ps, scen, grid = build(diamond_dict(steps=10, constrained=TIGHT))
     rng = np.random.default_rng(47)
     mass = admissible_mass(rng, ps, scen)
-    cong = congestion_total(ps, scen, mass.values)
+    totals, phi_prefix = congestion_total(ps, scen, mass.values)
     limits = build_speed_limits(net, scen)
-    arr = arrival_tables(net, scen, cong, limits)
-    table, policy = by_pair(ps, *value_backward(net, ps, scen, cong, arr.floor_idx))
-    assert check_value_tables(net, ps, scen, cong, table, policy, arr.floor_idx) == []
+    arr = arrival_tables(net, scen, totals, limits)
+    table, policy = by_pair(ps, *value_backward(net, ps, scen, phi_prefix, arr.floor_idx))
+    assert check_value_tables(net, ps, scen, phi_prefix, table, policy, arr.floor_idx) == []
 
 
 def test_mean_traverse_constant_excess():

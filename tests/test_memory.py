@@ -4,21 +4,30 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+import weakref
 
-from mfroute import integrate_mass, local_decision, scenario_from_dict, solve
+import numpy as np
+import pytest
+
+import mfroute.flow as flow
+import mfroute.value as value_module
+from mfroute import (apply_psi, congestion_total, integrate_mass, local_decision,
+                     scenario_from_dict, solve, value_backward)
 from mfroute.flow import injection_terms
 from mfroute.network import edge_totals
 
-from conftest import SCENARIOS, WORKLOADS
+from conftest import (ROOT, SCENARIOS, TIGHT, WORKLOADS, admissible_mass, diamond_dict,
+                      zero_mass)
 
 # Across a map evaluation the solver holds 3 + 2 * (ANDERSON_DEPTH - 1) = 7
 # pair-sized arrays: the pre-image, the previous pre-image and its residual,
-# and two difference pairs.  psi adds its flows, its image and its per-suffix
-# value and int32 policy tables; no stage holds a pair-sized temporary, and
-# the residual takes none.  The solve peaks at 10.40 in integrate_mass, where
-# the mass bound check adds the edge totals to the image; the bound leaves no
-# room for a stage temporary of a tenth of a pair array.
-PEAK_PAIR_ARRAYS = 10.45
+# and two difference pairs.  psi adds its flows, its image, its per-suffix
+# value and int32 policy tables and the congestion integrals; no stage holds
+# a pair-sized temporary, and the residual takes none.  The solve peaks at
+# 10.33 in integrate_mass, where the mass bound check adds the edge totals to
+# the image; the bound leaves no room for a stage temporary of a tenth of a
+# pair array.
+PEAK_PAIR_ARRAYS = 10.35
 
 
 def lattice(k: int):
@@ -70,3 +79,60 @@ def test_edge_totals_allocate_their_result_and_one_block():
     mass = solve(net, ps, scen).mass.values
     totals, peak = traced_peak(edge_totals, ps, mass)
     assert peak <= totals.nbytes + 4096 * 8
+
+
+def test_value_stage_holds_two_blocks_the_mask_and_interior_rows():
+    # diamond-fine: 1500 steps, 6 suffixes, 3 of them interior, on e1, e2, e3
+    doc = WORKLOADS.WORKLOADS["diamond-fine"](ROOT, 1)
+    net, ps, scen, grid = scenario_from_dict(doc)
+    _, phi_prefix = congestion_total(ps, scen, solve(net, ps, scen).mass.values)
+    (values, tau_idx), peak = traced_peak(value_backward, net, ps, scen, phi_prefix)
+    n = grid.steps
+    row = (n + 1) * 8
+    block_cells = value_module._row_blocks(n)[0][1] * n
+    interior_edges = {e for e, succ in ps.suffix_table[0] if succ >= 0}
+    assert len(interior_edges) == 3 < len(net.edges)
+    # beside the outputs: the kinetic and candidate blocks, the mask, the
+    # reversed congestion rows of interior-suffix edges, and five vectors of
+    # N + 1: the reversed doubled grid, the node ids, the continuation and
+    # two of a block's per-row results
+    assert peak <= (values.nbytes + tau_idx.nbytes + 2 * block_cells * 8 + block_cells
+                    + len(interior_edges) * row + 5 * row)
+
+
+def test_value_stage_of_one_edge_paths_allocates_no_block_buffers():
+    # three parallel o -> d edges: every suffix is a last edge
+    edges = [{"id": f"e{i}", "tail": "o", "head": "d", "length": 1.0 + 0.5 * i,
+              "capacity": 2.0} for i in range(3)]
+    doc = diamond_dict(steps=1500, edges=edges)
+    doc["network"]["vertices"] = ["o", "d"]
+    net, ps, scen, grid = scenario_from_dict(doc)
+    mass = admissible_mass(np.random.default_rng(3), ps, scen)
+    _, phi_prefix = congestion_total(ps, scen, mass.values)
+    (values, tau_idx), peak = traced_peak(value_backward, net, ps, scen, phi_prefix)
+    assert (tau_idx[:, :-1] >= 0).any()
+    # the outputs and a few O(N) rows per suffix for the stay costs and the
+    # last-edge candidates, where one block buffer alone is 31,500 cells
+    assert peak <= values.nbytes + tau_idx.nbytes + 5 * values.nbytes
+
+
+@pytest.mark.parametrize("constrained", [None, TIGHT], ids=["free", "speed-limited"])
+def test_apply_psi_holds_no_edge_totals_in_the_value_stage(monkeypatch, constrained):
+    net, ps, scen, grid = scenario_from_dict(diamond_dict(steps=60, constrained=constrained))
+    totals = []
+    alive = []
+
+    def congestion(*args):
+        result = congestion_total(*args)
+        totals.append(weakref.ref(result[0]))
+        return result
+
+    def value_stage(*args):
+        alive.append(totals[-1]() is not None)
+        return value_backward(*args)
+
+    monkeypatch.setattr(flow, "congestion_total", congestion)
+    monkeypatch.setattr(flow, "value_backward", value_stage)
+    for mass in (zero_mass(ps, grid), admissible_mass(np.random.default_rng(7), ps, scen)):
+        apply_psi(net, ps, scen, mass)
+    assert alive == [False, False]

@@ -54,7 +54,7 @@ def test_value_check_detects_tampered_table():
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
     values = psi.value.copy()
     values[0, 2] += 1e-12
-    mismatches = check_value_tables(net, ps, scen, psi.congestion, values,
+    mismatches = check_value_tables(net, ps, scen, psi.phi_prefix, values,
                                     psi.policy.tau_idx)
     assert any(m.kind == "value" and m.node == 2 for m in mismatches)
 
@@ -66,7 +66,7 @@ def test_value_check_reports_one_tampered_policy_entry():
     tau = psi.policy.tau_idx.copy()
     assert tau[r, 3] != -1
     tau[r, 3] = -1
-    mismatches = check_value_tables(net, ps, scen, psi.congestion, psi.value, tau)
+    mismatches = check_value_tables(net, ps, scen, psi.phi_prefix, psi.value, tau)
     assert [(m.path_idx, m.edge_id, m.node, m.kind, m.computed) for m in mismatches] == [
         (1, ps.paths[1][0], 3, "policy", -1.0)]
     assert mismatches[0].expected == float(psi.policy.tau_idx[r, 3])
@@ -78,7 +78,7 @@ def test_value_check_stops_at_the_cap_value_before_policy():
     r = int(ps.path_rows[0][0])
     tau = psi.policy.tau_idx.copy()
     tau[r, 0] = -1 if tau[r, 0] != -1 else 1
-    mismatches = check_value_tables(net, ps, scen, psi.congestion, psi.value + 1.0, tau)
+    mismatches = check_value_tables(net, ps, scen, psi.phi_prefix, psi.value + 1.0, tau)
     assert len(mismatches) == MAX_REPORTED_MISMATCHES
     assert [(m.node, m.kind) for m in mismatches[:3]] == [
         (0, "value"), (0, "policy"), (1, "value")]

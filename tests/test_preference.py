@@ -28,60 +28,60 @@ def entry_times(ps, policy, path_idx: int, node: int) -> list[int]:
     return entries
 
 
-def leg_cost(net, scen, cong, edge_id, entry, arrival):
+def leg_cost(net, scen, phi_prefix, edge_id, entry, arrival):
     """Cost of traversing an edge from node ``entry`` to node ``arrival``."""
     e = net.edge_index[edge_id]
     length = float(net.lengths[e])
     t = scen.grid.nodes
     return ((length * length) / (2.0 * (t[arrival] - t[entry]))
-            + (cong.phi_prefix[e, arrival] - cong.phi_prefix[e, entry]))
+            + (phi_prefix[e, arrival] - phi_prefix[e, entry]))
 
 
-def stop_cost(net, scen, cong, edge_id, entry):
+def stop_cost(net, scen, phi_prefix, edge_id, entry):
     """Cost of staying at an edge's tail from node ``entry`` on."""
     e = net.edge_index[edge_id]
-    return (scen.alpha * net.dist_tail[e]) + (cong.phi_prefix[e, -1]
-                                              - cong.phi_prefix[e, entry])
+    return (scen.alpha * net.dist_tail[e]) + (phi_prefix[e, -1]
+                                              - phi_prefix[e, entry])
 
 
 def costs_and_policy(net, ps, scen, mass):
     """Congestion, path costs along the policy, and the policy by pair."""
-    cong = congestion_total(ps, scen, mass.values)
-    table, policy = value_backward(net, ps, scen, cong)
-    costs = path_costs(net, ps, scen, cong, policy)
-    return cong, costs, by_pair(ps, table, policy)[1]
+    _, phi_prefix = congestion_total(ps, scen, mass.values)
+    table, policy = value_backward(net, ps, scen, phi_prefix)
+    costs = path_costs(net, ps, scen, phi_prefix, policy)
+    return phi_prefix, costs, by_pair(ps, table, policy)[1]
 
 
 @pytest.fixture
 def diamond_policy(diamond):
     net, ps, scen, grid = diamond
-    cong, costs, policy = costs_and_policy(net, ps, scen, zero_mass(ps, grid))
-    return net, ps, scen, grid, cong, costs, policy
+    phi_prefix, costs, policy = costs_and_policy(net, ps, scen, zero_mass(ps, grid))
+    return net, ps, scen, grid, phi_prefix, costs, policy
 
 
 def test_entry_times_follow_policy(diamond_policy):
     # the second edge is entered at the first edge's arrival node, and the
     # path cost adds the two legs from +0.0
-    net, ps, scen, grid, cong, costs, policy = diamond_policy
+    net, ps, scen, grid, phi_prefix, costs, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
     entries = entry_times(ps, policy, p, 0)
     tau = int(policy[row(ps, "e4", p), entries[1]])
     assert 0 < entries[1] < tau
-    expected = 0.0 + leg_cost(net, scen, cong, "e1", 0, entries[1])
-    expected += leg_cost(net, scen, cong, "e4", entries[1], tau)
+    expected = 0.0 + leg_cost(net, scen, phi_prefix, "e1", 0, entries[1])
+    expected += leg_cost(net, scen, phi_prefix, "e4", entries[1], tau)
     assert costs[p, 0] == expected
 
 
 def test_entry_times_propagate_stop(diamond_policy):
-    net, ps, scen, grid, cong, costs, policy = diamond_policy
+    net, ps, scen, grid, phi_prefix, costs, policy = diamond_policy
     p = ps.paths.index(("e1", "e3", "e5"))
     # near the horizon the whole path stays put: the later edges cost nothing
     assert entry_times(ps, policy, p, grid.steps) == [grid.steps, -1, -1]
-    assert costs[p, grid.steps] == 0.0 + stop_cost(net, scen, cong, "e1", grid.steps)
+    assert costs[p, grid.steps] == 0.0 + stop_cost(net, scen, phi_prefix, "e1", grid.steps)
 
 
 def test_entry_times_strictly_increase_while_finite(diamond_policy):
-    net, ps, scen, grid, cong, costs, policy = diamond_policy
+    net, ps, scen, grid, phi_prefix, costs, policy = diamond_policy
     for p in range(ps.n_paths):
         for i in range(grid.steps + 1):
             seq = entry_times(ps, policy, p, i)
@@ -96,23 +96,23 @@ def test_entry_times_strictly_increase_while_finite(diamond_policy):
 def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
     # arriving at the final node enters the next edge there, which then
     # stays and pays its distance penalty
-    net, ps, scen, grid, cong, costs, policy = diamond_policy
+    net, ps, scen, grid, phi_prefix, costs, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
     r = row(ps, "e1", p)
     hits = np.flatnonzero(policy[r] == grid.steps)
     assert hits.size
     i = int(hits[0])
     assert entry_times(ps, policy, p, i) == [i, grid.steps]
-    expected = 0.0 + leg_cost(net, scen, cong, "e1", i, grid.steps)
-    expected += stop_cost(net, scen, cong, "e4", grid.steps)
+    expected = 0.0 + leg_cost(net, scen, phi_prefix, "e1", i, grid.steps)
+    expected += stop_cost(net, scen, phi_prefix, "e4", grid.steps)
     assert costs[p, i] == expected
 
 
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
 def test_path_costs_match_per_pair_reference(doc):
     net, ps, scen, mass, psi = stage_inputs(doc)
-    table = path_costs(net, ps, scen, psi.congestion, psi.suffix_tau_idx)
-    costs, entry = reference_path_costs(net, ps, scen, psi.congestion,
+    table = path_costs(net, ps, scen, psi.phi_prefix, psi.suffix_tau_idx)
+    costs, entry = reference_path_costs(net, ps, scen, psi.phi_prefix,
                                         psi.policy.tau_idx)
     assert table.tobytes() == costs.tobytes()
     # agents stop on some edges, so later edges are never entered
@@ -141,14 +141,14 @@ def test_single_edge_path_cost_is_kinetic_term():
 
 def test_stopped_first_edge_contributes_distance_and_tail_integral(diamond):
     net, ps, scen, grid = diamond
-    cong, table, policy = costs_and_policy(net, ps, scen, zero_mass(ps, grid))
+    phi_prefix, table, policy = costs_and_policy(net, ps, scen, zero_mass(ps, grid))
     p = ps.paths.index(("e1", "e4"))
     r = row(ps, "e1", p)
     stopped = np.flatnonzero(policy[r] < 0)
     i = int(stopped[0])
     e = net.edge_index["e1"]
-    expected = scen.alpha * net.dist_tail[e] + (cong.phi_prefix[e, -1]
-                                                - cong.phi_prefix[e, i])
+    expected = scen.alpha * net.dist_tail[e] + (phi_prefix[e, -1]
+                                                - phi_prefix[e, i])
     assert table[p, i] == pytest.approx(expected, rel=1e-12)
 
 

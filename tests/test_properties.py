@@ -107,13 +107,13 @@ def test_psi_stages_match_references_and_oracles(case):
     net, ps, scen, grid = build(doc)
     mass = MassField(values=random_mass(ps, scen, seed))
     psi = apply_psi(net, ps, scen, mass)
-    cong, policy = psi.congestion, psi.policy.tau_idx
+    phi_prefix, policy = psi.phi_prefix, psi.policy.tau_idx
 
     assert list(ps.paths) == reference_paths(net)
     for values in (mass.values, psi.mass.values):
         assert edge_totals(ps, values).tobytes() == reference_edge_totals(ps, values).tobytes()
-    table = path_costs(net, ps, scen, cong, psi.suffix_tau_idx)
-    costs, entry = reference_path_costs(net, ps, scen, cong, policy)
+    table = path_costs(net, ps, scen, phi_prefix, psi.suffix_tau_idx)
+    costs, entry = reference_path_costs(net, ps, scen, phi_prefix, policy)
     assert table.tobytes() == costs.tobytes()
     assert_costs_follow_values(ps, scen, table, psi.value, entry)
     shares = local_decision(psi.z)
@@ -122,12 +122,12 @@ def test_psi_stages_match_references_and_oracles(case):
     assert flows.tobytes() == ref.tobytes()
 
     floor = psi.arrival.floor_idx if psi.arrival is not None else None
-    assert check_value_tables(net, ps, scen, cong, psi.value, policy, floor) == []
+    assert check_value_tables(net, ps, scen, phi_prefix, psi.value, policy, floor) == []
     # one-row blocks first, then blocks of a few rows
     for cells in (1, 3 * (scen.grid.steps + 1)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(value_module, "BLOCK_CELLS", cells)
-            table, other = by_pair(ps, *value_backward(net, ps, scen, cong, floor))
+            table, other = by_pair(ps, *value_backward(net, ps, scen, phi_prefix, floor))
         assert table.tobytes() == psi.value.tobytes()
         assert other.tobytes() == policy.tobytes()
     assert audit_conservation(ps, scen, psi, scen.rho0).ok
@@ -142,8 +142,8 @@ def test_policy_walk_through_a_detour_at_the_horizon_costs_more_than_its_value()
     doc["solver"]["eps_tie"] = 0.3
     net, ps, scen, grid = build(doc)
     psi = apply_psi(net, ps, scen, zero_mass(ps, grid))
-    costs = path_costs(net, ps, scen, psi.congestion, psi.suffix_tau_idx)
-    _, entry = reference_path_costs(net, ps, scen, psi.congestion, psi.policy.tau_idx)
+    costs = path_costs(net, ps, scen, psi.phi_prefix, psi.suffix_tau_idx)
+    _, entry = reference_path_costs(net, ps, scen, psi.phi_prefix, psi.policy.tau_idx)
     e1, e2 = ps.path_rows[1]
     assert ps.paths[1] == ("e1", "e2") and entry[e2, 0] == grid.steps
     gap = costs[1, 0] - psi.value[e1, 0]

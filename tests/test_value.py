@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mfroute.value as value_module
-from mfroute import (EdgeCongestion, MassField, ShapeMismatch, arrival_tables,
+from mfroute import (MassField, ShapeMismatch, arrival_tables,
                      build_speed_limits, congestion_total, value_backward)
 from mfroute.oracle import check_value_tables
 
@@ -36,9 +36,9 @@ def unit_chain_dict(steps, horizon=1.0, alpha=1.0, coeff=0.0, n_edges=1,
 
 def test_congestion_total_zero_mass(diamond):
     net, ps, scen, grid = diamond
-    cong = congestion_total(ps, scen, zero_mass(ps, grid).values)
-    assert np.array_equal(cong.totals, np.zeros_like(cong.totals))
-    assert np.array_equal(cong.phi_prefix, np.zeros_like(cong.phi_prefix))
+    totals, phi_prefix = congestion_total(ps, scen, zero_mass(ps, grid).values)
+    assert np.array_equal(totals, np.zeros_like(totals))
+    assert np.array_equal(phi_prefix, np.zeros_like(phi_prefix))
 
 
 def test_congestion_total_sums_sharing_paths(diamond):
@@ -48,12 +48,12 @@ def test_congestion_total_sums_sharing_paths(diamond):
     r2 = row(ps, "e5", ps.paths.index(("e2", "e5")))
     mass[r1] = 0.3
     mass[r2] = 0.7
-    cong = congestion_total(ps, scen, mass)
+    totals, _ = congestion_total(ps, scen, mass)
     e5 = net.edge_index["e5"]
-    assert np.allclose(cong.totals[e5], 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(totals[e5], 1.0, rtol=0, atol=1e-15)
     others = [e for e in range(5) if e != e5 and net.edges[e].id not in ("e5",)]
     # only the two rows above carry mass
-    assert cong.totals[net.edge_index["e1"]].max() == 0.0
+    assert totals[net.edge_index["e1"]].max() == 0.0
 
 
 def test_congestion_shape_checked(diamond):
@@ -101,16 +101,16 @@ def test_two_edge_chain_matches_enumeration_exactly():
     net, ps, scen, grid = build(unit_chain_dict(steps=12, horizon=2.0,
                                                 alpha=50.0, n_edges=2,
                                                 rho_max=5.0))
-    cong, table, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
-    assert check_value_tables(net, ps, scen, cong, table, policy) == []
+    phi_prefix, table, policy = value_stage(net, ps, scen, zero_mass(ps, grid))
+    assert check_value_tables(net, ps, scen, phi_prefix, table, policy) == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_diamond_matches_enumeration_on_random_masses(seed):
     net, ps, scen, grid = build(diamond_dict(steps=12))
     rng = np.random.default_rng(seed)
-    cong, table, policy = value_stage(net, ps, scen, admissible_mass(rng, ps, scen))
-    assert check_value_tables(net, ps, scen, cong, table, policy) == []
+    phi_prefix, table, policy = value_stage(net, ps, scen, admissible_mass(rng, ps, scen))
+    assert check_value_tables(net, ps, scen, phi_prefix, table, policy) == []
 
 
 def test_moving_speed_bounded_below(diamond):
@@ -189,9 +189,9 @@ def test_policy_monotone_and_absorbing_on_pipeline_mass(diamond):
 def test_value_backward_bitwise_deterministic(diamond):
     net, ps, scen, grid = diamond
     rng = np.random.default_rng(21)
-    cong = congestion_total(ps, scen, admissible_mass(rng, ps, scen).values)
-    t1, p1 = value_backward(net, ps, scen, cong)
-    t2, p2 = value_backward(net, ps, scen, cong)
+    _, phi_prefix = congestion_total(ps, scen, admissible_mass(rng, ps, scen).values)
+    t1, p1 = value_backward(net, ps, scen, phi_prefix)
+    t2, p2 = value_backward(net, ps, scen, phi_prefix)
     assert np.array_equal(t1, t2)
     assert np.array_equal(p1, p2)
 
@@ -199,11 +199,11 @@ def test_value_backward_bitwise_deterministic(diamond):
 def _value_inputs(doc, seed):
     net, ps, scen, grid = build(doc)
     mass = admissible_mass(np.random.default_rng(seed), ps, scen)
-    cong = congestion_total(ps, scen, mass.values)
+    totals, phi_prefix = congestion_total(ps, scen, mass.values)
     floor = None
     if scen.constrained.enabled:
-        floor = arrival_tables(net, scen, cong, build_speed_limits(net, scen)).floor_idx
-    return net, ps, scen, cong, floor
+        floor = arrival_tables(net, scen, totals, build_speed_limits(net, scen)).floor_idx
+    return net, ps, scen, phi_prefix, floor
 
 
 def detour_dict(steps):
@@ -259,14 +259,14 @@ def test_default_row_blocks_fill_the_budget(n, count):
 
 def _check_row_blocks(monkeypatch, doc, cells=3 * 17):
     monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
-    net, ps, scen, cong, floor = _value_inputs(doc, seed=31)
+    net, ps, scen, phi_prefix, floor = _value_inputs(doc, seed=31)
     if floor is not None:
         # rows with no admissible arrival are part of what is checked
         assert np.any(floor > scen.grid.steps)
-    table, policy = by_pair(ps, *value_backward(net, ps, scen, cong, floor))
-    assert check_value_tables(net, ps, scen, cong, table, policy, floor) == []
+    table, policy = by_pair(ps, *value_backward(net, ps, scen, phi_prefix, floor))
+    assert check_value_tables(net, ps, scen, phi_prefix, table, policy, floor) == []
     monkeypatch.setattr(value_module, "BLOCK_CELLS", BLOCK_CELLS)
-    default_table, default_policy = by_pair(ps, *value_backward(net, ps, scen, cong,
+    default_table, default_policy = by_pair(ps, *value_backward(net, ps, scen, phi_prefix,
                                                                 floor))
     assert table.tobytes() == default_table.tobytes()
     assert policy.tobytes() == default_policy.tobytes()
@@ -295,10 +295,9 @@ def test_tie_band_of_rows_with_far_apart_first_minima(eps_tie):
     net, ps, scen, grid = build(doc)
     phi_prefix = np.zeros((2, 17))
     phi_prefix[0, 9:] = 100.0
-    cong = EdgeCongestion(totals=np.zeros_like(phi_prefix), phi_prefix=phi_prefix)
     assert value_module._row_blocks(16) == [(0, 16)]
-    table, policy = by_pair(ps, *value_backward(net, ps, scen, cong))
-    assert check_value_tables(net, ps, scen, cong, table, policy) == []
+    table, policy = by_pair(ps, *value_backward(net, ps, scen, phi_prefix))
+    assert check_value_tables(net, ps, scen, phi_prefix, table, policy) == []
     tau = policy[row(ps, "e1", 0)]
     assert np.all(tau[:8] == 8) and np.all(tau[8:16] >= 12) and tau[15] == 16
 
@@ -325,8 +324,8 @@ def test_final_node_continues_with_stay_penalty(monkeypatch):
     monkeypatch.setattr(value_module, "BLOCK_CELLS", 3 * (n + 1))
     first_tau = []
     for mass in (zero_mass(ps, grid), admissible_mass(np.random.default_rng(43), ps, scen)):
-        cong, table, policy = value_stage(net, ps, scen, mass)
-        assert check_value_tables(net, ps, scen, cong, table, policy) == []
+        phi_prefix, table, policy = value_stage(net, ps, scen, mass)
+        assert check_value_tables(net, ps, scen, phi_prefix, table, policy) == []
         first_tau.append(policy[r, 0])
     assert first_tau[0] == n
 
@@ -339,14 +338,14 @@ def test_block_size_does_not_change_results(monkeypatch, doc):
     _check_block_sizes_agree(monkeypatch, *_value_inputs(doc, seed=37))
 
 
-def _check_block_sizes_agree(monkeypatch, net, ps, scen, cong, floor):
+def _check_block_sizes_agree(monkeypatch, net, ps, scen, phi_prefix, floor):
     results = []
     # default blocks, one-row blocks first, blocks of a few rows first, one
     # block for all entry nodes
     n_nodes = scen.grid.steps + 1
     for cells in (BLOCK_CELLS, 1, 3 * n_nodes, n_nodes ** 2):
         monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
-        results.append(value_backward(net, ps, scen, cong, floor))
+        results.append(value_backward(net, ps, scen, phi_prefix, floor))
     (t0, p0), *others = results
     for table, policy in others:
         assert np.array_equal(table, t0)
@@ -356,8 +355,8 @@ def _check_block_sizes_agree(monkeypatch, net, ps, scen, cong, floor):
 @pytest.mark.parametrize("doc", [diamond_dict(steps=60), lattice_dict(3, steps=60)],
                          ids=["diamond", "lattice-3x3"])
 def test_pairs_sharing_a_suffix_get_equal_rows(doc):
-    net, ps, scen, cong, _ = _value_inputs(doc, seed=41)
-    suffix_table, suffix_tau = value_backward(net, ps, scen, cong)
+    net, ps, scen, phi_prefix, _ = _value_inputs(doc, seed=41)
+    suffix_table, suffix_tau = value_backward(net, ps, scen, phi_prefix)
     # one row per distinct suffix, which every pair on it reads
     assert suffix_table.shape == (len(ps.suffix_table[0]), scen.grid.steps + 1)
     assert suffix_tau.shape == suffix_table.shape
@@ -378,7 +377,7 @@ def test_pairs_sharing_a_suffix_get_equal_rows(doc):
 def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
     net, ps, scen, grid = diamond
     mass = admissible_mass(np.random.default_rng(47), ps, scen)
-    cong = congestion_total(ps, scen, mass.values)
+    _, phi_prefix = congestion_total(ps, scen, mass.values)
     seen = []
 
     def failing_argmax(*args, **kwargs):
@@ -388,11 +387,11 @@ def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
     with np.errstate():
         caller = np.setbufsize(4096)
         try:
-            value_backward(net, ps, scen, cong)
+            value_backward(net, ps, scen, phi_prefix)
             assert np.getbufsize() == 4096
             monkeypatch.setattr(np, "argmax", failing_argmax)
             with pytest.raises(RuntimeError, match="block loop"):
-                value_backward(net, ps, scen, cong)
+                value_backward(net, ps, scen, phi_prefix)
             assert seen == [value_module._BLOCK_BUFSIZE]
             assert np.getbufsize() == 4096
         finally:
@@ -432,9 +431,9 @@ def _hand_floor_inputs(doc, case, eps_tie=None):
     doc = HAND_FLOOR_DOCS[doc]
     if eps_tie is not None:
         doc = {**doc, "solver": {**doc["solver"], "eps_tie": eps_tie}}
-    net, ps, scen, cong, _ = _value_inputs(doc, seed=53)
+    net, ps, scen, phi_prefix, _ = _value_inputs(doc, seed=53)
     floor = hand_floors(scen.grid.steps, len(net.edges))[case]
-    return net, ps, scen, cong, floor
+    return net, ps, scen, phi_prefix, floor
 
 
 # At eps_tie 0 the band is the minimum itself, also for a row with no
@@ -446,9 +445,9 @@ def _hand_floor_inputs(doc, case, eps_tie=None):
                          ids=[f"{d}-{c}" for d, c in HAND_FLOOR_CASES])
 def test_hand_made_floors_match_enumeration(monkeypatch, doc, case, cells, eps_tie):
     monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
-    net, ps, scen, cong, floor = _hand_floor_inputs(doc, case, eps_tie)
-    table, policy = by_pair(ps, *value_backward(net, ps, scen, cong, floor))
-    assert check_value_tables(net, ps, scen, cong, table, policy, floor) == []
+    net, ps, scen, phi_prefix, floor = _hand_floor_inputs(doc, case, eps_tie)
+    table, policy = by_pair(ps, *value_backward(net, ps, scen, phi_prefix, floor))
+    assert check_value_tables(net, ps, scen, phi_prefix, table, policy, floor) == []
 
 
 @pytest.mark.parametrize("doc, case", HAND_FLOOR_CASES,
