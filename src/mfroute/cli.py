@@ -40,30 +40,34 @@ from .scenario import (Scenario, TimeGrid, load_scenario, scenario_checks,
 _BLOCK_CELLS = 4096
 
 
-def _csv_rows(block: np.ndarray) -> str:
-    """The CSV lines of a block of rows, each distinct bit pattern formatted once."""
+def _tokens(block: np.ndarray) -> np.ndarray:
+    """Each cell's "%.17g" text, in an object array of the block's shape.
+
+    Each distinct value is formatted once, told apart by its bits: by value
+    -0.0 and 0.0 would merge and one would print as the other.
+    """
     bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-    tokens = np.array(("%.17g," * len(bits) % tuple(bits.view(np.float64).tolist()))
+    tokens = np.array((("%.17g," * len(bits))[:-1] % tuple(bits.view(np.float64).tolist()))
                       .split(","), dtype=object)
-    return "\n".join(map(",".join, tokens[inverse.reshape(block.shape)].tolist())) + "\n"
+    return tokens[inverse.reshape(block.shape)]
 
 
-def _write_csv(path: Path, grid: TimeGrid, headers: list[str],
+def _write_csv(path: Path, times: np.ndarray, headers: list[str],
                tables: list[np.ndarray]) -> None:
-    # One node per row: t, then each table's rows as columns.  The bytes are
-    # those of "%.17g" per cell, which round-trips every double and prints
-    # inf, -inf and nan as float() reads them back.  Each row block formats
-    # its distinct values once and indexes the tokens back into rows; values
-    # are told apart by their bits, since by value -0.0 and 0.0 would merge
-    # and one would print as the other.  Blocks are written as they are
-    # made, so no file's text is ever held whole.
-    step = max(1, _BLOCK_CELLS // (1 + sum(len(table) for table in tables)))
+    # One node per row: its time, then each table's rows as columns, each
+    # cell printed as "%.17g", which round-trips every double and prints inf,
+    # -inf and nan as float() reads them back.  ``times`` are the tokens of
+    # the grid's nodes and then of inf; an integer table's cells index them,
+    # so -1 prints inf.  Row blocks are written as they are made, so no
+    # file's text is ever held whole.
+    step = max(1, _BLOCK_CELLS // (1 + len(headers)))
     with open(path, "w", encoding="utf-8") as f:
         f.write("t," + ",".join(headers) + "\n")
-        for r0 in range(0, len(grid.nodes), step):
-            rows = slice(r0, r0 + step)
-            f.write(_csv_rows(np.column_stack(
-                [grid.nodes[rows], *(table[:, rows].T for table in tables)])))
+        for r0 in range(0, len(times) - 1, step):
+            block = np.column_stack([table[:, r0:r0 + step].T for table in tables])
+            block = times[block] if block.dtype.kind == "i" else _tokens(block)
+            f.write("\n".join(map(",".join, np.column_stack(
+                (times[r0:r0 + len(block)], block)).tolist())) + "\n")
 
 
 def _pair_columns(ps: PathSet, prefix: str) -> list[str]:
@@ -74,8 +78,11 @@ def _path_columns(ps: PathSet, prefix: str) -> list[str]:
     return [f"{prefix}[p{p + 1}]" for p in range(ps.n_paths)]
 
 
-def write_mass_csv(path: Path, grid: TimeGrid, ps: PathSet, mass: MassField) -> None:
-    _write_csv(path, grid, _pair_columns(ps, "rho"), [mass.values])
+def write_mass_csv(path: Path, grid: TimeGrid, ps: PathSet, mass: MassField,
+                   times: np.ndarray | None = None) -> None:
+    # times: the grid's tokens (see _write_csv), when made already
+    _write_csv(path, _tokens(np.append(grid.nodes, np.inf)) if times is None else times,
+               _pair_columns(ps, "rho"), [mass.values])
 
 
 def read_mass_csv(path: Path, ps: PathSet, grid: TimeGrid) -> MassField:
@@ -130,17 +137,16 @@ def read_mass_csv(path: Path, ps: PathSet, grid: TimeGrid) -> MassField:
 def _export_stages(out: Path, grid: TimeGrid, ps: PathSet, psi: PsiResult,
                    mass: MassField | None = None) -> None:
     # masses.csv carries the field of record: the equilibrium for a solve,
-    # the map's output for a single evaluation
-    write_mass_csv(out / "masses.csv", grid, ps, mass if mass is not None else psi.mass)
-    _write_csv(out / "flows.csv", grid, _pair_columns(ps, "f"), [psi.flows])
-    _write_csv(out / "values.csv", grid, _pair_columns(ps, "V"), [psi.value])
-    # exported as arrival times: tau_idx -1 (stay) picks the appended inf
-    tau_time = np.append(grid.nodes, np.inf)[psi.policy.tau_idx]
-    _write_csv(out / "policy.csv", grid, _pair_columns(ps, "tau"), [tau_time])
-    _write_csv(out / "preferences.csv", grid,
+    # the map's output for a single evaluation.  The grid is formatted once.
+    times = _tokens(np.append(grid.nodes, np.inf))
+    write_mass_csv(out / "masses.csv", grid, ps, psi.mass if mass is None else mass, times)
+    _write_csv(out / "flows.csv", times, _pair_columns(ps, "f"), [psi.flows])
+    _write_csv(out / "values.csv", times, _pair_columns(ps, "V"), [psi.value])
+    _write_csv(out / "policy.csv", times, _pair_columns(ps, "tau"), [psi.policy.tau_idx])
+    _write_csv(out / "preferences.csv", times,
                _path_columns(ps, "z") + _path_columns(ps, "F_beta"),
                [psi.z, psi.response])
-    _write_csv(out / "costs.csv", grid, _path_columns(ps, "J"), [psi.costs])
+    _write_csv(out / "costs.csv", times, _path_columns(ps, "J"), [psi.costs])
 
 
 def _diagnostics(scen: Scenario, psi: PsiResult, member: XMembership) -> dict:
@@ -151,11 +157,11 @@ def _diagnostics(scen: Scenario, psi: PsiResult, member: XMembership) -> dict:
                  "count": psi.integration.clip_count},
         "constrained": scen.constrained.enabled,
         "k": scen.k,
-        "k_idx_edges": [int(v) for v in psi.k_idx_edges],
+        "k_idx_edges": psi.k_idx_edges.tolist(),
     }
     if psi.arrival is not None:
-        diag["mean_traverse_time"] = [float(v) for v in psi.arrival.tau_bar]
-        diag["ktilde"] = [float(v) for v in psi.k_idx_edges * scen.grid.dt]
+        diag["mean_traverse_time"] = psi.arrival.tau_bar.tolist()
+        diag["ktilde"] = (psi.k_idx_edges * scen.grid.dt).tolist()
     return diag
 
 
@@ -190,8 +196,8 @@ def _load(args) -> tuple[Network, PathSet, Scenario, TimeGrid]:
     again, so a flag gets exactly the checks of the scenario key it sets.
     """
     net, ps, scen, grid = load_scenario(args.scenario)
-    solver = {key: getattr(args, key, None) for key in ("gamma", "tol", "max_iter")}
-    solver = {key: value for key, value in solver.items() if value is not None}
+    solver = {key: value for key in ("gamma", "tol", "max_iter")
+              if (value := getattr(args, key, None)) is not None}
     if not solver and not args.constrained:
         return net, ps, scen, grid
     doc = scenario_to_dict(net, scen)
@@ -254,11 +260,9 @@ def _solve_body(args, out: Path, net: Network, ps: PathSet, scen: Scenario,
         "diagnostics": {**_diagnostics(scen, report.psi, report.membership),
                         "residual_increases": report.residual_increases},
     }
-    if report.converged:
-        return 0, doc, (f"converged in {report.iterations} iterations; "
-                        f"final residual {report.final_residual:g}")
-    return 3, doc, (f"not converged after {report.iterations} iterations; "
-                    f"final residual {report.final_residual:g}")
+    status = "converged in" if report.converged else "not converged after"
+    return 0 if report.converged else 3, doc, (
+        f"{status} {report.iterations} iterations; final residual {report.final_residual:g}")
 
 
 def _psi_once_body(args, out: Path, net: Network, ps: PathSet,
@@ -335,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check a scenario file").set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", parents=[output], help="compute an equilibrium")
-    p.add_argument("--gamma", type=float, default=None, help="damping factor")
-    p.add_argument("--tol", type=float, default=None, help="absolute residual tolerance")
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--gamma", type=float, help="damping factor")
+    p.add_argument("--tol", type=float, help="absolute residual tolerance")
+    p.add_argument("--max-iter", type=int)
     p.set_defaults(func=_run, body=_solve_body)
 
     p = sub.add_parser("psi-once", parents=[output], help="evaluate the mass map once")
@@ -365,9 +369,5 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

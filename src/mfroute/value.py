@@ -18,25 +18,29 @@ of every block: the block starting at entry node i0 is N - i0 columns wide
 and takes budget // (N - i0) rows, so later, narrower blocks hold more rows
 and there are fewer of them (38 instead of 72 at N = 1500).
 
-Every suffix's row starts as its stay cost, and last-edge suffixes, which
-have a single moving candidate, are finished first, all of them over all
-nodes at once.  The other suffixes are computed block by block,
-from the last block of entry nodes to the first, and within a block by
-suffix depth (edges to the destination) and then edge length.  A suffix at
-entry node i reads its successor at arrival nodes after i: those in later
-blocks are finished already, and those in the same block were finished just
-before, since the successor is one edge shallower.  The kinetic block
-``(l*l)/(2*(t[j]-t[i]))``, with +inf where j <= i, depends on the block and
-the edge length only, so within a block it is rebuilt only when the length
-changes from one suffix to the next.  It is built as ``(l*l)/(2t[j]-2t[i])``
-from a doubled copy of the grid, without a pass that doubles the block:
-doubling is exact and commutes with rounding the difference, so the
-denominator has the bits of ``2*(t[j]-t[i])`` for every horizon below half
-the largest double (above it, 2t overflows).  The temporaries stay three
-block-sized arrays: the kinetic block, the candidates and a mask (17 bytes
-a cell), plus reversed copies of the grid and of the congestion integrals
-of the edges that start an interior suffix (O(N) each), freed when the
-kernel returns, and not made when every path is one edge long.
+Every suffix's row starts as its stay cost, built in place in the gathered
+congestion rows, and last-edge suffixes, which have a single moving
+candidate, are finished first, each over all nodes at once in O(N) rows, so
+this takes no table beyond the outputs.  The other suffixes are computed
+block by block, from the last block of entry nodes to the first, and within
+a block by suffix depth (edges to the destination) and then edge length.  A
+suffix at entry node i reads its successor at arrival nodes after i: those
+in later blocks are finished already, and those in the same block were
+finished just before, since the successor is one edge shallower.  The
+scalars a suffix's blocks read (its edge, successor, length and
+continuation at node N) are Python numbers, read once per call.  The
+kinetic block ``(l*l)/(2*(t[j]-t[i]))``, with +inf where j <= i, depends on
+the block and the edge length only, so within a block it is rebuilt only
+when the length changes from one suffix to the next.  It is built as
+``(l*l)/(2t[j]-2t[i])`` from a doubled copy of the grid, without a pass that
+doubles the block: doubling is exact and commutes with rounding the
+difference, so the denominator has the bits of ``2*(t[j]-t[i])`` for every
+horizon below half the largest double (above it, 2t overflows).  The
+temporaries stay three block-sized arrays: the kinetic block, the
+candidates and a mask (17 bytes a cell), plus reversed copies of the grid
+and of the congestion integrals of the edges that start an interior suffix
+(O(N) each), freed when the kernel returns, and not made when every path is
+one edge long.
 
 Block columns run from the last arrival node down: column c is node N - c.
 "Latest arrival within the tie band" is then the first column in the band,
@@ -153,24 +157,29 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, phi_prefix: np.nda
     suffixes = ps.suffix_table[0]
     values, tau_idx, tail_cost = _initial_rows(net, suffixes, phi_prefix, t,
                                                alpha, arrival_floor)
-    depth = np.zeros(len(suffixes), dtype=np.int64)
-    cont_n = np.empty(len(suffixes))
+    depth = [0] * len(suffixes)
     interior = []
     for s, (_, succ) in enumerate(suffixes):
         if succ >= 0:
             depth[s] = depth[succ] + 1
-            cont_n[s] = min(float(tail_cost[s]), values[succ, n])
             interior.append(s)
     # A successor is one edge shallower, so it comes first within a block;
     # equal lengths come together so the kinetic block is built once for them.
     interior.sort(key=lambda s: (depth[s], net.lengths[suffixes[s][0]]))
+    # The scalars each block reads, once per call: per interior suffix its
+    # edge, its successor, the edge length and the continuation at node n,
+    # the cheaper of the stay penalty and the successor's final value.
+    edges = [suffixes[s][0] for s in interior]
+    succs = [suffixes[s][1] for s in interior]
+    jobs = (interior, edges, succs, net.lengths[edges].tolist(),
+            [min(float(tail_cost[s]), float(values[succ, n]))
+             for s, succ in zip(interior, succs)])
 
     # Only elementwise operations, gathers, argmin and argmax run under the
     # small buffer, so it changes no result; stages that sum stay outside it.
     bufsize = np.setbufsize(_BLOCK_BUFSIZE)
     try:
-        _minimize_interior(net, suffixes, interior, phi_prefix, t, values,
-                           tau_idx, cont_n, arrival_floor, eps_tie)
+        _minimize_interior(jobs, phi_prefix, t, values, tau_idx, arrival_floor, eps_tie)
     finally:
         np.setbufsize(bufsize)
 
@@ -190,24 +199,31 @@ def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],
     the distance from its tail otherwise).
     """
     n = t.size - 1
-    edges = np.array([e for e, _ in suffixes], dtype=np.int64)
-    is_last = np.array([succ < 0 for _, succ in suffixes])
-    tail_cost = alpha * np.where(is_last, net.lengths[edges], net.dist_tail[edges])
-    phi = phi_prefix[edges]
-    values = tail_cost[:, None] + (phi[:, n:] - phi)
+    edges = [e for e, _ in suffixes]
+    last = [s for s, (_, succ) in enumerate(suffixes) if succ < 0]
+    tail_cost = alpha * net.dist_tail[edges]
+    tail_cost[last] = alpha * net.lengths[[edges[s] for s in last]]
+    # The stay cost, tail + (phi[n] - phi[i]), is built in the gathered
+    # congestion rows; a last edge's moving candidate in one row at a time.
+    values = phi_prefix[edges]
+    np.subtract(values[:, n:].copy(), values, out=values)
+    values += tail_cost[:, None]
     tau_idx = np.full(values.shape, -1, dtype=np.int32)
-    last = np.flatnonzero(is_last)
-    phi = phi[last]
-    length = net.lengths[edges[last]][:, None]
-    with np.errstate(divide="ignore"):
-        move = (length * length) / (2.0 * (t[n] - t)) + (phi[:, n:] - phi)
-    feasible = np.arange(n + 1) < n
-    if arrival_floor is not None:
-        feasible = feasible & (arrival_floor[edges[last]] <= n)
-    move = np.where(feasible, move, np.inf)
-    stay = values[last]
-    tau_idx[last] = np.where(move <= stay, n, -1)
-    values[last] = np.minimum(stay, move)
+    for s in last:
+        e = edges[s]
+        move = t[n] - t
+        move *= 2.0
+        with np.errstate(divide="ignore"):
+            np.divide(net.lengths[e] * net.lengths[e], move, out=move)
+        move += phi_prefix[e, n] - phi_prefix[e]
+        # arriving at node n is a move only from an earlier node, and
+        # only where the arrival floor allows it
+        move[n] = np.inf
+        if arrival_floor is not None:
+            move[arrival_floor[e] > n] = np.inf
+        stay = values[s]
+        np.copyto(tau_idx[s], n, where=move <= stay)
+        np.minimum(stay, move, out=stay)
     return values, tau_idx, tail_cost
 
 
@@ -230,17 +246,18 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
-                       interior: list[int], phi_prefix: np.ndarray, t: np.ndarray,
-                       values: np.ndarray, tau_idx: np.ndarray, cont_n: np.ndarray,
+def _minimize_interior(jobs: tuple[list, ...], phi_prefix: np.ndarray, t: np.ndarray,
+                       values: np.ndarray, tau_idx: np.ndarray,
                        arrival_floor: np.ndarray | None, eps_tie: float) -> None:
     """Minimize the rows of the interior suffixes in place, block by block.
 
-    On entry their ``values`` rows hold the stay cost; ``interior`` lists
-    them in the order they run within a block.  The block buffers live only
-    here, so they are freed when the minimization returns, or never made.
+    On entry their ``values`` rows hold the stay cost.  ``jobs`` are the
+    lists of :func:`value_backward`: the suffixes in the order they run
+    within a block, then their edges, successors, lengths and continuations
+    at node n.  The block buffers live only here, so they are freed when the
+    minimization returns, or never made.
     """
-    if not interior:
+    if not jobs[0]:
         return
     n = t.size - 1
     node_ids = np.arange(n + 1)
@@ -253,7 +270,7 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
     # grid and of the congestion rows the interior suffixes start on; the
     # kinetic block subtracts doubled times, 2t[j] - 2t[i] == 2(t[j] - t[i]).
     t2_rev = t[::-1] * 2.0
-    phi_rev = {e: phi_prefix[e, ::-1].copy() for e in {suffixes[s][0] for s in interior}}
+    phi_rev = {e: phi_prefix[e, ::-1].copy() for e in jobs[1]}
     cont = np.empty(n)
     for i0, i1 in reversed(blocks):
         # Arrivals before i0 + 1 are inadmissible for every row here.
@@ -266,8 +283,7 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
         # arrivals not after the entry lie in the last w columns.
         w = min(shape)
         kin_length = None
-        for s in interior:
-            e, succ = suffixes[s]
+        for s, e, succ, length, cont_n in zip(*jobs):
             rows, width = shape
             kin, move = kin_block, move_block
             if arrival_floor is not None:
@@ -284,7 +300,6 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
                 width = min(m, n + 1 - int(floor.min()))
                 kin = kin_block[:rows, :width]
                 move = move_buf[:rows * width].reshape(rows, width)
-            length = float(net.lengths[e])
             if length != kin_length:
                 # Rows are entry nodes i0, ..., i1 - 1, read backwards.
                 rows_t2 = t2_rev[n - i0:n - i1:-1, None]
@@ -299,12 +314,11 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
             r1 = i0 + rows
             # In place, move = ((phi[j]-phi[i]) + kin) + cont[j]: the same
             # rounding steps as the oracle's (kin + (phi[j]-phi[i])) + cont[j].
-            phi = phi_prefix[e]
-            np.subtract(phi_rev[e][None, :width], phi[i0:r1, None], out=move)
+            np.subtract(phi_rev[e][None, :width], phi_prefix[e, i0:r1, None], out=move)
             move += kin
             # Arriving at node n continues with cont_n, not values[succ, n].
             np.copyto(cont[:width], values[succ, n:n - width:-1])
-            cont[0] = cont_n[s]
+            cont[0] = cont_n
             move += cont[None, :width]
             if arrival_floor is not None:
                 # Only arrivals before the highest floor, columns lo on, can
@@ -322,13 +336,17 @@ def _minimize_interior(net: Network, suffixes: tuple[tuple[int, int], ...],
             # with no admissible arrival, where 0 * inf would be NaN.
             threshold = best
             if eps_tie:
-                threshold = best + eps_tie * np.maximum(1.0, np.abs(best))
+                threshold = np.abs(best)
+                np.maximum(threshold, 1.0, out=threshold)
+                threshold *= eps_tie
+                threshold += best
             # A row's first minimum is in its band, so the band starts at or
             # before it: only the columns up to the latest one are scanned.
             scan = int(first.max()) + 1
             band = mask_buf[:rows * scan].reshape(rows, scan)
             np.less_equal(move[:, :scan], threshold[:, None], out=band)
-            latest = n - np.argmax(band, axis=1)
+            latest = n - band.argmax(axis=1)
+            # tau_idx starts at -1 (stay), and each block writes its rows once
             stay = values[s, i0:r1]
-            tau_idx[s, i0:r1] = np.where(best <= stay, latest, -1)
+            np.copyto(tau_idx[s, i0:r1], latest, where=best <= stay)
             np.minimum(stay, best, out=stay)

@@ -148,7 +148,9 @@ STAGE_DOCS = {
 
 def per_cell_csv(grid, headers, tables) -> str:
     """The CSV exporter as first written, one formatted cell at a time: the
-    reference for ``cli._write_csv``, which takes the same arguments."""
+    reference for ``cli._write_csv``, which takes the tokens of the grid's
+    times where this takes the grid, and arrival nodes where this takes
+    arrival times."""
     def fmt(x):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"

@@ -156,22 +156,45 @@ def test_write_csv_matches_per_cell_formatting(tmp_path_factory, drawn):
     grid = SimpleNamespace(nodes=nodes)
     headers = [f"c{i}" for i in range(sum(len(table) for table in tables))]
     path = tmp_path_factory.mktemp("csv") / "table.csv"
-    cli._write_csv(path, grid, headers, tables)
+    cli._write_csv(path, cli._tokens(np.append(nodes, np.inf)), headers, tables)
     assert path.read_bytes() == per_cell_csv(grid, headers, tables).encode()
+
+
+def test_arrival_nodes_print_as_grid_times_and_stay_as_inf(tmp_path):
+    # an integer table holds arrival nodes: -1 (stay) prints inf and node N
+    # the grid's last time, as per-cell formatting of the arrival times does
+    net, ps, scen, grid = build(diamond_dict(steps=9))
+    n = grid.steps
+    tau = np.random.default_rng(5).integers(-1, n + 1, (3, n + 1)).astype(np.int32)
+    tau[0, :2] = -1, n
+    path = tmp_path / "policy.csv"
+    cli._write_csv(path, cli._tokens(np.append(grid.nodes, np.inf)), ["a", "b", "c"], [tau])
+    times = arrival_times(grid, tau)
+    assert times[0, 0] == np.inf and times[0, 1] == grid.nodes[-1]
+    assert path.read_bytes() == per_cell_csv(grid, ["a", "b", "c"], [times]).encode()
 
 
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
 def test_stage_files_match_per_cell_formatting(doc, write_scenario, tmp_path, capsys,
                                                monkeypatch):
     written = {}
+    arrivals = set()
     real = cli._write_csv
+    scenario = write_scenario(doc)
+    grid = load_scenario(scenario)[3]
 
-    def recording(path, grid, headers, tables):
-        real(path, grid, headers, tables)
+    def recording(path, times, headers, tables):
+        real(path, times, headers, tables)
+        # the reference formats every cell, t from the grid itself; policy.csv
+        # passes arrival nodes, which it formats as arrival times
+        for table in tables:
+            if table.dtype.kind == "i":
+                arrivals.update(np.unique(table).tolist())
+        tables = [arrival_times(grid, table) if table.dtype.kind == "i" else table
+                  for table in tables]
         written[path] = per_cell_csv(grid, headers, tables).encode()
 
     monkeypatch.setattr(cli, "_write_csv", recording)
-    scenario = write_scenario(doc)
     solve_dir, psi_dir = tmp_path / "solve", tmp_path / "psi"
     assert main(["solve", str(scenario), "--out", str(solve_dir)]) in (0, 3)
     assert main(["psi-once", str(scenario), "--out", str(psi_dir),
@@ -181,6 +204,8 @@ def test_stage_files_match_per_cell_formatting(doc, write_scenario, tmp_path, ca
         "costs.csv"])
     for path, want in written.items():
         assert path.read_bytes() == want, path
+    # the policies both stay (inf) and arrive at the last node
+    assert {-1, grid.steps} <= arrivals
 
 
 def test_solve_exit_three_on_iteration_cap(write_scenario, tmp_path, capsys):

@@ -380,7 +380,8 @@ def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
     _, phi_prefix = congestion_total(ps, scen, mass.values)
     seen = []
 
-    def failing_argmax(*args, **kwargs):
+    # np.less_equal runs only in the block loop, where it marks a row's tie band
+    def failing_less_equal(*args, **kwargs):
         seen.append(np.getbufsize())
         raise RuntimeError("raised inside the block loop")
 
@@ -389,7 +390,7 @@ def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
         try:
             value_backward(net, ps, scen, phi_prefix)
             assert np.getbufsize() == 4096
-            monkeypatch.setattr(np, "argmax", failing_argmax)
+            monkeypatch.setattr(np, "less_equal", failing_less_equal)
             with pytest.raises(RuntimeError, match="block loop"):
                 value_backward(net, ps, scen, phi_prefix)
             assert seen == [value_module._BLOCK_BUFSIZE]
