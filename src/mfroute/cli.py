@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .csvtext import _tokens, _write_csv
 from .equilibrium import XMembership, residual, solve, verify_X_membership
 from .errors import MFRouteError, ParseError, ShapeMismatch, ValidationError
 from .flow import MassField, PsiResult, apply_psi
@@ -31,43 +32,6 @@ from .network import Network, PathSet
 from .oracle import audit_conservation, check_value_tables
 from .scenario import (Scenario, TimeGrid, load_scenario, scenario_checks,
                        scenario_from_dict, scenario_to_dict, _read_json)
-
-
-# Cells per row block of a CSV export.  On the widest benchmark table
-# (lattice-4x4, 121 columns) a block spans 33 rows, enough to catch masses
-# that stay put for a stretch of time; at twice this size the blocks'
-# tokens lifted diamond-fine's command peak above the solve's.
-_BLOCK_CELLS = 4096
-
-
-def _tokens(block: np.ndarray) -> np.ndarray:
-    """Each cell's "%.17g" text, in an object array of the block's shape.
-
-    Each distinct value is formatted once, told apart by its bits: by value
-    -0.0 and 0.0 would merge and one would print as the other.
-    """
-    bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-    tokens = np.array((("%.17g," * len(bits))[:-1] % tuple(bits.view(np.float64).tolist()))
-                      .split(","), dtype=object)
-    return tokens[inverse.reshape(block.shape)]
-
-
-def _write_csv(path: Path, times: np.ndarray, headers: list[str],
-               tables: list[np.ndarray]) -> None:
-    # One node per row: its time, then each table's rows as columns, each
-    # cell printed as "%.17g", which round-trips every double and prints inf,
-    # -inf and nan as float() reads them back.  ``times`` are the tokens of
-    # the grid's nodes and then of inf; an integer table's cells index them,
-    # so -1 prints inf.  Row blocks are written as they are made, so no
-    # file's text is ever held whole.
-    step = max(1, _BLOCK_CELLS // (1 + len(headers)))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("t," + ",".join(headers) + "\n")
-        for r0 in range(0, len(times) - 1, step):
-            block = np.column_stack([table[:, r0:r0 + step].T for table in tables])
-            block = times[block] if block.dtype.kind == "i" else _tokens(block)
-            f.write("\n".join(map(",".join, np.column_stack(
-                (times[r0:r0 + len(block)], block)).tolist())) + "\n")
 
 
 def _pair_columns(ps: PathSet, prefix: str) -> list[str]:

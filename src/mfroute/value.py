@@ -23,24 +23,31 @@ congestion rows, and last-edge suffixes, which have a single moving
 candidate, are finished first, each over all nodes at once in O(N) rows, so
 this takes no table beyond the outputs.  The other suffixes are computed
 block by block, from the last block of entry nodes to the first, and within
-a block by suffix depth (edges to the destination) and then edge length.  A
-suffix at entry node i reads its successor at arrival nodes after i: those
-in later blocks are finished already, and those in the same block were
-finished just before, since the successor is one edge shallower.  The
-scalars a suffix's blocks read (its edge, successor, length and
-continuation at node N) are Python numbers, read once per call.  The
-kinetic block ``(l*l)/(2*(t[j]-t[i]))``, with +inf where j <= i, depends on
-the block and the edge length only, so within a block it is rebuilt only
-when the length changes from one suffix to the next.  It is built as
+a block by suffix depth (edges to the destination) and then edge length,
+ascending on odd depths and descending on even ones.  A suffix at entry
+node i reads its successor at arrival nodes after i: those in later blocks
+are finished already, and those in the same block were finished just
+before, since the successor is one edge shallower.  The scalars a suffix's
+blocks read (its edge, successor, length and continuation at node N) are
+Python numbers, read once per call.  The kinetic block
+``(l*l)/(2*(t[j]-t[i]))``, with +inf where j <= i, depends on the block and
+the edge length only, so within a block it is rebuilt only when the length
+changes from one suffix to the next; the alternating order lets a depth end
+on the length the next depth starts with (on the seeded 4x4 benchmark
+lattice, 7 to 11 builds a block instead of 10 to 14).  It is built as
 ``(l*l)/(2t[j]-2t[i])`` from a doubled copy of the grid, without a pass that
 doubles the block: doubling is exact and commutes with rounding the
 difference, so the denominator has the bits of ``2*(t[j]-t[i])`` for every
 horizon below half the largest double (above it, 2t overflows).  The
-temporaries stay three block-sized arrays: the kinetic block, the
-candidates and a mask (17 bytes a cell), plus reversed copies of the grid
-and of the congestion integrals of the edges that start an interior suffix
-(O(N) each), freed when the kernel returns, and not made when every path is
-one edge long.
+arrivals j <= i lie in the block's trailing columns, where the denominator
+is at most 0: it is clamped to +0.0 there before the divide, so
+``l*l / +0.0`` is +inf.  Only when ``l*l`` underflows to 0 (a length below
+about 1.5e-162), where ``0 / 0`` would be NaN, are those cells found by
+comparing node ids and set to +inf.  The temporaries stay three block-sized
+arrays: the kinetic block, the candidates and a mask (17 bytes a cell),
+plus reversed copies of the grid and of the congestion integrals of the
+edges that start an interior suffix (O(N) each), freed when the kernel
+returns, and not made when every path is one edge long.
 
 Block columns run from the last arrival node down: column c is node N - c.
 "Latest arrival within the tie band" is then the first column in the band,
@@ -81,9 +88,10 @@ exactly in that order (the kernel adds the kinetic block to the congestion
 difference, which IEEE addition gives the same bits).  The exhaustive
 enumeration in :mod:`mfroute.oracle` evaluates the same expressions, which
 is what makes the oracle comparison exact rather than tolerance-based;
-neither the suffix sharing, the row blocks, the shared kinetic block, the
-doubled times, the column order, the cut band scan nor the cells left out
-under arrival floors change a single rounding step.
+neither the suffix sharing, the suffix order, the row blocks, the shared
+kinetic block, the doubled times, the clamped denominators, the column
+order, the cut band scan nor the cells left out under arrival floors change
+a single rounding step.
 """
 
 from __future__ import annotations
@@ -164,8 +172,12 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, phi_prefix: np.nda
             depth[s] = depth[succ] + 1
             interior.append(s)
     # A successor is one edge shallower, so it comes first within a block;
-    # equal lengths come together so the kinetic block is built once for them.
-    interior.sort(key=lambda s: (depth[s], net.lengths[suffixes[s][0]]))
+    # equal lengths come together so the kinetic block is built once for
+    # them, ascending on odd depths and descending on even ones, so the
+    # last length of a depth is the first of the next when both have it.
+    lengths = net.lengths.tolist()
+    interior.sort(key=lambda s: (depth[s], lengths[suffixes[s][0]] if depth[s] % 2
+                                 else -lengths[suffixes[s][0]]))
     # The scalars each block reads, once per call: per interior suffix its
     # edge, its successor, the edge length and the continuation at node n,
     # the cheaper of the stay penalty and the successor's final value.
@@ -213,11 +225,12 @@ def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],
         e = edges[s]
         move = t[n] - t
         move *= 2.0
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(net.lengths[e] * net.lengths[e], move, out=move)
         move += phi_prefix[e, n] - phi_prefix[e]
-        # arriving at node n is a move only from an earlier node, and
-        # only where the arrival floor allows it
+        # arriving at node n is a move only from an earlier node (at node n
+        # the divide is l*l / 0, NaN when l*l underflows to 0), and only
+        # where the arrival floor allows it
         move[n] = np.inf
         if arrival_floor is not None:
             move[arrival_floor[e] > n] = np.inf
@@ -304,12 +317,20 @@ def _minimize_interior(jobs: tuple[list, ...], phi_prefix: np.ndarray, t: np.nda
                 # Rows are entry nodes i0, ..., i1 - 1, read backwards.
                 rows_t2 = t2_rev[n - i0:n - i1:-1, None]
                 np.subtract(t2_rev[None, :m], rows_t2, out=kin_block)
+                # Arrivals not after the entry, where 2t[j] - 2t[i] <= 0, lie
+                # in the trailing columns; clamped to +0.0, l*l / 0 is +inf.
+                tri = kin_block[:, m - w:]
+                np.maximum(tri, 0.0, out=tri)
+                l2 = length * length
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(length * length, kin_block, out=kin_block)
-                # node n - c is not after entry node i where c >= n - i
-                tri = mask_block[:, m - w:]
-                np.greater_equal(node_ids[None, m - w:m], n - node_ids[i0:i1, None], out=tri)
-                np.copyto(kin_block[:, m - w:], np.inf, where=tri)
+                    np.divide(l2, kin_block, out=kin_block)
+                if not l2:
+                    # l*l underflowed to 0, and 0 / 0 is NaN: node n - c is
+                    # not after entry node i where c >= n - i
+                    mask = mask_block[:, m - w:]
+                    np.greater_equal(node_ids[None, m - w:m], n - node_ids[i0:i1, None],
+                                     out=mask)
+                    np.copyto(tri, np.inf, where=mask)
                 kin_length = length
             r1 = i0 + rows
             # In place, move = ((phi[j]-phi[i]) + kin) + cont[j]: the same

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfroute.cli as cli
-from mfroute import MassField, ParseError, load_scenario, solve
-from mfroute.cli import main, read_mass_csv, write_mass_csv
+import mfroute.csvtext as csvtext
+from mfroute import MassField, ParseError, load_scenario, scenario_from_dict, solve
+from mfroute.cli import _export_stages, main, read_mass_csv, write_mass_csv
 
-from conftest import (SLACK, STAGE_DOCS, TIGHT, arrival_times, build, chain_dict,
-                      diamond_dict, per_cell_csv)
+from conftest import (ROOT, SLACK, STAGE_DOCS, TIGHT, WORKLOADS, arrival_times, build,
+                      chain_dict, diamond_dict, per_cell_csv)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -122,7 +123,7 @@ SPECIAL_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
                 0x0000000000000001, 0x8000000000000001, 0x000FFFFFFFFFFFFF,
                 0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF)
-BLOCK = cli._BLOCK_CELLS
+BLOCK = csvtext._BLOCK_CELLS
 # (rows, columns with t): one row; one column after t; cells one below, at and
 # one above a block's; rows one below, at and one above a block's; one row
 # wider than a block.
@@ -156,7 +157,7 @@ def test_write_csv_matches_per_cell_formatting(tmp_path_factory, drawn):
     grid = SimpleNamespace(nodes=nodes)
     headers = [f"c{i}" for i in range(sum(len(table) for table in tables))]
     path = tmp_path_factory.mktemp("csv") / "table.csv"
-    cli._write_csv(path, cli._tokens(np.append(nodes, np.inf)), headers, tables)
+    csvtext._write_csv(path, csvtext._tokens(np.append(nodes, np.inf)), headers, tables)
     assert path.read_bytes() == per_cell_csv(grid, headers, tables).encode()
 
 
@@ -168,10 +169,29 @@ def test_arrival_nodes_print_as_grid_times_and_stay_as_inf(tmp_path):
     tau = np.random.default_rng(5).integers(-1, n + 1, (3, n + 1)).astype(np.int32)
     tau[0, :2] = -1, n
     path = tmp_path / "policy.csv"
-    cli._write_csv(path, cli._tokens(np.append(grid.nodes, np.inf)), ["a", "b", "c"], [tau])
+    csvtext._write_csv(path, csvtext._tokens(np.append(grid.nodes, np.inf)), ["a", "b", "c"],
+                       [tau])
     times = arrival_times(grid, tau)
     assert times[0, 0] == np.inf and times[0, 1] == grid.nodes[-1]
     assert path.read_bytes() == per_cell_csv(grid, ["a", "b", "c"], [times]).encode()
+
+
+def test_export_formats_only_values_the_block_before_lacks(tmp_path, monkeypatch):
+    # lattice-4x4 seed 1: 36,095 data values, against 50,256 with each row
+    # block formatted on its own and 36,093 with each file formatted whole;
+    # the grid's N + 1 times and inf come on top
+    net, ps, scen, grid = scenario_from_dict(WORKLOADS.WORKLOADS["lattice-4x4"](ROOT, 1))
+    report = solve(net, ps, scen)
+    formatted = []
+
+    def counting_tuple(values):
+        formatted.append(len(values))
+        return tuple(values)
+
+    # the values a block formats are the tuple that "%" reads
+    monkeypatch.setattr(csvtext, "tuple", counting_tuple, raising=False)
+    _export_stages(tmp_path, grid, ps, report.psi, report.mass)
+    assert sum(formatted) == 36_095 + grid.steps + 2
 
 
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
 import mfroute.value as value_module
-from mfroute import (MassField, ShapeMismatch, arrival_tables,
+from mfroute import (MassField, ShapeMismatch, apply_psi, arrival_tables,
                      build_speed_limits, congestion_total, value_backward)
 from mfroute.oracle import check_value_tables
 
-from conftest import (TIGHT, admissible_mass, build, by_pair, diamond_dict, lattice_dict,
-                      row, speeds, value_stage, zero_mass)
+from conftest import (DIAMOND_EDGES, ROOT, TIGHT, WORKLOADS, admissible_mass, build, by_pair,
+                      diamond_dict, lattice_dict, row, speeds, value_stage, zero_mass)
 
 # The shipped budget, also while a test patches it.
 BLOCK_CELLS = value_module.BLOCK_CELLS
@@ -455,3 +457,77 @@ def test_hand_made_floors_match_enumeration(monkeypatch, doc, case, cells, eps_t
                          ids=[f"{d}-{c}" for d, c in HAND_FLOOR_CASES])
 def test_hand_made_floors_do_not_depend_on_block_size(monkeypatch, doc, case):
     _check_block_sizes_agree(monkeypatch, *_hand_floor_inputs(doc, case))
+
+
+# Kinetic-block builds per row block on the seeded 4x4 benchmark lattice,
+# seeds 1-10, when every depth ran its edge lengths in ascending order.
+ASCENDING_BUILDS = (13, 10, 12, 12, 14, 13, 11, 11, 10, 11)
+
+
+class _CountingNumpy:
+    """numpy, counting the ``divide`` calls made through it."""
+
+    def __init__(self):
+        self.divides = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divide(self, *args, **kwargs):
+        self.divides += 1
+        return np.divide(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_interior_suffixes_follow_successors_and_share_kinetic_blocks(monkeypatch, seed):
+    net, ps, scen, grid = build(WORKLOADS.WORKLOADS["lattice-4x4"](ROOT, seed))
+    _, phi_prefix = congestion_total(ps, scen, zero_mass(ps, grid).values)
+    counting = _CountingNumpy()
+    orders, builds = [], []
+    minimize = value_module._minimize_interior
+
+    def spy(jobs, *args):
+        # every block runs the suffixes of jobs[0] in that order, and the
+        # only divide of the block loop builds a kinetic block
+        orders.append(jobs[0])
+        before = counting.divides
+        minimize(jobs, *args)
+        builds.append(counting.divides - before)
+
+    monkeypatch.setattr(value_module, "np", counting)
+    monkeypatch.setattr(value_module, "_minimize_interior", spy)
+    value_backward(net, ps, scen, phi_prefix)
+    [order], [total] = orders, builds
+    suffixes = ps.suffix_table[0]
+    position = {s: k for k, s in enumerate(order)}
+    assert sorted(order) == [s for s, (_, succ) in enumerate(suffixes) if succ >= 0]
+    for s in order:
+        succ = suffixes[s][1]
+        assert suffixes[succ][1] < 0 or position[succ] < position[s]
+    # without arrival floors every block runs every suffix, so each block
+    # builds the same kinetic blocks
+    n_blocks = len(value_module._row_blocks(grid.steps))
+    per_block, rest = divmod(total, n_blocks)
+    assert rest == 0
+    assert per_block <= ASCENDING_BUILDS[seed - 1]
+    if seed == 1:
+        assert per_block == 10
+
+
+@pytest.mark.parametrize("edge", range(len(DIAMOND_EDGES)),
+                         ids=[e["id"] for e in DIAMOND_EDGES])
+def test_length_whose_square_underflows_matches_enumeration(edge):
+    # 1e-170 squares to 0.  On an interior edge (e1-e3) the kinetic block's
+    # clamped cells j <= i would then hold 0/0, and on a last edge (e4, e5)
+    # the candidate of arriving at node N from node N would; the suite turns
+    # a RuntimeWarning into a failure.
+    edges = copy.deepcopy(DIAMOND_EDGES)
+    edges[edge]["length"] = 1e-170
+    net, ps, scen, grid = build(diamond_dict(steps=16, edges=edges))
+    assert net.lengths[edge] * net.lengths[edge] == 0.0
+    mass = zero_mass(ps, grid)
+    for _ in range(2):
+        psi = apply_psi(net, ps, scen, mass)
+        assert check_value_tables(net, ps, scen, psi.phi_prefix, psi.value,
+                                  psi.policy.tau_idx) == []
+        mass = psi.mass
