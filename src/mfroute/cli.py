@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: the command frame, which writes and reads the
+stage files in the format that :mod:`mfroute.csvtext` owns.
 
 Subcommands::
 
@@ -24,9 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvtext import _tokens, _write_csv
+from .csvtext import (_grid_tokens, _pair_columns, _path_columns, _write_csv,
+                      read_mass_csv)
 from .equilibrium import XMembership, residual, solve, verify_X_membership
-from .errors import MFRouteError, ParseError, ShapeMismatch, ValidationError
+from .errors import MFRouteError, ParseError
 from .flow import MassField, PsiResult, apply_psi
 from .network import Network, PathSet
 from .oracle import audit_conservation, check_value_tables
@@ -34,76 +36,16 @@ from .scenario import (Scenario, TimeGrid, load_scenario, scenario_checks,
                        scenario_from_dict, scenario_to_dict, _read_json)
 
 
-def _pair_columns(ps: PathSet, prefix: str) -> list[str]:
-    return [f"{prefix}[{label}]" for label in ps.pair_labels()]
-
-
-def _path_columns(ps: PathSet, prefix: str) -> list[str]:
-    return [f"{prefix}[p{p + 1}]" for p in range(ps.n_paths)]
-
-
-def write_mass_csv(path: Path, grid: TimeGrid, ps: PathSet, mass: MassField,
-                   times: np.ndarray | None = None) -> None:
-    # times: the grid's tokens (see _write_csv), when made already
-    _write_csv(path, _tokens(np.append(grid.nodes, np.inf)) if times is None else times,
-               _pair_columns(ps, "rho"), [mass.values])
-
-
-def read_mass_csv(path: Path, ps: PathSet, grid: TimeGrid) -> MassField:
-    """Parse a masses.csv produced by this tool back into a mass field.
-
-    The ``t`` column must equal the grid's nodes bit for bit, else
-    :class:`ShapeMismatch`; the tool writes them round-trip exact.  Every
-    mass must be a finite number (else :class:`ParseError`) and
-    nonnegative (else :class:`ValidationError`), as psi's domain requires.
-    """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-        raise ParseError(f"cannot read mass file: {exc}") from exc
-    if not lines:
-        raise ShapeMismatch("mass file is empty")
-    header = lines[0].split(",")
-    expected = ["t"] + _pair_columns(ps, "rho")
-    if header != expected:
-        raise ShapeMismatch(f"mass file columns {header} do not match the "
-                            f"scenario's (edge, path) pairs {expected}")
-    rows = lines[1:]
-    if len(rows) != grid.steps + 1:
-        raise ShapeMismatch(f"mass file has {len(rows)} rows, grid needs {grid.steps + 1}")
-    data = np.empty((ps.pair_count + 1, grid.steps + 1))
-    for i, line in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != ps.pair_count + 1:
-            raise ShapeMismatch(f"row {i} has {len(parts)} fields")
-        try:
-            data[:, i] = [float(v) for v in parts]
-        except ValueError as exc:
-            raise ParseError(f"row {i} of the mass file: {exc}") from None
-    # data holds the file's rows as columns, t first; -0.0 is not negative
-    t, data = data[0], data[1:]
-    off_grid = t.view(np.uint64) != grid.nodes.view(np.uint64)
-    if off_grid.any():
-        i = int(np.argmax(off_grid))
-        raise ShapeMismatch(f"row {i} of the mass file has t = {float(t[i])!r}, "
-                            f"grid node {i} is {float(grid.nodes[i])!r}")
-    finite = np.isfinite(data).all(axis=0)
-    if not finite.all():
-        raise ParseError(f"row {int(np.argmin(finite))} of the mass file holds a "
-                         "non-finite mass")
-    negative = (data < 0.0).any(axis=0)
-    if negative.any():
-        raise ValidationError(f"row {int(np.argmax(negative))} of the mass file "
-                              "holds a negative mass")
-    return MassField(values=data)
+def write_mass_csv(path: Path, times: np.ndarray, ps: PathSet, mass: MassField) -> None:
+    _write_csv(path, times, _pair_columns(ps, "rho"), [mass.values])
 
 
 def _export_stages(out: Path, grid: TimeGrid, ps: PathSet, psi: PsiResult,
                    mass: MassField | None = None) -> None:
     # masses.csv carries the field of record: the equilibrium for a solve,
     # the map's output for a single evaluation.  The grid is formatted once.
-    times = _tokens(np.append(grid.nodes, np.inf))
-    write_mass_csv(out / "masses.csv", grid, ps, psi.mass if mass is None else mass, times)
+    times = _grid_tokens(grid)
+    write_mass_csv(out / "masses.csv", times, ps, psi.mass if mass is None else mass)
     _write_csv(out / "flows.csv", times, _pair_columns(ps, "f"), [psi.flows])
     _write_csv(out / "values.csv", times, _pair_columns(ps, "V"), [psi.value])
     _write_csv(out / "policy.csv", times, _pair_columns(ps, "tau"), [psi.policy.tau_idx])

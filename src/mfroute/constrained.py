@@ -6,11 +6,6 @@ the integrated speed limit covers the edge length.  The value minimization
 then runs over arrival nodes no earlier than that minimal arrival time, and
 the flow delay of each edge is enlarged to its mean constrained traverse
 time when that exceeds the a-priori constant.
-
-The speed limits themselves, :class:`ReciprocalSpeedLimit` and
-:class:`TabulatedSpeedLimit`, are built from the ``constrained.u`` specs
-when the scenario loads, beside the congestion costs in
-:mod:`mfroute.scenario`; this module re-exports them.
 """
 
 from __future__ import annotations
@@ -20,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import Network
-from .scenario import (ReciprocalSpeedLimit, Scenario, SpeedLimit,
-                       TabulatedSpeedLimit, TimeGrid, prefix_integral)
+from .scenario import Scenario, SpeedLimit, TimeGrid, prefix_integral
 
 
 def build_speed_limits(net: Network, scen: Scenario) -> tuple[SpeedLimit, ...]:

@@ -78,8 +78,9 @@ class PsiResult:
     remaining cost, and ``suffix_tau_idx``, the arrival node (-1: stay) as an
     int32.  Per (edge, path) pair: ``flows``, the outgoing flow, and
     ``value`` and ``policy``, which gather the suffix rows through
-    ``pair_suffix`` on every access.  Per path: ``costs``, of following the policy, the logit ``response`` and
-    the preferences ``z``.  Each has one column per grid node.
+    ``pair_suffix`` on every access.  Per path: ``costs``, of following the
+    policy, the logit ``response`` and the preferences ``z``.  Each has one
+    column per grid node.
     """
 
     mass: MassField

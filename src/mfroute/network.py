@@ -80,14 +80,6 @@ class PathSet:
     def n_paths(self) -> int:
         return len(self.paths)
 
-    def pair_labels(self) -> list[str]:
-        """Column labels like ``e1:p2``, in canonical pair order."""
-        return [
-            f"{self.paths[p][pos]}:p{p + 1}"
-            for p, path in enumerate(self.paths)
-            for pos, _ in enumerate(path)
-        ]
-
     # The groupings below depend on the paths only.  They are derived on
     # first use, by the first map evaluation, not by enumerate_paths, so
     # loading a scenario does not pay for them.

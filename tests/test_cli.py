@@ -101,8 +101,10 @@ def test_mass_csv_matches_per_cell_formatting(tmp_path):
     values.flat[:7 * len(special):7] = special
     assert np.isnan(values).sum() == 1 and np.isinf(values).sum() == 2
     path = tmp_path / "masses.csv"
-    write_mass_csv(path, grid, ps, MassField(values=values))
-    headers = [f"rho[{label}]" for label in ps.pair_labels()]
+    times = csvtext._grid_tokens(grid)
+    write_mass_csv(path, times, ps, MassField(values=values))
+    headers = ["rho[e1:p1]", "rho[e3:p1]", "rho[e5:p1]", "rho[e1:p2]", "rho[e4:p2]",
+               "rho[e2:p3]", "rho[e5:p3]"]
     assert path.read_bytes() == per_cell_csv(grid, headers, [values]).encode()
     # the reader takes only masses in psi's domain, and those round-trip,
     # -0.0 and the subnormals included
@@ -110,7 +112,7 @@ def test_mass_csv_matches_per_cell_formatting(tmp_path):
         read_mass_csv(path, ps, grid)
     domain = np.where(np.isfinite(values), np.where(values < 0.0, -values, values), 1.0)
     assert np.signbit(domain).sum() == 1
-    write_mass_csv(path, grid, ps, MassField(values=domain))
+    write_mass_csv(path, times, ps, MassField(values=domain))
     back = read_mass_csv(path, ps, grid)
     assert back.values.tobytes() == domain.tobytes()
 
@@ -157,7 +159,7 @@ def test_write_csv_matches_per_cell_formatting(tmp_path_factory, drawn):
     grid = SimpleNamespace(nodes=nodes)
     headers = [f"c{i}" for i in range(sum(len(table) for table in tables))]
     path = tmp_path_factory.mktemp("csv") / "table.csv"
-    csvtext._write_csv(path, csvtext._tokens(np.append(nodes, np.inf)), headers, tables)
+    csvtext._write_csv(path, csvtext._grid_tokens(grid), headers, tables)
     assert path.read_bytes() == per_cell_csv(grid, headers, tables).encode()
 
 
@@ -169,8 +171,7 @@ def test_arrival_nodes_print_as_grid_times_and_stay_as_inf(tmp_path):
     tau = np.random.default_rng(5).integers(-1, n + 1, (3, n + 1)).astype(np.int32)
     tau[0, :2] = -1, n
     path = tmp_path / "policy.csv"
-    csvtext._write_csv(path, csvtext._tokens(np.append(grid.nodes, np.inf)), ["a", "b", "c"],
-                       [tau])
+    csvtext._write_csv(path, csvtext._grid_tokens(grid), ["a", "b", "c"], [tau])
     times = arrival_times(grid, tau)
     assert times[0, 0] == np.inf and times[0, 1] == grid.nodes[-1]
     assert path.read_bytes() == per_cell_csv(grid, ["a", "b", "c"], [times]).encode()

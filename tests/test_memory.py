@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+import mfroute.csvtext as csvtext
 import mfroute.flow as flow
 import mfroute.value as value_module
 from mfroute import (apply_psi, congestion_total, integrate_mass, local_decision,
@@ -113,6 +114,24 @@ def test_export_peaks_below_the_value_stage(tmp_path):
     _, export_peak = traced_peak(_export_stages, tmp_path, grid, ps, report.psi,
                                  report.mass)
     assert export_peak < value_peak
+
+
+def test_export_of_one_block_files_holds_no_token_pair_past_them(tmp_path, monkeypatch):
+    # diamond-constrained: 500 steps, so every stage file is one row block,
+    # which no block after it reads; the export peaks as high as one that
+    # reuses no tokens does, where a kept pair of the block's distinct bits
+    # and tokens would add 16 bytes a distinct value (43 KB here)
+    doc = WORKLOADS.WORKLOADS["diamond-constrained"](ROOT, 1)
+    net, ps, scen, grid = scenario_from_dict(doc)
+    assert grid.steps + 1 <= csvtext._BLOCK_CELLS // (1 + ps.pair_count)
+    report = solve(net, ps, scen)
+    args = (tmp_path, grid, ps, report.psi, report.mass)
+    _export_stages(*args)  # the first export's one-off allocations
+    _, peak = traced_peak(_export_stages, *args)
+    real = csvtext._tokens
+    monkeypatch.setattr(csvtext, "_tokens", lambda block, held=None: real(block))
+    _, alone = traced_peak(_export_stages, *args)
+    assert peak <= alone + 4096
 
 
 def test_value_stage_of_one_edge_paths_allocates_no_block_buffers():

@@ -209,8 +209,9 @@ def test_adjacency_queries():
 def test_pairs_are_path_major():
     net = diamond_net()
     ps = enumerate_paths(net)
-    labels = ps.pair_labels()
-    assert labels == ["e1:p1", "e3:p1", "e5:p1", "e1:p2", "e4:p2", "e2:p3", "e5:p3"]
+    pairs = [(net.edges[e].id, p + 1) for e, p in zip(ps.pair_edge_idx, ps.pair_path_idx)]
+    assert pairs == [("e1", 1), ("e3", 1), ("e5", 1), ("e1", 2), ("e4", 2), ("e2", 3),
+                     ("e5", 3)]
     # non-first rows always have their predecessor in the previous row
     for r in range(ps.pair_count):
         if not ps.first_mask[r]:
