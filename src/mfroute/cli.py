@@ -16,6 +16,7 @@ still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -118,9 +119,10 @@ def _run(args) -> int:
 
     ``args.body(args, out, net, ps, scen, grid)`` writes the stage files and
     returns the exit status, the report document and a one-line summary.
-    The frame writes ``manifest.json`` and ``report.json``, which echoes the
-    same manifest.  On a package error it writes only ``manifest.json``, with
-    the error and no parameters, and passes the error on to ``main``.
+    The frame writes ``report.json``, which echoes the manifest, then
+    ``manifest.json``.  On a package error, or a file it cannot write, it
+    writes ``manifest.json`` with the error and no parameters if it can, and
+    passes the error on to ``main``.
     """
     out = Path(args.out)
     try:
@@ -131,13 +133,16 @@ def _run(args) -> int:
     try:
         net, ps, scen, grid = _load(args)
         code, doc, summary = args.body(args, out, net, ps, scen, grid)
-    except MFRouteError as exc:
-        _write_json_file(out / "manifest.json",
-                         _manifest(args, None, None, start, _exit_status(exc), str(exc)))
-        raise
-    doc["manifest"] = _manifest(args, net, scen, start, code)
-    _write_json_file(out / "report.json", doc)
-    _write_json_file(out / "manifest.json", doc["manifest"])
+        doc["manifest"] = _manifest(args, net, scen, start, code)
+        _write_json_file(out / "report.json", doc)
+        _write_json_file(out / "manifest.json", doc["manifest"])
+    except (MFRouteError, OSError) as exc:
+        if isinstance(exc, OSError):  # a write: the readers raise package errors
+            exc = MFRouteError(f"cannot write {exc.filename or out}: {exc.strerror or exc}")
+        with contextlib.suppress(OSError):  # it may be the file that cannot be written
+            _write_json_file(out / "manifest.json",
+                             _manifest(args, None, None, start, _exit_status(exc), str(exc)))
+        raise exc from None
     print(summary)
     return code
 

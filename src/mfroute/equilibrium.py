@@ -110,8 +110,8 @@ def verify_X_membership(mass: MassField, scen: Scenario, ps: PathSet) -> XMember
     if values.shape != shape:
         raise ShapeMismatch(f"mass field must have shape {shape}, got {values.shape}")
     max_total = float(edge_totals(ps, values).max())
-    diff = np.diff(values, axis=1)
-    quotient = float(np.max(np.abs(diff, out=diff)) / scen.grid.dt)
+    # consecutive columns as two fields: the sup norm runs in blocks, no diff array
+    quotient = residual(MassField(values[:, :-1]), MassField(values[:, 1:])) / scen.grid.dt
     bound = scen.lipschitz_bound
     return XMembership(max_total_edge_mass=max_total, rho_max=scen.rho_max,
                        mass_ok=max_total <= scen.rho_max + MEMBERSHIP_SLACK,
@@ -201,55 +201,53 @@ def solve(net: Network, ps: PathSet, scen: Scenario) -> EquilibriumReport:
     current = MassField(values=np.tile(scen.rho0[:, None], (1, scen.grid.steps + 1)))
 
     residuals: list[float] = []
-    converged = False
     restarts = 0
     # Held across a map evaluation: the pre-image, the previous pre-image
     # and its residual (None right after a reset), and at most depth - 1
     # difference pairs.
     x_prev = f_prev = None
     history: list[tuple[np.ndarray, np.ndarray]] = []
-    psi = None
-    for _ in range(max_iter):
-        # stepped only when another evaluation follows: mass and psi stay a pair
-        if psi is not None:
-            x, g = current.values, psi.mass.values
-            psi = None  # the stage outputs are not needed past this point
-            # before the first restart an Anderson step mixes undamped: it
-            # starts from the image itself, so the residual takes its own array
-            undamped = f_prev is not None and not restarts
-            if undamped:
-                step, f = g, np.subtract(g, x)
-            else:
-                step = (1.0 - gamma) * x + gamma * g
-                f = np.subtract(g, x, out=g)
-            if f_prev is not None:
-                history.append((np.subtract(x, x_prev, out=x_prev),
-                                np.subtract(f, f_prev, out=f_prev)))
-                if not anderson_correction(step, f, history, 1.0 if undamped else gamma):
-                    if undamped:
-                        # damped Picard from the untouched image, in place;
-                        # the same bits as above, as addition commutes
-                        step *= gamma
-                        step += (1.0 - gamma) * x
-                    history.clear()
-                    restarts += 1
-                if len(history) == depth:
-                    del history[0]
-            if depth:
-                x_prev, f_prev = x, f
-            current = MassField(values=step)
-            del x, g, f, step  # hold no more than the state above across psi
+    while True:
         psi = apply_psi(net, ps, scen, current)
         residuals.append(residual(current, psi.mass))
         if residuals[-1] <= tol:
-            converged = True
             break
+        # a rise restarts, also on the last evaluation a capped solve makes
         if f_prev is not None and residuals[-1] > residuals[-2]:
             x_prev = f_prev = None
             history.clear()
             restarts += 1
+        if len(residuals) >= max_iter:
+            break
+        x, g = current.values, psi.mass.values
+        psi = None  # the stage outputs are not needed past this point
+        # before the first restart an Anderson step mixes undamped: it
+        # starts from the image itself, so the residual takes its own array
+        undamped = f_prev is not None and not restarts
+        if undamped:
+            step, f = g, np.subtract(g, x)
+        else:
+            step = (1.0 - gamma) * x + gamma * g
+            f = np.subtract(g, x, out=g)
+        if f_prev is not None:
+            history.append((np.subtract(x, x_prev, out=x_prev),
+                            np.subtract(f, f_prev, out=f_prev)))
+            if not anderson_correction(step, f, history, 1.0 if undamped else gamma):
+                if undamped:
+                    # damped Picard from the untouched image, in place;
+                    # the same bits as above, as addition commutes
+                    step *= gamma
+                    step += (1.0 - gamma) * x
+                history.clear()
+                restarts += 1
+            if len(history) == depth:
+                del history[0]
+        if depth:
+            x_prev, f_prev = x, f
+        current = MassField(values=step)
+        del x, g, f, step  # hold no more than the state above across psi
     del x_prev, f_prev, history  # the membership check needs none of them
     membership = verify_X_membership(current, scen, ps)
     return EquilibriumReport(mass=current, psi=psi, residuals=residuals,
-                             converged=converged, tol=tol, gamma=gamma,
+                             converged=residuals[-1] <= tol, tol=tol, gamma=gamma,
                              membership=membership, restarts=restarts)

@@ -205,9 +205,9 @@ def audit_conservation(ps: PathSet, scen: Scenario, psi: PsiResult,
     f = psi.flows
     n_paths = ps.n_paths
 
-    first_rows = [int(r) for r in np.flatnonzero(ps.first_mask)]
+    first = ps.first_mask.tolist()
+    path_of = ps.pair_path_idx.tolist()
     last_rows = [int(r) for r in np.flatnonzero(ps.last_mask)]
-    path_of_first = [int(ps.pair_path_idx[r]) for r in first_rows]
 
     injection_max_ulp = 0.0
     telescope_exact = True
@@ -237,20 +237,15 @@ def audit_conservation(ps: PathSet, scen: Scenario, psi: PsiResult,
                 break
             last = last + (budget - (partial + last))
         inj[n_paths - 1] = last
-        running = inj[0]
-        for p in range(1, n_paths):
-            running = running + inj[p]
-        if running != budget and budget != 0.0:
+        # partial + last is the shares' left-to-right sum, up to a zero's sign
+        if partial + last != budget and budget != 0.0:
             injection_max_ulp = max(injection_max_ulp,
-                                    abs(running - budget) / math.ulp(budget))
+                                    abs(partial + last - budget) / math.ulp(budget))
 
         mov = [dt * float(f[r, i]) for r in range(ps.pair_count)]
-        plus = [0.0] * ps.pair_count
-        for r, p in zip(first_rows, path_of_first):
-            plus[r] = inj[p]
-        for r in range(ps.pair_count):
-            if not ps.first_mask[r]:
-                plus[r] = mov[r - 1]
+        # a path's first pair gains its share, any other its predecessor's move
+        plus = [inj[p] if is_first else mov[r - 1]
+                for r, (is_first, p) in enumerate(zip(first, path_of))]
 
         # Telescoped balance over the increment terms: one exact sum per side,
         # the interior moved terms appearing once with each sign and cancelling.

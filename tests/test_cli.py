@@ -373,6 +373,32 @@ def test_out_that_cannot_be_a_directory_is_an_error(write_scenario, tmp_path, ca
     assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize("blocked", ["masses.csv", "flows.csv", "report.json",
+                                     "manifest.json"])
+@pytest.mark.parametrize("command, extra", [("solve", []), ("psi-once", ["--zero"])])
+def test_output_file_that_cannot_be_written_is_an_error(write_scenario, tmp_path, capsys,
+                                                        command, extra, blocked):
+    scenario = write_scenario(diamond_dict(steps=20))
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)
+    assert main([command, str(scenario), "--out", str(out_dir), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: cannot write {out_dir / blocked}: Is a directory\n"
+    # the files written before the failure stay, and none after it is made
+    order = ["masses.csv", "flows.csv", "values.csv", "policy.csv", "preferences.csv",
+             "costs.csv", "report.json", "manifest.json"]
+    written = order[:order.index(blocked)]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        written + [blocked] + ([] if blocked == "manifest.json" else ["manifest.json"]))
+    assert (out_dir / blocked).is_dir()
+    if blocked != "manifest.json":
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"] == command and manifest["exit_status"] == 1
+        assert manifest["error"] == captured.err[len("error: "):-1]
+        assert manifest["parameters"] is None
+
+
 def test_solve_deterministic_outputs(write_scenario, tmp_path, capsys):
     scenario = write_scenario(diamond_dict(steps=80))
     a = tmp_path / "a"

@@ -368,6 +368,22 @@ def test_hard_cases_end_unconverged_without_raising(case, depth, monkeypatch):
     assert again.mass.values.tobytes() == report.psi.mass.values.tobytes()
 
 
+@pytest.mark.parametrize("case, max_iter, restarts", [
+    ("diamond_constrained", 7, 4), ("diamond_constrained", 12, 9), ("beta-1000", 60, 33)])
+def test_rise_on_the_capped_evaluation_restarts(case, max_iter, restarts):
+    # each solve stops at its cap on a residual that rose; that rise counts
+    # as a restart, as it would if another evaluation followed
+    if case == "beta-1000":
+        doc = _hard_cases()[case]
+    else:
+        doc = json.loads((SCENARIOS / f"{case}.json").read_text())
+        doc["solver"]["max_iter"] = max_iter
+    report = solve(*build(doc)[:3])
+    assert not report.converged
+    assert report.residual_increases[-1] == max_iter - 1
+    assert (report.iterations, report.restarts) == (max_iter, restarts)
+
+
 def test_anderson_correction_rejects_dependent_differences():
     rng = np.random.default_rng(0)
     df = rng.uniform(size=(3, 5))

@@ -13,7 +13,7 @@ import mfroute.csvtext as csvtext
 import mfroute.flow as flow
 import mfroute.value as value_module
 from mfroute import (apply_psi, congestion_total, integrate_mass, local_decision,
-                     scenario_from_dict, solve, value_backward)
+                     scenario_from_dict, solve, value_backward, verify_X_membership)
 from mfroute.cli import _export_stages
 from mfroute.flow import injection_terms
 from mfroute.network import edge_totals
@@ -81,6 +81,17 @@ def test_edge_totals_allocate_their_result_and_one_block():
     mass = solve(net, ps, scen).mass.values
     totals, peak = traced_peak(edge_totals, ps, mass)
     assert peak <= totals.nbytes + 4096 * 8
+
+
+@pytest.mark.parametrize("workload", ["lattice-4x4", "diamond-fine"])
+def test_membership_check_holds_no_pair_array(workload):
+    # the edge totals (0.2 and 0.71 pair arrays here) and the sup norm's
+    # 4096-cell block; a difference array of the mass would add one more
+    net, ps, scen, grid = scenario_from_dict(WORKLOADS.WORKLOADS[workload](ROOT, 1))
+    report = solve(net, ps, scen)
+    member, peak = traced_peak(verify_X_membership, report.mass, scen, ps)
+    assert member == report.membership
+    assert peak < ps.pair_count * (grid.steps + 1) * 8
 
 
 def test_value_stage_holds_two_blocks_the_mask_and_interior_rows():
