@@ -42,11 +42,11 @@ def write_mass_csv(path: Path, times: np.ndarray, ps: PathSet, mass: MassField) 
 
 
 def _export_stages(out: Path, grid: TimeGrid, ps: PathSet, psi: PsiResult,
-                   mass: MassField | None = None) -> None:
+                   mass: MassField) -> None:
     # masses.csv carries the field of record: the equilibrium for a solve,
     # the map's output for a single evaluation.  The grid is formatted once.
     times = _grid_tokens(grid)
-    write_mass_csv(out / "masses.csv", times, ps, psi.mass if mass is None else mass)
+    write_mass_csv(out / "masses.csv", times, ps, mass)
     _write_csv(out / "flows.csv", times, _pair_columns(ps, "f"), [psi.flows])
     _write_csv(out / "values.csv", times, _pair_columns(ps, "V"), [psi.value])
     _write_csv(out / "policy.csv", times, _pair_columns(ps, "tau"), [psi.policy.tau_idx])
@@ -119,10 +119,10 @@ def _run(args) -> int:
 
     ``args.body(args, out, net, ps, scen, grid)`` writes the stage files and
     returns the exit status, the report document and a one-line summary.
-    The frame writes ``report.json``, which echoes the manifest, then
-    ``manifest.json``.  On a package error, or a file it cannot write, it
-    writes ``manifest.json`` with the error and no parameters if it can, and
-    passes the error on to ``main``.
+    The frame writes ``manifest.json``, then ``report.json``, which echoes
+    it, so a failed command leaves no report.  On a package error, or a file
+    it cannot write, it writes ``manifest.json`` with the error and no
+    parameters if it can, and passes the error on to ``main``.
     """
     out = Path(args.out)
     try:
@@ -134,8 +134,8 @@ def _run(args) -> int:
         net, ps, scen, grid = _load(args)
         code, doc, summary = args.body(args, out, net, ps, scen, grid)
         doc["manifest"] = _manifest(args, net, scen, start, code)
-        _write_json_file(out / "report.json", doc)
         _write_json_file(out / "manifest.json", doc["manifest"])
+        _write_json_file(out / "report.json", doc)
     except (MFRouteError, OSError) as exc:
         if isinstance(exc, OSError):  # a write: the readers raise package errors
             exc = MFRouteError(f"cannot write {exc.filename or out}: {exc.strerror or exc}")
@@ -159,7 +159,7 @@ def cmd_validate(args) -> int:
 def _solve_body(args, out: Path, net: Network, ps: PathSet, scen: Scenario,
                 grid: TimeGrid):
     report = solve(net, ps, scen)
-    _export_stages(out, grid, ps, report.psi, mass=report.mass)
+    _export_stages(out, grid, ps, report.psi, report.mass)
     doc = {
         "residuals": report.residuals,
         "iterations": report.iterations,
@@ -184,7 +184,7 @@ def _psi_once_body(args, out: Path, net: Network, ps: PathSet,
         mass = read_mass_csv(Path(args.mass), ps, grid)
     psi = apply_psi(net, ps, scen, mass)
     r = residual(mass, psi.mass)
-    _export_stages(out, grid, ps, psi)
+    _export_stages(out, grid, ps, psi, psi.mass)
     doc = {
         "residual_vs_input": r,
         "diagnostics": _diagnostics(scen, psi,

@@ -7,14 +7,15 @@ They are evaluated by path position, the pairs of one position that share a
 delay at once, each position after the one that feeds it; every entry is
 the same product as in a pair-by-pair loop.
 Mass is integrated by explicit Euler with negative undershoot clipped at
-zero and recorded, never silently discarded.  The increments are built in
-the mass array itself, by contiguous operations on the flattened arrays
-(the moved terms in blocks of at most 4096 cells), and the recurrence runs
-as a row cumulative sum that restarts from +0.0 wherever a clip falls,
-from the row's increments rebuilt by the same expressions; it performs the
-same additions as stepping node by node, so it gives the same bits.  The
-rows that need a clip are found in blocks of rows of the same size, so the
-stage allocates nothing of its result's size beside it.
+zero and recorded, never silently discarded: each clipped amount once,
+reported as their exact sum (``math.fsum``), maximum and count.  The
+increments are built in the mass array itself, by contiguous operations on
+the flattened arrays (the moved terms in blocks of at most 4096 cells), and
+the recurrence runs as a row cumulative sum that restarts from +0.0 wherever
+a clip falls, from the row's increments rebuilt by the same expressions; it
+performs the same additions as stepping node by node, so it gives the same
+bits.  The rows that need a clip are found in blocks of rows of the same
+size, so the stage allocates nothing of its result's size beside it.
 
 The integrator keeps the discrete balance auditable: per-step injections
 split the budget by the path shares the flows read, normalized so that their
@@ -27,6 +28,7 @@ The stages hand over plain arrays; the records live at psi's boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +63,8 @@ class Policy:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """The sum, maximum and count of the amounts :func:`integrate_mass` clipped."""
+    """The amounts :func:`integrate_mass` clipped: their exact sum
+    (``math.fsum``, independent of order), their maximum and their count."""
 
     clip_total: float
     clip_max: float
@@ -200,10 +203,9 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, inj: np.ndarr
     ``state = np.maximum(state + delta[:, i], 0.0)`` from ``rho0``: each row
     is a left-to-right cumulative sum, and at each later node that holds a
     negative value or -0.0 it stores +0.0 and sums the rest of the row again
-    from there.  The clip statistics are those the stepwise loop reports:
-    per step with clips, in ascending order, the sum of that step's clipped
-    amounts over all rows (zero where a row did not clip) adds to
-    ``clip_total``.
+    from there.  Each clip records its amount once; ``clip_total`` is the
+    exact sum of the amounts, ``clip_max`` their maximum and ``clip_count``
+    their number, as in the stepwise loop.
     """
     grid = scen.grid
     n = grid.steps
@@ -236,61 +238,38 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, inj: np.ndarr
     # rest of the row is then re-accumulated from that +0.0, with the
     # row's increments rebuilt once.  The rows are scanned in blocks of at
     # most 4096 cells, or of one row if a row is longer.
-    clips: dict[int, list[tuple[int, float]]] = {}
+    amounts: list[float] = []
     scan = max(1, 4096 // (n + 1))
     fix_rows = [i + np.flatnonzero(_needs_fix(mass[i:i + scan])[:, 1:].any(axis=1))
                 for i in range(0, ps.pair_count, scan)]
     for r in np.concatenate(fix_rows).tolist():
         row = mass[r]
+        # the row's increments again, by the same expressions
+        plus = inj[ps.pair_path_idx[r]] if ps.first_mask[r] else dt * flows[r - 1, :n]
+        increments = plus - dt * flows[r, :n]
         bad = _needs_fix(row[1:])
-        increments = None
         c = 0
-        while True:
+        while bad.any():
             c += 1 + int(np.argmax(bad))  # bad[k] flags node c + 1 + k
-            pre = row[c]
+            pre = float(row[c])
             if pre < 0.0:
-                clips.setdefault(c - 1, []).append((r, 0.0 - pre))
+                amounts.append(-pre)
             row[c] = 0.0
-            if c == n:
-                break
-            if increments is None:
-                # the row's increments again, by the same expressions
-                plus = (inj[ps.pair_path_idx[r]] if ps.first_mask[r]
-                        else dt * flows[r - 1, :n])
-                increments = plus - dt * flows[r, :n]
             row[c + 1:] = increments[c:]
             np.cumsum(row[c:], out=row[c:])
             bad = _needs_fix(row[c + 1:])
-            if not bad.any():
-                break
-    # Clip statistics accumulate per step in ascending order, each step's
-    # clipped vector summed over all rows, as the stepwise loop did.
-    clip_total = 0.0
-    clip_max = 0.0
-    clip_count = 0
-    clipped = np.zeros(ps.pair_count)
-    for i in sorted(clips):
-        clipped[:] = 0.0
-        for r, amount in clips[i]:
-            clipped[r] = amount
-        clip_total += float(clipped.sum())
-        clip_max = max(clip_max, float(clipped.max()))
-        clip_count += len(clips[i])
-    _check_mass_bound(ps, scen, mass)
-    return mass, IntegrationResult(clip_total=clip_total, clip_max=clip_max,
-                                   clip_count=clip_count)
+    worst = float(edge_totals(ps, mass).max())
+    if worst > scen.rho_max:
+        raise MassBoundExceeded(
+            f"total edge mass {worst:g} exceeds rho_max {scen.rho_max:g}")
+    return mass, IntegrationResult(clip_total=math.fsum(amounts),
+                                   clip_max=max(amounts, default=0.0),
+                                   clip_count=len(amounts))
 
 
 def _needs_fix(values: np.ndarray) -> np.ndarray:
     """Entries that clipping at zero would change: negatives and -0.0."""
     return np.signbit(values) & (values <= 0.0)
-
-
-def _check_mass_bound(ps: PathSet, scen: Scenario, mass: np.ndarray) -> None:
-    worst = float(edge_totals(ps, mass).max())
-    if worst > scen.rho_max:
-        raise MassBoundExceeded(
-            f"total edge mass {worst:g} exceeds rho_max {scen.rho_max:g}")
 
 
 def apply_psi(net: Network, ps: PathSet, scen: Scenario, mass: MassField) -> PsiResult:

@@ -5,7 +5,8 @@ random mass field below the mass bound, and speed limits or none.  One map
 evaluation must then agree bit for bit with the per-pair reference loops,
 the value tables must equal the exhaustive enumeration and be the same at
 other row-block budgets, each path's cost along the policy must follow its
-first pair's value, and the conservation audit must pass.  A solve,
+first pair's value, the conservation audit must pass, and the network's
+edges given in reverse order must give the same bits.  A solve,
 with Anderson history or without, must report the residual of the mass it
 returns, and parsing the scenario echo again must give the same echo.
 """
@@ -131,6 +132,17 @@ def test_psi_stages_match_references_and_oracles(case):
         assert table.tobytes() == psi.value.tobytes()
         assert other.tobytes() == policy.tobytes()
     assert audit_conservation(ps, scen, psi, scen.rho0).ok
+
+    # the input order of edges changes nothing: the pairs are laid out
+    # path-major over edge ids, so the same mass field needs no permutation
+    flipped = json.loads(json.dumps(doc))
+    flipped["network"]["edges"].reverse()
+    net2, ps2, scen2, _ = build(flipped)
+    psi2 = apply_psi(net2, ps2, scen2, mass)
+    assert ps2.paths == ps.paths
+    for name in ("flows", "costs", "z", "response", "suffix_value", "suffix_tau_idx"):
+        assert getattr(psi2, name).tobytes() == getattr(psi, name).tobytes(), name
+    assert psi2.mass.values.tobytes() == psi.mass.values.tobytes()
 
 
 def test_policy_walk_through_a_detour_at_the_horizon_costs_more_than_its_value():
