@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvtext import (_grid_tokens, _pair_columns, _path_columns, _write_csv,
+from .csvtext import (_grid_tokens, _pair_columns, _path_columns, _unlinked, _write_csv,
                       read_mass_csv)
 from .equilibrium import XMembership, residual, solve, verify_X_membership
 from .errors import MFRouteError, ParseError
@@ -88,7 +88,8 @@ def _manifest(args, net, scen, start: float, exit_status: int,
 
 
 def _write_json_file(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _unlinked(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                               encoding="utf-8")
 
 
 def _exit_status(exc: MFRouteError) -> int:

@@ -10,6 +10,9 @@ take that block's tokens.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +72,17 @@ def _tokens(block: np.ndarray, held: list | None = None) -> np.ndarray:
     return tokens[inverse.reshape(block.shape)]
 
 
+def _unlinked(path: Path) -> Path:
+    """``path``, with the regular file there removed, so that a rerun into
+    the same directory writes a new file: closing a truncated file flushes
+    its new data on ext4, closing a new one does not.  A symlink is still
+    written through, and a directory still fails the open."""
+    with contextlib.suppress(OSError):  # else the open rewrites it in place
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    return path
+
+
 def _write_csv(path: Path, times: np.ndarray, headers: list[str],
                tables: list[np.ndarray]) -> None:
     # ``times`` are ``_grid_tokens``; an integer table's cells index them, so
@@ -76,7 +90,7 @@ def _write_csv(path: Path, times: np.ndarray, headers: list[str],
     # text is ever held whole.
     step = max(1, _BLOCK_CELLS // (1 + len(headers)))
     held = []
-    with open(path, "w", encoding="utf-8") as f:
+    with open(_unlinked(path), "w", encoding="utf-8") as f:
         f.write("t," + ",".join(headers) + "\n")
         for r0 in range(0, len(times) - 1, step):
             block = np.column_stack([table[:, r0:r0 + step].T for table in tables])

@@ -285,7 +285,7 @@ def apply_psi(net: Network, ps: PathSet, scen: Scenario, mass: MassField) -> Psi
         k_idx_edges = np.full(len(net.edges), scen.k_idx, dtype=np.int64)
     del totals  # read only by the arrival tables, not alive in the value stage
     values, tau_idx = value_backward(net, ps, scen, phi_prefix, floor_idx)
-    costs, response, z = build_preferences(net, ps, scen, phi_prefix, tau_idx)
+    costs, response, z = build_preferences(net, ps, scen, phi_prefix, tau_idx, values)
     shares = local_decision(z)
     flows = compute_flows(ps, tau_idx, shares, scen.lam, k_idx_edges)
     inj = injection_terms(shares[:, :-1], scen.lam[:-1], scen.grid.dt)

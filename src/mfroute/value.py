@@ -206,9 +206,11 @@ def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],
 
     Every row starts as the stay cost, which is already final at node n;
     last-edge suffixes are final, with their single moving candidate,
-    arriving at the final node.  Returns the values, ``tau_idx`` and each
-    suffix's tail cost (alpha times its length on a last edge, alpha times
-    the distance from its tail otherwise).
+    arriving at the final node.  This is the stop rule's one statement
+    outside the oracle: :func:`path_costs` reads every stop from these
+    rows.  Returns the values, ``tau_idx`` and each suffix's tail cost
+    (alpha times its length on a last edge, alpha times the distance from
+    its tail otherwise).
     """
     n = t.size - 1
     edges = [e for e, _ in suffixes]

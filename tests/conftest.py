@@ -222,6 +222,8 @@ def reference_path_costs(net, ps, scen, phi_prefix, tau_idx):
     costs = np.zeros((ps.n_paths, n + 1))
     for p, rows in enumerate(ps.path_rows):
         total = np.zeros(n + 1)
+        # the previous pair's distance penalty, +inf before the first pair
+        settle = np.inf
         for r in rows:
             r = int(r)
             e = int(ps.pair_edge_idx[r])
@@ -238,8 +240,12 @@ def reference_path_costs(net, ps, scen, phi_prefix, tau_idx):
                     + (phi[tau_safe] - phi[s_safe])
             left = length if ps.last_mask[r] else float(net.dist_tail[e])
             stop_cost = (scen.alpha * left) + (phi[n] - phi[s_safe])
+            # entered at the horizon after an earlier pair, the walk may
+            # settle at that pair's distance penalty instead
+            stop_cost = np.where(s == n, np.minimum(settle, stop_cost), stop_cost)
             contrib = np.where(moved, move_cost, np.where(stopped, stop_cost, 0.0))
             total = total + contrib
+            settle = scen.alpha * left
         costs[p] = total
     return costs, entry
 

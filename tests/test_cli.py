@@ -401,6 +401,30 @@ def test_output_file_that_cannot_be_written_is_an_error(write_scenario, tmp_path
         assert manifest["parameters"] is None
 
 
+@pytest.mark.parametrize("linked", ["flows.csv", "manifest.json"])
+def test_symlinked_output_file_is_written_through(write_scenario, tmp_path, capsys,
+                                                  linked):
+    # a rerun removes the regular files it rewrites, but a symlink stays and
+    # its target gets the new text
+    scenario = write_scenario(diamond_dict(steps=20))
+    plain, out_dir, target = tmp_path / "plain", tmp_path / "out", tmp_path / "target"
+    assert run(capsys, "psi-once", str(scenario), "--out", str(plain), "--zero")[0] == 0
+    target.write_text("stale\n")
+    out_dir.mkdir()
+    (out_dir / linked).symlink_to(target)
+    for _ in range(2):
+        assert run(capsys, "psi-once", str(scenario), "--out", str(out_dir), "--zero")[0] == 0
+        assert (out_dir / linked).is_symlink()
+        for path in plain.iterdir():
+            want, got = path.read_bytes(), (out_dir / path.name).read_bytes()
+            if path.suffix == ".json":
+                want, got = (json.loads(text) for text in (want, got))
+                for doc in (want, got):
+                    doc.get("manifest", doc).pop("duration_seconds")
+            assert got == want, path.name
+    assert target.read_bytes() == (out_dir / linked).read_bytes()
+
+
 def test_solve_deterministic_outputs(write_scenario, tmp_path, capsys):
     scenario = write_scenario(diamond_dict(steps=80))
     a = tmp_path / "a"

@@ -48,7 +48,7 @@ def costs_and_policy(net, ps, scen, mass):
     """Congestion, path costs along the policy, and the policy by pair."""
     _, phi_prefix = congestion_total(ps, scen, mass.values)
     table, policy = value_backward(net, ps, scen, phi_prefix)
-    costs = path_costs(net, ps, scen, phi_prefix, policy)
+    costs = path_costs(net, ps, scen, phi_prefix, policy, table)
     return phi_prefix, costs, by_pair(ps, table, policy)[1]
 
 
@@ -95,7 +95,7 @@ def test_entry_times_strictly_increase_while_finite(diamond_policy):
 
 def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
     # arriving at the final node enters the next edge there, which then
-    # stays and pays its distance penalty
+    # stays and pays the cheaper of its distance penalty and e1's
     net, ps, scen, grid, phi_prefix, costs, policy = diamond_policy
     p = ps.paths.index(("e1", "e4"))
     r = row(ps, "e1", p)
@@ -104,14 +104,16 @@ def test_entry_at_horizon_when_arrival_is_final_node(diamond_policy):
     i = int(hits[0])
     assert entry_times(ps, policy, p, i) == [i, grid.steps]
     expected = 0.0 + leg_cost(net, scen, phi_prefix, "e1", i, grid.steps)
-    expected += stop_cost(net, scen, phi_prefix, "e4", grid.steps)
+    expected += min(stop_cost(net, scen, phi_prefix, "e1", grid.steps),
+                    stop_cost(net, scen, phi_prefix, "e4", grid.steps))
     assert costs[p, i] == expected
 
 
 @pytest.mark.parametrize("doc", STAGE_DOCS.values(), ids=STAGE_DOCS.keys())
 def test_path_costs_match_per_pair_reference(doc):
     net, ps, scen, mass, psi = stage_inputs(doc)
-    table = path_costs(net, ps, scen, psi.phi_prefix, psi.suffix_tau_idx)
+    table = path_costs(net, ps, scen, psi.phi_prefix, psi.suffix_tau_idx,
+                       psi.suffix_value)
     costs, entry = reference_path_costs(net, ps, scen, psi.phi_prefix,
                                         psi.policy.tau_idx)
     assert table.tobytes() == costs.tobytes()
