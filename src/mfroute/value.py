@@ -9,89 +9,59 @@ suffix: pair r reads row ``ps.suffix_table[1][r]``.
 
 Candidate arrival times are restricted to grid nodes strictly after the
 entry node; the continuous minimization is approximated to first order in
-the grid step, consistent with the Euler mass integration.  The minimization
-runs over blocks of entry nodes and, within a block, only over arrival nodes
-after the block's first entry node, so its temporaries take O(B * N) memory
-rather than (N + 1)^2.  The first block spans B = BLOCK_CELLS // (N + 1)
-entry nodes over all N arrival columns, and its B * N cells are the budget
-of every block: the block starting at entry node i0 is N - i0 columns wide
-and takes budget // (N - i0) rows, so later, narrower blocks hold more rows
-and there are fewer of them (38 instead of 72 at N = 1500).
+the grid step, consistent with the Euler mass integration.  Every row starts
+as its stay cost, and last-edge suffixes, with their single moving
+candidate, are finished first (:func:`_initial_rows`, the stop rule); the
+others follow one depth (edges to the destination) at a time.  A suffix
+with edge length l, congestion integrals Phi and continuation c (its
+successor's values, at node N the cheaper of the stay penalty and the
+successor's final value), entered at node i and left at node j, costs
 
-Every suffix's row starts as its stay cost, built in place in the gathered
-congestion rows, and last-edge suffixes, which have a single moving
-candidate, are finished first, each over all nodes at once in O(N) rows, so
-this takes no table beyond the outputs.  The other suffixes are computed
-block by block, from the last block of entry nodes to the first, and within
-a block by suffix depth (edges to the destination) and then edge length,
-ascending on odd depths and descending on even ones.  A suffix at entry
-node i reads its successor at arrival nodes after i: those in later blocks
-are finished already, and those in the same block were finished just
-before, since the successor is one edge shallower.  The scalars a suffix's
-blocks read (its edge, successor, length and continuation at node N) are
-Python numbers, read once per call.  The kinetic block
-``(l*l)/(2*(t[j]-t[i]))``, with +inf where j <= i, depends on the block and
-the edge length only, so within a block it is rebuilt only when the length
-changes from one suffix to the next; the alternating order lets a depth end
-on the length the next depth starts with (on the seeded 4x4 benchmark
-lattice, 7 to 11 builds a block instead of 10 to 14).  It is built as
-``(l*l)/(2t[j]-2t[i])`` from a doubled copy of the grid, without a pass that
-doubles the block: doubling is exact and commutes with rounding the
-difference, so the denominator has the bits of ``2*(t[j]-t[i])`` for every
-horizon below half the largest double (above it, 2t overflows).  The
-arrivals j <= i lie in the block's trailing columns, where the denominator
-is at most 0: it is clamped to +0.0 there before the divide, so
-``l*l / +0.0`` is +inf.  Only when ``l*l`` underflows to 0 (a length below
-about 1.5e-162), where ``0 / 0`` would be NaN, are those cells found by
-comparing node ids and set to +inf.  The temporaries stay three block-sized
-arrays: the kinetic block, the candidates and a mask (17 bytes a cell),
-plus reversed copies of the grid and of the congestion integrals of the
-edges that start an interior suffix (O(N) each), freed when the kernel
-returns, and not made when every path is one edge long.
+    F[i, j] = ((Phi[j] - Phi[i]) + (l*l) / (2t[j] - 2t[i])) + c[j]
 
-Block columns run from the last arrival node down: column c is node N - c.
-"Latest arrival within the tie band" is then the first column in the band,
-a forward ``argmax``.  Each row's best cost is read at its ``argmin``, the
-row's first minimum, which lies in its band, so the band starts at or
-before it: the band test reads only the columns up to the block's latest
-first minimum, the same first column as a scan of the whole width.  At
-``eps_tie`` 0 the band is the minimum itself, so the threshold is the
-minimum, also for a row with no admissible arrival, whose minimum is +inf
-(``0 * inf`` would be NaN).  The continuation is one contiguous copy of the
-successor's row, reversed, with entry 0 (the final node) set to the cheaper
-of the stay penalty and the successor's final value; and the arrivals not
-after the entry node are trailing columns, +inf in the kinetic block.
-Block rows are shorter than numpy's default 8192-element ufunc buffer, and
-with it the broadcasts of the block loop go through the buffered iterator
-at two to four times the cost of a contiguous operation, so the loop runs
-under a small buffer, restored on every exit.  The loop has only
-elementwise operations, gathers, ``argmin`` and ``argmax``, whose results do
-not depend on the buffer size.  Stages that sum (mass integration, the
-logit response, the local decision) stay outside it: the buffer size can
-change the order in which a sum adds.
+for j from the admissible start A_i = max(i + 1, floor_i) to N.  A monotone
+search finds each row's minimum and latest j within the tie band.  Its
+levels run at strides B^(L-1), ..., B, 1 (B = BRANCHING): the first
+evaluates every B^(L-1)-th row and each suffix's last feasible row over
+their whole admissible range, each later level the B - 1 evenly spaced
+rows in every gap between evaluated rows over the window those two rows
+cut, from the first column of the upper row's near-tie set (its cells
+within 2^-44 of its minimum, relative) to the last of the lower row's.
 
-Under arrival floors a suffix's block is evaluated only where an admissible
-arrival can lie.  The trailing rows whose floor is past node N are never
-evaluated, nor is the block when no row has a floor within the grid: such
-a row keeps the stay cost and the policy -1 it started with.  Nor are the
-columns before the lowest floor of the rows kept, and +inf is set only in
-the columns between the lowest and the highest floor, so a row with no
-admissible arrival between kept rows is still all +inf.  Every cell left
-out would be +inf, and with a finite stay cost such a cell decides nothing:
-it is never a row's minimum, the first column in a finite minimum's tie
-band lies at or before the minimum's column, and a row of +inf keeps its
-stay cost and the policy -1.
+Exactness design note.
 
-Float expressions here are deliberately fixed:  a moving candidate costs
-``(l*l)/(2*(t[j]-t[i])) + (Phi[j]-Phi[i])`` plus the continuation, grouped
-exactly in that order (the kernel adds the kinetic block to the congestion
-difference, which IEEE addition gives the same bits).  The exhaustive
-enumeration in :mod:`mfroute.oracle` evaluates the same expressions, which
-is what makes the oracle comparison exact rather than tolerance-based;
-neither the suffix sharing, the suffix order, the row blocks, the shared
-kinetic block, the doubled times, the clamped denominators, the column
-order, the cut band scan nor the cells left out under arrival floors change
-a single rounding step.
+- M[i, j] is F[i, j] taken in exact arithmetic on the float inputs, and +inf
+  before A_i.  l*l / (2d) is convex in d = t[j] - t[i], so M is Monge
+  wherever A is nondecreasing.
+- If Phi is nondecreasing along the edge and c >= 0, each float cell F is
+  within 5u F of M (u = 2^-53), plus 2^-1074 where the kinetic quotient is
+  subnormal.  low and high (``_bound``) widen a cell by 2^-48 and 2^-1060,
+  which also covers the rounding of the bounds themselves.
+- These preconditions, with A nondecreasing, are checked per suffix and per
+  call.  A suffix that fails them is evaluated over whole rows.
+- For rows r < i and columns j < c, M[i, j] - M[i, c] >= M[r, j] - M[r, c].
+  The mirror inequality holds for i < r and j > c.
+- So every row that cuts a window carries a certified lower bound on its
+  gaps outside its near-tie set, the Monge margin it hands to the window's
+  rows.  Inside its own window the bound comes from the cells it evaluated;
+  beyond that window it comes from the bound the row inherited.
+- A row passes the certificate when low(F[i, a]) + L > high(best) and
+  low(F[i, b]) + R > high(threshold), a and b being its window's ends and
+  L and R the margins of the rows that cut them (an end at A_i or N needs
+  no check): then no cell before a is below the minimum and none after b
+  is in the tie band.  Every other row, and every row of a suffix that
+  breaks the preconditions, is evaluated over its whole admissible range
+  by the same routine, :func:`_search`, after the levels.
+
+Rows run in chunks of at most CHUNK_CELLS cells, so the temporaries stay
+below the blocks of the dense kernel in ``tests/dense_kernel.py``, the
+search's bitwise reference.
+
+The exhaustive enumeration in :mod:`mfroute.oracle` evaluates the same
+float expressions, ``(l*l)/(2*(t[j]-t[i])) + (Phi[j]-Phi[i])`` plus the
+continuation (doubling the times is exact, IEEE addition commutative), so
+the oracle comparison is exact: nothing here changes a rounding step, and a
+certified row's results are those of all its admissible cells.
 """
 
 from __future__ import annotations
@@ -102,13 +72,12 @@ from .errors import ShapeMismatch
 from .network import Network, PathSet, edge_totals
 from .scenario import Scenario, prefix_integral
 
-# Sets the cells per row block of the value kernel: the first block spans
-# B = BLOCK_CELLS // (steps + 1) entry nodes, and every block fits its B * N
-# cells, so the temporaries take O(B * N) memory instead of (N + 1)^2.
-BLOCK_CELLS = 1 << 15
+# Each level of the value search evaluates BRANCHING - 1 evenly spaced rows
+# between every two rows evaluated before it.
+BRANCHING = 8
 
-# Ufunc buffer size (elements) inside the block loop, see the module docstring.
-_BLOCK_BUFSIZE = 256
+# Cells per chunk of a ragged evaluation, which bounds its temporaries.
+CHUNK_CELLS = 1 << 13
 
 
 def congestion_total(ps: PathSet, scen: Scenario, mass: np.ndarray
@@ -156,45 +125,19 @@ def value_backward(net: Network, ps: PathSet, scen: Scenario, phi_prefix: np.nda
     value.  Within ``eps_tie`` of the best moving cost the latest arrival
     wins, and an exact tie between staying and moving resolves to moving.
     """
-    grid = scen.grid
-    n = grid.steps
-    t = grid.nodes
-    eps_tie = scen.solver.eps_tie
-    alpha = scen.alpha
-
     suffixes = ps.suffix_table[0]
-    values, tau_idx, tail_cost = _initial_rows(net, suffixes, phi_prefix, t,
-                                               alpha, arrival_floor)
+    values, tau_idx, tail_cost = _initial_rows(net, suffixes, phi_prefix, scen.grid.nodes,
+                                               scen.alpha, arrival_floor)
+    # A successor is one edge shallower, so a depth reads only finished rows.
     depth = [0] * len(suffixes)
-    interior = []
+    by_depth: dict[int, list[int]] = {}
     for s, (_, succ) in enumerate(suffixes):
         if succ >= 0:
             depth[s] = depth[succ] + 1
-            interior.append(s)
-    # A successor is one edge shallower, so it comes first within a block;
-    # equal lengths come together so the kinetic block is built once for
-    # them, ascending on odd depths and descending on even ones, so the
-    # last length of a depth is the first of the next when both have it.
-    lengths = net.lengths.tolist()
-    interior.sort(key=lambda s: (depth[s], lengths[suffixes[s][0]] if depth[s] % 2
-                                 else -lengths[suffixes[s][0]]))
-    # The scalars each block reads, once per call: per interior suffix its
-    # edge, its successor, the edge length and the continuation at node n,
-    # the cheaper of the stay penalty and the successor's final value.
-    edges = [suffixes[s][0] for s in interior]
-    succs = [suffixes[s][1] for s in interior]
-    jobs = (interior, edges, succs, net.lengths[edges].tolist(),
-            [min(float(tail_cost[s]), float(values[succ, n]))
-             for s, succ in zip(interior, succs)])
-
-    # Only elementwise operations, gathers, argmin and argmax run under the
-    # small buffer, so it changes no result; stages that sum stay outside it.
-    bufsize = np.setbufsize(_BLOCK_BUFSIZE)
-    try:
-        _minimize_interior(jobs, phi_prefix, t, values, tau_idx, arrival_floor, eps_tie)
-    finally:
-        np.setbufsize(bufsize)
-
+            by_depth.setdefault(depth[s], []).append(s)
+    for d in sorted(by_depth):
+        _minimize_depth(net, scen, suffixes, by_depth[d], phi_prefix, arrival_floor,
+                        values, tau_idx, tail_cost)
     return values, tau_idx
 
 
@@ -242,134 +185,190 @@ def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],
     return values, tau_idx, tail_cost
 
 
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """Blocks ``(i0, i1)`` of entry nodes for the value kernel, first to last.
+def _minimize_depth(net: Network, scen: Scenario, suffixes: tuple, group: list[int],
+                    phi_prefix: np.ndarray, arrival_floor: np.ndarray | None,
+                    values: np.ndarray, tau_idx: np.ndarray, tail_cost: np.ndarray) -> None:
+    """Minimize in place the rows of the interior suffixes ``group`` of one
+    depth, whose ``values`` rows hold the stay cost."""
+    n = scen.grid.steps
+    edges, succs = (list(x) for x in zip(*(suffixes[s] for s in group)))
+    phi = phi_prefix[edges]
+    cont = values[succs]
+    cont[:, n] = [min(float(tail_cost[s]), float(values[succ, n]))
+                  for s, succ in zip(group, succs)]
+    # the admissible start of each entry node's arrivals, n + 1 where none is
+    start = np.broadcast_to(np.arange(1, n + 1), (len(group), n))
+    if arrival_floor is not None:
+        start = np.minimum(np.maximum(start, arrival_floor[edges, :n]), n + 1)
+    ok = (np.isfinite(phi).all(1) & (np.diff(phi, axis=1) >= 0).all(1)
+          & np.isfinite(cont[:, 1:]).all(1) & (cont[:, 1:] >= 0).all(1)
+          & (np.diff(start, axis=1) >= 0).all(1))
+    last = (start <= n).sum(1) - 1
+    # Per cutting row, its near-tie set's ends and the margins it hands to the
+    # rows below and above it, in slot i // BRANCHING of its suffix (the last
+    # feasible row in the suffix's last slot); the final slot stands for no
+    # cutting row: the whole grid, no margin.
+    slots = n // BRANCHING + 2
+    whole = len(group) * slots
+    near = np.zeros((2, whole + 1), dtype=np.int64)
+    near[1, -1] = n
+    lengths = net.lengths[edges]
+    run = (phi.ravel(), cont.ravel(), scen.grid.nodes * 2.0, lengths * lengths, start,
+           scen.solver.eps_tie, near, np.full((2, whole + 1), np.nan),
+           values.ravel(), tau_idx.ravel(), np.asarray(group) * (n + 1))
+    ks = np.flatnonzero(ok & (last >= 0))
+    strides = [1]
+    while strides[0] * BRANCHING < n:
+        strides.insert(0, strides[0] * BRANCHING)
+    batch = max(1, CHUNK_CELLS // 8)  # rows, which bounds per-row temporaries
+    failed = []
+    for level, stride in enumerate(strides):
+        pattern = np.arange(0, n, stride)
+        if level:
+            pattern = pattern[pattern % strides[level - 1] != 0]
+        k = ks.repeat(pattern.size)
+        i = pattern[None].repeat(ks.size, 0).ravel()
+        keep = i < last[k]
+        k, i = k[keep], i[keep]
+        if not level:
+            # The first level holds each suffix's last feasible row too, so
+            # every later row lies between two evaluated rows.
+            k = np.concatenate([k, ks])
+            i = np.concatenate([i, last[ks]])
+        for p in range(0, k.size, batch):
+            kb, ib = k[p:p + batch], i[p:p + batch]
+            slot = kb * slots
+            below = above = np.full_like(kb, whole)
+            if level:
+                below = ib - ib % strides[level - 1]
+                above = below + strides[level - 1]
+                below = slot + below // BRANCHING
+                above = slot + np.where(above < last[kb], above // BRANCHING, slots - 1)
+            own = None
+            if stride > 1:
+                own = slot + (ib // BRANCHING if level else
+                              np.where(ib < last[kb], ib // BRANCHING, slots - 1))
+            failed.append(_search(run, kb, ib, below, above, own))
+    # Rows left uncertified, and every row of a suffix that breaks the
+    # preconditions, over their whole admissible range.
+    bad = np.flatnonzero(~ok & (last >= 0))
+    k = np.concatenate([f[0] for f in failed] + [bad.repeat(n)])
+    i = np.concatenate([f[1] for f in failed] + [np.tile(np.arange(n), bad.size)])
+    rows = start[k, i] <= n
+    if rows.any():
+        k, i = k[rows], i[rows]
+        _search(run, k, i, np.full_like(k, whole), np.full_like(k, whole), None)
 
-    The first block spans ``BLOCK_CELLS // (n + 1)`` entry nodes (at least
-    one) over all n arrival columns, and its cells are the budget of every
-    block: a block starting at entry node i0 is n - i0 columns wide and takes
-    as many rows as fit the budget at that width, up to the last entry node.
-    """
-    budget = max(1, BLOCK_CELLS // (n + 1)) * n
-    blocks = []
-    i0 = 0
-    while i0 < n:
-        # budget >= n >= n - i0, so every block has a row.
-        i1 = min(n, i0 + budget // (n - i0))
-        blocks.append((i0, i1))
-        i0 = i1
-    return blocks
+
+def _search(run: tuple, k: np.ndarray, i: np.ndarray, below: np.ndarray,
+            above: np.ndarray, own: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize rows ``(k, i)`` over the windows that the rows in slots
+    ``below`` and ``above`` cut, and settle the rows that pass the
+    certificate.  With ``own``, the rows' slots, the rows cut in turn.
+    Returns the rows left uncertified."""
+    phi, cont, t2, l2, start, eps_tie, near, margin, values, tau_idx, base = run
+    n = start.shape[1]
+    admissible = start[k, i]
+    lo = np.maximum(near[0, below], admissible)
+    hi = near[1, above]
+    empty = lo > hi  # a window the cuts left empty is evaluated whole
+    lo[empty], hi[empty] = admissible[empty], n
+    rows = [k, i, lo, hi - lo + 1, lo > admissible, hi < n, margin[0, below],
+            margin[1, above]] + ([] if own is None else [own])
+    chunks = [(0, k.size, int(rows[3].max()))]
+    if k.size * chunks[0][2] > CHUNK_CELLS:
+        # Rows run by width, so that a chunk pads them to a width near theirs.
+        order = np.argsort(np.minimum(rows[3], 0xFFFF).astype(np.uint16), kind="stable")
+        rows = [x[order] for x in rows]
+        chunks = _chunks(rows[3])
+    k, i, lo, width, cut_lo, cut_hi, lm, rm, *own = rows
+    # Per row, in ``cells``: its minimum and its window's end cells, and when
+    # it cuts, its least cell off its near-tie set and that set's end cells;
+    # in ``ends``: the offsets of its latest arrival in the band and of that
+    # set's ends.
+    cells = np.empty((6 if own else 3, k.size))
+    ends = np.empty((3 if own else 1, k.size), dtype=np.int64)
+    for p0, p1, w in chunks:
+        cols = np.arange(p1 - p0)
+        # Row r's cells in column r of a (w, rows) table, held row-major when
+        # the rows outnumber the cells and column-major otherwise: past its
+        # window a row's later cells, and past node n copies of node n's.
+        tall = w <= p1 - p0
+        across = (-1,) if tall else (-1, 1)  # shape of per-row values in the table
+        cell = (np.arange(w)[:, None] if tall else np.arange(w)) + lo[p0:p1].reshape(across)
+        np.minimum(cell, n, out=cell)
+        # ((phi[j] - phi[i]) + l*l / (2t[j] - 2t[i])) + cont[j], the first
+        # sum taken as kin + (phi[j] - phi[i]), the same bits in IEEE
+        f = t2.take(cell)
+        f -= t2[i[p0:p1]].reshape(across)
+        np.divide(l2[k[p0:p1]].reshape(across), f, out=f)
+        cell += (k[p0:p1] * (n + 1)).reshape(across)
+        part = phi.take(cell)
+        part -= phi[k[p0:p1] * (n + 1) + i[p0:p1]].reshape(across)
+        f += part
+        f += cont.take(cell, out=part)
+        del cell, part
+        if not tall:
+            f = f.T
+        ramp = np.arange(1, w + 1, dtype=np.int32)[:, None]
+        low = f.min(axis=0)
+        cells[:3, p0:p1] = low, f[0], f[width[p0:p1] - 1, cols]
+        ends[0, p0:p1] = (ramp * (f <= _threshold(low, eps_tie))).max(axis=0) - 1
+        if own:
+            # The cells within the rounding slack of the minimum bound the
+            # windows of the rows up to the next evaluated rows, and every
+            # other cell lies above them by the margins.
+            tie = f <= low * (1 + 2.0**-44) + 2.0**-1056
+            ends[1, p0:p1] = w - ((w + 1 - ramp) * tie).max(axis=0)
+            ends[2, p0:p1] = (ramp * tie).max(axis=0) - 1
+            cells[4:, p0:p1] = f[ends[1:, p0:p1], cols]
+            np.copyto(f, np.inf, where=tie)
+            cells[3, p0:p1] = f.min(axis=0)
+    best = cells[0]
+    # The certificate: no cell before the window below the minimum, and none
+    # after it within the tie band.
+    f_lo, f_hi = _bound(cells[1:3], -1)
+    good = ((~cut_lo | (f_lo + lm > _bound(best, 1)))
+            & (~cut_hi | (f_hi + rm > _bound(_threshold(best, eps_tie), 1))))
+    if own:
+        near[:, own[0]] = np.minimum(ends[1:] + lo, n)
+        # Beyond the window the margin of the cutting row holds.
+        with np.errstate(invalid="ignore"):
+            others = _bound(cells[3], -1)
+            inherited = np.where([cut_lo, cut_hi], [f_lo + lm, f_hi + rm], np.inf)
+            margin[:, own[0]] = np.minimum(others, inherited) - _bound(cells[4:], 1)
+    tau = np.minimum(ends[0] + lo, n)
+    idx = base[k] + i
+    stay = values[idx]
+    move = good & (best <= stay)
+    tau_idx[idx[move]] = tau[move]
+    values[idx[good]] = np.minimum(stay, best)[good]
+    return k[~good], i[~good]
 
 
-def _minimize_interior(jobs: tuple[list, ...], phi_prefix: np.ndarray, t: np.ndarray,
-                       values: np.ndarray, tau_idx: np.ndarray,
-                       arrival_floor: np.ndarray | None, eps_tie: float) -> None:
-    """Minimize the rows of the interior suffixes in place, block by block.
+def _chunks(width: np.ndarray) -> list[tuple[int, int, int]]:
+    """Chunks ``(p0, p1, w)`` of rows sorted by ``width``: rows p0 to p1 - 1,
+    padded to the width w of the widest, in at most CHUNK_CELLS cells (a
+    wider row runs alone)."""
+    chunks = []
+    p0 = 0
+    while p0 < width.size:
+        cells = np.arange(1, width.size - p0 + 1) * width[p0:]
+        p1 = p0 + max(1, int(cells.searchsorted(CHUNK_CELLS, "right")))
+        chunks.append((p0, p1, int(width[p1 - 1])))
+        p0 = p1
+    return chunks
 
-    On entry their ``values`` rows hold the stay cost.  ``jobs`` are the
-    lists of :func:`value_backward`: the suffixes in the order they run
-    within a block, then their edges, successors, lengths and continuations
-    at node n.  The block buffers live only here, so they are freed when the
-    minimization returns, or never made.
-    """
-    if not jobs[0]:
-        return
-    n = t.size - 1
-    node_ids = np.arange(n + 1)
-    blocks = _row_blocks(n)
-    # The first block is the widest and fills the budget.
-    kin_buf = np.empty(blocks[0][1] * n)
-    move_buf = np.empty_like(kin_buf)
-    mask_buf = np.empty(kin_buf.size, dtype=bool)
-    # Block column c is arrival node n - c, read from reversed copies of the
-    # grid and of the congestion rows the interior suffixes start on; the
-    # kinetic block subtracts doubled times, 2t[j] - 2t[i] == 2(t[j] - t[i]).
-    t2_rev = t[::-1] * 2.0
-    phi_rev = {e: phi_prefix[e, ::-1].copy() for e in jobs[1]}
-    cont = np.empty(n)
-    for i0, i1 in reversed(blocks):
-        # Arrivals before i0 + 1 are inadmissible for every row here.
-        m = n - i0
-        shape = (i1 - i0, m)
-        kin_block = kin_buf[:shape[0] * m].reshape(shape)
-        move_block = move_buf[:kin_block.size].reshape(shape)
-        mask_block = mask_buf[:kin_block.size].reshape(shape)
-        # Row r is entry node i0 + r and column c arrival node n - c, so
-        # arrivals not after the entry lie in the last w columns.
-        w = min(shape)
-        kin_length = None
-        for s, e, succ, length, cont_n in zip(*jobs):
-            rows, width = shape
-            kin, move = kin_block, move_block
-            if arrival_floor is not None:
-                # Only the rows up to the last one with a floor within the
-                # grid, and the columns down to their lowest floor, can hold
-                # an admissible arrival; every cell left out would be +inf.
-                floor = arrival_floor[e, i0:i1]
-                feasible = floor <= n
-                rows = shape[0] - int(feasible[::-1].argmax())
-                if not feasible[rows - 1]:
-                    # No row is feasible: the stay cost and tau -1 are final.
-                    continue
-                floor = floor[:rows]
-                width = min(m, n + 1 - int(floor.min()))
-                kin = kin_block[:rows, :width]
-                move = move_buf[:rows * width].reshape(rows, width)
-            if length != kin_length:
-                # Rows are entry nodes i0, ..., i1 - 1, read backwards.
-                rows_t2 = t2_rev[n - i0:n - i1:-1, None]
-                np.subtract(t2_rev[None, :m], rows_t2, out=kin_block)
-                # Arrivals not after the entry, where 2t[j] - 2t[i] <= 0, lie
-                # in the trailing columns; clamped to +0.0, l*l / 0 is +inf.
-                tri = kin_block[:, m - w:]
-                np.maximum(tri, 0.0, out=tri)
-                l2 = length * length
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(l2, kin_block, out=kin_block)
-                if not l2:
-                    # l*l underflowed to 0, and 0 / 0 is NaN: node n - c is
-                    # not after entry node i where c >= n - i
-                    mask = mask_block[:, m - w:]
-                    np.greater_equal(node_ids[None, m - w:m], n - node_ids[i0:i1, None],
-                                     out=mask)
-                    np.copyto(tri, np.inf, where=mask)
-                kin_length = length
-            r1 = i0 + rows
-            # In place, move = ((phi[j]-phi[i]) + kin) + cont[j]: the same
-            # rounding steps as the oracle's (kin + (phi[j]-phi[i])) + cont[j].
-            np.subtract(phi_rev[e][None, :width], phi_prefix[e, i0:r1, None], out=move)
-            move += kin
-            # Arriving at node n continues with cont_n, not values[succ, n].
-            np.copyto(cont[:width], values[succ, n:n - width:-1])
-            cont[0] = cont_n
-            move += cont[None, :width]
-            if arrival_floor is not None:
-                # Only arrivals before the highest floor, columns lo on, can
-                # lie before a row's floor; a row with no admissible arrival
-                # is all +inf.
-                lo = n + 1 - min(int(floor.max()), n + 1)
-                if lo < width:
-                    below = mask_buf[:rows * (width - lo)].reshape(rows, width - lo)
-                    # node n - c < floor where c > n - floor
-                    np.greater(node_ids[None, lo:width], n - floor[:, None], out=below)
-                    np.copyto(move[:, lo:], np.inf, where=below)
-            first = move.argmin(axis=1)
-            best = move[node_ids[:rows], first]
-            # At eps_tie 0 the band is the minimum itself, also for a row
-            # with no admissible arrival, where 0 * inf would be NaN.
-            threshold = best
-            if eps_tie:
-                threshold = np.abs(best)
-                np.maximum(threshold, 1.0, out=threshold)
-                threshold *= eps_tie
-                threshold += best
-            # A row's first minimum is in its band, so the band starts at or
-            # before it: only the columns up to the latest one are scanned.
-            scan = int(first.max()) + 1
-            band = mask_buf[:rows * scan].reshape(rows, scan)
-            np.less_equal(move[:, :scan], threshold[:, None], out=band)
-            latest = n - band.argmax(axis=1)
-            # tau_idx starts at -1 (stay), and each block writes its rows once
-            stay = values[s, i0:r1]
-            np.copyto(tau_idx[s, i0:r1], latest, where=best <= stay)
-            np.minimum(stay, best, out=stay)
+
+def _threshold(best: np.ndarray, eps_tie: float) -> np.ndarray:
+    """The tie band's upper end: the minimum itself at ``eps_tie`` 0 (also
+    where it is +inf, as 0 * inf would be NaN)."""
+    if not eps_tie:
+        return best
+    return np.maximum(np.abs(best), 1.0) * eps_tie + best
+
+
+def _bound(x: np.ndarray, side: int) -> np.ndarray:
+    """A lower (``side`` -1) or upper (1) bound of the exact counterparts of
+    cells ``x`` >= 0."""
+    return x * (1 + side * 2.0**-48) + side * 2.0**-1060

@@ -76,8 +76,7 @@ def lattice_dict(k, steps, constrained=None):
     """k x k lattice of right and down edges, corner to corner, lengths 0.9-1.1.
 
     Lengths cycle with the edge index, so at k = 3 suffixes of every depth
-    mix two or three lengths and the value kernel's kinetic block changes
-    length within a depth as well as between depths.
+    mix two or three lengths, within a depth as well as between depths.
     """
     lengths = (0.9, 1.0, 1.1)
     edges = []

@@ -11,7 +11,6 @@ import pytest
 
 import mfroute.csvtext as csvtext
 import mfroute.flow as flow
-import mfroute.value as value_module
 from mfroute import (apply_psi, congestion_total, integrate_mass, local_decision,
                      scenario_from_dict, solve, value_backward, verify_X_membership)
 from mfroute.cli import _export_stages
@@ -102,29 +101,37 @@ def test_value_stage_holds_two_blocks_the_mask_and_interior_rows():
     (values, tau_idx), peak = traced_peak(value_backward, net, ps, scen, phi_prefix)
     n = grid.steps
     row = (n + 1) * 8
-    block_cells = value_module._row_blocks(n)[0][1] * n
     interior_edges = {e for e, succ in ps.suffix_table[0] if succ >= 0}
     assert len(interior_edges) == 3 < len(net.edges)
-    # beside the outputs: the kinetic and candidate blocks, the mask, the
-    # reversed congestion rows of interior-suffix edges, and five vectors of
-    # N + 1: the reversed doubled grid, the node ids, the continuation and
-    # two of a block's per-row results
+    # The dense kernel held, beside the outputs, a kinetic and a candidate
+    # block of 21 rows of 1500 cells (31,500 cells), their mask, the
+    # reversed congestion rows of the interior-suffix edges and five
+    # vectors of N + 1.  The search's chunks, row batches and per-depth
+    # tables stay within the same bytes.
+    block_cells = (32768 // (n + 1)) * n
+    assert block_cells == 31_500
     assert peak <= (values.nbytes + tau_idx.nbytes + 2 * block_cells * 8 + block_cells
                     + len(interior_edges) * row + 5 * row)
 
 
-def test_export_peaks_below_the_value_stage(tmp_path):
+def test_export_peaks_below_the_solve(tmp_path):
     # diamond-fine: the six stage files hold the grid's time tokens, made
-    # once, and one row block's tokens and text at a time, so the export
-    # never lifts the command's peak above the solve's
+    # once, and one row block's tokens and text at a time, so exporting a
+    # solve's result never lifts the command's peak above the solve's
     doc = WORKLOADS.WORKLOADS["diamond-fine"](ROOT, 1)
     net, ps, scen, grid = scenario_from_dict(doc)
-    report = solve(net, ps, scen)
-    _, phi_prefix = congestion_total(ps, scen, report.mass.values)
-    _, value_peak = traced_peak(value_backward, net, ps, scen, phi_prefix)
-    _, export_peak = traced_peak(_export_stages, tmp_path, grid, ps, report.psi,
-                                 report.mass)
-    assert export_peak < value_peak
+    solve(net, ps, scen)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = solve(net, ps, scen)
+        solve_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        _export_stages(tmp_path, grid, ps, report.psi, report.mass)
+        export_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert export_peak < solve_peak
 
 
 def test_export_of_one_block_files_holds_no_token_pair_past_them(tmp_path, monkeypatch):

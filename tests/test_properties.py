@@ -3,8 +3,9 @@
 Each example draws a small acyclic multigraph, a short grid, a tie band, a
 random mass field below the mass bound, and speed limits or none.  One map
 evaluation must then agree bit for bit with the per-pair reference loops,
-the value tables must equal the exhaustive enumeration and be the same at
-other row-block budgets, each path's cost along the policy must follow its
+the value tables must equal the exhaustive enumeration and the dense
+kernel's bits at every branching factor and chunk size of the search, each
+path's cost along the policy must follow its
 first pair's value, the conservation audit must pass, and the network's
 edges given in reverse order must give the same bits.  A solve,
 with Anderson history or without, must report the residual of the mass it
@@ -28,9 +29,9 @@ from mfroute import (MassField, MFRouteError, apply_psi, build_network,
 from mfroute.network import edge_totals
 from mfroute.oracle import audit_conservation, check_value_tables
 
-from conftest import (build, by_pair, detour_parallel_dict, diamond_dict,
-                      reference_edge_totals, reference_flows, reference_path_costs,
-                      reference_paths, zero_mass)
+from conftest import (build, detour_parallel_dict, diamond_dict, reference_edge_totals,
+                      reference_flows, reference_path_costs, reference_paths, zero_mass)
+from dense_kernel import dense_value_backward
 
 # Derandomized, so every run checks the same examples; the example count
 # keeps the test to a few seconds.
@@ -117,13 +118,18 @@ def test_psi_stages_match_references_and_oracles(case):
 
     floor = psi.arrival.floor_idx if psi.arrival is not None else None
     assert check_value_tables(net, ps, scen, phi_prefix, psi.value, policy, floor) == []
-    # one-row blocks first, then blocks of a few rows
-    for cells in (1, 3 * (scen.grid.steps + 1)):
+    dense = dense_value_backward(net, ps, scen, phi_prefix, floor)
+    assert dense[0].tobytes() == psi.suffix_value.tobytes()
+    assert dense[1].tobytes() == psi.suffix_tau_idx.tobytes()
+    # a binary search in one-cell chunks, then three rows a level in chunks
+    # of a few rows
+    for branching, cells in ((2, 1), (4, 3 * (scen.grid.steps + 1))):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(value_module, "BLOCK_CELLS", cells)
-            table, other = by_pair(ps, *value_backward(net, ps, scen, phi_prefix, floor))
-        assert table.tobytes() == psi.value.tobytes()
-        assert other.tobytes() == policy.tobytes()
+            mp.setattr(value_module, "BRANCHING", branching)
+            mp.setattr(value_module, "CHUNK_CELLS", cells)
+            table, other = value_backward(net, ps, scen, phi_prefix, floor)
+        assert table.tobytes() == psi.suffix_value.tobytes()
+        assert other.tobytes() == psi.suffix_tau_idx.tobytes()
     assert audit_conservation(ps, scen, psi, scen.rho0).ok
 
     # the input order of edges changes nothing: the pairs are laid out

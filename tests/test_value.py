@@ -13,10 +13,9 @@ from mfroute import (MassField, ShapeMismatch, apply_psi, arrival_tables,
 from mfroute.oracle import check_value_tables
 
 from conftest import (DIAMOND_EDGES, ROOT, TIGHT, WORKLOADS, admissible_mass, build, by_pair,
-                      diamond_dict, lattice_dict, row, speeds, value_stage, zero_mass)
-
-# The shipped budget, also while a test patches it.
-BLOCK_CELLS = value_module.BLOCK_CELLS
+                      detour_parallel_dict, diamond_dict, lattice_dict, row, speeds,
+                      value_stage, zero_mass)
+from dense_kernel import dense_value_backward
 
 
 def unit_chain_dict(steps, horizon=1.0, alpha=1.0, coeff=0.0, n_edges=1,
@@ -226,53 +225,102 @@ ROW_BLOCK_DOCS = {"diamond": diamond_dict(steps=16), "lattice-3x3": lattice_dict
                   "lattice-3x3-constrained": lattice_dict(3, steps=16, constrained=TIGHT)}
 
 
-# Blocks at N = 16 under small cell budgets: one-row blocks narrower than
-# their width (1), and uneven row counts ending in a square block (2 * 17:
-# 3 x 3; 3 * 17: 6 x 6).
+# The search evaluates a level's rows in row blocks, its chunks: the rows
+# sorted by window width, each block as many as fit CHUNK_CELLS cells at the
+# width of its widest.  Widths as at N = 16, under small budgets: one-row
+# blocks, wider than the budget but for the first two (1), and uneven row
+# counts ending in the widest rows (2 * 17 and 3 * 17).
+ROW_WIDTHS = [1, 1, 2, 3, 3, 5, 8, 8, 9, 12, 16, 17, 17]
 ROW_BLOCK_LAYOUTS = {
-    1: [(i, i + 1) for i in range(8)] + [(8, 10), (10, 12), (12, 16)],
-    2 * 17: [(0, 2), (2, 4), (4, 6), (6, 9), (9, 13), (13, 16)],
-    3 * 17: [(0, 3), (3, 6), (6, 10), (10, 16)],
+    1: [(p, p + 1, w) for p, w in enumerate(ROW_WIDTHS)],
+    2 * 17: [(0, 6, 5), (6, 9, 9), (9, 11, 16), (11, 13, 17)],
+    3 * 17: [(0, 6, 5), (6, 10, 12), (10, 13, 17)],
 }
 
 
 @pytest.mark.parametrize("cells, blocks", ROW_BLOCK_LAYOUTS.items(),
                          ids=["one-row", "two-rows", "three-rows"])
 def test_row_blocks_fill_the_budget_at_their_own_width(monkeypatch, cells, blocks):
-    monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
-    assert value_module._row_blocks(16) == blocks
+    monkeypatch.setattr(value_module, "CHUNK_CELLS", cells)
+    assert value_module._chunks(np.array(ROW_WIDTHS)) == blocks
 
 
-@pytest.mark.parametrize("n, count", [(250, 2), (500, 5), (1500, 38)])
-def test_default_row_blocks_fill_the_budget(n, count):
-    # The first block keeps the fixed-row buffer, BLOCK_CELLS // (n + 1) rows
-    # at width n; every block fits it, and each but the last is one row
-    # short of overflowing it at its own width.
-    budget = (BLOCK_CELLS // (n + 1)) * n
-    blocks = value_module._row_blocks(n)
-    assert len(blocks) == count
-    assert blocks[0] == (0, BLOCK_CELLS // (n + 1))
-    assert [i0 for i0, _ in blocks[1:]] == [i1 for _, i1 in blocks[:-1]]
-    assert blocks[-1][1] == n
-    for i0, i1 in blocks:
-        assert (i1 - i0) * (n - i0) <= budget
-        assert i1 == n or (i1 - i0 + 1) * (n - i0) > budget
+def _spy_search(monkeypatch):
+    """Record each call of the search's row minimization: its rows, whether
+    rows of earlier levels bound them and whether they cut in turn, and the
+    rows it leaves uncertified."""
+    calls = []
+    search = value_module._search
+
+    def spy(run, k, i, below, above, own):
+        failed = search(run, k, i, below, above, own)
+        # the last slot stands for no bounding row
+        whole = run[6].shape[1] - 1
+        calls.append((k.copy(), i.copy(), bool(np.any(below != whole)), own is not None,
+                      failed))
+        return failed
+
+    monkeypatch.setattr(value_module, "_search", spy)
+    return calls
 
 
-def _check_row_blocks(monkeypatch, doc, cells=3 * 17):
-    monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
+@pytest.mark.parametrize("n, count", [(250, 3), (500, 3), (1500, 4)])
+def test_default_row_blocks_fill_the_budget(monkeypatch, n, count):
+    # A two-edge chain: one interior suffix of n rows.  The levels of the
+    # search run at strides BRANCHING ** (count - 1), ..., BRANCHING, 1, and
+    # together evaluate every row once; within a level every row block
+    # fits the budget, and each but the last of a batch is one row short of
+    # overflowing it at its own width.
+    net, ps, scen, phi_prefix, _ = _value_inputs(
+        unit_chain_dict(steps=n, horizon=2.0, alpha=50.0, n_edges=2, rho_max=5.0), seed=59)
+    blocks = []
+    chunks = value_module._chunks
+
+    def spy_chunks(width):
+        found = chunks(width)
+        blocks.append((width, found))
+        return found
+
+    monkeypatch.setattr(value_module, "_chunks", spy_chunks)
+    calls = _spy_search(monkeypatch)
+    value_backward(net, ps, scen, phi_prefix)
+    rows = np.concatenate([c[1] for c in calls])
+    assert np.array_equal(np.sort(rows), np.arange(n))
+    stride = value_module.BRANCHING ** (count - 1)
+    assert np.array_equal(calls[0][1], np.r_[np.arange(0, n - 1, stride), n - 1])
+    # rows of the last level, at stride 1, cut no window; every row is
+    # certified
+    assert [c[3] for c in calls] == [
+        bool(np.all((c[1] % value_module.BRANCHING == 0) | (c[1] == n - 1))) for c in calls]
+    assert not any(c[4][0].size for c in calls)
+    for width, found in blocks:
+        assert [p0 for p0, _, _ in found[1:]] == [p1 for _, p1, _ in found[:-1]]
+        for p0, p1, w in found:
+            assert w == width[p1 - 1]
+            assert (p1 - p0) * w <= value_module.CHUNK_CELLS or p1 - p0 == 1
+            assert p1 == width.size or (p1 - p0 + 1) * width[p1] > value_module.CHUNK_CELLS
+
+
+def _check_row_blocks(monkeypatch, doc, cells=3 * 17, branching=2):
     net, ps, scen, phi_prefix, floor = _value_inputs(doc, seed=31)
     if floor is not None:
         # rows with no admissible arrival are part of what is checked
         assert np.any(floor > scen.grid.steps)
-    table, policy = by_pair(ps, *value_backward(net, ps, scen, phi_prefix, floor))
+    default = value_backward(net, ps, scen, phi_prefix, floor)
+    assert_same_bits(default, dense_value_backward(net, ps, scen, phi_prefix, floor))
+    monkeypatch.setattr(value_module, "CHUNK_CELLS", cells)
+    monkeypatch.setattr(value_module, "BRANCHING", branching)
+    suffix_table, suffix_tau = value_backward(net, ps, scen, phi_prefix, floor)
+    table, policy = by_pair(ps, suffix_table, suffix_tau)
     assert check_value_tables(net, ps, scen, phi_prefix, table, policy, floor) == []
-    monkeypatch.setattr(value_module, "BLOCK_CELLS", BLOCK_CELLS)
-    default_table, default_policy = by_pair(ps, *value_backward(net, ps, scen, phi_prefix,
-                                                                floor))
-    assert table.tobytes() == default_table.tobytes()
-    assert policy.tobytes() == default_policy.tobytes()
+    assert_same_bits((suffix_table, suffix_tau), default)
     return policy
+
+
+def assert_same_bits(result, reference):
+    """Value and policy tables equal in every bit."""
+    assert result[0].tobytes() == reference[0].tobytes()
+    assert result[1].tobytes() == reference[1].tobytes()
 
 
 @pytest.mark.parametrize("doc", ROW_BLOCK_DOCS.values(), ids=ROW_BLOCK_DOCS.keys())
@@ -283,22 +331,24 @@ def test_row_blocks_match_enumeration(monkeypatch, doc):
 @pytest.mark.parametrize("cells", [1, 2 * 17], ids=["one-row", "two-rows"])
 @pytest.mark.parametrize("doc", ROW_BLOCK_DOCS.values(), ids=ROW_BLOCK_DOCS.keys())
 def test_uneven_row_blocks_match_enumeration(monkeypatch, doc, cells):
-    _check_row_blocks(monkeypatch, doc, cells)
+    # a binary search (one row a level) and a ternary one (two)
+    _check_row_blocks(monkeypatch, doc, cells, branching=2 if cells == 1 else 3)
 
 
 @pytest.mark.parametrize("eps_tie", [0.0, 1e-2, 0.3])
 def test_tie_band_of_rows_with_far_apart_first_minima(eps_tie):
     # The first edge's congestion integral jumps by 100 between nodes 8 and
-    # 9, so in the one block of N = 16 the rows entering before node 8
-    # arrive at node 8 (block column 8), the later rows at nodes 12-16
-    # (columns 4-0): each band must be scanned up to column 8, inclusive.
+    # 9, so the rows entering before node 8 arrive at node 8, the later rows
+    # at nodes 12-16: the rows cut at node 8 bound windows that a band
+    # reaching past them must not cut short.
     doc = unit_chain_dict(steps=16, horizon=2.0, alpha=50.0, n_edges=2, rho_max=5.0)
     doc["solver"]["eps_tie"] = eps_tie
     net, ps, scen, grid = build(doc)
     phi_prefix = np.zeros((2, 17))
     phi_prefix[0, 9:] = 100.0
-    assert value_module._row_blocks(16) == [(0, 16)]
-    table, policy = by_pair(ps, *value_backward(net, ps, scen, phi_prefix))
+    result = value_backward(net, ps, scen, phi_prefix)
+    assert_same_bits(result, dense_value_backward(net, ps, scen, phi_prefix))
+    table, policy = by_pair(ps, *result)
     assert check_value_tables(net, ps, scen, phi_prefix, table, policy) == []
     tau = policy[row(ps, "e1", 0)]
     assert np.all(tau[:8] == 8) and np.all(tau[8:16] >= 12) and tau[15] == 16
@@ -323,7 +373,7 @@ def test_final_node_continues_with_stay_penalty(monkeypatch):
     net, ps, scen, grid = build(doc)
     n = grid.steps
     r = row(ps, "e1", ps.paths.index(("e1", "e2")))
-    monkeypatch.setattr(value_module, "BLOCK_CELLS", 3 * (n + 1))
+    monkeypatch.setattr(value_module, "CHUNK_CELLS", 3 * (n + 1))
     first_tau = []
     for mass in (zero_mass(ps, grid), admissible_mass(np.random.default_rng(43), ps, scen)):
         phi_prefix, table, policy = value_stage(net, ps, scen, mass)
@@ -341,17 +391,16 @@ def test_block_size_does_not_change_results(monkeypatch, doc):
 
 
 def _check_block_sizes_agree(monkeypatch, net, ps, scen, phi_prefix, floor):
-    results = []
-    # default blocks, one-row blocks first, blocks of a few rows first, one
-    # block for all entry nodes
+    # the dense kernel's bits at the default search, at one-row blocks of a
+    # binary search, at blocks of a few rows three rows a level, and at one
+    # block per level of a search one level deep
+    reference = dense_value_backward(net, ps, scen, phi_prefix, floor)
     n_nodes = scen.grid.steps + 1
-    for cells in (BLOCK_CELLS, 1, 3 * n_nodes, n_nodes ** 2):
-        monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
-        results.append(value_backward(net, ps, scen, phi_prefix, floor))
-    (t0, p0), *others = results
-    for table, policy in others:
-        assert np.array_equal(table, t0)
-        assert np.array_equal(policy, p0)
+    for cells, branching in ((value_module.CHUNK_CELLS, value_module.BRANCHING), (1, 2),
+                             (3 * n_nodes, 4), (n_nodes ** 2, n_nodes)):
+        monkeypatch.setattr(value_module, "CHUNK_CELLS", cells)
+        monkeypatch.setattr(value_module, "BRANCHING", branching)
+        assert_same_bits(value_backward(net, ps, scen, phi_prefix, floor), reference)
 
 
 @pytest.mark.parametrize("doc", [diamond_dict(steps=60), lattice_dict(3, steps=60)],
@@ -376,27 +425,31 @@ def test_pairs_sharing_a_suffix_get_equal_rows(doc):
     assert shared > 0
 
 
-def test_value_backward_restores_ufunc_buffer_size(monkeypatch, diamond):
+def test_value_backward_leaves_the_ufunc_buffer_size(monkeypatch, diamond):
+    # The search changes no numpy setting: the caller's buffer size and
+    # error handling hold inside it and after it, also when it raises.
     net, ps, scen, grid = diamond
     mass = admissible_mass(np.random.default_rng(47), ps, scen)
     _, phi_prefix = congestion_total(ps, scen, mass.values)
     seen = []
+    search = value_module._search
 
-    # np.less_equal runs only in the block loop, where it marks a row's tie band
-    def failing_less_equal(*args, **kwargs):
-        seen.append(np.getbufsize())
-        raise RuntimeError("raised inside the block loop")
+    def failing_search(*args):
+        seen.append((np.getbufsize(), np.geterr()))
+        search(*args)
+        raise RuntimeError("raised inside the search")
 
-    with np.errstate():
+    with np.errstate(over="raise"):
         caller = np.setbufsize(4096)
         try:
+            state = (np.getbufsize(), np.geterr())
             value_backward(net, ps, scen, phi_prefix)
-            assert np.getbufsize() == 4096
-            monkeypatch.setattr(np, "less_equal", failing_less_equal)
-            with pytest.raises(RuntimeError, match="block loop"):
+            assert (np.getbufsize(), np.geterr()) == state
+            monkeypatch.setattr(value_module, "_search", failing_search)
+            with pytest.raises(RuntimeError, match="inside the search"):
                 value_backward(net, ps, scen, phi_prefix)
-            assert seen == [value_module._BLOCK_BUFSIZE]
-            assert np.getbufsize() == 4096
+            assert seen == [state]
+            assert (np.getbufsize(), np.geterr()) == state
         finally:
             np.setbufsize(caller)
 
@@ -440,16 +493,22 @@ def _hand_floor_inputs(doc, case, eps_tie=None):
 
 
 # At eps_tie 0 the band is the minimum itself, also for a row with no
-# admissible arrival before a feasible row, whose minimum is +inf.
-@pytest.mark.parametrize("cells, eps_tie", [(3 * 17, None), (BLOCK_CELLS, None),
-                                            (3 * 17, 0.0), (BLOCK_CELLS, 0.0)],
+# admissible arrival before a feasible row, whose minimum is +inf.  Three
+# rows: blocks of three rows of 17 cells, three rows a level.
+@pytest.mark.parametrize("three_rows, eps_tie", [(True, None), (False, None),
+                                                 (True, 0.0), (False, 0.0)],
                          ids=["three-rows", "default", "three-rows-eps-0", "default-eps-0"])
 @pytest.mark.parametrize("doc, case", HAND_FLOOR_CASES,
                          ids=[f"{d}-{c}" for d, c in HAND_FLOOR_CASES])
-def test_hand_made_floors_match_enumeration(monkeypatch, doc, case, cells, eps_tie):
-    monkeypatch.setattr(value_module, "BLOCK_CELLS", cells)
+def test_hand_made_floors_match_enumeration(monkeypatch, doc, case, three_rows, eps_tie):
     net, ps, scen, phi_prefix, floor = _hand_floor_inputs(doc, case, eps_tie)
-    table, policy = by_pair(ps, *value_backward(net, ps, scen, phi_prefix, floor))
+    reference = dense_value_backward(net, ps, scen, phi_prefix, floor)
+    if three_rows:
+        monkeypatch.setattr(value_module, "CHUNK_CELLS", 3 * 17)
+        monkeypatch.setattr(value_module, "BRANCHING", 4)
+    result = value_backward(net, ps, scen, phi_prefix, floor)
+    assert_same_bits(result, reference)
+    table, policy = by_pair(ps, *result)
     assert check_value_tables(net, ps, scen, phi_prefix, table, policy, floor) == []
 
 
@@ -459,59 +518,137 @@ def test_hand_made_floors_do_not_depend_on_block_size(monkeypatch, doc, case):
     _check_block_sizes_agree(monkeypatch, *_hand_floor_inputs(doc, case))
 
 
-# Kinetic-block builds per row block on the seeded 4x4 benchmark lattice,
-# seeds 1-10, when every depth ran its edge lengths in ascending order.
-ASCENDING_BUILDS = (13, 10, 12, 12, 14, 13, 11, 11, 10, 11)
+def _two_edge_tables(phi_e1, phi_e2, eps_tie, floor=None):
+    """The search's and the dense kernel's tables on a two-edge chain whose
+    lengths square to 0, under congestion integrals made by hand: the
+    interior cells are then exactly (phi_e1[j] - phi_e1[i]) plus the last
+    edge's value (phi_e2[N] - phi_e2[j]), so ties can be made exact."""
+    n = phi_e1.size - 1
+    doc = unit_chain_dict(steps=n, horizon=2.0, alpha=50.0, n_edges=2, rho_max=5.0)
+    for edge in doc["network"]["edges"]:
+        edge["length"] = 1e-170
+    doc["solver"]["eps_tie"] = eps_tie
+    net, ps, scen, grid = build(doc)
+    phi_prefix = np.empty((2, n + 1))
+    phi_prefix[net.edge_index["e1"]] = phi_e1
+    phi_prefix[net.edge_index["e2"]] = phi_e2
+    if floor is not None:
+        floor = np.tile(floor, (2, 1))
+    return net, ps, scen, phi_prefix, floor
 
 
-class _CountingNumpy:
-    """numpy, counting the ``divide`` calls made through it."""
+def _check_against_references(monkeypatch, net, ps, scen, phi_prefix, floor=None):
+    """The search equals the dense kernel and the enumeration in every bit at
+    the default settings and in a binary search; returns the rows the
+    certificate left to whole-row evaluation, per setting."""
+    reference = dense_value_backward(net, ps, scen, phi_prefix, floor)
+    uncertified = []
+    for branching in (value_module.BRANCHING, 2):
+        with monkeypatch.context() as mp:
+            mp.setattr(value_module, "BRANCHING", branching)
+            calls = _spy_search(mp)
+            result = value_backward(net, ps, scen, phi_prefix, floor)
+        assert_same_bits(result, reference)
+        table, policy = by_pair(ps, *result)
+        assert check_value_tables(net, ps, scen, phi_prefix, table, policy, floor) == []
+        uncertified.append(sum(c[4][0].size for c in calls if c[2]))
+    return uncertified
 
-    def __init__(self):
-        self.divides = 0
 
-    def __getattr__(self, name):
-        return getattr(np, name)
+@pytest.mark.parametrize("eps_tie", [0.0, 1e-9])
+def test_exact_ties_at_a_row_minimum_match_the_references(monkeypatch, eps_tie):
+    # The cells fall by 1 a node up to node 12, stay level up to node 24 and
+    # rise by 1 a node after it: every row entering before node 12 has the
+    # same minimum at thirteen nodes, and later rows at fewer.
+    n = 40
+    j = np.arange(n + 1, dtype=float)
+    phi_e1 = np.maximum(j - 24.0, 0.0)
+    phi_e2 = np.minimum(j, 12.0)
+    _check_against_references(monkeypatch, *_two_edge_tables(phi_e1, phi_e2, eps_tie))
 
-    def divide(self, *args, **kwargs):
-        self.divides += 1
-        return np.divide(*args, **kwargs)
+
+def test_distant_minima_a_few_ulps_apart_match_the_references(monkeypatch):
+    # Without congestion on the first edge a row's cells are the last edge's
+    # values: 2 but at node 5 (1) and node 30 (one ulp above 1), so the two
+    # minima compete for every row entering before node 5.
+    n = 40
+    cont = np.full(n + 1, 2.0)
+    cont[5] = 1.0
+    cont[30] = np.nextafter(1.0, 2.0)
+    cont[n] = 0.0
+    phi_e2 = 3.0 - cont
+    uncertified = _check_against_references(
+        monkeypatch, *_two_edge_tables(np.zeros(n + 1), phi_e2, 0.0))
+    # the near-tie sets span both minima, so the cuts keep both in the windows
+    assert uncertified == [0, 0]
+
+
+@pytest.mark.parametrize("steps", [24, 120])
+def test_wide_tie_band_matches_the_references(monkeypatch, steps):
+    # eps_tie 0.3 on the detour: bands of many nodes, so the tie rule's
+    # latest arrival lies far past the minimum and the certificate leaves
+    # rows to whole-row evaluation
+    doc = detour_parallel_dict(steps)
+    doc["solver"]["eps_tie"] = 0.3
+    net, ps, scen, grid = build(doc)
+    for mass in (zero_mass(ps, grid), admissible_mass(np.random.default_rng(61), ps, scen)):
+        _, phi_prefix = congestion_total(ps, scen, mass.values)
+        uncertified = _check_against_references(monkeypatch, net, ps, scen, phi_prefix)
+        assert max(uncertified) > 0
+
+
+def test_non_monotone_congestion_integrals_match_the_references(monkeypatch):
+    # A congestion integral that falls breaks the certificate's
+    # preconditions: its suffix is evaluated over whole rows.
+    n = 40
+    rng = np.random.default_rng(67)
+    phi_e1 = np.cumsum(rng.uniform(-0.5, 1.0, n + 1))
+    phi_e2 = np.cumsum(rng.uniform(0.0, 1.0, n + 1))
+    assert np.any(np.diff(phi_e1) < 0)
+    calls = _spy_search(monkeypatch)
+    _check_against_references(monkeypatch, *_two_edge_tables(phi_e1, phi_e2, 1e-9))
+    assert calls and all(not c[2] and not c[3] for c in calls)
+
+
+def test_floors_that_are_not_a_staircase_match_the_references(monkeypatch):
+    # Arrival floors that fall from one entry node to the next, with
+    # infeasible rows between feasible ones, break the preconditions too.
+    n = 40
+    j = np.arange(n + 1)
+    floor = np.minimum(j + 1 + (11 * j) % 7, n)
+    floor[[4, 17]] = n + 1
+    assert np.any(np.diff(np.maximum(floor, j + 1)[:n]) < 0)
+    rng = np.random.default_rng(71)
+    phi_e1 = np.cumsum(rng.uniform(0.0, 1.0, n + 1))
+    phi_e2 = np.cumsum(rng.uniform(0.0, 1.0, n + 1))
+    _check_against_references(monkeypatch, *_two_edge_tables(phi_e1, phi_e2, 1e-9, floor))
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
-def test_interior_suffixes_follow_successors_and_share_kinetic_blocks(monkeypatch, seed):
+def test_interior_suffixes_follow_successors_by_depth(monkeypatch, seed):
     net, ps, scen, grid = build(WORKLOADS.WORKLOADS["lattice-4x4"](ROOT, seed))
     _, phi_prefix = congestion_total(ps, scen, zero_mass(ps, grid).values)
-    counting = _CountingNumpy()
-    orders, builds = [], []
-    minimize = value_module._minimize_interior
+    groups = []
+    minimize = value_module._minimize_depth
 
-    def spy(jobs, *args):
-        # every block runs the suffixes of jobs[0] in that order, and the
-        # only divide of the block loop builds a kinetic block
-        orders.append(jobs[0])
-        before = counting.divides
-        minimize(jobs, *args)
-        builds.append(counting.divides - before)
+    def spy(net, scen, suffixes, group, *args):
+        groups.append(list(group))
+        minimize(net, scen, suffixes, group, *args)
 
-    monkeypatch.setattr(value_module, "np", counting)
-    monkeypatch.setattr(value_module, "_minimize_interior", spy)
-    value_backward(net, ps, scen, phi_prefix)
-    [order], [total] = orders, builds
+    monkeypatch.setattr(value_module, "_minimize_depth", spy)
+    result = value_backward(net, ps, scen, phi_prefix)
+    assert_same_bits(result, dense_value_backward(net, ps, scen, phi_prefix))
     suffixes = ps.suffix_table[0]
-    position = {s: k for k, s in enumerate(order)}
-    assert sorted(order) == [s for s, (_, succ) in enumerate(suffixes) if succ >= 0]
-    for s in order:
-        succ = suffixes[s][1]
-        assert suffixes[succ][1] < 0 or position[succ] < position[s]
-    # without arrival floors every block runs every suffix, so each block
-    # builds the same kinetic blocks
-    n_blocks = len(value_module._row_blocks(grid.steps))
-    per_block, rest = divmod(total, n_blocks)
-    assert rest == 0
-    assert per_block <= ASCENDING_BUILDS[seed - 1]
-    if seed == 1:
-        assert per_block == 10
+    done = {s for s, (_, succ) in enumerate(suffixes) if succ < 0}
+    # one call a depth, from the suffixes one edge long up: each suffix runs
+    # once, after its successor
+    assert sorted(s for group in groups for s in group) == sorted(
+        s for s, (_, succ) in enumerate(suffixes) if succ >= 0)
+    for group in groups:
+        assert all(suffixes[s][1] in done for s in group)
+        assert not done & set(group)
+        done |= set(group)
+    assert len(groups) == max(len(p) for p in ps.paths) - 1
 
 
 @pytest.mark.parametrize("edge", range(len(DIAMOND_EDGES)),
