@@ -189,8 +189,8 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, inj: np.ndarr
     :func:`injection_terms`, or its predecessor's moved term.  Negative
     undershoot (possible at Euler order with delayed flows) is clipped at
     zero and its magnitude reported.  Raises :class:`MassBoundExceeded` if
-    any total edge mass exceeds the configured maximum, which a validated
-    scenario should make impossible.
+    any total edge mass exceeds the configured maximum or is NaN, which a
+    validated scenario should make impossible.
 
     The increments are built in the mass array itself, by contiguous
     operations on the flattened arrays: every row takes its predecessor's
@@ -259,9 +259,10 @@ def integrate_mass(ps: PathSet, scen: Scenario, flows: np.ndarray, inj: np.ndarr
             np.cumsum(row[c:], out=row[c:])
             bad = _needs_fix(row[c + 1:])
     worst = float(edge_totals(ps, mass).max())
-    if worst > scen.rho_max:
+    if not worst <= scen.rho_max:  # also a NaN total
         raise MassBoundExceeded(
-            f"total edge mass {worst:g} exceeds rho_max {scen.rho_max:g}")
+            f"total edge mass {worst:g} exceeds rho_max {scen.rho_max:g}" if worst > scen.rho_max
+            else f"total edge mass is not finite ({worst:g})")
     return mass, IntegrationResult(clip_total=math.fsum(amounts),
                                    clip_max=max(amounts, default=0.0),
                                    clip_count=len(amounts))

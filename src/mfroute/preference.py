@@ -67,7 +67,7 @@ def path_costs(net: Network, ps: PathSet, scen: Scenario, phi_prefix: np.ndarray
         tau_safe = np.maximum(tau, 0)
         moved = entered & (tau >= 0)
         stopped = entered & (tau < 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             move_cost = (length * length) / (2.0 * (t[tau_safe] - t[s_safe])) \
                 + (phi_flat[edge_off + tau_safe] - phi_flat[edge_off + s_safe])
         stop_cost = value_flat[row_off + s_safe]

@@ -53,9 +53,11 @@ Exactness design note.
   breaks the preconditions, is evaluated over its whole admissible range
   by the same routine, :func:`_search`, after the levels.
 
-Rows run in chunks of at most CHUNK_CELLS cells, so the temporaries stay
-below the blocks of the dense kernel in ``tests/dense_kernel.py``, the
-search's bitwise reference.
+Rows run in batches of CHUNK_CELLS // 8 rows, the whole-row pass as well as
+the levels, and in chunks of at most CHUNK_CELLS cells.  Beside a depth's
+congestion and continuation rows and a level's row indices, the temporaries
+so take O(CHUNK_CELLS) memory.  ``tests/dense_kernel.py`` holds the plain
+per-row minimization, the search's bitwise reference.
 
 The exhaustive enumeration in :mod:`mfroute.oracle` evaluates the same
 float expressions, ``(l*l)/(2*(t[j]-t[i])) + (Phi[j]-Phi[i])`` plus the
@@ -170,7 +172,8 @@ def _initial_rows(net: Network, suffixes: tuple[tuple[int, int], ...],
         e = edges[s]
         move = t[n] - t
         move *= 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # l*l past the float range is +inf, the intended kinetic term
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(net.lengths[e] * net.lengths[e], move, out=move)
         move += phi_prefix[e, n] - phi_prefix[e]
         # arriving at node n is a move only from an earlier node (at node n
@@ -213,7 +216,9 @@ def _minimize_depth(net: Network, scen: Scenario, suffixes: tuple, group: list[i
     near = np.zeros((2, whole + 1), dtype=np.int64)
     near[1, -1] = n
     lengths = net.lengths[edges]
-    run = (phi.ravel(), cont.ravel(), scen.grid.nodes * 2.0, lengths * lengths, start,
+    with np.errstate(over="ignore"):  # l*l past the float range is +inf
+        l2 = lengths * lengths
+    run = (phi.ravel(), cont.ravel(), scen.grid.nodes * 2.0, l2, start,
            scen.solver.eps_tie, near, np.full((2, whole + 1), np.nan),
            values.ravel(), tau_idx.ravel(), np.asarray(group) * (n + 1))
     ks = np.flatnonzero(ok & (last >= 0))
@@ -250,14 +255,15 @@ def _minimize_depth(net: Network, scen: Scenario, suffixes: tuple, group: list[i
                               np.where(ib < last[kb], ib // BRANCHING, slots - 1))
             failed.append(_search(run, kb, ib, below, above, own))
     # Rows left uncertified, and every row of a suffix that breaks the
-    # preconditions, over their whole admissible range.
+    # preconditions, over their whole admissible range, in the same batches.
     bad = np.flatnonzero(~ok & (last >= 0))
     k = np.concatenate([f[0] for f in failed] + [bad.repeat(n)])
     i = np.concatenate([f[1] for f in failed] + [np.tile(np.arange(n), bad.size)])
     rows = start[k, i] <= n
-    if rows.any():
-        k, i = k[rows], i[rows]
-        _search(run, k, i, np.full_like(k, whole), np.full_like(k, whole), None)
+    k, i = k[rows], i[rows]
+    for p in range(0, k.size, batch):
+        kb, ib = k[p:p + batch], i[p:p + batch]
+        _search(run, kb, ib, np.full_like(kb, whole), np.full_like(kb, whole), None)
 
 
 def _search(run: tuple, k: np.ndarray, i: np.ndarray, below: np.ndarray,

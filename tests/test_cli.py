@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -243,6 +244,28 @@ def test_solve_exit_three_on_iteration_cap(write_scenario, tmp_path, capsys):
     # the parameter echo shows the effective settings, flag included
     assert manifest["parameters"]["solver"]["max_iter"] == 1
     assert report["manifest"]["parameters"] == manifest["parameters"]
+
+
+def test_non_finite_image_is_an_error(write_scenario, tmp_path, capsys):
+    # congestion integrals past the float range make the second image NaN;
+    # the mass bound check stops the solve there, not after max_iter
+    # evaluations of NaN
+    doc = json.loads((ROOT / "scenarios" / "diamond_coarse.json").read_text())
+    doc["model"]["phi"]["default"]["coeff"] = 1e308
+    scenario = write_scenario(doc)
+    out_dir = tmp_path / "run"
+    with warnings.catch_warnings():
+        # numpy's notices of the overflow that the bound check reports
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["solve", str(scenario), "--out", str(out_dir)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: total edge mass is not finite (nan)\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1
+    assert manifest["error"] == captured.err[len("error: "):-1]
 
 
 @pytest.mark.parametrize("flag, value, code", [

@@ -266,6 +266,11 @@ def test_integrate_detects_mass_bound_violation(diamond):
     lam = np.full(n_nodes, 12.0)  # pours far beyond rho_max onto first edges
     with pytest.raises(MassBoundExceeded):
         integrate(ps, scen, f, z, lam, np.zeros(ps.pair_count))
+    # a NaN flow makes the image NaN from its node on, which no comparison
+    # with rho_max passes
+    f[0, 3] = np.nan
+    with pytest.raises(MassBoundExceeded, match="not finite"):
+        integrate(ps, scen, f, z, scen.lam, np.zeros(ps.pair_count))
 
 
 def test_fast_path_matches_stepwise_loop(diamond):

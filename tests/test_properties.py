@@ -4,7 +4,7 @@ Each example draws a small acyclic multigraph, a short grid, a tie band, a
 random mass field below the mass bound, and speed limits or none.  One map
 evaluation must then agree bit for bit with the per-pair reference loops,
 the value tables must equal the exhaustive enumeration and the dense
-kernel's bits at every branching factor and chunk size of the search, each
+reference's bits at every branching factor and chunk size of the search, each
 path's cost along the policy must follow its
 first pair's value, the conservation audit must pass, and the network's
 edges given in reverse order must give the same bits.  A solve,

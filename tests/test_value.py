@@ -391,7 +391,7 @@ def test_block_size_does_not_change_results(monkeypatch, doc):
 
 
 def _check_block_sizes_agree(monkeypatch, net, ps, scen, phi_prefix, floor):
-    # the dense kernel's bits at the default search, at one-row blocks of a
+    # the dense reference's bits at the default search, at one-row blocks of a
     # binary search, at blocks of a few rows three rows a level, and at one
     # block per level of a search one level deep
     reference = dense_value_backward(net, ps, scen, phi_prefix, floor)
@@ -519,7 +519,7 @@ def test_hand_made_floors_do_not_depend_on_block_size(monkeypatch, doc, case):
 
 
 def _two_edge_tables(phi_e1, phi_e2, eps_tie, floor=None):
-    """The search's and the dense kernel's tables on a two-edge chain whose
+    """The search's and the dense reference's tables on a two-edge chain whose
     lengths square to 0, under congestion integrals made by hand: the
     interior cells are then exactly (phi_e1[j] - phi_e1[i]) plus the last
     edge's value (phi_e2[N] - phi_e2[j]), so ties can be made exact."""
@@ -538,7 +538,7 @@ def _two_edge_tables(phi_e1, phi_e2, eps_tie, floor=None):
 
 
 def _check_against_references(monkeypatch, net, ps, scen, phi_prefix, floor=None):
-    """The search equals the dense kernel and the enumeration in every bit at
+    """The search equals the dense reference and the enumeration in every bit at
     the default settings and in a binary search; returns the rows the
     certificate left to whole-row evaluation, per setting."""
     reference = dense_value_backward(net, ps, scen, phi_prefix, floor)
@@ -651,17 +651,21 @@ def test_interior_suffixes_follow_successors_by_depth(monkeypatch, seed):
     assert len(groups) == max(len(p) for p in ps.paths) - 1
 
 
-@pytest.mark.parametrize("edge", range(len(DIAMOND_EDGES)),
-                         ids=[e["id"] for e in DIAMOND_EDGES])
-def test_length_whose_square_underflows_matches_enumeration(edge):
-    # 1e-170 squares to 0.  On an interior edge (e1-e3) the kinetic block's
-    # clamped cells j <= i would then hold 0/0, and on a last edge (e4, e5)
-    # the candidate of arriving at node N from node N would; the suite turns
-    # a RuntimeWarning into a failure.
+@pytest.mark.parametrize("edge, length",
+                         [(k, 1e-170) for k in range(len(DIAMOND_EDGES))]
+                         + [(k, 1e200) for k in range(len(DIAMOND_EDGES))],
+                         ids=[e["id"] for e in DIAMOND_EDGES]
+                         + [f"{e['id']}-1e200" for e in DIAMOND_EDGES])
+def test_length_whose_square_underflows_matches_enumeration(edge, length):
+    # 1e-170 squares to 0, so on a last edge (e4, e5) the candidate of
+    # arriving at node N from node N would be 0/0.  1e200 squares to +inf,
+    # the intended kinetic term, in the value stage and in the path costs.
+    # The suite turns a RuntimeWarning into a failure.
     edges = copy.deepcopy(DIAMOND_EDGES)
-    edges[edge]["length"] = 1e-170
+    edges[edge]["length"] = length
     net, ps, scen, grid = build(diamond_dict(steps=16, edges=edges))
-    assert net.lengths[edge] * net.lengths[edge] == 0.0
+    with np.errstate(over="ignore"):
+        assert net.lengths[edge] * net.lengths[edge] == (0.0 if length < 1 else np.inf)
     mass = zero_mass(ps, grid)
     for _ in range(2):
         psi = apply_psi(net, ps, scen, mass)
