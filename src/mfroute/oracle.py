@@ -124,7 +124,8 @@ def oracle_choice(ctx: _PathContext, pos: int, i: int) -> tuple[float, int]:
     best = min(moves.values())
     if not best <= stay:
         return stay, -1
-    threshold = best + ctx.eps_tie * max(1.0, abs(best))
+    # at a -inf minimum the band is the minimum itself: -inf + inf is NaN
+    threshold = best if best == -math.inf else best + ctx.eps_tie * max(1.0, abs(best))
     return best, max(j for j, c in moves.items() if c <= threshold)
 
 

@@ -208,9 +208,8 @@ def _k_and_index(net: Network, grid: TimeGrid, alpha: float) -> tuple[float, int
     rounded down to a grid multiple and clamped to [dt, horizon], is the delay;
     it is returned with its index in grid steps.
     """
-    raw = float(net.lengths.min() / (2.0 * alpha))
-    idx = int(math.floor(raw / grid.dt + 1e-9))
-    idx = max(1, min(grid.steps, idx))
+    raw = float(net.lengths.min()) / (2.0 * alpha)  # +inf past the float range
+    idx = max(1, math.floor(min(raw / grid.dt + 1e-9, grid.steps)))
     return idx * grid.dt, idx
 
 

@@ -368,10 +368,11 @@ def _chunks(width: np.ndarray) -> list[tuple[int, int, int]]:
 
 def _threshold(best: np.ndarray, eps_tie: float) -> np.ndarray:
     """The tie band's upper end: the minimum itself at ``eps_tie`` 0 (also
-    where it is +inf, as 0 * inf would be NaN)."""
+    where it is +inf, as 0 * inf would be NaN) and where it is -inf (as
+    -inf + inf would be)."""
     if not eps_tie:
         return best
-    return np.maximum(np.abs(best), 1.0) * eps_tie + best
+    return np.where(best == -np.inf, 0.0, np.maximum(np.abs(best), 1.0) * eps_tie) + best
 
 
 def _bound(x: np.ndarray, side: int) -> np.ndarray:

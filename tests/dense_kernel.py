@@ -38,7 +38,8 @@ def dense_value_backward(net, ps, scen, phi_prefix, arrival_floor=None):
             with np.errstate(all="ignore"):  # +inf and NaN inputs propagate
                 f = (l2 / (t2[a:] - t2[i]) + (phi[a:] - phi[i])) + cont[a:]
             best = f[f.argmin()]  # the first NaN, if any, sign bit included
-            threshold = best + max(abs(best), 1.0) * eps_tie if eps_tie else best
+            threshold = (best + max(abs(best), 1.0) * eps_tie
+                         if eps_tie and best != -np.inf else best)
             if best <= values[s, i]:
                 tau_idx[s, i] = a + np.flatnonzero(f <= threshold)[-1]
             values[s, i] = np.minimum(values[s, i], best)

@@ -16,8 +16,8 @@ import mfroute.csvtext as csvtext
 from mfroute import MassField, ParseError, load_scenario, scenario_from_dict, solve
 from mfroute.cli import _export_stages, main, read_mass_csv, write_mass_csv
 
-from conftest import (ROOT, SLACK, STAGE_DOCS, TIGHT, WORKLOADS, arrival_times, build,
-                      chain_dict, diamond_dict, per_cell_csv)
+from conftest import (ROOT, SCENARIOS, SLACK, STAGE_DOCS, TIGHT, WORKLOADS, arrival_times,
+                      build, chain_dict, detour_parallel_dict, diamond_dict, per_cell_csv)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -26,19 +26,33 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
+def shipped(name: str) -> dict:
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
 def test_validate_pass(write_scenario, capsys):
-    path = write_scenario(diamond_dict(steps=50))
-    code, out = run(capsys, "validate", str(path))
-    assert code == 0
-    assert "assumption 2.1.4: PASS" in out
-    assert "assumption 2.1.1: PASS" in out
+    # every edge at length 1e10 and alpha 1e-300: the flow delay,
+    # min(length) / (2 alpha), is past the float range and becomes the horizon
+    far = diamond_dict(steps=50, model={"alpha": 1e-300})
+    for edge in far["network"]["edges"]:
+        edge["length"] = 1e10
+    for doc in (diamond_dict(steps=50), far):
+        code, out = run(capsys, "validate", str(write_scenario(doc)))
+        assert code == 0
+        assert "assumption 2.1.4: PASS" in out
+        assert "assumption 2.1.1: PASS" in out
 
 
 def test_validate_names_failed_assumption(write_scenario, capsys):
-    path = write_scenario(diamond_dict(steps=50, model={"rho_max": 5.0}))
-    code, out = run(capsys, "validate", str(path))
-    assert code == 1
-    assert "assumption 2.1.4: FAIL" in out
+    # a finite horizon above half the largest double, with a throughput small
+    # enough to keep every other check passing, is refused
+    far = diamond_dict(steps=50, model={"horizon": 1.7e308, "lambda": {
+        "family": "constant", "value": 1e-308}})
+    for doc, failed in [(diamond_dict(steps=50, model={"rho_max": 5.0}), "assumption 2.1.4"),
+                        (far, "structure")]:
+        code, out = run(capsys, "validate", str(write_scenario(doc)))
+        assert code == 1
+        assert f"{failed}: FAIL" in out
 
 
 def test_validate_parse_error(tmp_path, capsys):
@@ -230,6 +244,53 @@ def test_stage_files_match_per_cell_formatting(doc, write_scenario, tmp_path, ca
     assert {-1, grid.steps} <= arrivals
 
 
+def _detour_wide_band() -> dict:
+    doc = detour_parallel_dict(24)
+    doc["solver"]["eps_tie"] = 0.3
+    return doc
+
+
+def _lattice_5x5() -> dict:
+    doc = shipped("diamond_default")
+    doc["network"] = WORKLOADS.lattice_network(5, 1)
+    doc["model"]["steps"] = 250
+    doc["solver"]["tol"] = 1e-6
+    return doc
+
+
+# (scenario, the --max-N of an oracle run on it, or None).  On the
+# speed-limited diamond the value kernel runs over arrival floors at
+# congested masses.  The detour's head is farther from the destination than
+# its tail: at eps_tie 0.3 walks reach its tail at the horizon, where a
+# path's cost settles at the cheaper final value.  On the 5x5 lattice 560
+# pairs share 250 path suffixes, whose value and policy rows the stage files
+# gather to pairs.
+MAP_CASES = {
+    "diamond_coarse": (shipped("diamond_coarse"), None),
+    "diamond_constrained": (shipped("diamond_constrained"), None),
+    "detour-eps-0.3": (_detour_wide_band(), 24),
+    "lattice-5x5": (_lattice_5x5(), None),
+}
+
+
+@pytest.mark.parametrize("doc, max_n", MAP_CASES.values(), ids=MAP_CASES.keys())
+def test_stage_files_are_the_map_of_the_mass_file(write_scenario, tmp_path, capsys,
+                                                  doc, max_n):
+    # a solve's stage files are psi of its masses.csv, whether it converged
+    # or stopped at the iteration cap (exit 3)
+    scenario = write_scenario(doc)
+    if max_n is not None:
+        assert main(["oracle", str(scenario), "--max-N", str(max_n)]) == 0
+    for name, extra, code in [("converged", [], 0), ("capped", ["--max-iter", "2"], 3)]:
+        solve_dir, psi_dir = tmp_path / name, tmp_path / f"{name}-psi"
+        assert main(["solve", str(scenario), "--out", str(solve_dir), *extra]) == code
+        assert main(["psi-once", str(scenario), "--out", str(psi_dir),
+                     "--mass", str(solve_dir / "masses.csv")]) == 0
+        for stage in ("flows", "values", "policy", "preferences", "costs"):
+            assert (psi_dir / f"{stage}.csv").read_bytes() == \
+                (solve_dir / f"{stage}.csv").read_bytes(), (name, stage)
+
+
 def test_solve_exit_three_on_iteration_cap(write_scenario, tmp_path, capsys):
     scenario = write_scenario(diamond_dict(steps=100))
     out_dir = tmp_path / "run"
@@ -250,7 +311,7 @@ def test_non_finite_image_is_an_error(write_scenario, tmp_path, capsys):
     # congestion integrals past the float range make the second image NaN;
     # the mass bound check stops the solve there, not after max_iter
     # evaluations of NaN
-    doc = json.loads((ROOT / "scenarios" / "diamond_coarse.json").read_text())
+    doc = shipped("diamond_coarse")
     doc["model"]["phi"]["default"]["coeff"] = 1e308
     scenario = write_scenario(doc)
     out_dir = tmp_path / "run"
@@ -541,8 +602,12 @@ def test_psi_once_repeats_bitwise(write_scenario, tmp_path, capsys):
 def test_psi_once_reproduces_solve_residual(write_scenario, tmp_path, capsys):
     scenario = write_scenario(diamond_dict(steps=100))
     solve_dir = tmp_path / "solve"
-    run(capsys, "solve", str(scenario), "--out", str(solve_dir))
+    code, _ = run(capsys, "solve", str(scenario), "--out", str(solve_dir),
+                  "--gamma", "0.7", "--tol", "1e-4", "--max-iter", "200")
+    assert code == 0
     report = json.loads((solve_dir / "report.json").read_text())
+    solver = report["manifest"]["parameters"]["solver"]
+    assert (solver["gamma"], solver["tol"], solver["max_iter"]) == (0.7, 1e-4, 200)
     psi_dir = tmp_path / "psi"
     code, _ = run(capsys, "psi-once", str(scenario), "--out", str(psi_dir),
                   "--mass", str(solve_dir / "masses.csv"))
@@ -705,6 +770,20 @@ def test_oracle_refuses_fine_grids(write_scenario, capsys):
     code, out = run(capsys, "oracle", str(scenario), "--max-N", "16")
     assert code == 1
     assert "refusing" in out
+
+
+@pytest.mark.parametrize("length", [1e200, 1e-170], ids=["1e200", "1e-170"])
+def test_edge_length_whose_square_leaves_the_float_range(write_scenario, tmp_path, capsys,
+                                                         length):
+    # e1 at length 1e200 squares to +inf, the intended kinetic term; at
+    # 1e-170 its square underflows to 0, and so does every kinetic term on
+    # it.  The suite turns a RuntimeWarning into a failure.
+    doc = shipped("diamond_coarse")
+    doc["network"]["edges"][0]["length"] = length
+    scenario = write_scenario(doc)
+    assert main(["oracle", str(scenario), "--max-N", "16"]) == 0
+    assert main(["solve", str(scenario), "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_oracle_detects_injected_policy_fault(write_scenario, capsys, monkeypatch):

@@ -310,6 +310,12 @@ def test_compute_k_clamps_to_horizon():
     net, ps, scen, grid = build(doc)
     # raw threshold 2 / 0.2 = 10 exceeds the horizon
     assert scen.k == 5.0 and scen.k_idx == 10
+    # 1e10 / 2e-300 is past the float range: the horizon too, with no warning
+    for e in edges:
+        e["length"] = 1e10
+    doc = diamond_dict(steps=10, edges=edges, model={"horizon": 5.0, "alpha": 1e-300})
+    net, ps, scen, grid = build(doc)
+    assert scen.k == 5.0 and scen.k_idx == 10
 
 
 def test_compute_k_floor_is_one_step():

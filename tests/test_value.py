@@ -610,6 +610,24 @@ def test_non_monotone_congestion_integrals_match_the_references(monkeypatch):
     assert calls and all(not c[2] and not c[3] for c in calls)
 
 
+@pytest.mark.parametrize("eps_tie", [0.0, 1e-9, 0.3])
+def test_row_minimum_of_minus_inf_matches_the_references(eps_tie):
+    # A +inf congestion integral at node 5 of e1 makes every arrival of a row
+    # entering e1 there cost -inf: the tie band is the minimum itself (not
+    # -inf + inf, NaN), so the latest arrival, node N, wins.
+    net, ps, scen, grid = build(diamond_dict(steps=20, solver={"eps_tie": eps_tie}))
+    _, phi_prefix = congestion_total(ps, scen, zero_mass(ps, grid).values)
+    e1 = net.edge_index["e1"]
+    phi_prefix[e1, 5] = np.inf
+    result = value_backward(net, ps, scen, phi_prefix)
+    assert_same_bits(result, dense_value_backward(net, ps, scen, phi_prefix))
+    table, policy = by_pair(ps, *result)
+    assert check_value_tables(net, ps, scen, phi_prefix, table, policy) == []
+    rows = [s for s, (e, _) in enumerate(ps.suffix_table[0]) if e == e1]
+    assert len(rows) == 2
+    assert np.all(result[0][rows, 5] == -np.inf) and np.all(result[1][rows, 5] == 20)
+
+
 def test_floors_that_are_not_a_staircase_match_the_references(monkeypatch):
     # Arrival floors that fall from one entry node to the next, with
     # infeasible rows between feasible ones, break the preconditions too.
